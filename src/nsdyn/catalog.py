@@ -4,8 +4,9 @@ Every catalog function provides its closed-form value and the exact
 generator representation of its Clarke subdifferential: the subdifferential
 at a point is the convex hull of finitely many generator vectors (a single
 generator wherever the function is differentiable, the extreme limiting
-gradients at kinks).  A vectorized minimal-norm selection field backs the
-batch dynamics engines and is kept bit-identical to the scalar oracle.
+gradients at kinks).  The closed-form minimal-norm field min_norm_many drives
+all dynamics; Wolfe's projector minimal_norm_element is the tested reference:
+each closed-form row lies in the hull and is no longer than Wolfe's answer.
 
 Catalog:
 
@@ -188,8 +189,8 @@ class AbsSum(CatalogFunction):
 
 
 def _cross_grad(x1, x2):
-    # shared by the scalar generator oracle and the batch field so that
-    # both produce bit-identical selections
+    # shared by the generator oracle and the closed-form field, so that the
+    # singleton generator and the minimal-norm row are the same vector
     a1 = np.abs(x1)
     a2 = np.abs(x2)
     g1 = 1.5 * np.sqrt(a1) * a2 * np.sqrt(a2) * np.sign(x1)
@@ -229,8 +230,9 @@ class Cross(CatalogFunction):
         return np.array([[g1, g2]])
 
     def min_norm_many(self, pts):
-        g1, g2 = _cross_grad(pts[:, 0], pts[:, 1])
-        return np.stack([g1, g2], axis=1)
+        out = np.empty_like(pts)
+        out[:, 0], out[:, 1] = _cross_grad(pts[:, 0], pts[:, 1])
+        return out
 
 
 class Wiggle(CatalogFunction):

@@ -24,7 +24,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -72,7 +72,11 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
+        data = json.loads(text)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config key {unknown[0]!r}")
+        return cls(**data)
 
 
 def _parse_vector(text: str) -> list:
@@ -154,31 +158,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    policy = getattr(args, "policy", "minimal_norm")
-    policy_index = 0
-    if policy.startswith("fixed_index:"):
-        policy, policy_index = "fixed_index", int(policy.split(":", 1)[1])
-    return RunConfig(
-        command=args.command,
-        function=getattr(args, "function", None),
-        x0=getattr(args, "x0", None),
-        xstar=getattr(args, "xstar", None),
-        alpha=getattr(args, "alpha", None),
-        steps=getattr(args, "steps", None),
-        horizon=getattr(args, "horizon", None),
-        h=getattr(args, "h", None),
-        epsilon=getattr(args, "epsilon", None),
-        delta_grid=getattr(args, "delta_grid", None),
-        alpha_grid=getattr(args, "alpha_grid", None),
-        samples=getattr(args, "samples", None),
-        max_iters=getattr(args, "max_iters", None),
-        seed=getattr(args, "seed", 0),
-        policy=policy,
-        policy_index=policy_index,
-        out=getattr(args, "out", None),
-        format=getattr(args, "format", None),
-        per_sample_csv=getattr(args, "per_sample_csv", None),
-    )
+    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)})
+    if cfg.policy.startswith("fixed_index:"):
+        cfg.policy, cfg.policy_index = "fixed_index", int(cfg.policy.split(":", 1)[1])
+    return cfg
 
 
 def _emit(text: str, out: str | None):
@@ -291,18 +274,18 @@ def run_command(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = RunConfig.from_json(fh.read())
-    elif args.command is None:
+    if args.config is None and args.command is None:
         parser.print_usage(sys.stderr)
         return 2
-    else:
-        cfg = _config_from_args(args)
-    env_seed = os.environ.get("NSDYN_SEED")
-    if env_seed is not None:
-        cfg.seed = int(env_seed)
     try:
+        if args.config is not None:
+            with open(args.config, encoding="utf-8") as fh:
+                cfg = RunConfig.from_json(fh.read())
+        else:
+            cfg = _config_from_args(args)
+        env_seed = os.environ.get("NSDYN_SEED")
+        if env_seed is not None:
+            cfg.seed = int(env_seed)
         return execute(cfg)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

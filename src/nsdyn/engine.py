@@ -3,7 +3,9 @@
 The inclusion leaves the subgradient selection free; SelectionPolicy pins it
 down.  The default minimal-norm selection matches the slow-solution
 convention of the continuous flow and makes discrete/continuous comparisons
-canonical.
+canonical.  It is the closed form ``fn.min_norm_many``: ``run``, ``run_batch``
+and the flow advance through the one step loop ``_iterate`` and ``step`` uses
+its row selector, so all agree bit for bit; Wolfe's projector never steps.
 
 Reproducibility contract: every random draw comes from a counter-based
 Philox generator.  A trajectory owns a single 64-bit seed; batch drivers
@@ -16,10 +18,11 @@ bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .catalog import CatalogFunction, as_point, minimal_norm_element
+from .catalog import CatalogFunction, as_point
 from .errors import NonFiniteState, OutOfHorizon
 
 __all__ = [
@@ -90,16 +93,67 @@ def sample_ball(center, radius: float, n: int, rng: np.random.Generator) -> np.n
     return center[None, :] + radii[:, None] * direction
 
 
-def _select(gens: np.ndarray, policy: SelectionPolicy, rng: np.random.Generator | None) -> np.ndarray:
-    if gens.shape[0] == 1:
-        return gens[0]
+def _selector(fn: CatalogFunction, policy: SelectionPolicy, rng: np.random.Generator | None):
+    """Maps (n, dim) points to the chosen subgradients; generator policies run one row."""
     if policy.kind == "minimal_norm":
-        return minimal_norm_element(gens)
-    if policy.kind == "fixed_index":
-        return gens[policy.index % gens.shape[0]]
-    if rng is None:
-        raise ValueError("random_extreme selection needs an rng")
-    return gens[int(rng.integers(gens.shape[0]))]
+        return fn.min_norm_many
+
+    def pick(pts):
+        gens = fn.generators(pts[0], 0.0)
+        if gens.shape[0] == 1 or policy.kind == "fixed_index":
+            return gens[None, policy.index % gens.shape[0]]
+        if rng is None:
+            raise ValueError("random_extreme selection needs an rng")
+        return gens[None, int(rng.integers(gens.shape[0]))]
+
+    return pick
+
+
+def _outside(center, radius: float, dim: int):
+    """Per-row test ||x - center||^2 > radius^2, the exit test used everywhere."""
+    center = as_point(center, dim)
+    r2 = float(radius) * float(radius)
+
+    def test(pts):
+        d = pts - center[None, :]
+        return (d * d).sum(axis=1) > r2
+
+    return test
+
+
+def _diverged(pts: np.ndarray) -> np.ndarray:
+    """Rows with a non-finite coordinate or one beyond DIVERGENCE_LIMIT."""
+    return ~(np.abs(pts) <= DIVERGENCE_LIMIT).all(axis=1)
+
+
+def _iterate(select, pts: np.ndarray, steps, stop=None, points=None, subgrads=None):
+    """The step loop: x <- x - a * select(x) on every live row, for each step size a.
+
+    Rows flagged by stop(pts) after step k retire with exit index k and their
+    point; the rest keep -1.  Returns (exit_index, last_points), recording row
+    0's iterates and selections into points[1:] and subgrads when given.
+    """
+    exit_index = np.full(pts.shape[0], -1, dtype=np.int64)
+    last = np.array(pts, copy=True)
+    alive_ids = np.arange(pts.shape[0])
+    for k, a in enumerate(steps, 1):
+        if alive_ids.size == 0:
+            break
+        s = select(pts)
+        pts = pts - a * s
+        if points is not None:
+            subgrads[k - 1] = s[0]
+            points[k] = pts[0]
+        if stop is not None:
+            out = stop(pts)
+            if out.any():
+                gone = alive_ids[out]
+                exit_index[gone] = k
+                last[gone] = pts[out]
+                alive_ids = alive_ids[~out]
+                pts = pts[~out]
+    last[alive_ids] = pts
+    return exit_index, last
 
 
 def step(fn: CatalogFunction, x, alpha: float, policy: SelectionPolicy = MINIMAL_NORM,
@@ -114,8 +168,7 @@ def step(fn: CatalogFunction, x, alpha: float, policy: SelectionPolicy = MINIMAL
     x = as_point(x, fn.dim)
     if not np.all(np.isfinite(x)):
         raise NonFiniteState(f"non-finite state {x}")
-    gens = fn.generators(x, 0.0)
-    s = _select(gens, policy, rng)
+    s = _selector(fn, policy, rng)(x[None, :])[0]
     return x - alpha * s, s
 
 
@@ -172,23 +225,15 @@ def run(fn: CatalogFunction, x0, alpha: float, n_steps: int,
     points = np.empty((n_steps + 1, fn.dim))
     subgrads = np.empty((n_steps, fn.dim))
     points[0] = x
-    diverged_at = None
+    stop_test = _diverged
     if stop is not None:
-        c = as_point(stop[0], fn.dim)
-        r = float(stop[1])
-    k_last = n_steps
-    for k in range(n_steps):
-        if stop is not None and np.linalg.norm(points[k] - c) > r:
-            k_last = k
-            break
-        gens = fn.generators(points[k], 0.0)
-        s = _select(gens, policy, rng)
-        subgrads[k] = s
-        points[k + 1] = points[k] - alpha * s
-        if not np.all(np.abs(points[k + 1]) <= DIVERGENCE_LIMIT):
-            diverged_at = k + 1
-            k_last = k + 1
-            break
+        outside = _outside(stop[0], stop[1], fn.dim)
+        n_steps = 0 if outside(points[:1])[0] else n_steps
+        stop_test = lambda pts: outside(pts) | _diverged(pts)
+    exit_index, last = _iterate(_selector(fn, policy, rng), points[:1], repeat(alpha, n_steps),
+                                stop_test, points, subgrads)
+    k_last = n_steps if exit_index[0] < 0 else int(exit_index[0])
+    diverged_at = k_last if exit_index[0] >= 0 and _diverged(last)[0] else None
     return Trajectory(
         fn_id=fn.name,
         alpha=float(alpha),
@@ -202,48 +247,23 @@ def run(fn: CatalogFunction, x0, alpha: float, n_steps: int,
 
 def run_batch(fn: CatalogFunction, x0s: np.ndarray, alpha: float, n_steps: int,
               exit_center=None, exit_radius: float | None = None):
-    """Vectorized minimal-norm iteration over many initial points.
+    """Minimal-norm iteration over many initial points: ``run``'s step loop, batched.
 
-    Per-sample arithmetic is elementwise identical to ``run`` with the
-    minimal_norm policy, so any sample replayed through ``run`` reproduces
-    the same iterates bit for bit.  Returns (exit_index, last_points):
-    exit_index[i] is the first k with ||x_k - center|| > radius (0 if the
-    start is already outside), or -1 if the sample never left the ball
-    within n_steps.  Without an exit ball, runs all samples n_steps and
-    returns exit_index filled with -1.
+    Any sample replayed through ``run`` reproduces the same iterates bit for
+    bit.  Returns (exit_index, last_points): exit_index[i] is the first k
+    with ||x_k - center|| > radius (0 if the start is already outside), or
+    -1 if the sample never left the ball within n_steps; without an exit
+    ball every sample runs n_steps and keeps -1.
     """
     pts = np.array(x0s, dtype=float, copy=True)
-    n = pts.shape[0]
-    exit_index = np.full(n, -1, dtype=np.int64)
-    last = np.array(pts, copy=True)
-    check_exit = exit_center is not None
-    if check_exit:
-        center = as_point(exit_center, fn.dim)
-        r2 = float(exit_radius) ** 2
-        d = pts - center[None, :]
-        out = (d * d).sum(axis=1) > r2
-        exit_index[out] = 0
-        last[out] = pts[out]
-        alive_ids = np.flatnonzero(~out)
-        pts = pts[~out]
-    else:
-        alive_ids = np.arange(n)
-    for k in range(1, n_steps + 1):
-        if alive_ids.size == 0:
-            break
-        pts = pts - alpha * fn.min_norm_many(pts)
-        if check_exit:
-            d = pts - center[None, :]
-            out = (d * d).sum(axis=1) > r2
-            if out.any():
-                gone = alive_ids[out]
-                exit_index[gone] = k
-                last[gone] = pts[out]
-                alive_ids = alive_ids[~out]
-                pts = pts[~out]
-    if alive_ids.size:
-        last[alive_ids] = pts
-    return exit_index, last
+    if exit_center is None:
+        return _iterate(fn.min_norm_many, pts, repeat(alpha, n_steps))
+    outside = _outside(exit_center, exit_radius, fn.dim)
+    inside = ~outside(pts)
+    exit_index = np.zeros(pts.shape[0], dtype=np.int64)
+    exit_index[inside], pts[inside] = _iterate(fn.min_norm_many, pts[inside],
+                                               repeat(alpha, n_steps), outside)
+    return exit_index, pts
 
 
 @dataclass(frozen=True)
@@ -282,8 +302,5 @@ def first_exit(traj: Trajectory, center, radius: float) -> int | None:
     """Smallest k with ||points[k] - center|| > radius, or None."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    center = as_point(center, traj.dim)
-    d = traj.points - center[None, :]
-    outside = (d * d).sum(axis=1) > radius * radius
-    hits = np.flatnonzero(outside)
+    hits = np.flatnonzero(_outside(center, radius, traj.dim)(traj.points))
     return int(hits[0]) if hits.size else None

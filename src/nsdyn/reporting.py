@@ -12,7 +12,7 @@ from dataclasses import asdict, is_dataclass
 
 import numpy as np
 
-from .catalog import CatalogFunction, get_function, list_catalog, minimal_norm_element
+from .catalog import CatalogFunction, get_function, list_catalog
 from .counterexample import EscapeStats
 from .engine import SelectionPolicy, Trajectory
 from .flow import FlowSolution
@@ -55,15 +55,9 @@ def trajectory_csv_text(traj: Trajectory, fn: CatalogFunction | None = None) -> 
     """
     fn = fn if fn is not None else get_function(traj.fn_id, dim=traj.dim)
     header = ["k", "t"] + [f"x_{i}" for i in range(traj.dim)] + ["f", "subgrad_norm"]
-    rows = []
-    n = traj.points.shape[0]
-    for k in range(n):
-        x = traj.points[k]
-        if k < traj.n_steps:
-            s = traj.chosen_subgradients[k]
-        else:
-            s = minimal_norm_element(fn.generators(x, 0.0))
-        rows.append([k, traj.alpha * k, *x, fn.value(x), float(np.linalg.norm(s))])
+    subs = np.concatenate([traj.chosen_subgradients, fn.min_norm_many(traj.points[-1:])])
+    rows = [[k, traj.alpha * k, *x, fn.value(x), float(np.linalg.norm(s))]
+            for k, (x, s) in enumerate(zip(traj.points, subs))]
     return _csv(header, rows)
 
 

@@ -140,16 +140,36 @@ SAMPLE_SPECS = [
 ]
 
 
+KINK_POINTS = [
+    ("abs_sum", 3, [0.0, 0.0, 0.0]),
+    ("abs_sum", 4, [0.0, 0.0, 0.5, 1.0]),
+    ("abs_sum", 3, [0.0, 2.0, 0.0]),
+    ("vee_bowl", 2, [0.0, 0.3]),
+    ("vee_bowl", 2, [0.0, -0.0]),
+    ("wiggle", 1, [0.0]),
+    ("neg_norm", 3, [0.0, 0.0, 0.0]),
+    ("cross", 2, [1.0, 0.0]),
+    ("cross", 2, [0.0, 1.0]),
+]
+
+
 def test_min_norm_lies_in_hull_with_smallest_norm():
     rng = make_rng(7)
-    for name, dim, center, radius in SAMPLE_SPECS:
+    points = [(name, dim, x) for name, dim, center, radius in SAMPLE_SPECS
+              for x in sample_ball(np.array(center), radius, 40, rng)]
+    points += [(name, dim, np.array(x)) for name, dim, x in KINK_POINTS]
+    for name, dim, x in points:
         fn = get_function(name, dim)
-        for x in sample_ball(np.array(center), radius, 40, rng):
-            s = subdifferential(fn, x, 0.0)
-            v = minimal_norm_element(s)
-            assert hull_distance(s, v) <= 1e-10
-            gen_norms = np.linalg.norm(s.generators, axis=1)
-            assert np.linalg.norm(v) <= gen_norms.min() + 1e-12
+        s = subdifferential(fn, x, 0.0)
+        v = minimal_norm_element(s)
+        assert hull_distance(s, v) <= 1e-10
+        gen_norms = np.linalg.norm(s.generators, axis=1)
+        assert np.linalg.norm(v) <= gen_norms.min() + 1e-12
+        # the closed-form field the dynamics use: in the hull, and no longer
+        # than Wolfe's projection
+        row = fn.min_norm_many(x[None, :])[0]
+        assert hull_distance(s, row) <= 1e-12, (name, x)
+        assert np.linalg.norm(row) <= np.linalg.norm(v) + 1e-15, (name, x)
 
 
 def test_no_duplicate_generators():

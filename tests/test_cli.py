@@ -122,13 +122,32 @@ def test_env_seed_overrides_flag(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "o.json").read_text())["seed"] == 1
 
 
-def test_usage_errors_exit_2(capsys, tmp_path):
+def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     assert run_command(["simulate", "--function", "quad"]) == 2  # missing flags
     assert capsys.readouterr().err != ""
     assert run_command(["no-such-command"]) == 2
     assert run_command([]) == 2
     assert _run_in(tmp_path, ["simulate", "--function", "nope", "--x0", "1",
                               "--alpha", "0.1", "--steps", "1", "--out", "x.csv"]) == 2
+    capsys.readouterr()
+    (tmp_path / "bad.json").write_text("{\"command\": ")
+    (tmp_path / "extra.json").write_text('{"command": "list-functions", "bogus_key": 1}')
+    simulate = ["simulate", "--function", "quad", "--x0", "1", "--alpha", "0.1",
+                "--steps", "1", "--out", "x.csv"]
+    rows = [  # (NSDYN_SEED, argv, text the one stderr line must name)
+        ("abc", ["list-functions"], "abc"),
+        (None, ["--config", "bad.json"], "error"),
+        (None, ["--config", "extra.json"], "bogus_key"),
+        (None, ["--config", "missing.json"], "missing.json"),
+        (None, simulate + ["--policy", "fixed_index:x"], "'x'"),
+    ]
+    for env_seed, argv, named in rows:
+        with monkeypatch.context() as m:
+            if env_seed is not None:
+                m.setenv("NSDYN_SEED", env_seed)
+            assert _run_in(tmp_path, argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and named in err[0], (argv, err)
 
 
 def test_divergence_exit_3(tmp_path, capsys):

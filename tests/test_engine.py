@@ -104,8 +104,14 @@ def test_policies_coincide_on_singletons():
     qq = get_function("quad", 2)
     base, _ = step(qq, x, 0.1, MINIMAL_NORM)
     for policy in (SelectionPolicy("random_extreme"), SelectionPolicy("fixed_index", 3)):
-        got, _ = step(qq, x, 0.1, policy, make_rng(0))
+        rng = make_rng(0)
+        got, _ = step(qq, x, 0.1, policy, rng)
         npt.assert_array_equal(got, base)
+        # a singleton leaves nothing to draw, so the stream stays put
+        assert rng.random() == make_rng(0).random()
+    rng = make_rng(0)
+    step(ABS1, [0.0], 0.1, SelectionPolicy("random_extreme"), rng)
+    assert rng.random() != make_rng(0).random()
 
 
 def test_interpolate_examples():
@@ -160,6 +166,8 @@ def test_divergence_flagged_not_raised():
     assert traj.points.shape == (334, 1)
     assert abs(traj.points[-1, 0]) > DIVERGENCE_LIMIT
     assert np.all(np.abs(traj.points[:-1, 0]) <= DIVERGENCE_LIMIT)
+    # divergence is only checked after a step, so a NaN start takes one
+    assert run(QUAD1, [np.nan], 0.1, 5).diverged_at == 1
 
 
 def test_batch_matches_scalar_bitwise():
@@ -170,11 +178,15 @@ def test_batch_matches_scalar_bitwise():
         ("vee_bowl", 2, [[0.0, 0.8], [0.5, -0.5]]),
         ("neg_norm", 2, [[0.0, 0.0], [0.2, 0.1]]),
         ("wiggle", 1, [[0.0], [0.07]]),
+        # kinks with two or more active coordinates
+        ("abs_sum", 4, [[0.0, 0.0, 0.5, 1.0]]),
+        ("abs_sum", 3, [[0.0, 2.0, 0.0]]),
     ]
     for name, dim, starts in cases:
         fn = get_function(name, dim)
         x0s = np.array(starts, float)
-        _, last = run_batch(fn, x0s, 0.05, 37)
+        exit_idx, last = run_batch(fn, x0s, 0.05, 37)
+        assert np.all(exit_idx == -1)  # no exit ball: every sample runs the full budget
         for i, x0 in enumerate(x0s):
             traj = run(fn, x0, 0.05, 37)
             assert traj.points[-1].tobytes() == last[i].tobytes(), (name, i)
