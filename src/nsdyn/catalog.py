@@ -58,6 +58,19 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def sum_sq(pts: np.ndarray) -> np.ndarray:
+    """Squared norm of each row, adding the squared columns left to right.
+
+    The same bits in any memory layout, which ``(pts * pts).sum(axis=1)``
+    does not promise; the dynamics take every row reduction from here.
+    """
+    sq = pts * pts
+    acc = sq[:, 0]
+    for j in range(1, sq.shape[1]):
+        acc += sq[:, j]
+    return acc
+
+
 @dataclass(frozen=True)
 class SubdifferentialSet:
     """Clarke subdifferential at ``point`` as the hull of ``generators``.
@@ -109,7 +122,11 @@ class CatalogFunction:
         raise NotImplementedError
 
     def min_norm_many(self, pts: np.ndarray) -> np.ndarray:
-        """Minimal-norm subgradient at each row of ``pts`` (closed form)."""
+        """Minimal-norm subgradient at each row of ``pts`` (closed form).
+
+        Returns a new array in the memory layout of ``pts``: the step loop
+        scales it in place and keeps its working rows column-major.
+        """
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -147,7 +164,7 @@ class Quad(CatalogFunction):
         return as_point(x, self.dim)[None, :].copy()
 
     def min_norm_many(self, pts):
-        return pts.copy()
+        return pts.copy(order="K")
 
 
 class AbsSum(CatalogFunction):
@@ -193,8 +210,10 @@ def _cross_grad(x1, x2):
     # singleton generator and the minimal-norm row are the same vector
     a1 = np.abs(x1)
     a2 = np.abs(x2)
-    g1 = 1.5 * np.sqrt(a1) * a2 * np.sqrt(a2) * np.sign(x1)
-    g2 = 1.5 * a1 * np.sqrt(a1) * np.sqrt(a2) * np.sign(x2)
+    r1 = np.sqrt(a1)
+    r2 = np.sqrt(a2)
+    g1 = 1.5 * r1 * a2 * r2 * np.sign(x1)
+    g2 = 1.5 * a1 * r1 * r2 * np.sign(x2)
     return g1, g2
 
 
@@ -310,7 +329,9 @@ class VeeBowl(CatalogFunction):
         return np.array([[np.sign(x[0]), d2]])
 
     def min_norm_many(self, pts):
-        return np.stack([np.sign(pts[:, 0]), 2.0 * pts[:, 1]], axis=1)
+        out = np.empty_like(pts)
+        out[:, 0], out[:, 1] = np.sign(pts[:, 0]), 2.0 * pts[:, 1]
+        return out
 
 
 class NegNorm(CatalogFunction):
@@ -334,14 +355,14 @@ class NegNorm(CatalogFunction):
 
     def generators(self, x, active_tol=0.0):
         x = as_point(x, self.dim)
-        r = np.sqrt((x * x).sum())
+        r = np.sqrt(sum_sq(x[None, :])[0])
         if r <= active_tol:
             eye = np.eye(self.dim)
             return np.concatenate([eye, -eye], axis=0)
         return (-x / r)[None, :]
 
     def min_norm_many(self, pts):
-        r = np.sqrt((pts * pts).sum(axis=1))
+        r = np.sqrt(sum_sq(pts))
         safe = np.where(r > 0.0, r, 1.0)
         return np.where(r[:, None] > 0.0, -pts / safe[:, None], 0.0)
 

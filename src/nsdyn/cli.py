@@ -73,9 +73,13 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, not {type(data).__name__}")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config key {unknown[0]!r}")
+        if "command" not in data:
+            raise ValueError("config has no 'command' key")
         return cls(**data)
 
 

@@ -7,6 +7,17 @@ canonical.  It is the closed form ``fn.min_norm_many``: ``run``, ``run_batch``
 and the flow advance through the one step loop ``_iterate`` and ``step`` uses
 its row selector, so all agree bit for bit; Wolfe's projector never steps.
 
+The loop owns its working rows: one column-major (``order="F"``) copy of the
+start points, updated in place (``s *= a; pts -= s``) and compacted only when
+rows exit, into a new column-major array.  Column-major keeps the per-row
+reductions over the few coordinates cheap on a thousand rows.  numpy's
+``sum(axis=1)`` adds an F-ordered batch column by column but a C-ordered row
+of 8 or more entries pairwise, so its bits would depend on the layout and a
+batch row would drift from its ``run`` replay.  Every row reduction of the
+dynamics (the exit test, ``neg_norm``'s field) therefore uses
+``catalog.sum_sq``, which adds the squared columns left to right in any
+layout.
+
 Reproducibility contract: every random draw comes from a counter-based
 Philox generator.  A trajectory owns a single 64-bit seed; batch drivers
 derive per-sample seeds with ``derive_seed(root, *indices)`` (a SeedSequence
@@ -22,7 +33,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .catalog import CatalogFunction, as_point
+from .catalog import CatalogFunction, as_point, sum_sq
 from .errors import NonFiniteState, OutOfHorizon
 
 __all__ = [
@@ -115,8 +126,7 @@ def _outside(center, radius: float, dim: int):
     r2 = float(radius) * float(radius)
 
     def test(pts):
-        d = pts - center[None, :]
-        return (d * d).sum(axis=1) > r2
+        return sum_sq(pts - center) > r2
 
     return test
 
@@ -132,17 +142,25 @@ def _iterate(select, pts: np.ndarray, steps, stop=None, points=None, subgrads=No
     Rows flagged by stop(pts) after step k retire with exit index k and their
     point; the rest keep -1.  Returns (exit_index, last_points), recording row
     0's iterates and selections into points[1:] and subgrads when given.
+
+    ``pts`` is never written: the loop steps its own column-major copy in
+    place, scaling each fresh selection by a and subtracting it, which gives
+    the same bits as x - a * s.  select is called once per step on the live
+    rows only; exits compact the copy and keep it column-major.
     """
     exit_index = np.full(pts.shape[0], -1, dtype=np.int64)
     last = np.array(pts, copy=True)
+    pts = np.array(pts, dtype=float, order="F")
     alive_ids = np.arange(pts.shape[0])
     for k, a in enumerate(steps, 1):
         if alive_ids.size == 0:
             break
         s = select(pts)
-        pts = pts - a * s
         if points is not None:
             subgrads[k - 1] = s[0]
+        s *= a
+        pts -= s
+        if points is not None:
             points[k] = pts[0]
         if stop is not None:
             out = stop(pts)
@@ -150,8 +168,9 @@ def _iterate(select, pts: np.ndarray, steps, stop=None, points=None, subgrads=No
                 gone = alive_ids[out]
                 exit_index[gone] = k
                 last[gone] = pts[out]
-                alive_ids = alive_ids[~out]
-                pts = pts[~out]
+                keep = ~out
+                alive_ids = alive_ids[keep]
+                pts = pts.T.compress(keep, axis=1).T  # pts[keep] would come back row-major
     last[alive_ids] = pts
     return exit_index, last
 

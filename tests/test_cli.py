@@ -132,6 +132,8 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
     (tmp_path / "bad.json").write_text("{\"command\": ")
     (tmp_path / "extra.json").write_text('{"command": "list-functions", "bogus_key": 1}')
+    (tmp_path / "nocommand.json").write_text('{"function": "quad"}')
+    (tmp_path / "array.json").write_text("[1, 2]")
     simulate = ["simulate", "--function", "quad", "--x0", "1", "--alpha", "0.1",
                 "--steps", "1", "--out", "x.csv"]
     rows = [  # (NSDYN_SEED, argv, text the one stderr line must name)
@@ -139,6 +141,8 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
         (None, ["--config", "bad.json"], "error"),
         (None, ["--config", "extra.json"], "bogus_key"),
         (None, ["--config", "missing.json"], "missing.json"),
+        (None, ["--config", "nocommand.json"], "'command'"),
+        (None, ["--config", "array.json"], "JSON object"),
         (None, simulate + ["--policy", "fixed_index:x"], "'x'"),
     ]
     for env_seed, argv, named in rows:

@@ -181,25 +181,58 @@ def test_batch_matches_scalar_bitwise():
         # kinks with two or more active coordinates
         ("abs_sum", 4, [[0.0, 0.0, 0.5, 1.0]]),
         ("abs_sum", 3, [[0.0, 2.0, 0.0]]),
+        # ten coordinates: numpy's row sum of a column-major batch drifts one
+        # ulp from the row-major replay on these starts
+        ("neg_norm", 10, (sample_ball(np.zeros(10), 1.0, 200, make_rng(5)) + 2.0)[[85, 88]]),
     ]
     for name, dim, starts in cases:
         fn = get_function(name, dim)
         x0s = np.array(starts, float)
-        exit_idx, last = run_batch(fn, x0s, 0.05, 37)
-        assert np.all(exit_idx == -1)  # no exit ball: every sample runs the full budget
-        for i, x0 in enumerate(x0s):
-            traj = run(fn, x0, 0.05, 37)
-            assert traj.points[-1].tobytes() == last[i].tobytes(), (name, i)
+        for batch in (x0s, np.asfortranarray(x0s)):
+            exit_idx, last = run_batch(fn, batch, 0.05, 37)
+            assert np.all(exit_idx == -1)  # no exit ball: every sample runs the full budget
+            for i, x0 in enumerate(x0s):
+                traj = run(fn, x0, 0.05, 37)
+                assert traj.points[-1].tobytes() == last[i].tobytes(), (name, i, batch.flags.f_contiguous)
+
+
+class _CountingOracle:
+    """Delegates to a catalog function, recording the rows of each min_norm_many call."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.rows = []
+
+    def __getattr__(self, name):
+        return getattr(self.fn, name)
+
+    def min_norm_many(self, pts):
+        self.rows.append(pts.shape[0])
+        return self.fn.min_norm_many(pts)
 
 
 def test_batch_exit_indices_match_first_exit():
     nn = get_function("neg_norm", 2)
     rng = make_rng(17)
     x0s = sample_ball(np.zeros(2), 0.05, 8, rng)
-    exit_idx, _ = run_batch(nn, x0s, 0.01, 50, np.zeros(2), 0.1)
+    x0s[0] = [0.2, 0.0]  # starts outside: exit 0, never stepped
+    x0s[1] = [0.0, 0.0]  # the zero field keeps it inside: runs the full budget
+    before = x0s.tobytes()
+    oracle = _CountingOracle(nn)
+    exit_idx, _ = run_batch(oracle, x0s, 0.01, 50, np.zeros(2), 0.1)
+    assert x0s.tobytes() == before  # the in-place step loop works on its own copy
+    assert exit_idx[0] == 0 and exit_idx[1] == -1
     for i, x0 in enumerate(x0s):
         traj = run(nn, x0, 0.01, 50)
-        assert first_exit(traj, np.zeros(2), 0.1) == exit_idx[i]
+        assert first_exit(traj, np.zeros(2), 0.1) == (None if exit_idx[i] < 0 else exit_idx[i])
+    # one oracle call per loop iteration, on the rows still alive at that step
+    steps = np.where(exit_idx >= 0, exit_idx, 50)
+    assert oracle.rows == [int((steps >= k).sum()) for k in range(1, 51)]
+    assert sum(oracle.rows) == steps.sum()
+    for batch in (x0s, np.asfortranarray(x0s)):  # and without an exit ball, in either layout
+        kept = batch.tobytes(order="A")
+        run_batch(nn, batch, 0.01, 5)
+        assert batch.tobytes(order="A") == kept
 
 
 def test_cross_iterates_avoid_axis_set():
