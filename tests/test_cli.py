@@ -44,14 +44,25 @@ def test_goldens_regenerate_byte_identical(tmp_path):
                                   "--epsilon", "0.1", "--samples", "10", "--seed", "3"],
         "convex_bounds_abssum.json": ["convex-bounds", "--function", "abs_sum", "--x0", "1",
                                       "--alpha", "0.1", "--epsilon", "0.1", "--steps", "400"],
+        # --out is the stem of the .discrete.csv, .flow.csv and .compare.json
+        # triple; h=0.03 puts both curves' grids off each other's nodes
+        "compare_negnorm_h003": ["compare", "--function", "neg_norm", "--x0", "0.3,-0.4",
+                                 "--alpha", "0.1", "--horizon", "1", "--h", "0.03"],
+        "compare_cross_h003": ["compare", "--function", "cross", "--x0", "1,0.1",
+                               "--alpha", "0.1", "--horizon", "1", "--h", "0.03"],
+        "counterexample_e025_a03_n20_s1.json": [
+            "counterexample", "--epsilon", "0.25", "--alpha", "0.3", "--samples", "20",
+            "--max-iters", "1000", "--seed", "1",
+            "--per-sample-csv", "counterexample_e025_a03_n20_s1_per_sample.csv"],
     }
     for name, argv in jobs.items():
-        out = tmp_path / name
-        assert _run_in(tmp_path, argv + ["--out", str(out)]) == 0
-        assert out.read_bytes() == (GOLDENS / name).read_bytes(), name
-    # probe writes the witness trajectory next to its report
-    witness = "probe_negnorm_s3_witness.csv"
-    assert (tmp_path / witness).read_bytes() == (GOLDENS / witness).read_bytes()
+        assert _run_in(tmp_path, argv + ["--out", str(tmp_path / name)]) == 0, name
+    # every file a command writes (the probe witness, the compare triple, the
+    # per-sample table) is a golden, and every golden is written
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in GOLDENS.iterdir())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (GOLDENS / name).read_bytes(), name
 
 
 def test_same_invocation_twice_is_byte_identical(tmp_path):
