@@ -100,6 +100,7 @@ class CatalogFunction:
     convex: bool = False
     any_dim: bool = False
     quad_growth: float | None = None  # beta with f(x) - inf f >= beta * d(x, X)^2
+    kinked: slice = slice(0)  # leading coordinates i with a kink |x_i| at x_i = 0
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -118,8 +119,19 @@ class CatalogFunction:
         return np.array([self.value(p) for p in pts])
 
     def generators(self, x: np.ndarray, active_tol: float = 0.0) -> np.ndarray:
-        """Generator rows of the Clarke subdifferential at ``x``."""
-        raise NotImplementedError
+        """Generator rows of the Clarke subdifferential at ``x``.
+
+        The field row ``min_norm_many`` gives at ``x``, with each active kink
+        coordinate (|x_i| <= active_tol among ``kinked``) set to -1 and +1
+        in turn: 2^|A| rows in ``itertools.product`` order.
+        """
+        x = as_point(x, self.dim)
+        gens = self.min_norm_many(x[None, :])
+        active = np.flatnonzero(np.abs(x[self.kinked]) <= active_tol)
+        if active.size:
+            gens = np.repeat(gens, 2 ** active.size, axis=0)
+            gens[:, active] = list(itertools.product((-1.0, 1.0), repeat=active.size))
+        return gens
 
     def min_norm_many(self, pts: np.ndarray) -> np.ndarray:
         """Minimal-norm subgradient at each row of ``pts`` (closed form).
@@ -160,9 +172,6 @@ class Quad(CatalogFunction):
     def value_many(self, pts):
         return 0.5 * np.einsum("ij,ij->i", pts, pts)
 
-    def generators(self, x, active_tol=0.0):
-        return as_point(x, self.dim)[None, :].copy()
-
     def min_norm_many(self, pts):
         return pts.copy(order="K")
 
@@ -178,6 +187,7 @@ class AbsSum(CatalogFunction):
     name = "abs_sum"
     convex = True
     any_dim = True
+    kinked = slice(None)
 
     @property
     def known_minimizers(self):
@@ -190,31 +200,8 @@ class AbsSum(CatalogFunction):
     def value_many(self, pts):
         return np.sum(np.abs(pts), axis=1)
 
-    def generators(self, x, active_tol=0.0):
-        x = as_point(x, self.dim)
-        active = np.flatnonzero(np.abs(x) <= active_tol)
-        base = np.sign(x)
-        if active.size == 0:
-            return base[None, :]
-        gens = np.repeat(base[None, :], 2 ** active.size, axis=0)
-        for row, signs in enumerate(itertools.product((-1.0, 1.0), repeat=active.size)):
-            gens[row, active] = signs
-        return gens
-
     def min_norm_many(self, pts):
         return np.sign(pts)
-
-
-def _cross_grad(x1, x2):
-    # shared by the generator oracle and the closed-form field, so that the
-    # singleton generator and the minimal-norm row are the same vector
-    a1 = np.abs(x1)
-    a2 = np.abs(x2)
-    r1 = np.sqrt(a1)
-    r2 = np.sqrt(a2)
-    g1 = 1.5 * r1 * a2 * r2 * np.sign(x1)
-    g2 = 1.5 * a1 * r1 * r2 * np.sign(x2)
-    return g1, g2
 
 
 class Cross(CatalogFunction):
@@ -243,14 +230,13 @@ class Cross(CatalogFunction):
         a = np.abs(pts)
         return a[:, 0] ** 1.5 * a[:, 1] ** 1.5
 
-    def generators(self, x, active_tol=0.0):
-        x = as_point(x, 2)
-        g1, g2 = _cross_grad(x[0], x[1])
-        return np.array([[g1, g2]])
-
     def min_norm_many(self, pts):
+        x1, x2 = pts[:, 0], pts[:, 1]
+        a1, a2 = np.abs(x1), np.abs(x2)
+        r1, r2 = np.sqrt(a1), np.sqrt(a2)  # each square root once
         out = np.empty_like(pts)
-        out[:, 0], out[:, 1] = _cross_grad(pts[:, 0], pts[:, 1])
+        out[:, 0] = 1.5 * r1 * a2 * r2 * np.sign(x1)
+        out[:, 1] = 1.5 * a1 * r1 * r2 * np.sign(x2)
         return out
 
 
@@ -264,6 +250,7 @@ class Wiggle(CatalogFunction):
 
     name = "wiggle"
     semialgebraic = False
+    kinked = slice(None)
 
     def __init__(self, dim: int = 1):
         if dim != 1:
@@ -284,13 +271,6 @@ class Wiggle(CatalogFunction):
         out[nz] = t[nz] * t[nz] * np.sin(1.0 / t[nz])
         return out
 
-    def generators(self, x, active_tol=0.0):
-        x = as_point(x, 1)
-        t = x[0]
-        if np.abs(t) <= active_tol:
-            return np.array([[-1.0], [1.0]])
-        return np.array([[2.0 * t * np.sin(1.0 / t) - np.cos(1.0 / t)]])
-
     def min_norm_many(self, pts):
         t = pts[:, 0]
         out = np.zeros_like(t)
@@ -304,6 +284,7 @@ class VeeBowl(CatalogFunction):
 
     name = "vee_bowl"
     convex = True
+    kinked = slice(1)
 
     def __init__(self, dim: int = 2):
         if dim != 2:
@@ -320,13 +301,6 @@ class VeeBowl(CatalogFunction):
 
     def value_many(self, pts):
         return np.abs(pts[:, 0]) + pts[:, 1] * pts[:, 1]
-
-    def generators(self, x, active_tol=0.0):
-        x = as_point(x, 2)
-        d2 = 2.0 * x[1]
-        if np.abs(x[0]) <= active_tol:
-            return np.array([[-1.0, d2], [1.0, d2]])
-        return np.array([[np.sign(x[0]), d2]])
 
     def min_norm_many(self, pts):
         out = np.empty_like(pts)
@@ -355,11 +329,10 @@ class NegNorm(CatalogFunction):
 
     def generators(self, x, active_tol=0.0):
         x = as_point(x, self.dim)
-        r = np.sqrt(sum_sq(x[None, :])[0])
-        if r <= active_tol:
+        if np.sqrt(sum_sq(x[None, :])[0]) <= active_tol:
             eye = np.eye(self.dim)
             return np.concatenate([eye, -eye], axis=0)
-        return (-x / r)[None, :]
+        return super().generators(x)
 
     def min_norm_many(self, pts):
         r = np.sqrt(sum_sq(pts))

@@ -300,21 +300,35 @@ class InterpolatedPath:
         return min(self.horizon, self.trajectory.alpha * self.trajectory.n_steps)
 
 
-def interpolate(path: InterpolatedPath, t: float) -> np.ndarray:
-    """Value of the interpolated curve at time t; exact at every node."""
+def _times(t, t_max: float) -> np.ndarray:
+    """``t`` as a float array, checked to lie in [0, t_max]; NaN fails the check."""
+    t = np.asarray(t, dtype=float)
+    bad = ~((t >= 0.0) & (t <= t_max))
+    if bad.any():
+        raise OutOfHorizon(f"t={t[bad][0]} outside [0, {t_max}]")
+    return t
+
+
+def _blend(lo, hi, w, at_lo, at_hi) -> np.ndarray:
+    """lo + w * (hi - lo) row by row; a time on a node gives its stored point."""
+    out = np.where(at_hi[..., None], hi, lo + w[..., None] * (hi - lo))
+    return np.where(at_lo[..., None], lo, out)
+
+
+def interpolate(path: InterpolatedPath, t) -> np.ndarray:
+    """Value of the interpolated curve at time t; exact at every node.
+
+    ``t`` is a scalar (one point) or an array of times (one row per time).
+    The segment is k = floor(t / alpha), clipped to the last one, and the
+    weight (t - alpha*k) / alpha; the ``flow`` module docstring says why
+    this formula and not ``flow_value``'s.
+    """
     traj = path.trajectory
     alpha = traj.alpha
-    if t < 0.0 or t > path.t_max:
-        raise OutOfHorizon(f"t={t} outside [0, {path.t_max}]")
-    k = int(np.floor(t / alpha))
-    k = min(k, traj.n_steps - 1) if traj.n_steps else 0
-    # node hits return the stored point itself, not a reconstruction
-    if t == alpha * k:
-        return traj.points[k].copy()
-    if t == alpha * (k + 1):
-        return traj.points[k + 1].copy()
-    w = (t - alpha * k) / alpha
-    return traj.points[k] + w * (traj.points[k + 1] - traj.points[k])
+    t = _times(t, path.t_max)
+    k = np.clip(np.floor(t / alpha).astype(np.int64), 0, max(traj.n_steps - 1, 0))
+    return _blend(traj.points[k], traj.points[np.minimum(k + 1, traj.n_steps)],
+                  (t - alpha * k) / alpha, t == alpha * k, t == alpha * (k + 1))
 
 
 def first_exit(traj: Trajectory, center, radius: float) -> int | None:

@@ -3,6 +3,10 @@
 All reals are printed with Python's shortest round-trip representation
 (at most 17 significant digits), keys are sorted, and line endings are LF,
 so regenerating any artifact from the same inputs is byte-identical.
+
+A CSV is built from whole columns, and a column's dtype decides how every
+cell in it prints: integer and bool columns as integers (a bool as 0 or
+1), every other column through ``fmt``.
 """
 
 from __future__ import annotations
@@ -13,10 +17,9 @@ from dataclasses import asdict, is_dataclass
 import numpy as np
 
 from .catalog import CatalogFunction, get_function, list_catalog
-from .counterexample import EscapeStats
 from .engine import SelectionPolicy, Trajectory
 from .flow import FlowSolution
-from .stability import BoundReport, StabilityQuery, StabilityVerdict
+from .stability import StabilityQuery, StabilityVerdict
 
 __all__ = [
     "fmt",
@@ -25,7 +28,6 @@ __all__ = [
     "per_sample_csv_text",
     "json_text",
     "write_text",
-    "write_report",
     "verdict_json_dict",
     "catalog_json_list",
     "policy_json",
@@ -37,13 +39,10 @@ def fmt(v) -> str:
     return repr(float(v))
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else
-                              str(cell) if isinstance(cell, (int, np.integer)) else fmt(cell)
-                              for cell in row))
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], columns: list) -> str:
+    cols = [map(str, c.astype(np.int64).tolist()) if c.dtype.kind in "biu" else map(fmt, c.tolist())
+            for c in map(np.asarray, columns)]
+    return "\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n"
 
 
 def trajectory_csv_text(traj: Trajectory, fn: CatalogFunction | None = None) -> str:
@@ -51,30 +50,28 @@ def trajectory_csv_text(traj: Trajectory, fn: CatalogFunction | None = None) -> 
 
     subgrad_norm on row k is the norm of the subgradient chosen at x_k; the
     final row, which has no executed step, reports the norm of the
-    minimal-norm element at the last point.
+    minimal-norm element at the last point.  f is the scalar ``fn.value``
+    of each row, which ``value_many`` does not match to the last bit.
     """
     fn = fn if fn is not None else get_function(traj.fn_id, dim=traj.dim)
     header = ["k", "t"] + [f"x_{i}" for i in range(traj.dim)] + ["f", "subgrad_norm"]
     subs = np.concatenate([traj.chosen_subgradients, fn.min_norm_many(traj.points[-1:])])
-    rows = [[k, traj.alpha * k, *x, fn.value(x), float(np.linalg.norm(s))]
-            for k, (x, s) in enumerate(zip(traj.points, subs))]
-    return _csv(header, rows)
+    k = np.arange(traj.points.shape[0])
+    f = np.array([fn.value(x) for x in traj.points])
+    return _csv(header, [k, traj.alpha * k, *traj.points.T, f, np.sqrt(np.vecdot(subs, subs))])
 
 
 def flow_csv_text(sol: FlowSolution) -> str:
     """One row per node: t, coordinates, f, min_norm_subgrad (its norm)."""
     header = ["t"] + [f"x_{i}" for i in range(sol.dim)] + ["f", "min_norm_subgrad"]
     norms = np.sqrt((sol.min_norm_subgrads * sol.min_norm_subgrads).sum(axis=1))
-    rows = [[sol.ts[j], *sol.xs[j], sol.f_values[j], norms[j]] for j in range(sol.ts.shape[0])]
-    return _csv(header, rows)
+    return _csv(header, [sol.ts, *sol.xs.T, sol.f_values, norms])
 
 
 def per_sample_csv_text(per_sample: np.ndarray) -> str:
     """Escape-experiment sample table: index, start, exit index, axis flag."""
     header = ["sample", "x1_0", "x2_0", "exit_index", "on_S"]
-    rows = [[i, row["x1_0"], row["x2_0"], int(row["exit_index"]), int(row["on_S"])]
-            for i, row in enumerate(per_sample)]
-    return _csv(header, rows)
+    return _csv(header, [np.arange(per_sample.shape[0]), *(per_sample[c] for c in header[1:])])
 
 
 def _plain(obj):
@@ -155,28 +152,3 @@ def verdict_json_dict(verdict: StabilityVerdict, witness_csv: str | None = None)
 
 def catalog_json_list() -> list[dict]:
     return [fn.describe() for fn in list_catalog()]
-
-
-def write_report(result, path, fmt_kind: str):
-    """Write one result deterministically; fmt_kind is "csv" or "json"."""
-    if fmt_kind == "csv":
-        if isinstance(result, Trajectory):
-            write_text(path, trajectory_csv_text(result))
-        elif isinstance(result, FlowSolution):
-            write_text(path, flow_csv_text(result))
-        elif isinstance(result, np.ndarray):
-            write_text(path, per_sample_csv_text(result))
-        else:
-            raise TypeError(f"no CSV form for {type(result).__name__}")
-        return
-    if fmt_kind == "json":
-        if isinstance(result, StabilityVerdict):
-            write_text(path, json_text(verdict_json_dict(result)))
-        elif isinstance(result, EscapeStats):
-            write_text(path, json_text(result.to_json_dict()))
-        elif isinstance(result, (dict, list, BoundReport)):
-            write_text(path, json_text(result))
-        else:
-            write_text(path, json_text(_plain(result)))
-        return
-    raise ValueError(f"unknown format {fmt_kind!r}")

@@ -120,6 +120,13 @@ def test_interpolate_examples():
     npt.assert_allclose(interpolate(path, 0.05), [0.95], rtol=1e-15)
     osc = InterpolatedPath(run(ABS1, [0.05], 0.1, 4), 0.4)
     assert abs(interpolate(osc, 0.15)[0]) < 1e-16
+    # an array of times gives one row per time, each the scalar call's bits
+    path = InterpolatedPath(run(CROSS, [1.0, 0.25], 0.1, 12), 1.2)
+    ts = np.append(np.linspace(0.0, 1.2, 37), [0.3 + 1e-17, 1.2 - 1e-16])
+    rows = interpolate(path, ts)
+    assert rows.shape == (ts.size, 2)
+    for t, row in zip(ts, rows):
+        assert row.tobytes() == interpolate(path, t).tobytes()
 
 
 def test_interpolate_nodes_are_exact():
@@ -128,6 +135,9 @@ def test_interpolate_nodes_are_exact():
         path = InterpolatedPath(traj, 0.1 * 12)
         for k in range(13):
             npt.assert_array_equal(interpolate(path, 0.1 * k), traj.points[k])
+        npt.assert_array_equal(interpolate(path, 0.1 * np.arange(13)), traj.points)
+    zero = run(QUAD1, [-0.0], 0.1, 0)
+    assert interpolate(InterpolatedPath(zero, 1.0), [0.0]).tobytes() == zero.points.tobytes()
 
 
 def test_interpolate_horizon_errors():
@@ -137,6 +147,9 @@ def test_interpolate_horizon_errors():
         interpolate(path, 0.6)
     with pytest.raises(OutOfHorizon):
         interpolate(path, -0.01)
+    for bad in (np.nan, [0.1, np.nan], [0.2, 0.7]):
+        with pytest.raises(OutOfHorizon):
+            interpolate(path, bad)
 
 
 def test_first_exit_examples():

@@ -141,6 +141,46 @@ def test_sup_deviation_stationary_is_zero():
     assert sup_deviation(InterpolatedPath(traj, 1.0), sol).sup_dev == 0.0
 
 
+def _pointwise_sup_deviation(path, sol):
+    # reference: one point at a time with the scalar formulas of both curves
+    traj, alpha = path.trajectory, path.trajectory.alpha
+
+    def on_path(t):
+        k = min(int(np.floor(t / alpha)), traj.n_steps - 1)
+        if t == alpha * k:
+            return traj.points[k]
+        if t == alpha * (k + 1):
+            return traj.points[k + 1]
+        return traj.points[k] + (t - alpha * k) / alpha * (traj.points[k + 1] - traj.points[k])
+
+    def on_flow(t):
+        j = int(np.searchsorted(sol.ts, t, side="right")) - 1
+        if sol.ts[j] == t:
+            return sol.xs[j]
+        return sol.xs[j] + (t - sol.ts[j]) / (sol.ts[j + 1] - sol.ts[j]) * (sol.xs[j + 1] - sol.xs[j])
+
+    node_ts = alpha * np.arange(traj.n_steps + 1)
+    grid = np.union1d(node_ts[node_ts <= path.t_max], sol.ts[sol.ts <= path.t_max])
+    gaps = [float(np.linalg.norm(on_path(t) - on_flow(t))) for t in grid]
+    i = int(np.argmax(gaps))
+    return gaps[i], float(grid[i])
+
+
+def test_sup_deviation_matches_pointwise_reference():
+    # off-node flow steps put each curve's grid between the other's nodes
+    cases = [("neg_norm", [0.3, -0.4], 0.1, 1.0, 0.03), ("cross", [1.0, 0.1], 0.1, 1.0, 0.03),
+             ("abs_sum", [0.0, 0.0, 0.5, 1.0], 0.1, 1.0, 0.007), ("wiggle", [0.3], 0.05, 0.7, 0.013),
+             ("vee_bowl", [0.0, 0.8], 0.1, 1.0, 1e-3), ("neg_norm", [0.1, 0.2, -0.3], 0.1, 0.95, 0.07),
+             # norm(axis=1) in place of the per-row norm moves this one's last bit
+             ("quad", [0.78, 0.17], 0.1, 1.0, 0.03)]
+    for name, x0, alpha, horizon, h in cases:
+        fn = get_function(name, len(x0))
+        path = InterpolatedPath(run(fn, x0, alpha, int(np.ceil(horizon / alpha))), horizon)
+        dev = sup_deviation(path, integrate_flow(fn, x0, horizon, h))
+        want = _pointwise_sup_deviation(path, integrate_flow(fn, x0, horizon, h))
+        assert (dev.sup_dev, dev.t_argmax) == want, name
+
+
 def test_sup_deviation_horizon_mismatch():
     traj = run(QUAD1, [1.0], 0.1, 5)  # covers [0, 0.5] only
     sol = integrate_flow(QUAD1, [1.0], 1.0, 1e-3)
@@ -152,8 +192,18 @@ def test_flow_value_nodes_exact_and_bounded():
     sol = integrate_flow(QUAD1, [1.0], 0.5, 1e-2)
     for j in (0, 7, sol.ts.shape[0] - 1):
         npt.assert_array_equal(flow_value(sol, sol.ts[j]), sol.xs[j])
-    with pytest.raises(OutOfHorizon):
-        flow_value(sol, 0.51)
+    npt.assert_array_equal(flow_value(sol, sol.ts), sol.xs)
+    for bad in (0.51, -1e-3, np.nan, [0.1, np.nan]):
+        with pytest.raises(OutOfHorizon):
+            flow_value(sol, bad)
+    # off-node times, and a final step shorter than h: each row of the array
+    # call is the scalar call's bits
+    sol = integrate_flow(CROSS, [1.0, 0.1], 1.0, 0.03)
+    ts = np.append(np.linspace(0.0, 1.0, 41), [0.99 + 1e-16, 1.0 - 1e-16])
+    rows = flow_value(sol, ts)
+    assert rows.shape == (ts.size, 2)
+    for t, row in zip(ts, rows):
+        assert row.tobytes() == flow_value(sol, t).tobytes()
 
 
 def test_integrate_flow_validates_step():

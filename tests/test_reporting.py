@@ -17,7 +17,8 @@ from nsdyn.reporting import (
     json_text,
     per_sample_csv_text,
     trajectory_csv_text,
-    write_report,
+    verdict_json_dict,
+    write_text,
 )
 
 
@@ -27,11 +28,11 @@ def test_fmt_is_shortest_roundtrip():
         assert len(fmt(v).replace("-", "").replace(".", "").replace("e", "").lstrip("0")) <= 17
 
 
-def test_write_report_trajectory_deterministic(tmp_path):
+def test_trajectory_csv_deterministic(tmp_path):
     traj = run(get_function("quad", 1), [1.0], 0.1, 2)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_report(traj, a, "csv")
-    write_report(traj, b, "csv")
+    write_text(a, trajectory_csv_text(traj))
+    write_text(b, trajectory_csv_text(traj))
     assert a.read_bytes() == b.read_bytes()
     rows = a.read_text().splitlines()
     assert rows[0] == "k,t,x_0,f,subgrad_norm"
@@ -39,23 +40,23 @@ def test_write_report_trajectory_deterministic(tmp_path):
     assert rows[2].startswith("1,0.1") and ",0.9," in rows[2]
 
 
-def test_write_report_zero_step_trajectory(tmp_path):
+def test_zero_step_trajectory_csv(tmp_path):
     traj = run(get_function("quad", 1), [1.0], 0.1, 0)
     out = tmp_path / "k0.csv"
-    write_report(traj, out, "csv")
+    write_text(out, trajectory_csv_text(traj))
     assert out.read_text().splitlines() == ["k,t,x_0,f,subgrad_norm", "0,0.0,1.0,0.5,1.0"]
 
 
-def test_write_report_flow_and_json(tmp_path):
+def test_flow_csv_and_report_json(tmp_path):
     sol = integrate_flow(get_function("quad", 1), [1.0], 0.1, 0.05)
     out = tmp_path / "flow.csv"
-    write_report(sol, out, "csv")
+    write_text(out, flow_csv_text(sol))
     assert out.read_text().startswith("t,x_0,f,min_norm_subgrad\n0.0,1.0,0.5,1.0\n")
 
     verdict = probe(StabilityQuery("quad", np.zeros(2), 0.1, delta_grid=(0.05,),
                                    alpha_grid=(0.1,), n_samples=5, max_iters=50, seed=1))
     out = tmp_path / "verdict.json"
-    write_report(verdict, out, "json")
+    write_text(out, json_text(verdict_json_dict(verdict)))
     got = json.loads(out.read_text())
     assert got["status"] == "no_escape_observed"
     assert got["certificate"]["delta"] == 0.05
@@ -63,24 +64,27 @@ def test_write_report_flow_and_json(tmp_path):
 
     rep = convex_bounds_report(get_function("quad", 1), [1.0], 0.5, 0.1, n_steps=50)
     out = tmp_path / "bounds.json"
-    write_report(rep, out, "json")
+    write_text(out, json_text(rep))
     assert json.loads(out.read_text())["beta"] == 0.5
 
     stats, per_sample = escape_experiment(0.25, 0.3, 20, k_max=1000, seed=1)
     out = tmp_path / "stats.json"
-    write_report(stats, out, "json")
+    write_text(out, json_text(stats.to_json_dict()))
     got = json.loads(out.read_text())
     assert set(got) == {"epsilon", "alpha", "N", "K_max", "seed", "escaped_count",
                         "max_exit_index", "stuck_on_S_count", "non_escaped_offS_count"}
     table = per_sample_csv_text(per_sample)
     assert table.splitlines()[0] == "sample,x1_0,x2_0,exit_index,on_S"
     assert len(table.splitlines()) == 21
+    # int and bool columns print as integers, float columns through fmt
+    per_sample[:2] = [(1.0, 0.0, -1, True), (0.5, -0.25, 7, False)]
+    assert per_sample_csv_text(per_sample).splitlines()[1:3] == ["0,1.0,0.0,-1,1", "1,0.5,-0.25,7,0"]
 
 
 def test_csv_line_endings_are_lf(tmp_path):
     traj = run(get_function("cross"), [1.0, 0.1], 0.1, 5)
     out = tmp_path / "t.csv"
-    write_report(traj, out, "csv")
+    write_text(out, trajectory_csv_text(traj))
     raw = out.read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
