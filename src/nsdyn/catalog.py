@@ -133,6 +133,10 @@ class CatalogFunction:
             gens[:, active] = list(itertools.product((-1.0, 1.0), repeat=active.size))
         return gens
 
+    def at_kink(self, pts: np.ndarray, active_tol: float = 0.0) -> np.ndarray:
+        """Rows where ``generators`` gives more than one row: a ``kinked`` coordinate is active."""
+        return (np.abs(pts[:, self.kinked]) <= active_tol).any(axis=1)
+
     def min_norm_many(self, pts: np.ndarray) -> np.ndarray:
         """Minimal-norm subgradient at each row of ``pts`` (closed form).
 
@@ -329,10 +333,13 @@ class NegNorm(CatalogFunction):
 
     def generators(self, x, active_tol=0.0):
         x = as_point(x, self.dim)
-        if np.sqrt(sum_sq(x[None, :])[0]) <= active_tol:
+        if self.at_kink(x[None, :], active_tol)[0]:
             eye = np.eye(self.dim)
             return np.concatenate([eye, -eye], axis=0)
         return super().generators(x)
+
+    def at_kink(self, pts, active_tol=0.0):
+        return np.sqrt(sum_sq(pts)) <= active_tol
 
     def min_norm_many(self, pts):
         r = np.sqrt(sum_sq(pts))

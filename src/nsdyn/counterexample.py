@@ -10,9 +10,13 @@ downward drift of x1 that forces the eventual exit.
 
 Measured escape times matter: with |x2| hovering near its attracting scale
 ~0.5625 * alpha^2 * x1^3, the x1 coordinate drifts down by about
-0.63 * alpha^4 * x1^5 per step, so exits from B((1,0), 0.25) take roughly
-0.85/alpha^4 steps (about 1e2 at alpha=0.3, 8e3 at alpha=0.1, 1.4e5 at
-alpha=0.05, 8.5e7 at alpha=0.01).  Budgets must be sized accordingly.
+0.63 * alpha^4 * x1^5 per step, so an exit from B((1,0), 0.25) starting at
+x1 = 1 takes roughly 0.85/alpha^4 steps (about 1e2 at alpha=0.3, 8e3 at
+alpha=0.1, 1.4e5 at alpha=0.05, 8.5e7 at alpha=0.01).  Starts further right
+take longer, up to about 1.09/alpha^4 from x1 = 1.25, so the largest exit
+index measured over the ball is higher (131 at alpha=0.3, 10845 at
+alpha=0.1 over 1000 seeded starts; the README quotes these).  Budgets must
+be sized accordingly.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import as_point, get_function
-from .engine import derive_seed, make_rng, run_batch, sample_ball
+from .engine import _check_alpha, derive_seed, make_rng, run_batch, sample_ball
 from .errors import OnNullSet, PreconditionViolated
 
 __all__ = [
@@ -116,6 +120,7 @@ def escape_experiment(epsilon: float, alpha: float, n_samples: int, k_max: int =
     """
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("epsilon must lie in (0, 1/2]")
+    _check_alpha(alpha)
     if n_samples < 1 or k_max < 1:
         raise ValueError("n_samples and k_max must be >= 1")
     fn = get_function("cross")

@@ -3,9 +3,10 @@
 The inclusion leaves the subgradient selection free; SelectionPolicy pins it
 down.  The default minimal-norm selection matches the slow-solution
 convention of the continuous flow and makes discrete/continuous comparisons
-canonical.  It is the closed form ``fn.min_norm_many``: ``run``, ``run_batch``
-and the flow advance through the one step loop ``_iterate`` and ``step`` uses
-its row selector, so all agree bit for bit; Wolfe's projector never steps.
+canonical.  It is the closed form ``fn.min_norm_many``, which the generator
+policies also take except at an exact kink.  ``run``, ``run_batch``, ``step``
+and the flow share one row selector and one step loop ``_iterate``, so all
+agree bit for bit; Wolfe's projector never steps.
 
 The loop owns its working rows: one column-major (``order="F"``) copy of the
 start points, updated in place (``s *= a; pts -= s``) and compacted only when
@@ -22,8 +23,8 @@ Reproducibility contract: every random draw comes from a counter-based
 Philox generator.  A trajectory owns a single 64-bit seed; batch drivers
 derive per-sample seeds with ``derive_seed(root, *indices)`` (a SeedSequence
 keyed on the index tuple), so parallel or reordered execution cannot change
-any stream.  ``run`` with identical arguments reproduces trajectories
-bit for bit.
+any stream.  A batch row draws from ``make_rng(seeds(row))``, made at its
+first kink, so ``run`` and each row of ``run_batch`` replay bit for bit.
 """
 
 from __future__ import annotations
@@ -104,20 +105,37 @@ def sample_ball(center, radius: float, n: int, rng: np.random.Generator) -> np.n
     return center[None, :] + radii[:, None] * direction
 
 
-def _selector(fn: CatalogFunction, policy: SelectionPolicy, rng: np.random.Generator | None):
-    """Maps (n, dim) points to the chosen subgradients; generator policies run one row."""
+def _selector(fn: CatalogFunction, policy: SelectionPolicy, rng_of=None):
+    """Maps (pts, row ids) to one subgradient per row, for every policy.
+
+    A row takes its ``min_norm_many`` row unless it sits at an exact kink under
+    a generator policy: then generator ``index % m``, or a uniform draw from the
+    row's own stream ``rng_of(id)``, made at its first draw.
+    """
     if policy.kind == "minimal_norm":
-        return fn.min_norm_many
+        return lambda pts, ids: fn.min_norm_many(pts)
+    rngs = {}
 
-    def pick(pts):
-        gens = fn.generators(pts[0], 0.0)
-        if gens.shape[0] == 1 or policy.kind == "fixed_index":
-            return gens[None, policy.index % gens.shape[0]]
-        if rng is None:
-            raise ValueError("random_extreme selection needs an rng")
-        return gens[None, int(rng.integers(gens.shape[0]))]
+    def select(pts, ids):
+        s = fn.min_norm_many(pts)
+        for r in np.flatnonzero(fn.at_kink(pts)):
+            gens = fn.generators(pts[r], 0.0)
+            j = policy.index
+            if policy.kind == "random_extreme":
+                if rng_of is None:
+                    raise ValueError("random_extreme selection at a kink needs an rng or seeds")
+                rng = rngs[ids[r]] = rngs.get(ids[r]) or rng_of(ids[r])
+                j = int(rng.integers(gens.shape[0]))
+            s[r] = gens[j % gens.shape[0]]
+        return s
 
-    return pick
+    return select
+
+
+def _check_alpha(alpha: float):
+    """The step size must be finite and positive; NaN fails."""
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
 
 
 def _outside(center, radius: float, dim: int):
@@ -137,7 +155,7 @@ def _diverged(pts: np.ndarray) -> np.ndarray:
 
 
 def _iterate(select, pts: np.ndarray, steps, stop=None, points=None, subgrads=None):
-    """The step loop: x <- x - a * select(x) on every live row, for each step size a.
+    """The step loop: x <- x - a * select(x, ids) on every live row, for each step size a.
 
     Rows flagged by stop(pts) after step k retire with exit index k and their
     point; the rest keep -1.  Returns (exit_index, last_points), recording row
@@ -145,8 +163,8 @@ def _iterate(select, pts: np.ndarray, steps, stop=None, points=None, subgrads=No
 
     ``pts`` is never written: the loop steps its own column-major copy in
     place, scaling each fresh selection by a and subtracting it, which gives
-    the same bits as x - a * s.  select is called once per step on the live
-    rows only; exits compact the copy and keep it column-major.
+    the same bits as x - a * s.  select gets the live rows and their row numbers
+    in ``pts`` once per step; exits compact the copy and keep it column-major.
     """
     exit_index = np.full(pts.shape[0], -1, dtype=np.int64)
     last = np.array(pts, copy=True)
@@ -155,7 +173,7 @@ def _iterate(select, pts: np.ndarray, steps, stop=None, points=None, subgrads=No
     for k, a in enumerate(steps, 1):
         if alive_ids.size == 0:
             break
-        s = select(pts)
+        s = select(pts, alive_ids)
         if points is not None:
             subgrads[k - 1] = s[0]
         s *= a
@@ -182,12 +200,11 @@ def step(fn: CatalogFunction, x, alpha: float, policy: SelectionPolicy = MINIMAL
     The rng advances only for random_extreme at points with more than one
     generator.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     x = as_point(x, fn.dim)
     if not np.all(np.isfinite(x)):
         raise NonFiniteState(f"non-finite state {x}")
-    s = _selector(fn, policy, rng)(x[None, :])[0]
+    s = _selector(fn, policy, None if rng is None else lambda row: rng)(x[None, :], [0])[0]
     return x - alpha * s, s
 
 
@@ -237,10 +254,8 @@ def run(fn: CatalogFunction, x0, alpha: float, n_steps: int,
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     x = as_point(x0, fn.dim)
-    rng = make_rng(seed) if policy.kind == "random_extreme" else None
     points = np.empty((n_steps + 1, fn.dim))
     subgrads = np.empty((n_steps, fn.dim))
     points[0] = x
@@ -249,8 +264,8 @@ def run(fn: CatalogFunction, x0, alpha: float, n_steps: int,
         outside = _outside(stop[0], stop[1], fn.dim)
         n_steps = 0 if outside(points[:1])[0] else n_steps
         stop_test = lambda pts: outside(pts) | _diverged(pts)
-    exit_index, last = _iterate(_selector(fn, policy, rng), points[:1], repeat(alpha, n_steps),
-                                stop_test, points, subgrads)
+    exit_index, last = _iterate(_selector(fn, policy, lambda row: make_rng(seed)), points[:1],
+                                repeat(alpha, n_steps), stop_test, points, subgrads)
     k_last = n_steps if exit_index[0] < 0 else int(exit_index[0])
     diverged_at = k_last if exit_index[0] >= 0 and _diverged(last)[0] else None
     return Trajectory(
@@ -265,23 +280,23 @@ def run(fn: CatalogFunction, x0, alpha: float, n_steps: int,
 
 
 def run_batch(fn: CatalogFunction, x0s: np.ndarray, alpha: float, n_steps: int,
-              exit_center=None, exit_radius: float | None = None):
-    """Minimal-norm iteration over many initial points: ``run``'s step loop, batched.
+              exit_center=None, exit_radius: float | None = None,
+              policy: SelectionPolicy = MINIMAL_NORM, seeds=None):
+    """``run``'s step loop over many initial points at once.
 
-    Any sample replayed through ``run`` reproduces the same iterates bit for
-    bit.  Returns (exit_index, last_points): exit_index[i] is the first k
-    with ||x_k - center|| > radius (0 if the start is already outside), or
-    -1 if the sample never left the ball within n_steps; without an exit
-    ball every sample runs n_steps and keeps -1.
+    Row i replayed through ``run(..., policy, seed=seeds(i))`` gives the same
+    iterates bit for bit; ``seeds`` is called at a row's first kink only.
+    Returns (exit_index, last_points): exit_index[i] is the first k with
+    ||x_k - center|| > radius (0 for a start outside), else -1; without an
+    exit ball every sample runs n_steps and keeps -1.
     """
+    _check_alpha(alpha)
     pts = np.array(x0s, dtype=float, copy=True)
-    if exit_center is None:
-        return _iterate(fn.min_norm_many, pts, repeat(alpha, n_steps))
-    outside = _outside(exit_center, exit_radius, fn.dim)
-    inside = ~outside(pts)
+    stop = None if exit_center is None else _outside(exit_center, exit_radius, fn.dim)
+    live = np.arange(pts.shape[0]) if stop is None else np.flatnonzero(~stop(pts))  # the rest exit at 0
+    rng_of = None if seeds is None else lambda i: make_rng(seeds(int(live[i])))
     exit_index = np.zeros(pts.shape[0], dtype=np.int64)
-    exit_index[inside], pts[inside] = _iterate(fn.min_norm_many, pts[inside],
-                                               repeat(alpha, n_steps), outside)
+    exit_index[live], pts[live] = _iterate(_selector(fn, policy, rng_of), pts[live], repeat(alpha, n_steps), stop)
     return exit_index, pts
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
 from .catalog import CatalogFunction, as_point, evaluate, get_function
 from .engine import MINIMAL_NORM, SelectionPolicy, Trajectory, derive_seed, make_rng, run, run_batch, sample_ball
 from .errors import InvalidQuery, NotConvex
@@ -133,37 +132,44 @@ def _value_key(x: float) -> int:
     return int(np.float64(x).view(np.uint64))
 
 
-def _validate(q: StabilityQuery, deltas: np.ndarray, alphas: np.ndarray):
+def _validate(q: StabilityQuery, x_star: np.ndarray, deltas: np.ndarray, alphas: np.ndarray | None):
+    """Checks the query before any sampling; alphas is None for the default grid."""
+    grids = [deltas] if alphas is None else [deltas, alphas]
+    if not all(np.isfinite(v).all() for v in [q.epsilon, x_star] + grids):
+        raise InvalidQuery("epsilon, x_star and the grids must be finite")
     if q.epsilon <= 0:
         raise InvalidQuery("epsilon must be positive")
     if q.n_samples < 1:
         raise InvalidQuery("n_samples must be >= 1")
-    if deltas.size == 0 or alphas.size == 0:
+    if any(g.size == 0 for g in grids):
         raise InvalidQuery("grids must be nonempty")
-    if np.any(deltas <= 0) or np.any(alphas <= 0):
+    if any(np.any(g <= 0) for g in grids):
         raise InvalidQuery("grids must be positive")
     if np.any(deltas >= q.epsilon):
         raise InvalidQuery("every delta must be < epsilon")
-    if np.any(np.diff(deltas) >= 0) or np.any(np.diff(alphas) >= 0):
+    if any(np.any(np.diff(g) >= 0) for g in grids):
         raise InvalidQuery("grids must be strictly decreasing")
 
 
 def probe(q: StabilityQuery) -> StabilityVerdict:
     """Grid search for a no-escape certificate, else the first escape witness.
 
-    For each (delta, alpha) cell, N seeded starts in B(x*, delta) run up to
-    the cell's iteration budget with exit checks against B(x*, epsilon).
-    The certificate is the first (largest) (delta, alpha_bar) whose cells
-    are escape-free for every tested alpha <= alpha_bar; the witness is
-    chosen by smallest (delta index, alpha index, sample index), making the
-    verdict independent of cell execution order.
+    For each (delta, alpha) cell, N starts in B(x*, delta) run up to the
+    alpha's iteration budget with exit checks against B(x*, epsilon), the
+    cells of one alpha in one ``run_batch``; every stream stays keyed on the
+    (delta, alpha[, sample]) values.  The certificate is the first (largest)
+    (delta, alpha_bar) whose cells are escape-free for every tested
+    alpha <= alpha_bar; the witness is the smallest (delta index, alpha
+    index, sample index), so the verdict does not depend on execution order.
     """
     fn = get_function(q.fn_id, dim=as_point(q.x_star).shape[0])
     x_star = as_point(q.x_star, fn.dim)
-    lip = estimate_lipschitz(fn, x_star, q.epsilon, seed=derive_seed(q.seed, 0x11F))
     deltas = np.asarray(q.delta_grid, float) if q.delta_grid is not None else default_delta_grid(q.epsilon)
-    alphas = np.asarray(q.alpha_grid, float) if q.alpha_grid is not None else default_alpha_grid(q.epsilon, lip)
-    _validate(q, deltas, alphas)
+    alphas = np.asarray(q.alpha_grid, float) if q.alpha_grid is not None else None
+    _validate(q, x_star, deltas, alphas)
+    lip = estimate_lipschitz(fn, x_star, q.epsilon, seed=derive_seed(q.seed, 0x11F))
+    if alphas is None:
+        alphas = default_alpha_grid(q.epsilon, lip)
 
     horizon = q.epsilon / (3.0 * lip)
     if q.max_iters is not None:
@@ -171,51 +177,32 @@ def probe(q: StabilityQuery) -> StabilityVerdict:
     else:
         iters = np.array([int(np.ceil(horizon / a)) * REPETITION_FACTOR for a in alphas], dtype=np.int64)
 
-    counts = np.zeros((deltas.size, alphas.size), dtype=np.int64)
-    first_escape = {}  # (d_idx, a_idx) -> (sample_idx, exit_idx, x0)
-    for d_idx, delta in enumerate(deltas):
-        for a_idx, alpha in enumerate(alphas):
-            cell_seed = derive_seed(q.seed, _value_key(delta), _value_key(alpha))
-            x0s = sample_ball(x_star, float(delta), q.n_samples, make_rng(cell_seed))
-            k_max = int(iters[a_idx])
-            if q.policy.kind == "minimal_norm":
-                exit_idx, _ = run_batch(fn, x0s, float(alpha), k_max, x_star, q.epsilon)
-            else:
-                exit_idx = np.full(q.n_samples, -1, dtype=np.int64)
-                for i in range(q.n_samples):
-                    traj = run(fn, x0s[i], float(alpha), k_max, q.policy,
-                               seed=derive_seed(q.seed, _value_key(delta), _value_key(alpha), i),
-                               stop=(x_star, q.epsilon))
-                    hit = engine.first_exit(traj, x_star, q.epsilon)
-                    exit_idx[i] = -1 if hit is None else hit
-            escaped = np.flatnonzero(exit_idx >= 0)
-            counts[d_idx, a_idx] = escaped.size
-            if escaped.size:
-                i = int(escaped[0])
-                first_escape[(d_idx, a_idx)] = (i, int(exit_idx[i]), x0s[i])
+    n = q.n_samples
+    exits = np.empty((deltas.size, alphas.size, n), dtype=np.int64)  # exit index per sample, or -1
+    starts = []
+    for a_idx, alpha in enumerate(alphas):
+        keys = [(q.seed, _value_key(delta), _value_key(alpha)) for delta in deltas]
+        starts.append(np.concatenate([sample_ball(x_star, float(delta), n, make_rng(derive_seed(*key)))
+                                      for delta, key in zip(deltas, keys)]))
+        idx, _ = run_batch(fn, starts[-1], float(alpha), int(iters[a_idx]), x_star, q.epsilon, q.policy,
+                           lambda row: derive_seed(*keys[row // n], row % n))
+        exits[:, a_idx] = idx.reshape(-1, n)
+    counts = (exits >= 0).sum(axis=2)
 
-    for d_idx in range(deltas.size):
-        for a_idx in range(alphas.size):
-            if np.all(counts[d_idx, a_idx:] == 0):
-                cert = Certificate(
-                    epsilon=float(q.epsilon),
-                    delta=float(deltas[d_idx]),
-                    alpha_bar=float(alphas[a_idx]),
-                    n_samples=q.n_samples,
-                    max_iters=int(iters[a_idx:].max()),
-                )
-                return StabilityVerdict("no_escape_observed", cert, None, counts,
-                                        deltas, alphas, iters, lip, q)
+    clear = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1] == 0  # no escape at this alpha or any smaller one
+    if clear.any():
+        d_idx, a_idx = np.argwhere(clear)[0]
+        cert = Certificate(epsilon=float(q.epsilon), delta=float(deltas[d_idx]), alpha_bar=float(alphas[a_idx]),
+                           n_samples=n, max_iters=int(iters[a_idx:].max()))
+        return StabilityVerdict("no_escape_observed", cert, None, counts, deltas, alphas, iters, lip, q)
 
-    d_idx, a_idx = min(first_escape)
-    sample_idx, exit_idx, x0 = first_escape[(d_idx, a_idx)]
-    alpha = float(alphas[a_idx])
-    traj_seed = derive_seed(q.seed, _value_key(deltas[d_idx]), _value_key(alpha), sample_idx)
-    traj = run(fn, x0, alpha, exit_idx, q.policy, seed=traj_seed)
-    witness = EscapeWitness(x0=x0, alpha=alpha, exit_index=exit_idx, trajectory_ref=traj,
-                            delta=float(deltas[d_idx]), seed=traj_seed)
-    return StabilityVerdict("escape_witnessed", None, witness, counts,
-                            deltas, alphas, iters, lip, q)
+    d_idx, a_idx, i = np.argwhere(exits >= 0)[0]
+    alpha, delta = float(alphas[a_idx]), float(deltas[d_idx])
+    seed = derive_seed(q.seed, _value_key(delta), _value_key(alpha), i)
+    x0, exit_idx = starts[a_idx][d_idx * n + i], int(exits[d_idx, a_idx, i])
+    witness = EscapeWitness(x0=x0, alpha=alpha, exit_index=exit_idx, delta=delta, seed=seed,
+                            trajectory_ref=run(fn, x0, alpha, exit_idx, q.policy, seed=seed))
+    return StabilityVerdict("escape_witnessed", None, witness, counts, deltas, alphas, iters, lip, q)
 
 
 @dataclass(frozen=True)

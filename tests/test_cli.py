@@ -155,7 +155,16 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
         (None, ["--config", "nocommand.json"], "'command'"),
         (None, ["--config", "array.json"], "JSON object"),
         (None, simulate + ["--policy", "fixed_index:x"], "'x'"),
+        (None, ["simulate", "--function", "quad", "--x0", "1", "--alpha", "inf", "--steps", "1"], "alpha"),
     ]
+    probe = ["probe", "--function", "quad", "--out", "p.json"]
+    for flags in (["--xstar", "0,0", "--epsilon", "nan"], ["--xstar", "nan,0", "--epsilon", "0.1"],
+                  ["--xstar", "0,0", "--epsilon", "0.1", "--alpha-grid", "nan"],
+                  ["--xstar", "0,0", "--epsilon", "inf"]):
+        rows.append((None, probe + flags, "finite"))
+    for alpha in ("nan", "-0.1"):
+        rows.append((None, ["counterexample", "--epsilon", "0.25", "--alpha", alpha, "--samples", "5",
+                            "--out", "c.json"], "alpha"))
     for env_seed, argv, named in rows:
         with monkeypatch.context() as m:
             if env_seed is not None:

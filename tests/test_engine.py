@@ -209,6 +209,58 @@ def test_batch_matches_scalar_bitwise():
                 assert traj.points[-1].tobytes() == last[i].tobytes(), (name, i, batch.flags.f_contiguous)
 
 
+def test_run_batch_matches_run_under_every_policy():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    fns = [get_function(name, dim) for name, dim in (("abs_sum", 1), ("abs_sum", 3), ("vee_bowl", 2),
+                                                     ("wiggle", 1), ("neg_norm", 1), ("neg_norm", 2),
+                                                     ("cross", 2), ("quad", 2))]
+    # exact kinks, and starts that step onto one at alpha 0.25
+    coord = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.25, 0.75]), st.floats(-1.0, 1.0))
+    policies = [MINIMAL_NORM, SelectionPolicy("random_extreme"), SelectionPolicy("fixed_index", 1),
+                SelectionPolicy("fixed_index", 2)]
+
+    @hyp.settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @hyp.given(data=st.data(), fn=st.sampled_from(fns), policy=st.sampled_from(policies),
+               alpha=st.sampled_from([0.25, 0.1, 0.03]), n_steps=st.integers(0, 12),
+               radius=st.none() | st.floats(0.2, 2.0), column_major=st.booleans(),
+               root=st.integers(0, 2 ** 32))
+    def check(data, fn, policy, alpha, n_steps, radius, column_major, root):
+        rows = data.draw(st.lists(st.lists(coord, min_size=fn.dim, max_size=fn.dim), min_size=1, max_size=5))
+        x0s = np.array(rows, float)
+        batch = np.asfortranarray(x0s) if column_major else x0s
+        seeds = [derive_seed(root, i) for i in range(len(rows))]
+        stop = None if radius is None else (np.zeros(fn.dim), radius)
+        exit_idx, last = run_batch(fn, batch, alpha, n_steps, *(stop or (None, None)), policy, seeds.__getitem__)
+        for i, x0 in enumerate(x0s):
+            traj = run(fn, x0, alpha, n_steps, policy, seed=seeds[i], stop=stop)
+            hit = None if stop is None else first_exit(traj, *stop)
+            assert exit_idx[i] == (-1 if hit is None else hit)
+            assert last[i].tobytes() == traj.points[-1].tobytes()
+
+    check()
+
+
+def test_alpha_must_be_finite_and_positive():
+    for alpha in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            step(QUAD1, [1.0], alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            run(QUAD1, [1.0], alpha, 3)
+        with pytest.raises(ValueError, match="alpha"):
+            run_batch(QUAD1, np.ones((2, 1)), alpha, 3)
+
+
+def test_random_extreme_needs_a_stream_only_at_kinks():
+    policy = SelectionPolicy("random_extreme")
+    step(ABS1, [0.5], 0.1, policy)  # one generator: nothing to draw
+    run_batch(ABS1, np.array([[0.5], [-0.3]]), 0.1, 3, policy=policy)
+    with pytest.raises(ValueError, match="rng"):
+        step(ABS1, [0.0], 0.1, policy)
+    with pytest.raises(ValueError, match="rng"):
+        run_batch(ABS1, np.array([[0.5], [0.0]]), 0.1, 3, policy=policy)
+
+
 class _CountingOracle:
     """Delegates to a catalog function, recording the rows of each min_norm_many call."""
 

@@ -5,12 +5,17 @@ import pytest
 from nsdyn import (
     SelectionPolicy,
     StabilityQuery,
+    catalog,
     convex_bounds_report,
     estimate_lipschitz,
+    first_exit,
     get_function,
     local_min_check,
     probe,
+    run,
+    sample_ball,
 )
+from nsdyn.engine import derive_seed, make_rng
 from nsdyn.errors import InvalidQuery, NotConvex
 from nsdyn.reporting import json_text, verdict_json_dict
 
@@ -101,14 +106,103 @@ def test_probe_validates_query():
         probe(StabilityQuery("quad", np.zeros(2), 0.1, n_samples=0, seed=1))
     with pytest.raises(InvalidQuery):
         probe(StabilityQuery("quad", np.zeros(2), -0.1, seed=1))
+    for bad in (dict(epsilon=np.nan), dict(epsilon=np.inf), dict(x_star=np.array([np.nan, 0.0])),
+                dict(alpha_grid=(np.nan,)), dict(delta_grid=(0.05, np.nan))):
+        with pytest.raises(InvalidQuery, match="finite"):
+            probe(StabilityQuery(**{"fn_id": "quad", "x_star": np.zeros(2), "epsilon": 0.1, **bad}))
 
 
-def test_probe_scalar_policy_path():
+def test_probe_generator_policy_escape():
     verdict = probe(StabilityQuery("neg_norm", np.zeros(2), 0.1,
                                    delta_grid=(0.05,), alpha_grid=(0.01,),
                                    n_samples=5, max_iters=200, seed=2,
                                    policy=SelectionPolicy("random_extreme")))
     assert verdict.status == "escape_witnessed"
+
+
+def _value_key(x):
+    return int(np.float64(x).view(np.uint64))
+
+
+def _reference_probe(q, verdict):
+    """The per-cell, per-sample loop: one scalar ``run`` and ``first_exit`` per start.
+
+    Takes the grids and budgets from the verdict; returns the escape counts,
+    the certificate fields (delta, alpha_bar, max_iters) or None, and the
+    first escape (x0, alpha, exit index, seed, points) or None.
+    """
+    fn = get_function(q.fn_id, dim=len(q.x_star))
+    deltas, alphas, iters = verdict.delta_grid, verdict.alpha_grid, verdict.iters_per_alpha
+    counts = np.zeros((deltas.size, alphas.size), dtype=np.int64)
+    first = None
+    for d_idx, delta in enumerate(deltas):
+        for a_idx, alpha in enumerate(alphas):
+            keys = (q.seed, _value_key(delta), _value_key(alpha))
+            x0s = sample_ball(q.x_star, delta, q.n_samples, make_rng(derive_seed(*keys)))
+            for i, x0 in enumerate(x0s):
+                seed = derive_seed(*keys, i)
+                traj = run(fn, x0, alpha, int(iters[a_idx]), q.policy, seed=seed,
+                           stop=(q.x_star, q.epsilon))
+                hit = first_exit(traj, q.x_star, q.epsilon)
+                if hit is not None:
+                    counts[d_idx, a_idx] += 1
+                    if first is None:
+                        first = (x0, float(alpha), hit, seed, traj.points)
+    cert = next(((float(deltas[d]), float(alphas[a]), int(iters[a:].max()))
+                 for d in range(deltas.size) for a in range(alphas.size)
+                 if not counts[d, a:].any()), None)
+    return counts, cert, first
+
+
+@pytest.mark.parametrize("policy", [SelectionPolicy(), SelectionPolicy("random_extreme"),
+                                    SelectionPolicy("fixed_index", 1)], ids=lambda p: p.kind)
+def test_probe_matches_per_cell_reference(policy):
+    queries = [
+        # escapes in some cells, then a certificate at the smallest alpha
+        StabilityQuery("wiggle", np.zeros(1), 0.1, delta_grid=(0.09, 0.05), alpha_grid=(0.03, 0.02, 0.01),
+                       n_samples=4, max_iters=100, seed=0, policy=policy),
+        StabilityQuery("wiggle", np.zeros(1), 0.1, delta_grid=(0.09, 0.06), alpha_grid=(0.04, 0.025),
+                       n_samples=4, max_iters=100, seed=3, policy=policy),
+        # only starts near the rim get out within 10 radial steps: first a
+        # certificate at the smaller delta, then a witness at the fourth start
+        StabilityQuery("neg_norm", np.zeros(2), 0.1, delta_grid=(0.09, 0.05), alpha_grid=(0.004, 0.002),
+                       n_samples=6, max_iters=10, seed=5, policy=policy),
+        StabilityQuery("neg_norm", np.zeros(2), 0.1, delta_grid=(0.09, 0.07), alpha_grid=(0.004,),
+                       n_samples=6, max_iters=10, seed=13, policy=policy),
+        StabilityQuery("neg_norm", np.zeros(2), 0.1, n_samples=3, seed=7, policy=policy),
+    ]
+    for q in queries:
+        verdict = probe(q)
+        counts, cert, first = _reference_probe(q, verdict)
+        assert verdict.escape_counts.tolist() == counts.tolist()
+        assert verdict.status == ("no_escape_observed" if cert else "escape_witnessed")
+        c = verdict.certificate
+        assert (c and (c.delta, c.alpha_bar, c.max_iters)) == cert
+        w = verdict.witness
+        if cert is None:
+            x0, alpha, exit_index, seed, points = first
+            assert (w.x0.tobytes(), w.alpha, w.exit_index, w.seed) == (x0.tobytes(), alpha, exit_index, seed)
+            assert w.trajectory_ref.points.tobytes() == points.tobytes()
+        else:
+            assert w is None
+
+
+def test_probe_runs_one_batch_per_alpha(monkeypatch):
+    # a default no-escape probe steps every alpha's 4 x 50 starts together:
+    # one min_norm_many call per iteration of each alpha's budget
+    rows = []
+    field = catalog.Quad.min_norm_many
+
+    def counted(self, pts):
+        rows.append(pts.shape[0])
+        return field(self, pts)
+
+    monkeypatch.setattr(catalog.Quad, "min_norm_many", counted)
+    verdict = probe(StabilityQuery("quad", np.zeros(2), 0.1, seed=0))
+    assert verdict.status == "no_escape_observed" and not verdict.escape_counts.any()
+    batched = [r for r in rows if r > 1]  # estimate_lipschitz asks one row at a time
+    assert len(batched) == verdict.iters_per_alpha.sum() == 2350
+    assert set(batched) == {200}
 
 
 def test_local_min_check_examples():
