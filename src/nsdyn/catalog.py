@@ -1,12 +1,13 @@
 """Locally Lipschitz test functions with exact subdifferential oracles.
 
-Every catalog function provides its closed-form value and the exact
-generator representation of its Clarke subdifferential: the subdifferential
-at a point is the convex hull of finitely many generator vectors (a single
-generator wherever the function is differentiable, the extreme limiting
-gradients at kinks).  The closed-form minimal-norm field min_norm_many drives
-all dynamics; Wolfe's projector minimal_norm_element is the tested reference:
-each closed-form row lies in the hull and is no longer than Wolfe's answer.
+Every catalog function provides its closed-form value ``value_many`` (the
+scalar ``value`` is its one-row case) and the exact generator representation
+of its Clarke subdifferential: the subdifferential at a point is the convex
+hull of finitely many generator vectors (a single generator wherever the
+function is differentiable, the extreme limiting gradients at kinks).  The
+closed-form minimal-norm field min_norm_many drives all dynamics; Wolfe's
+projector minimal_norm_element is the tested reference: each closed-form
+row lies in the hull and is no longer than Wolfe's answer.
 
 Catalog:
 
@@ -63,6 +64,9 @@ def sum_sq(pts: np.ndarray) -> np.ndarray:
 
     The same bits in any memory layout, which ``(pts * pts).sum(axis=1)``
     does not promise; the dynamics take every row reduction from here.
+    Outputs (values, CSV norms, deviations) take ``np.vecdot(v, v)``
+    instead: on C-ordered rows it has the bits of the scalar ``x @ x`` and
+    of ``np.linalg.norm``, so a row prints the same as its one-point case.
     """
     sq = pts * pts
     acc = sq[:, 0]
@@ -113,10 +117,19 @@ class CatalogFunction:
         return []
 
     def value(self, x: np.ndarray) -> float:
-        raise NotImplementedError
+        """f(x), the one-row case of ``value_many``."""
+        return float(self.value_many(as_point(x, self.dim)[None, :])[0])
 
     def value_many(self, pts: np.ndarray) -> np.ndarray:
-        return np.array([self.value(p) for p in pts])
+        """f at each row of ``pts``, the only value formula of each function.
+
+        A C-ordered row gets the bits of the one-point formula (``x @ x``,
+        ``a ** 1.5``, ``np.sum(np.abs(x))``).  On F-ordered rows ``vecdot`` and
+        ``sum(axis=1)`` may add in another order, and the last bit can
+        differ (numpy 2.4 on x86-64: from d=4 for ``quad`` and ``neg_norm``,
+        from d=8 for ``abs_sum``).  No caller passes F-ordered rows.
+        """
+        raise NotImplementedError
 
     def generators(self, x: np.ndarray, active_tol: float = 0.0) -> np.ndarray:
         """Generator rows of the Clarke subdifferential at ``x``.
@@ -169,12 +182,8 @@ class Quad(CatalogFunction):
     def known_minimizers(self):
         return [np.zeros(self.dim)]
 
-    def value(self, x):
-        x = as_point(x, self.dim)
-        return 0.5 * float(x @ x)
-
     def value_many(self, pts):
-        return 0.5 * np.einsum("ij,ij->i", pts, pts)
+        return 0.5 * np.vecdot(pts, pts)
 
     def min_norm_many(self, pts):
         return pts.copy(order="K")
@@ -196,10 +205,6 @@ class AbsSum(CatalogFunction):
     @property
     def known_minimizers(self):
         return [np.zeros(self.dim)]
-
-    def value(self, x):
-        x = as_point(x, self.dim)
-        return float(np.sum(np.abs(x)))
 
     def value_many(self, pts):
         return np.sum(np.abs(pts), axis=1)
@@ -225,14 +230,9 @@ class Cross(CatalogFunction):
             raise DimensionMismatch("cross is defined on R^2")
         super().__init__(2)
 
-    def value(self, x):
-        x = as_point(x, 2)
-        a1, a2 = np.abs(x)
-        return float(a1 ** 1.5 * a2 ** 1.5)
-
     def value_many(self, pts):
         a = np.abs(pts)
-        return a[:, 0] ** 1.5 * a[:, 1] ** 1.5
+        return np.float_power(a[:, 0], 1.5) * np.float_power(a[:, 1], 1.5)
 
     def min_norm_many(self, pts):
         x1, x2 = pts[:, 0], pts[:, 1]
@@ -260,13 +260,6 @@ class Wiggle(CatalogFunction):
         if dim != 1:
             raise DimensionMismatch("wiggle is defined on R")
         super().__init__(1)
-
-    def value(self, x):
-        x = as_point(x, 1)
-        t = x[0]
-        if t == 0.0:
-            return 0.0
-        return float(t * t * np.sin(1.0 / t))
 
     def value_many(self, pts):
         t = pts[:, 0]
@@ -299,10 +292,6 @@ class VeeBowl(CatalogFunction):
     def known_minimizers(self):
         return [np.zeros(2)]
 
-    def value(self, x):
-        x = as_point(x, 2)
-        return float(np.abs(x[0]) + x[1] * x[1])
-
     def value_many(self, pts):
         return np.abs(pts[:, 0]) + pts[:, 1] * pts[:, 1]
 
@@ -324,12 +313,8 @@ class NegNorm(CatalogFunction):
     name = "neg_norm"
     any_dim = True
 
-    def value(self, x):
-        x = as_point(x, self.dim)
-        return -float(np.sqrt(x @ x))
-
     def value_many(self, pts):
-        return -np.sqrt(np.einsum("ij,ij->i", pts, pts))
+        return -np.sqrt(np.vecdot(pts, pts))
 
     def generators(self, x, active_tol=0.0):
         x = as_point(x, self.dim)
@@ -423,6 +408,9 @@ def minimal_norm_element(sub) -> np.ndarray:
 
     Exact segment projection for up to two generators; Wolfe's minimum-norm
     point iteration (tolerance 1e-12, iteration cap 10*m^2) beyond that.
+    Wolfe's answer carries a residue up to that tolerance: at ``abs_sum``
+    [0, 0, 0.5, 1] its first two entries are -4.4e-16 where 0 is exact.
+    The dynamics never use it; they step on ``min_norm_many``.
     Accepts a SubdifferentialSet or a raw (m, dim) array.
     """
     gens = sub.generators if isinstance(sub, SubdifferentialSet) else np.atleast_2d(np.asarray(sub, float))

@@ -179,8 +179,18 @@ def _policy(cfg: RunConfig) -> SelectionPolicy:
     return SelectionPolicy(cfg.policy, cfg.policy_index)
 
 
+def _check_finite(cfg: RunConfig):
+    """Every numeric field, scalar or list, is finite; JSON configs may hold NaN or Infinity."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        items = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not np.isfinite(v) for v in items):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 def execute(cfg: RunConfig) -> int:
     """Run one configuration; returns the process exit code."""
+    _check_finite(cfg)
     fmt_kind = cfg.format
     if cfg.command == "list-functions":
         _emit(json_text(reporting.catalog_json_list()), cfg.out)

@@ -252,9 +252,9 @@ def run(fn: CatalogFunction, x0, alpha: float, n_steps: int,
     non-finite) is recorded in diverged_at, never raised.  n_steps = 0 is
     allowed and records the initial point alone.
     """
+    _check_alpha(alpha)
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    _check_alpha(alpha)
     x = as_point(x0, fn.dim)
     points = np.empty((n_steps + 1, fn.dim))
     subgrads = np.empty((n_steps, fn.dim))

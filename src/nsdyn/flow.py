@@ -71,9 +71,9 @@ class FlowSolution:
 
 
 def integrate_flow(fn: CatalogFunction, x0, horizon: float, h: float) -> FlowSolution:
-    """Integrate from x0 over [0, horizon] with fixed step h."""
-    if not 0.0 < h <= horizon:
-        raise ValueError("need 0 < h <= horizon")
+    """Integrate from x0 over [0, horizon] with fixed step h; the horizon must be finite."""
+    if not 0.0 < h <= horizon < np.inf:
+        raise ValueError(f"need 0 < h <= horizon < inf, got h={h}, horizon={horizon}")
     x0 = as_point(x0, fn.dim)
     n_full = int(np.floor(horizon / h + 1e-12))
     ts = h * np.arange(n_full + 1)
@@ -119,8 +119,8 @@ def energy_residual(fn: CatalogFunction, sol: FlowSolution) -> float:
     Small residuals certify the dissipation identity numerically; for this
     first-order scheme the residual shrinks roughly linearly in h.
     """
-    speed2 = (sol.min_norm_subgrads * sol.min_norm_subgrads).sum(axis=1)
-    q = float(np.trapezoid(speed2, sol.ts))
+    s = sol.min_norm_subgrads
+    q = float(np.trapezoid(np.vecdot(s, s), sol.ts))
     return abs(float(sol.f_values[-1] - sol.f_values[0]) + q)
 
 

@@ -50,22 +50,21 @@ def trajectory_csv_text(traj: Trajectory, fn: CatalogFunction | None = None) -> 
 
     subgrad_norm on row k is the norm of the subgradient chosen at x_k; the
     final row, which has no executed step, reports the norm of the
-    minimal-norm element at the last point.  f is the scalar ``fn.value``
-    of each row, which ``value_many`` does not match to the last bit.
+    minimal-norm element at the last point.
     """
     fn = fn if fn is not None else get_function(traj.fn_id, dim=traj.dim)
     header = ["k", "t"] + [f"x_{i}" for i in range(traj.dim)] + ["f", "subgrad_norm"]
     subs = np.concatenate([traj.chosen_subgradients, fn.min_norm_many(traj.points[-1:])])
     k = np.arange(traj.points.shape[0])
-    f = np.array([fn.value(x) for x in traj.points])
-    return _csv(header, [k, traj.alpha * k, *traj.points.T, f, np.sqrt(np.vecdot(subs, subs))])
+    return _csv(header, [k, traj.alpha * k, *traj.points.T, fn.value_many(traj.points),
+                         np.sqrt(np.vecdot(subs, subs))])
 
 
 def flow_csv_text(sol: FlowSolution) -> str:
     """One row per node: t, coordinates, f, min_norm_subgrad (its norm)."""
     header = ["t"] + [f"x_{i}" for i in range(sol.dim)] + ["f", "min_norm_subgrad"]
-    norms = np.sqrt((sol.min_norm_subgrads * sol.min_norm_subgrads).sum(axis=1))
-    return _csv(header, [sol.ts, *sol.xs.T, sol.f_values, norms])
+    s = sol.min_norm_subgrads
+    return _csv(header, [sol.ts, *sol.xs.T, sol.f_values, np.sqrt(np.vecdot(s, s))])
 
 
 def per_sample_csv_text(per_sample: np.ndarray) -> str:

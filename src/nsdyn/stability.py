@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CatalogFunction, as_point, evaluate, get_function
-from .engine import MINIMAL_NORM, SelectionPolicy, Trajectory, derive_seed, make_rng, run, run_batch, sample_ball
+from .engine import (MINIMAL_NORM, SelectionPolicy, Trajectory, _check_alpha, derive_seed, make_rng, run,
+                     run_batch, sample_ball)
 from .errors import InvalidQuery, NotConvex
 
 __all__ = [
@@ -46,6 +47,15 @@ LIPSCHITZ_SAFETY = 1.1
 F_COMPARE_TOL = 1e-12
 
 
+def _max_generator_norm(fn: CatalogFunction, pts: np.ndarray) -> float:
+    """Largest generator norm over the rows of ``pts``, one ``generators`` call per row."""
+    best = 0.0
+    for p in pts:
+        gens = fn.generators(p, 0.0)
+        best = max(best, float(np.sqrt((gens * gens).sum(axis=1).max())))
+    return best
+
+
 def estimate_lipschitz(fn: CatalogFunction, center, radius: float, samples: int = 256,
                        seed: int = 0) -> float:
     """1.1 times the max sampled generator norm over B(center, radius).
@@ -57,11 +67,7 @@ def estimate_lipschitz(fn: CatalogFunction, center, radius: float, samples: int 
         raise ValueError("samples must be >= 1")
     center = as_point(center, fn.dim)
     pts = sample_ball(center, radius, samples, make_rng(seed))
-    best = 0.0
-    for p in np.concatenate([center[None, :], pts], axis=0):
-        gens = fn.generators(p, 0.0)
-        best = max(best, float(np.sqrt((gens * gens).sum(axis=1).max())))
-    return LIPSCHITZ_SAFETY * best
+    return LIPSCHITZ_SAFETY * _max_generator_norm(fn, np.concatenate([center[None, :], pts], axis=0))
 
 
 def default_delta_grid(epsilon: float) -> np.ndarray:
@@ -258,6 +264,9 @@ class BoundReport:
 
 def convex_bounds_report(fn: CatalogFunction, x0, alpha: float, epsilon: float,
                          n_steps: int | None = None, seed: int = 0) -> BoundReport:
+    _check_alpha(alpha)
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     if not fn.convex:
         raise NotConvex(f"{fn.name} is not convex")
     minimizers = fn.known_minimizers
@@ -272,13 +281,10 @@ def convex_bounds_report(fn: CatalogFunction, x0, alpha: float, epsilon: float,
         n_steps = max(200, 2 * budget)
     traj = run(fn, x0, alpha, n_steps, MINIMAL_NORM, seed=seed)
     gaps = fn.value_many(traj.points) - inf_f
-    c = 0.0
-    for p in traj.points:
-        gens = fn.generators(p, 0.0)
-        c = max(c, float(np.sqrt((gens * gens).sum(axis=1).max())))
+    c = _max_generator_norm(fn, traj.points)
     bound = c * c * alpha / 2.0
     tail = gaps[gaps.shape[0] // 2:]
-    min_to_budget = float(gaps[: budget + 1].min()) if budget >= 0 else float(gaps[0])
+    min_to_budget = float(gaps[: budget + 1].min())
     terminal = min(float(np.linalg.norm(traj.points[-1] - m)) for m in minimizers)
     beta = fn.quad_growth
     dist_bound = None

@@ -22,6 +22,19 @@ def test_evaluate_examples():
     assert evaluate(cross, [1.0, 0.1]) == pytest.approx(0.1 ** 1.5, rel=1e-15)
     assert evaluate(cross, [1.0, 0.0]) == 0.0
     assert evaluate(get_function("quad", 2), [3.0, 4.0]) == 12.5
+    # value is the one-row case of value_many, bit for bit on C-ordered
+    # batches, exact +-0.0 entries included
+    rng = np.random.default_rng(8)
+    cases = [(name, d) for name in ("quad", "abs_sum", "neg_norm") for d in (1, 2, 3, 4, 5, 8, 13, 32, 64)]
+    for name, d in cases + [("cross", 2), ("wiggle", 1), ("vee_bowl", 2)]:
+        fn = get_function(name, d)
+        pts = rng.standard_normal((300, d)) * rng.choice([1e-3, 1.0, 1e3], size=(300, 1))
+        zeros = rng.random((300, d)) < 0.2
+        pts[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+        pts[:2] = [[0.0] * d, [-0.0] * d]
+        many = fn.value_many(pts)
+        one = np.array([fn.value(p) for p in pts])
+        assert many.tobytes() == one.tobytes(), (name, d)
 
 
 def test_evaluate_errors():

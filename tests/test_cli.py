@@ -165,6 +165,20 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     for alpha in ("nan", "-0.1"):
         rows.append((None, ["counterexample", "--epsilon", "0.25", "--alpha", alpha, "--samples", "5",
                             "--out", "c.json"], "alpha"))
+    (tmp_path / "nan.json").write_text('{"command": "simulate", "function": "quad", "x0": [NaN], '
+                                       '"alpha": 0.1, "steps": 1, "out": "x.csv"}')
+    rows.append((None, ["--config", "nan.json"], "x0"))
+    for cmd, named in [("flow --function quad --x0 1 --horizon inf --h 0.1", "horizon"),
+                       ("compare --function quad --x0 1 --alpha 0.1 --horizon inf", "horizon"),
+                       ("compare --function quad --x0 1 --alpha -0.1 --horizon 1", "alpha"),
+                       ("compare --function quad --x0 1 --alpha nan --horizon 1", "alpha"),
+                       ("convex-bounds --function quad --x0 1 --alpha 0.1 --epsilon 0", "epsilon"),
+                       ("convex-bounds --function quad --x0 1 --alpha 0.1 --epsilon -0.1", "epsilon"),
+                       ("convex-bounds --function quad --x0 1 --alpha nan --epsilon 0.1", "alpha"),
+                       ("convex-bounds --function quad --x0 1 --alpha 0.1 --epsilon nan", "epsilon"),
+                       ("simulate --function quad --x0 nan --alpha 0.1 --steps 3", "x0"),
+                       ("flow --function quad --x0 nan --horizon 1 --h 0.1", "x0")]:
+        rows.append((None, cmd.split() + ["--out", "o"], named))
     for env_seed, argv, named in rows:
         with monkeypatch.context() as m:
             if env_seed is not None:

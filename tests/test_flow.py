@@ -211,3 +211,6 @@ def test_integrate_flow_validates_step():
         integrate_flow(QUAD1, [1.0], 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate_flow(QUAD1, [1.0], 0.5, 1.0)
+    for horizon in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="horizon"):
+            integrate_flow(QUAD1, [1.0], horizon, 0.1)

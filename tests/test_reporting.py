@@ -81,6 +81,19 @@ def test_flow_csv_and_report_json(tmp_path):
     assert per_sample_csv_text(per_sample).splitlines()[1:3] == ["0,1.0,0.0,-1,1", "1,0.5,-0.25,7,0"]
 
 
+def test_compare_csvs_agree_at_t0():
+    # compare's discrete and flow CSVs start at the same point, so row 0 of
+    # each prints the same t, x, f and subgradient norm
+    rng = np.random.default_rng(5)
+    cases = [(name, d) for name in ("quad", "abs_sum", "neg_norm") for d in (1, 2, 3, 5, 8)]
+    for name, d in cases + [("cross", 2), ("wiggle", 1), ("vee_bowl", 2)]:
+        fn = get_function(name, d)
+        for x0 in rng.standard_normal((60, d)) * rng.choice([1e-2, 1.0, 1e2], size=(60, 1)):
+            discrete = trajectory_csv_text(run(fn, x0, 0.1, 1), fn).splitlines()[1].split(",")
+            flow = flow_csv_text(integrate_flow(fn, x0, 0.01, 0.01)).splitlines()[1].split(",")
+            assert discrete[1:] == flow, (name, x0.tolist())
+
+
 def test_csv_line_endings_are_lf(tmp_path):
     traj = run(get_function("cross"), [1.0, 0.1], 0.1, 5)
     out = tmp_path / "t.csv"

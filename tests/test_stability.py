@@ -253,6 +253,14 @@ def test_convex_bounds_rejects_nonconvex():
         convex_bounds_report(get_function("cross"), [1.0, 0.1], 0.1, 0.1)
 
 
+def test_convex_bounds_validates_alpha_and_epsilon():
+    fn = get_function("abs_sum", 1)
+    for alpha, epsilon, named in [(np.nan, 0.1, "alpha"), (-0.1, 0.1, "alpha"), (0.1, 0.0, "epsilon"),
+                                  (0.1, -0.1, "epsilon"), (0.1, np.nan, "epsilon"), (0.1, np.inf, "epsilon")]:
+        with pytest.raises(ValueError, match=named):
+            convex_bounds_report(fn, [1.0], alpha, epsilon)
+
+
 def test_no_escape_points_pass_local_min_check():
     # probed no-escape fixtures are also sample-consistent local minima
     for name, x_star in [("quad", np.zeros(2)), ("abs_sum", np.zeros(2)),
