@@ -2,29 +2,32 @@
 
 Subcommands map one-to-one onto library operations:
 
-    list-functions                  catalog descriptors as JSON
-    simulate                        discrete trajectory CSV
-    flow                            integrated flow CSV
-    compare                         aligned discrete + flow CSVs plus a
-                                    deviation summary JSON
-    probe                           ball-stability probe report JSON
-    counterexample                  seeded escape experiment JSON
-    convex-bounds                   constant-step bound report JSON
+    list-functions    catalog descriptors as JSON
+    simulate          discrete trajectory CSV, or JSON with --format json
+    flow              integrated flow CSV
+    compare           aligned discrete + flow CSVs plus a deviation summary JSON
+    probe             ball-stability probe report JSON
+    counterexample    seeded escape experiment JSON
+    convex-bounds     constant-step bound report JSON
+
+``SUBCOMMANDS`` declares each command's flags once.  The parser is built
+from it, and ``nsdyn --config cfg.json`` (the JSON form of a ``RunConfig``)
+is held to the same table; both spellings produce identical bytes.
 
 Exit codes: 0 success, 2 usage error, 3 numerical divergence (reported in
-the output, not crashed).  The environment variable NSDYN_SEED, when set,
-overrides --seed.  A full run can also be specified as
-``nsdyn --config cfg.json`` where cfg.json is the JSON form of the flag
-set; both spellings produce identical bytes.
+the output, not crashed).  NSDYN_SEED, when set, must be an integer; it
+overrides --seed for the commands that take one.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -38,9 +41,6 @@ from .reporting import json_text, write_text
 from .stability import StabilityQuery, convex_bounds_report, probe
 
 __all__ = ["RunConfig", "run_command", "main"]
-
-COMMANDS = ("list-functions", "simulate", "flow", "compare", "probe",
-            "counterexample", "convex-bounds")
 
 
 @dataclass
@@ -78,8 +78,8 @@ class RunConfig:
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config key {unknown[0]!r}")
-        if "command" not in data:
-            raise ValueError("config has no 'command' key")
+        if not isinstance(data.get("command"), str):
+            raise ValueError("config needs a 'command' string")
         return cls(**data)
 
 
@@ -90,6 +90,32 @@ def _parse_vector(text: str) -> list:
         raise argparse.ArgumentTypeError(f"bad vector {text!r}: {exc}")
 
 
+# command: (help, required fields, optional fields); every command also takes out
+SUBCOMMANDS = {
+    "list-functions": ("catalog descriptors", (), ()),
+    "simulate": ("discrete subgradient trajectory",
+                 ("function", "x0", "alpha", "steps"), ("policy", "seed", "format")),
+    "flow": ("integrate the subgradient flow", ("function", "x0", "horizon", "h"), ()),
+    "compare": ("discrete trajectory vs flow on one horizon",
+                ("function", "x0", "alpha", "horizon"), ("h", "policy", "seed")),
+    "probe": ("ball-stability probe", ("function", "xstar", "epsilon"),
+              ("delta_grid", "alpha_grid", "samples", "max_iters", "policy", "seed")),
+    "counterexample": ("escape experiment around (1, 0)", ("epsilon", "alpha", "samples"),
+                       ("max_iters", "per_sample_csv", "seed")),
+    "convex-bounds": ("constant-step bounds on a convex entry",
+                      ("function", "x0", "alpha", "epsilon"), ("steps",)),
+}
+# the fields each command takes: its row, command and out, and policy_index along with policy
+TAKES = {command: {"command", "out", *required, *optional} | ({"policy_index"} if "policy" in optional else set())
+         for command, (_, required, optional) in SUBCOMMANDS.items()}
+HELP = {"h": "flow step, default alpha/100", "out": "output path (stdout when omitted)"}
+CHOICES = {"format": ("csv", "json")}
+# each field's annotated kind (list is a vector), and each kind's flag parser and name in errors
+KINDS = {name: (get_args(hint) or (hint,))[0] for name, hint in get_type_hints(RunConfig).items()}
+PARSE = {list: (_parse_vector, "a list of finite numbers"), float: (float, "a finite number"),
+         int: (int, "an int"), str: (str, "a string")}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nsdyn",
@@ -97,67 +123,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON run configuration replacing all flags")
     sub = parser.add_subparsers(dest="command")
-
-    def common(p, seed=True):
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", help="output path (stdout when omitted)")
-        p.add_argument("--format", choices=("csv", "json"))
-
-    p = sub.add_parser("list-functions", help="catalog descriptors")
-    common(p, seed=False)
-
-    p = sub.add_parser("simulate", help="discrete subgradient trajectory")
-    p.add_argument("--function", required=True)
-    p.add_argument("--x0", required=True, type=_parse_vector)
-    p.add_argument("--alpha", required=True, type=float)
-    p.add_argument("--steps", required=True, type=int)
-    p.add_argument("--policy", default="minimal_norm")
-    common(p)
-
-    p = sub.add_parser("flow", help="integrate the subgradient flow")
-    p.add_argument("--function", required=True)
-    p.add_argument("--x0", required=True, type=_parse_vector)
-    p.add_argument("--horizon", required=True, type=float)
-    p.add_argument("--h", required=True, type=float)
-    common(p)
-
-    p = sub.add_parser("compare", help="discrete trajectory vs flow on one horizon")
-    p.add_argument("--function", required=True)
-    p.add_argument("--x0", required=True, type=_parse_vector)
-    p.add_argument("--alpha", required=True, type=float)
-    p.add_argument("--horizon", required=True, type=float)
-    p.add_argument("--h", type=float, help="flow step, default alpha/100")
-    p.add_argument("--policy", default="minimal_norm")
-    common(p)
-
-    p = sub.add_parser("probe", help="ball-stability probe")
-    p.add_argument("--function", required=True)
-    p.add_argument("--xstar", required=True, type=_parse_vector)
-    p.add_argument("--epsilon", required=True, type=float)
-    p.add_argument("--delta-grid", type=_parse_vector)
-    p.add_argument("--alpha-grid", type=_parse_vector)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--max-iters", type=int)
-    p.add_argument("--policy", default="minimal_norm")
-    common(p)
-
-    p = sub.add_parser("counterexample", help="escape experiment around (1, 0)")
-    p.add_argument("--epsilon", required=True, type=float)
-    p.add_argument("--alpha", required=True, type=float)
-    p.add_argument("--samples", required=True, type=int)
-    p.add_argument("--max-iters", type=int, default=100_000)
-    p.add_argument("--per-sample-csv")
-    common(p)
-
-    p = sub.add_parser("convex-bounds", help="constant-step bounds on a convex entry")
-    p.add_argument("--function", required=True)
-    p.add_argument("--x0", required=True, type=_parse_vector)
-    p.add_argument("--alpha", required=True, type=float)
-    p.add_argument("--epsilon", required=True, type=float)
-    p.add_argument("--steps", type=int)
-    common(p)
-
+    for command, (help_text, required, optional) in SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in required + optional + ("out",):
+            p.add_argument("--" + name.replace("_", "-"), type=PARSE[KINDS[name]][0], required=name in required,
+                           choices=CHOICES.get(name), help=None if name in required else HELP.get(name),
+                           default=argparse.SUPPRESS)
     return parser
 
 
@@ -166,6 +137,44 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if cfg.policy.startswith("fixed_index:"):
         cfg.policy, cfg.policy_index = "fixed_index", int(cfg.policy.split(":", 1)[1])
     return cfg
+
+
+def _has_kind(value, kind) -> bool:
+    """Whether a set value is of its field's kind; numbers must be finite, and a bool is not one."""
+    if kind is list:
+        return isinstance(value, list) and all(_has_kind(v, float) for v in value)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        return False
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _check_config(cfg: RunConfig):
+    """Hold a config, from flags or --config alike, to its row of SUBCOMMANDS; errors name the field.
+
+    A field the command does not take keeps its default, so ``to_json`` output stays valid input.
+    """
+    if cfg.command not in SUBCOMMANDS:
+        raise ValueError(f"unknown command {cfg.command!r}")
+    required = SUBCOMMANDS[cfg.command][1]
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name not in TAKES[cfg.command]:
+            if value != f.default:
+                raise ValueError(f"{cfg.command} takes no {f.name}, got {value!r}")
+        elif value is None:
+            if f.name in required:
+                raise ValueError(f"{cfg.command} requires {f.name}")
+        elif not _has_kind(value, KINDS[f.name]):
+            raise ValueError(f"{f.name} must be {PARSE[KINDS[f.name]][1]}, got {value!r}")
+        elif f.name in CHOICES and value not in CHOICES[f.name]:
+            raise ValueError(f"{f.name} must be one of {CHOICES[f.name]}, got {value!r}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
+
+
+def _set(**kwargs) -> dict:
+    """The keyword arguments that are not None, so the library's defaults fill in the rest."""
+    return {k: v for k, v in kwargs.items() if v is not None}
 
 
 def _emit(text: str, out: str | None):
@@ -179,19 +188,9 @@ def _policy(cfg: RunConfig) -> SelectionPolicy:
     return SelectionPolicy(cfg.policy, cfg.policy_index)
 
 
-def _check_finite(cfg: RunConfig):
-    """Every numeric field, scalar or list, is finite; JSON configs may hold NaN or Infinity."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        items = value if isinstance(value, list) else [value]
-        if any(isinstance(v, float) and not np.isfinite(v) for v in items):
-            raise ValueError(f"{f.name} must be finite, got {value}")
-
-
 def execute(cfg: RunConfig) -> int:
-    """Run one configuration; returns the process exit code."""
-    _check_finite(cfg)
-    fmt_kind = cfg.format
+    """Check and run one config; returns the exit code (run_command maps ValueError to 2, NonFiniteState to 3)."""
+    _check_config(cfg)
     if cfg.command == "list-functions":
         _emit(json_text(reporting.catalog_json_list()), cfg.out)
         return 0
@@ -199,12 +198,11 @@ def execute(cfg: RunConfig) -> int:
     if cfg.command == "simulate":
         fn = get_function(cfg.function, dim=len(cfg.x0))
         traj = run(fn, cfg.x0, cfg.alpha, cfg.steps, _policy(cfg), seed=cfg.seed)
-        fmt_kind = fmt_kind or "csv"
-        if fmt_kind == "csv":
-            _emit(reporting.trajectory_csv_text(traj, fn), cfg.out)
-        else:
+        if cfg.format == "json":
             _emit(json_text({"fn_id": traj.fn_id, "alpha": traj.alpha,
                              "points": traj.points, "diverged_at": traj.diverged_at}), cfg.out)
+        else:
+            _emit(reporting.trajectory_csv_text(traj, fn), cfg.out)
         if traj.diverged_at is not None:
             print(f"diverged at iterate {traj.diverged_at}", file=sys.stderr)
             return 3
@@ -212,24 +210,17 @@ def execute(cfg: RunConfig) -> int:
 
     if cfg.command == "flow":
         fn = get_function(cfg.function, dim=len(cfg.x0))
-        try:
-            sol = integrate_flow(fn, cfg.x0, cfg.horizon, cfg.h)
-        except NonFiniteState as exc:
-            print(f"flow integration diverged: {exc}", file=sys.stderr)
-            return 3
-        _emit(reporting.flow_csv_text(sol), cfg.out)
+        _emit(reporting.flow_csv_text(integrate_flow(fn, cfg.x0, cfg.horizon, cfg.h)), cfg.out)
         return 0
 
     if cfg.command == "compare":
         fn = get_function(cfg.function, dim=len(cfg.x0))
+        if cfg.horizon <= 0:
+            raise ValueError(f"horizon must be positive, got {cfg.horizon}")
         h = cfg.h if cfg.h is not None else cfg.alpha / 100.0
         steps = int(np.ceil(cfg.horizon / cfg.alpha))
         traj = run(fn, cfg.x0, cfg.alpha, steps, _policy(cfg), seed=cfg.seed)
-        try:
-            sol = integrate_flow(fn, cfg.x0, cfg.horizon, h)
-        except NonFiniteState as exc:
-            print(f"flow integration diverged: {exc}", file=sys.stderr)
-            return 3
+        sol = integrate_flow(fn, cfg.x0, cfg.horizon, h)
         stem = cfg.out if cfg.out is not None else "compare"
         write_text(f"{stem}.discrete.csv", reporting.trajectory_csv_text(traj, fn))
         write_text(f"{stem}.flow.csv", reporting.flow_csv_text(sol))
@@ -247,10 +238,10 @@ def execute(cfg: RunConfig) -> int:
             epsilon=cfg.epsilon,
             delta_grid=None if cfg.delta_grid is None else tuple(cfg.delta_grid),
             alpha_grid=None if cfg.alpha_grid is None else tuple(cfg.alpha_grid),
-            n_samples=cfg.samples if cfg.samples is not None else 50,
             max_iters=cfg.max_iters,
             policy=_policy(cfg),
             seed=cfg.seed,
+            **_set(n_samples=cfg.samples),
         )
         verdict = probe(q)
         witness_csv = None
@@ -263,22 +254,17 @@ def execute(cfg: RunConfig) -> int:
         return 0
 
     if cfg.command == "counterexample":
-        stats, per_sample = escape_experiment(cfg.epsilon, cfg.alpha, cfg.samples,
-                                              k_max=cfg.max_iters or 100_000, seed=cfg.seed)
+        stats, per_sample = escape_experiment(cfg.epsilon, cfg.alpha, cfg.samples, seed=cfg.seed,
+                                              **_set(k_max=cfg.max_iters))
         if cfg.per_sample_csv:
             write_text(cfg.per_sample_csv, reporting.per_sample_csv_text(per_sample))
         _emit(json_text(stats.to_json_dict()), cfg.out)
         return 0
 
-    if cfg.command == "convex-bounds":
-        fn = get_function(cfg.function, dim=len(cfg.x0))
-        report = convex_bounds_report(fn, cfg.x0, cfg.alpha, cfg.epsilon,
-                                      n_steps=cfg.steps, seed=cfg.seed)
-        _emit(json_text(report), cfg.out)
-        return 0
-
-    print(f"unknown command {cfg.command!r}", file=sys.stderr)
-    return 2
+    # convex-bounds, the last row of SUBCOMMANDS
+    fn = get_function(cfg.function, dim=len(cfg.x0))
+    _emit(json_text(convex_bounds_report(fn, cfg.x0, cfg.alpha, cfg.epsilon, n_steps=cfg.steps)), cfg.out)
+    return 0
 
 
 def run_command(argv: list[str]) -> int:
@@ -299,11 +285,16 @@ def run_command(argv: list[str]) -> int:
             cfg = _config_from_args(args)
         env_seed = os.environ.get("NSDYN_SEED")
         if env_seed is not None:
-            cfg.seed = int(env_seed)
+            seed = int(env_seed)  # parsed for every command, so a bad value always exits 2
+            if "seed" in TAKES.get(cfg.command, ()):
+                cfg.seed = seed
         return execute(cfg)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NonFiniteState as exc:
+        print(f"diverged: {exc}", file=sys.stderr)
+        return 3
 
 
 def main():

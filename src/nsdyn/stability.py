@@ -147,6 +147,8 @@ def _validate(q: StabilityQuery, x_star: np.ndarray, deltas: np.ndarray, alphas:
         raise InvalidQuery("epsilon must be positive")
     if q.n_samples < 1:
         raise InvalidQuery("n_samples must be >= 1")
+    if q.max_iters is not None and q.max_iters < 1:
+        raise InvalidQuery("max_iters must be >= 1")
     if any(g.size == 0 for g in grids):
         raise InvalidQuery("grids must be nonempty")
     if any(np.any(g <= 0) for g in grids):
@@ -263,7 +265,7 @@ class BoundReport:
 
 
 def convex_bounds_report(fn: CatalogFunction, x0, alpha: float, epsilon: float,
-                         n_steps: int | None = None, seed: int = 0) -> BoundReport:
+                         n_steps: int | None = None) -> BoundReport:
     _check_alpha(alpha)
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
@@ -273,13 +275,17 @@ def convex_bounds_report(fn: CatalogFunction, x0, alpha: float, epsilon: float,
     if not minimizers:
         raise NotConvex(f"{fn.name} has no registered minimizers")
     x0 = as_point(x0, fn.dim)
-    d0 = min(float(np.linalg.norm(x0 - m)) for m in minimizers)
+    with np.errstate(over="ignore"):  # a start too far for the budget is rejected below
+        d0 = min(float(np.linalg.norm(x0 - m)) for m in minimizers)
     inf_f = min(evaluate(fn, m) for m in minimizers)
     # nudge before flooring so exact integer ratios survive float rounding
-    budget = int(np.floor(d0 * d0 / (alpha * epsilon) * (1.0 + 1e-12)))
+    ratio = d0 * d0 / (alpha * epsilon) * (1.0 + 1e-12)
+    if not np.isfinite(ratio):
+        raise ValueError("x0 is too far from the minimizers: d(x0, X)^2 / (alpha * epsilon) overflows")
+    budget = int(np.floor(ratio))
     if n_steps is None:
         n_steps = max(200, 2 * budget)
-    traj = run(fn, x0, alpha, n_steps, MINIMAL_NORM, seed=seed)
+    traj = run(fn, x0, alpha, n_steps, MINIMAL_NORM)
     gaps = fn.value_many(traj.points) - inf_f
     c = _max_generator_norm(fn, traj.points)
     bound = c * c * alpha / 2.0

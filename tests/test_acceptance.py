@@ -177,11 +177,11 @@ def test_c6_stability_probes():
 
 def test_c7_convex_bounds():
     abs1 = get_function("abs_sum", 1)
-    rep1 = convex_bounds_report(abs1, [1.0], 0.1, 0.1, n_steps=400, seed=0)
-    rep2 = convex_bounds_report(abs1, [0.07], 0.1, 0.1, n_steps=400, seed=0)
+    rep1 = convex_bounds_report(abs1, [1.0], 0.1, 0.1, n_steps=400)
+    rep2 = convex_bounds_report(abs1, [0.07], 0.1, 0.1, n_steps=400)
     quad = get_function("quad", 1)
-    rep3 = convex_bounds_report(quad, [1.0], 0.5, 0.1, n_steps=300, seed=0)
-    rep4 = convex_bounds_report(quad, [1.0], 1.0, 0.1, n_steps=300, seed=0)
+    rep3 = convex_bounds_report(quad, [1.0], 0.5, 0.1, n_steps=300)
+    rep4 = convex_bounds_report(quad, [1.0], 1.0, 0.1, n_steps=300)
     ok = (rep1.iters_budget == 100 and rep1.achieved_within_budget
           and rep1.liminf_gap <= 0.05 and rep2.liminf_gap <= 0.05
           and rep3.terminal_distance <= rep3.dist_bound

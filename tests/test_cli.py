@@ -1,11 +1,15 @@
 import json
+import math
 import os
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nsdyn.cli import RunConfig, run_command
+from nsdyn.cli import (KINDS, SUBCOMMANDS, TAKES, RunConfig, _build_parser, _check_config, _config_from_args,
+                       run_command)
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -128,6 +132,9 @@ def test_env_seed_overrides_flag(tmp_path, monkeypatch):
     assert run_command(argv) == 0
     got = json.loads((tmp_path / "o.json").read_text())
     assert got["seed"] == 7
+    # a command without a seed parses NSDYN_SEED but ignores it
+    assert run_command(["flow", "--function", "quad", "--x0", "1", "--horizon", "1", "--h", "0.5",
+                        "--out", str(tmp_path / "f.csv")]) == 0
     monkeypatch.delenv("NSDYN_SEED")
     assert run_command(argv) == 0
     assert json.loads((tmp_path / "o.json").read_text())["seed"] == 1
@@ -138,6 +145,12 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     assert capsys.readouterr().err != ""
     assert run_command(["no-such-command"]) == 2
     assert run_command([]) == 2
+    # flags a command does not take are argparse errors
+    for cmd in ("flow --function quad --x0 1 --horizon 1 --h 0.1 --format json",
+                "flow --function quad --x0 1 --horizon 1 --h 0.1 --seed 1",
+                "list-functions --format csv",
+                "convex-bounds --function quad --x0 1 --alpha 0.1 --epsilon 0.1 --seed 5"):
+        assert run_command(cmd.split()) == 2, cmd
     assert _run_in(tmp_path, ["simulate", "--function", "nope", "--x0", "1",
                               "--alpha", "0.1", "--steps", "1", "--out", "x.csv"]) == 2
     capsys.readouterr()
@@ -165,6 +178,17 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     for alpha in ("nan", "-0.1"):
         rows.append((None, ["counterexample", "--epsilon", "0.25", "--alpha", alpha, "--samples", "5",
                             "--out", "c.json"], "alpha"))
+    for i, (cfg, named) in enumerate([
+            ({"command": "simulate", "function": "quad"}, "x0"),
+            ({"command": "probe", "function": "quad", "xstar": [0, 0]}, "epsilon"),
+            ({"command": "simulate", "function": "quad", "x0": [1], "alpha": 0.1, "steps": "3"}, "steps"),
+            ({"command": "simulate", "function": "quad", "x0": 1, "alpha": 0.1, "steps": 3}, "x0"),
+            ({"command": "flow", "function": "quad", "x0": [1], "horizon": 1, "h": 0.1, "format": "json",
+              "policy": "random_extreme", "per_sample_csv": "zz.csv"}, "policy"),
+            ({"command": "simulate", "function": "quad", "x0": [1], "alpha": 0.1, "steps": 3,
+              "format": "xml"}, "format")]):
+        (tmp_path / f"table{i}.json").write_text(json.dumps(cfg))
+        rows.append((None, ["--config", f"table{i}.json"], named))
     (tmp_path / "nan.json").write_text('{"command": "simulate", "function": "quad", "x0": [NaN], '
                                        '"alpha": 0.1, "steps": 1, "out": "x.csv"}')
     rows.append((None, ["--config", "nan.json"], "x0"))
@@ -177,7 +201,12 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
                        ("convex-bounds --function quad --x0 1 --alpha nan --epsilon 0.1", "alpha"),
                        ("convex-bounds --function quad --x0 1 --alpha 0.1 --epsilon nan", "epsilon"),
                        ("simulate --function quad --x0 nan --alpha 0.1 --steps 3", "x0"),
-                       ("flow --function quad --x0 nan --horizon 1 --h 0.1", "x0")]:
+                       ("flow --function quad --x0 nan --horizon 1 --h 0.1", "x0"),
+                       ("convex-bounds --function quad --x0 1e200 --alpha 0.1 --epsilon 0.1", "x0"),
+                       ("compare --function quad --x0 1 --alpha 0.1 --horizon -1", "horizon"),
+                       ("probe --function neg_norm --xstar 0,0 --epsilon 0.1 --max-iters 0", "max_iters"),
+                       ("counterexample --epsilon 0.25 --alpha 0.3 --samples 5 --max-iters 0", "k_max"),
+                       ("simulate --function quad --x0 1 --alpha 0.1 --steps 3 --seed -1", "seed")]:
         rows.append((None, cmd.split() + ["--out", "o"], named))
     for env_seed, argv, named in rows:
         with monkeypatch.context() as m:
@@ -186,6 +215,50 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
             assert _run_in(tmp_path, argv) == 2, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and named in err[0], (argv, err)
+
+
+# a value each field accepts; a command's walk starts from its required fields set to these
+SAMPLE = {"function": "quad", "x0": [1.0], "xstar": [0.0], "alpha": 0.1, "steps": 2, "horizon": 1.0,
+          "h": 0.1, "epsilon": 0.25, "delta_grid": [0.05], "alpha_grid": [0.1], "samples": 3,
+          "max_iters": 5, "seed": 1, "policy": "random_extreme", "policy_index": 1, "out": "o",
+          "format": "json", "per_sample_csv": "s.csv"}
+WRONG = {float: [math.nan, math.inf, "1", True], int: [math.nan, math.inf, 1.5, "1", True],
+         list: [math.nan, 1.0, "1", True, [math.nan], [math.inf], ["1"], [True]], str: [1, True]}
+
+
+def test_every_command_holds_configs_to_its_row(tmp_path, capsys):
+    """Walk SUBCOMMANDS with --config files: each case exits 2 with one stderr line naming the field."""
+    cases = []  # (config, field the error names)
+    for command, (_, required, _) in SUBCOMMANDS.items():
+        base = {"command": command, **{name: SAMPLE[name] for name in required}}
+        _check_config(RunConfig(**base))
+        cases += [({k: v for k, v in base.items() if k != name}, name) for name in required]
+        cases += [({**base, name: value}, name) for name, value in SAMPLE.items() if name not in TAKES[command]]
+        cases += [({**base, name: value}, name) for name in sorted(TAKES[command] - {"command"})
+                  for value in WRONG[KINDS[name]]]
+        if "seed" in TAKES[command]:
+            cases.append(({**base, "seed": -1}, "seed"))
+    assert len(cases) > 200
+    for i, (cfg, named) in enumerate(cases):
+        (tmp_path / f"{i}.json").write_text(json.dumps(cfg))
+        assert run_command(["--config", str(tmp_path / f"{i}.json")]) == 2, cfg
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.search(rf"\b{named}\b", err[0]), (cfg, err)
+
+
+def test_readme_command_line_matches_the_table():
+    """README's flag table is SUBCOMMANDS, and each of its `nsdyn` lines parses and passes the check."""
+    section = (Path(__file__).parents[1] / "README.md").read_text().split("## Command line", 1)[1]
+    argvs = [shlex.split(line)[1:] for line in section.split("```")[1].splitlines() if line.startswith("nsdyn ")]
+    assert sorted(argv[0] for argv in argvs) == sorted(SUBCOMMANDS)
+    for argv in argvs:
+        _check_config(_config_from_args(_build_parser().parse_args(argv)))
+    flags = lambda names: " ".join("--" + name.replace("_", "-") for name in names)
+    rows = {cells[0].strip("` "): (cells[1].strip(), cells[2].strip()) for cells in
+            (line.strip("|").split("|") for line in section.split("\n\n## ", 1)[0].splitlines()
+             if line.startswith("| `"))}
+    assert rows == {command: (flags(required), flags(optional)) for command, (_, required, optional)
+                    in SUBCOMMANDS.items()}
 
 
 def test_divergence_exit_3(tmp_path, capsys):

@@ -106,6 +106,9 @@ def test_probe_validates_query():
         probe(StabilityQuery("quad", np.zeros(2), 0.1, n_samples=0, seed=1))
     with pytest.raises(InvalidQuery):
         probe(StabilityQuery("quad", np.zeros(2), -0.1, seed=1))
+    for budget in (0, -5):  # an empty budget would certify even neg_norm's strict maximum
+        with pytest.raises(InvalidQuery, match="max_iters"):
+            probe(StabilityQuery("neg_norm", np.zeros(2), 0.1, max_iters=budget))
     for bad in (dict(epsilon=np.nan), dict(epsilon=np.inf), dict(x_star=np.array([np.nan, 0.0])),
                 dict(alpha_grid=(np.nan,)), dict(delta_grid=(0.05, np.nan))):
         with pytest.raises(InvalidQuery, match="finite"):
@@ -222,7 +225,7 @@ def test_local_min_check_examples():
 
 def test_convex_bounds_abs_sum_from_one():
     fn = get_function("abs_sum", 1)
-    rep = convex_bounds_report(fn, [1.0], 0.1, 0.1, n_steps=400, seed=0)
+    rep = convex_bounds_report(fn, [1.0], 0.1, 0.1, n_steps=400)
     assert rep.c == 1.0
     assert rep.iters_budget == 100
     assert rep.bound_c2a2 == pytest.approx(0.05)
@@ -233,7 +236,7 @@ def test_convex_bounds_abs_sum_from_one():
 
 def test_convex_bounds_abs_sum_oscillation_pair():
     fn = get_function("abs_sum", 1)
-    rep = convex_bounds_report(fn, [0.07], 0.1, 0.1, n_steps=400, seed=0)
+    rep = convex_bounds_report(fn, [0.07], 0.1, 0.1, n_steps=400)
     # tail oscillates between 0.07 and -0.03, so the liminf gap is 0.03
     assert rep.liminf_gap == pytest.approx(0.03, abs=1e-12)
     assert rep.liminf_gap <= rep.c ** 2 * rep.alpha / 2
@@ -241,7 +244,7 @@ def test_convex_bounds_abs_sum_oscillation_pair():
 
 def test_convex_bounds_quad_distance_bound():
     fn = get_function("quad", 1)
-    rep = convex_bounds_report(fn, [1.0], 0.5, 0.1, n_steps=200, seed=0)
+    rep = convex_bounds_report(fn, [1.0], 0.5, 0.1, n_steps=200)
     assert rep.beta == 0.5
     assert rep.dist_bound == pytest.approx(rep.c * np.sqrt(0.5))
     assert rep.terminal_distance <= rep.dist_bound
