@@ -110,6 +110,8 @@ TAKES = {command: {"command", "out", *required, *optional} | ({"policy_index"} i
          for command, (_, required, optional) in SUBCOMMANDS.items()}
 HELP = {"h": "flow step, default alpha/100", "out": "output path (stdout when omitted)"}
 CHOICES = {"format": ("csv", "json")}
+# the least value of each bounded count, checked in the same field loop as the kinds
+MINIMUM = {"steps": 0, "samples": 1, "max_iters": 1, "seed": 0}
 # each field's annotated kind (list is a vector), and each kind's flag parser and name in errors
 KINDS = {name: (get_args(hint) or (hint,))[0] for name, hint in get_type_hints(RunConfig).items()}
 PARSE = {list: (_parse_vector, "a list of finite numbers"), float: (float, "a finite number"),
@@ -168,8 +170,8 @@ def _check_config(cfg: RunConfig):
             raise ValueError(f"{f.name} must be {PARSE[KINDS[f.name]][1]}, got {value!r}")
         elif f.name in CHOICES and value not in CHOICES[f.name]:
             raise ValueError(f"{f.name} must be one of {CHOICES[f.name]}, got {value!r}")
-    if cfg.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
+        elif f.name in MINIMUM and value < MINIMUM[f.name]:
+            raise ValueError(f"{f.name} must be >= {MINIMUM[f.name]}, got {value!r}")
 
 
 def _set(**kwargs) -> dict:

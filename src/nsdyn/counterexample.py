@@ -109,10 +109,10 @@ def escape_experiment(epsilon: float, alpha: float, n_samples: int, k_max: int =
     """Count how many starts in B((1,0), epsilon) leave the ball within k_max steps.
 
     Samples uniformly in the ball (the continuous sampler hits the axis set
-    with probability zero; exact x2 == 0 starts are counted separately as
-    stuck, since they are fixed points).  Non-escaping off-axis samples are
-    not discarded: they are counted and their indices are available in the
-    per-sample table for inspection.
+    with probability zero; exact x2 == 0 starts are counted as stuck, and in
+    the ball they are fixed points that keep -1; any start outside exits at 0).
+    Non-escaping off-axis samples are not discarded: they are counted and
+    their indices are available in the per-sample table for inspection.
 
     Returns (EscapeStats, per_sample) where per_sample is a structured array
     with columns (x1_0, x2_0, exit_index, on_S); exit_index is -1 for
@@ -133,12 +133,7 @@ def escape_experiment(epsilon: float, alpha: float, n_samples: int, k_max: int =
         if x0s.shape != (n_samples, 2):
             raise ValueError("initial_points must have shape (n_samples, 2)")
     on_s = x0s[:, 0] * x0s[:, 1] == 0.0
-    stuck = x0s[:, 1] == 0.0
-    exit_index = np.full(n_samples, -1, dtype=np.int64)
-    off = np.flatnonzero(~on_s)
-    if off.size:
-        idx, _ = run_batch(fn, x0s[off], alpha, k_max, center, epsilon)
-        exit_index[off] = idx
+    exit_index, _ = run_batch(fn, x0s, alpha, k_max, center, epsilon)
     escaped = exit_index >= 0
     per_sample = np.zeros(n_samples, dtype=[("x1_0", float), ("x2_0", float),
                                             ("exit_index", np.int64), ("on_S", bool)])
@@ -154,7 +149,7 @@ def escape_experiment(epsilon: float, alpha: float, n_samples: int, k_max: int =
         seed=int(seed),
         escaped_count=int(escaped.sum()),
         max_exit_index=int(exit_index.max()) if escaped.any() else -1,
-        stuck_on_S_count=int(stuck.sum()),
+        stuck_on_S_count=int((x0s[:, 1] == 0.0).sum()),
         non_escaped_offS_count=int((~escaped & ~on_s).sum()),
     )
     return stats, per_sample

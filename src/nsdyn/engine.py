@@ -6,7 +6,10 @@ convention of the continuous flow and makes discrete/continuous comparisons
 canonical.  It is the closed form ``fn.min_norm_many``, which the generator
 policies also take except at an exact kink.  ``run``, ``run_batch``, ``step``
 and the flow share one row selector and one step loop ``_iterate``, so all
-agree bit for bit; Wolfe's projector never steps.
+agree bit for bit; Wolfe's projector never steps.  The loop alone decides when
+a row stops, by one keep test applied from k = 0 on: ``_inside`` an exit ball,
+or ``_bounded`` without one, so a diverged batch row retires at its
+divergence step, where ``run`` records ``diverged_at``.
 
 The loop owns its working rows: one column-major (``order="F"``) copy of the
 start points, updated in place (``s *= a; pts -= s``) and compacted only when
@@ -15,7 +18,7 @@ reductions over the few coordinates cheap on a thousand rows.  numpy's
 ``sum(axis=1)`` adds an F-ordered batch column by column but a C-ordered row
 of 8 or more entries pairwise, so its bits would depend on the layout and a
 batch row would drift from its ``run`` replay.  Every row reduction of the
-dynamics (the exit test, ``neg_norm``'s field) therefore uses
+dynamics (the ball test, ``neg_norm``'s field) therefore uses
 ``catalog.sum_sq``, which adds the squared columns left to right in any
 layout.
 
@@ -30,7 +33,7 @@ first kink, so ``run`` and each row of ``run_batch`` replay bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -138,57 +141,60 @@ def _check_alpha(alpha: float):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
 
 
-def _outside(center, radius: float, dim: int):
-    """Per-row test ||x - center||^2 > radius^2, the exit test used everywhere."""
+def _inside(center, radius: float, dim: int):
+    """Keep test ||x - center||^2 <= radius^2 per row, which NaN and inf rows fail.
+
+    The ball must have a finite radius > 0 and lie within DIVERGENCE_LIMIT / 2
+    of the origin, so a row inside it is always ``_bounded``.
+    """
     center = as_point(center, dim)
-    r2 = float(radius) * float(radius)
-
-    def test(pts):
-        return sum_sq(pts - center) > r2
-
-    return test
-
-
-def _diverged(pts: np.ndarray) -> np.ndarray:
-    """Rows with a non-finite coordinate or one beyond DIVERGENCE_LIMIT."""
-    return ~(np.abs(pts) <= DIVERGENCE_LIMIT).all(axis=1)
+    r = float(radius)
+    if not (0.0 < r < np.inf and np.abs(center).max() + r <= DIVERGENCE_LIMIT / 2):
+        raise ValueError(f"exit ball needs a finite radius > 0 and a finite center, within "
+                         f"{DIVERGENCE_LIMIT / 2:g} of the origin; got radius {radius}, center {center.tolist()}")
+    r2 = r * r
+    return lambda pts: sum_sq(pts - center) <= r2
 
 
-def _iterate(select, pts: np.ndarray, steps, stop=None, points=None, subgrads=None):
+def _bounded(pts: np.ndarray) -> np.ndarray:
+    """Keep test without an exit ball: every |coordinate| <= DIVERGENCE_LIMIT, which NaN fails."""
+    return (np.abs(pts) <= DIVERGENCE_LIMIT).all(axis=1)
+
+
+def _iterate(select, pts: np.ndarray, steps, keep, points=None, subgrads=None):
     """The step loop: x <- x - a * select(x, ids) on every live row, for each step size a.
 
-    Rows flagged by stop(pts) after step k retire with exit index k and their
-    point; the rest keep -1.  Returns (exit_index, last_points), recording row
-    0's iterates and selections into points[1:] and subgrads when given.
+    keep(pts) is the one stop rule, applied to the starts (k = 0) and after
+    every step k: a row it fails retires with exit index k and that point; the
+    rest keep -1.  Returns (exit_index, last_points), recording row 0's
+    iterates and selections into points[1:] and subgrads when given.
 
     ``pts`` is never written: the loop steps its own column-major copy in
     place, scaling each fresh selection by a and subtracting it, which gives
     the same bits as x - a * s.  select gets the live rows and their row numbers
     in ``pts`` once per step; exits compact the copy and keep it column-major.
     """
+    last = np.array(pts, dtype=float)
+    pts = np.array(last, order="F")
     exit_index = np.full(pts.shape[0], -1, dtype=np.int64)
-    last = np.array(pts, copy=True)
-    pts = np.array(pts, dtype=float, order="F")
     alive_ids = np.arange(pts.shape[0])
-    for k, a in enumerate(steps, 1):
-        if alive_ids.size == 0:
+    for k, a in enumerate(chain(steps, (None,))):
+        kept = keep(pts)
+        if not kept.all():
+            gone = alive_ids[~kept]
+            exit_index[gone] = k
+            last[gone] = pts[~kept]
+            alive_ids = alive_ids[kept]
+            pts = pts.T.compress(kept, axis=1).T  # pts[kept] would come back row-major
+        if a is None or alive_ids.size == 0:
             break
         s = select(pts, alive_ids)
         if points is not None:
-            subgrads[k - 1] = s[0]
+            subgrads[k] = s[0]
         s *= a
         pts -= s
         if points is not None:
-            points[k] = pts[0]
-        if stop is not None:
-            out = stop(pts)
-            if out.any():
-                gone = alive_ids[out]
-                exit_index[gone] = k
-                last[gone] = pts[out]
-                keep = ~out
-                alive_ids = alive_ids[keep]
-                pts = pts.T.compress(keep, axis=1).T  # pts[keep] would come back row-major
+            points[k + 1] = pts[0]
     last[alive_ids] = pts
     return exit_index, last
 
@@ -247,27 +253,21 @@ def run(fn: CatalogFunction, x0, alpha: float, n_steps: int,
         stop: tuple | None = None) -> Trajectory:
     """Iterate ``n_steps`` times, or until leaving the optional stop ball or diverging.
 
-    stop is (center, radius); the first point outside the ball is recorded
-    and iteration halts there.  Divergence (any |coordinate| > 1e100 or
-    non-finite) is recorded in diverged_at, never raised.  n_steps = 0 is
-    allowed and records the initial point alone.
+    stop is (center, radius); from the start on, the first point outside the
+    ball or diverged (any |coordinate| > 1e100 or non-finite) is recorded and
+    iteration halts there.  Divergence is recorded in diverged_at, never
+    raised.  n_steps = 0 is allowed and records the initial point alone.
     """
     _check_alpha(alpha)
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    x = as_point(x0, fn.dim)
     points = np.empty((n_steps + 1, fn.dim))
     subgrads = np.empty((n_steps, fn.dim))
-    points[0] = x
-    stop_test = _diverged
-    if stop is not None:
-        outside = _outside(stop[0], stop[1], fn.dim)
-        n_steps = 0 if outside(points[:1])[0] else n_steps
-        stop_test = lambda pts: outside(pts) | _diverged(pts)
+    points[0] = as_point(x0, fn.dim)
+    keep = _bounded if stop is None else _inside(stop[0], stop[1], fn.dim)
     exit_index, last = _iterate(_selector(fn, policy, lambda row: make_rng(seed)), points[:1],
-                                repeat(alpha, n_steps), stop_test, points, subgrads)
+                                repeat(alpha, n_steps), keep, points, subgrads)
     k_last = n_steps if exit_index[0] < 0 else int(exit_index[0])
-    diverged_at = k_last if exit_index[0] >= 0 and _diverged(last)[0] else None
     return Trajectory(
         fn_id=fn.name,
         alpha=float(alpha),
@@ -275,7 +275,7 @@ def run(fn: CatalogFunction, x0, alpha: float, n_steps: int,
         chosen_subgradients=subgrads[:k_last].copy(),
         policy=policy,
         seed=int(seed),
-        diverged_at=diverged_at,
+        diverged_at=None if _bounded(last)[0] else k_last,
     )
 
 
@@ -284,20 +284,17 @@ def run_batch(fn: CatalogFunction, x0s: np.ndarray, alpha: float, n_steps: int,
               policy: SelectionPolicy = MINIMAL_NORM, seeds=None):
     """``run``'s step loop over many initial points at once.
 
-    Row i replayed through ``run(..., policy, seed=seeds(i))`` gives the same
-    iterates bit for bit; ``seeds`` is called at a row's first kink only.
-    Returns (exit_index, last_points): exit_index[i] is the first k with
-    ||x_k - center|| > radius (0 for a start outside), else -1; without an
-    exit ball every sample runs n_steps and keeps -1.
+    Row i replayed through ``run(..., policy, seed=seeds(i), stop=ball)`` gives
+    the same iterates bit for bit; ``seeds`` is called at a row's first kink
+    only.  Returns (exit_index, last_points): exit_index[i] is the first k (0
+    for the start) at which ``run`` halts, with x_k outside the exit ball or,
+    without one, diverged; else -1.  So a diverged row retires at its
+    divergence step.
     """
     _check_alpha(alpha)
-    pts = np.array(x0s, dtype=float, copy=True)
-    stop = None if exit_center is None else _outside(exit_center, exit_radius, fn.dim)
-    live = np.arange(pts.shape[0]) if stop is None else np.flatnonzero(~stop(pts))  # the rest exit at 0
-    rng_of = None if seeds is None else lambda i: make_rng(seeds(int(live[i])))
-    exit_index = np.zeros(pts.shape[0], dtype=np.int64)
-    exit_index[live], pts[live] = _iterate(_selector(fn, policy, rng_of), pts[live], repeat(alpha, n_steps), stop)
-    return exit_index, pts
+    keep = _bounded if exit_center is None else _inside(exit_center, exit_radius, fn.dim)
+    rng_of = None if seeds is None else lambda i: make_rng(seeds(int(i)))
+    return _iterate(_selector(fn, policy, rng_of), x0s, repeat(alpha, n_steps), keep)
 
 
 @dataclass(frozen=True)
@@ -347,8 +344,6 @@ def interpolate(path: InterpolatedPath, t) -> np.ndarray:
 
 
 def first_exit(traj: Trajectory, center, radius: float) -> int | None:
-    """Smallest k with ||points[k] - center|| > radius, or None."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    hits = np.flatnonzero(_outside(center, radius, traj.dim)(traj.points))
+    """Smallest k with points[k] outside the ball (``_inside`` fails, as on NaN), or None."""
+    hits = np.flatnonzero(~_inside(center, radius, traj.dim)(traj.points))
     return int(hits[0]) if hits.size else None

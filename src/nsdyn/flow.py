@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CatalogFunction, as_point
-from .engine import MINIMAL_NORM, InterpolatedPath, _blend, _diverged, _iterate, _selector, _times, interpolate
+from .engine import MINIMAL_NORM, InterpolatedPath, _blend, _bounded, _iterate, _selector, _times, interpolate
 from .errors import HorizonMismatch, NonFiniteState
 
 __all__ = [
@@ -83,7 +83,7 @@ def integrate_flow(fn: CatalogFunction, x0, horizon: float, h: float) -> FlowSol
     xs = np.empty((m, fn.dim))
     subs = np.empty((m, fn.dim))
     xs[0] = x0
-    exit_index, _ = _iterate(_selector(fn, MINIMAL_NORM), xs[:1], np.diff(ts), _diverged, xs, subs)
+    exit_index, _ = _iterate(_selector(fn, MINIMAL_NORM), xs[:1], np.diff(ts), _bounded, xs, subs)
     if exit_index[0] >= 0:
         raise NonFiniteState(f"flow diverged at t={ts[exit_index[0]]}")
     subs[m - 1] = fn.min_norm_many(xs[m - 1:])[0]

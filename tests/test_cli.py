@@ -205,8 +205,12 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
                        ("convex-bounds --function quad --x0 1e200 --alpha 0.1 --epsilon 0.1", "x0"),
                        ("compare --function quad --x0 1 --alpha 0.1 --horizon -1", "horizon"),
                        ("probe --function neg_norm --xstar 0,0 --epsilon 0.1 --max-iters 0", "max_iters"),
-                       ("counterexample --epsilon 0.25 --alpha 0.3 --samples 5 --max-iters 0", "k_max"),
-                       ("simulate --function quad --x0 1 --alpha 0.1 --steps 3 --seed -1", "seed")]:
+                       ("counterexample --epsilon 0.25 --alpha 0.3 --samples 5 --max-iters 0", "max_iters"),
+                       ("simulate --function quad --x0 1 --alpha 0.1 --steps 3 --seed -1", "seed"),
+                       ("simulate --function quad --x0 1 --alpha 0.1 --steps -1", "steps"),
+                       ("convex-bounds --function quad --x0 1 --alpha 0.1 --epsilon 0.1 --steps -3", "steps"),
+                       ("probe --function neg_norm --xstar 0,0 --epsilon 0.1 --samples 0", "samples"),
+                       ("counterexample --epsilon 0.25 --alpha 0.3 --samples 0", "samples")]:
         rows.append((None, cmd.split() + ["--out", "o"], named))
     for env_seed, argv, named in rows:
         with monkeypatch.context() as m:
@@ -222,6 +226,8 @@ SAMPLE = {"function": "quad", "x0": [1.0], "xstar": [0.0], "alpha": 0.1, "steps"
           "h": 0.1, "epsilon": 0.25, "delta_grid": [0.05], "alpha_grid": [0.1], "samples": 3,
           "max_iters": 5, "seed": 1, "policy": "random_extreme", "policy_index": 1, "out": "o",
           "format": "json", "per_sample_csv": "s.csv"}
+# the largest value below each bounded int field's minimum
+BELOW_MINIMUM = {"steps": -1, "samples": 0, "max_iters": 0, "seed": -1}
 WRONG = {float: [math.nan, math.inf, "1", True], int: [math.nan, math.inf, 1.5, "1", True],
          list: [math.nan, 1.0, "1", True, [math.nan], [math.inf], ["1"], [True]], str: [1, True]}
 
@@ -236,8 +242,7 @@ def test_every_command_holds_configs_to_its_row(tmp_path, capsys):
         cases += [({**base, name: value}, name) for name, value in SAMPLE.items() if name not in TAKES[command]]
         cases += [({**base, name: value}, name) for name in sorted(TAKES[command] - {"command"})
                   for value in WRONG[KINDS[name]]]
-        if "seed" in TAKES[command]:
-            cases.append(({**base, "seed": -1}, "seed"))
+        cases += [({**base, name: value}, name) for name, value in BELOW_MINIMUM.items() if name in TAKES[command]]
     assert len(cases) > 200
     for i, (cfg, named) in enumerate(cases):
         (tmp_path / f"{i}.json").write_text(json.dumps(cfg))

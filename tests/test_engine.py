@@ -179,8 +179,26 @@ def test_divergence_flagged_not_raised():
     assert traj.points.shape == (334, 1)
     assert abs(traj.points[-1, 0]) > DIVERGENCE_LIMIT
     assert np.all(np.abs(traj.points[:-1, 0]) <= DIVERGENCE_LIMIT)
-    # divergence is only checked after a step, so a NaN start takes one
-    assert run(QUAD1, [np.nan], 0.1, 5).diverged_at == 1
+    # the keep test applies from the start, so a NaN start diverges at 0
+    assert run(QUAD1, [np.nan], 0.1, 5).diverged_at == 0
+    # run_batch retires a diverged row at its divergence step, with run's last point
+    x0s = np.array([[1.0], [np.nan]])
+    exit_idx, last = run_batch(QUAD1, x0s, 3.0, 400)
+    npt.assert_array_equal(exit_idx, [333, 0])
+    for i, x0 in enumerate(x0s):
+        assert last[i].tobytes() == run(QUAD1, x0, 3.0, 400).points[-1].tobytes()
+
+
+def test_bad_exit_ball_is_rejected_everywhere():
+    traj = run(QUAD1, [1.0], 0.1, 3)
+    for center, radius in [([0.0], 0.0), ([0.0], -0.1), ([0.0], np.nan), ([0.0], np.inf),
+                           ([np.nan], 0.5), ([1e100], 0.5)]:
+        with pytest.raises(ValueError):
+            run(QUAD1, [1.0], 0.1, 3, stop=(center, radius))
+        with pytest.raises(ValueError):
+            run_batch(QUAD1, np.ones((2, 1)), 0.1, 3, center, radius)
+        with pytest.raises(ValueError):
+            first_exit(traj, center, radius)
 
 
 def test_batch_matches_scalar_bitwise():
@@ -215,8 +233,8 @@ def test_run_batch_matches_run_under_every_policy():
     fns = [get_function(name, dim) for name, dim in (("abs_sum", 1), ("abs_sum", 3), ("vee_bowl", 2),
                                                      ("wiggle", 1), ("neg_norm", 1), ("neg_norm", 2),
                                                      ("cross", 2), ("quad", 2))]
-    # exact kinks, and starts that step onto one at alpha 0.25
-    coord = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.25, 0.75]), st.floats(-1.0, 1.0))
+    # exact kinks, starts that step onto one at alpha 0.25, and NaN starts
+    coord = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.25, 0.75, np.nan]), st.floats(-1.0, 1.0))
     policies = [MINIMAL_NORM, SelectionPolicy("random_extreme"), SelectionPolicy("fixed_index", 1),
                 SelectionPolicy("fixed_index", 2)]
 
@@ -234,7 +252,7 @@ def test_run_batch_matches_run_under_every_policy():
         exit_idx, last = run_batch(fn, batch, alpha, n_steps, *(stop or (None, None)), policy, seeds.__getitem__)
         for i, x0 in enumerate(x0s):
             traj = run(fn, x0, alpha, n_steps, policy, seed=seeds[i], stop=stop)
-            hit = None if stop is None else first_exit(traj, *stop)
+            hit = traj.diverged_at if stop is None else first_exit(traj, *stop)
             assert exit_idx[i] == (-1 if hit is None else hit)
             assert last[i].tobytes() == traj.points[-1].tobytes()
 
