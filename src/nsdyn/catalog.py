@@ -59,16 +59,16 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def sum_sq(pts: np.ndarray) -> np.ndarray:
+def sum_sq(pts: np.ndarray, in_place: bool = False) -> np.ndarray:
     """Squared norm of each row, adding the squared columns left to right.
 
     The same bits in any memory layout, which ``(pts * pts).sum(axis=1)``
-    does not promise; the dynamics take every row reduction from here.
+    does not promise; the dynamics take every row sum from here.
     Outputs (values, CSV norms, deviations) take ``np.vecdot(v, v)``
     instead: on C-ordered rows it has the bits of the scalar ``x @ x`` and
     of ``np.linalg.norm``, so a row prints the same as its one-point case.
     """
-    sq = pts * pts
+    sq = np.multiply(pts, pts, out=pts if in_place else None)
     acc = sq[:, 0]
     for j in range(1, sq.shape[1]):
         acc += sq[:, j]
@@ -154,7 +154,11 @@ class CatalogFunction:
         """Minimal-norm subgradient at each row of ``pts`` (closed form).
 
         Returns a new array in the memory layout of ``pts``: the step loop
-        scales it in place and keeps its working rows column-major.
+        scales it in place and keeps its working rows column-major.  Each
+        kernel makes few whole-array passes in one fixed association order,
+        so a row's bits do not depend on layout or batch.  Signs multiply by
+        ``np.sign``, never ``np.copysign``: np.sign(-0.0) is +0.0, and
+        copysign would move the next iterate of a -0.0 start.
         """
         raise NotImplementedError
 
@@ -235,12 +239,14 @@ class Cross(CatalogFunction):
         return np.float_power(a[:, 0], 1.5) * np.float_power(a[:, 1], 1.5)
 
     def min_norm_many(self, pts):
-        x1, x2 = pts[:, 0], pts[:, 1]
-        a1, a2 = np.abs(x1), np.abs(x2)
-        r1, r2 = np.sqrt(a1), np.sqrt(a2)  # each square root once
-        out = np.empty_like(pts)
-        out[:, 0] = 1.5 * r1 * a2 * r2 * np.sign(x1)
-        out[:, 1] = 1.5 * a1 * r1 * r2 * np.sign(x2)
+        w = np.empty((pts.shape[0], 4), order="F")  # columns a1, a2, r1, r2: |x|, then sqrt|x|
+        np.abs(pts, out=w[:, :2])
+        np.sqrt(w[:, :2], out=w[:, 2:])
+        # ((((1.5*r1)*a2)*r2)*sign(x1)) and ((((1.5*a1)*r1)*r2)*sign(x2)), over column pairs
+        out = np.multiply(1.5, w[:, 2::-2], out=np.empty_like(pts))
+        out *= w[:, 1:3]
+        out *= w[:, 3:]
+        out *= np.sign(pts)
         return out
 
 
@@ -270,10 +276,9 @@ class Wiggle(CatalogFunction):
 
     def min_norm_many(self, pts):
         t = pts[:, 0]
-        out = np.zeros_like(t)
         nz = t != 0.0
-        out[nz] = 2.0 * t[nz] * np.sin(1.0 / t[nz]) - np.cos(1.0 / t[nz])
-        return out[:, None]
+        inv = np.divide(1.0, t, out=np.zeros_like(t), where=nz)
+        return np.where(nz, 2.0 * t * np.sin(inv) - np.cos(inv), 0.0)[:, None]
 
 
 class VeeBowl(CatalogFunction):
@@ -297,7 +302,8 @@ class VeeBowl(CatalogFunction):
 
     def min_norm_many(self, pts):
         out = np.empty_like(pts)
-        out[:, 0], out[:, 1] = np.sign(pts[:, 0]), 2.0 * pts[:, 1]
+        np.sign(pts[:, 0], out=out[:, 0])
+        np.multiply(2.0, pts[:, 1], out=out[:, 1])
         return out
 
 
@@ -327,9 +333,8 @@ class NegNorm(CatalogFunction):
         return np.sqrt(sum_sq(pts)) <= active_tol
 
     def min_norm_many(self, pts):
-        r = np.sqrt(sum_sq(pts))
-        safe = np.where(r > 0.0, r, 1.0)
-        return np.where(r[:, None] > 0.0, -pts / safe[:, None], 0.0)
+        r = np.sqrt(sum_sq(pts))[:, None]
+        return np.divide(pts, -r, out=np.zeros_like(pts), where=r > 0.0)  # x/(-r) == (-x)/r bit for bit
 
 
 _FLEX = {"quad": Quad, "abs_sum": AbsSum, "neg_norm": NegNorm}

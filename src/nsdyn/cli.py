@@ -290,7 +290,8 @@ def run_command(argv: list[str]) -> int:
             seed = int(env_seed)  # parsed for every command, so a bad value always exits 2
             if "seed" in TAKES.get(cfg.command, ()):
                 cfg.seed = seed
-        return execute(cfg)
+        with np.errstate(all="ignore"):  # a diverged run reports on one line, not in warnings
+            return execute(cfg)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -87,7 +87,7 @@ class EscapeStats:
     seed: int
     escaped_count: int
     max_exit_index: int  # -1 when nothing escaped
-    stuck_on_S_count: int  # starts with x2 == 0 exactly
+    stuck_on_S_count: int  # x2 == 0 starts in the ball: fixed points, never escaped
     non_escaped_offS_count: int
 
     def to_json_dict(self) -> dict:
@@ -109,8 +109,8 @@ def escape_experiment(epsilon: float, alpha: float, n_samples: int, k_max: int =
     """Count how many starts in B((1,0), epsilon) leave the ball within k_max steps.
 
     Samples uniformly in the ball (the continuous sampler hits the axis set
-    with probability zero; exact x2 == 0 starts are counted as stuck, and in
-    the ball they are fixed points that keep -1; any start outside exits at 0).
+    with probability zero; an x2 == 0 start in the ball is a fixed point that
+    keeps -1 and counts as stuck; any start outside exits at 0 as escaped).
     Non-escaping off-axis samples are not discarded: they are counted and
     their indices are available in the per-sample table for inspection.
 
@@ -149,7 +149,7 @@ def escape_experiment(epsilon: float, alpha: float, n_samples: int, k_max: int =
         seed=int(seed),
         escaped_count=int(escaped.sum()),
         max_exit_index=int(exit_index.max()) if escaped.any() else -1,
-        stuck_on_S_count=int((x0s[:, 1] == 0.0).sum()),
+        stuck_on_S_count=int(((x0s[:, 1] == 0.0) & ~escaped).sum()),
         non_escaped_offS_count=int((~escaped & ~on_s).sum()),
     )
     return stats, per_sample

@@ -9,7 +9,9 @@ and the flow share one row selector and one step loop ``_iterate``, so all
 agree bit for bit; Wolfe's projector never steps.  The loop alone decides when
 a row stops, by one keep test applied from k = 0 on: ``_inside`` an exit ball,
 or ``_bounded`` without one, so a diverged batch row retires at its
-divergence step, where ``run`` records ``diverged_at``.
+divergence step, where ``run`` records ``diverged_at``.  A keep test is a pair
+(measure, bound), kept while measure <= bound; each step takes one max and builds
+the row mask only when it fails, and a NaN propagates, so a NaN row retires.
 
 The loop owns its working rows: one column-major (``order="F"``) copy of the
 start points, updated in place (``s *= a; pts -= s``) and compacted only when
@@ -142,7 +144,7 @@ def _check_alpha(alpha: float):
 
 
 def _inside(center, radius: float, dim: int):
-    """Keep test ||x - center||^2 <= radius^2 per row, which NaN and inf rows fail.
+    """Keep test ||x - center||^2 <= radius^2 as a (measure, bound) pair; NaN and inf rows fail it.
 
     The ball must have a finite radius > 0 and lie within DIVERGENCE_LIMIT / 2
     of the origin, so a row inside it is always ``_bounded``.
@@ -152,22 +154,20 @@ def _inside(center, radius: float, dim: int):
     if not (0.0 < r < np.inf and np.abs(center).max() + r <= DIVERGENCE_LIMIT / 2):
         raise ValueError(f"exit ball needs a finite radius > 0 and a finite center, within "
                          f"{DIVERGENCE_LIMIT / 2:g} of the origin; got radius {radius}, center {center.tolist()}")
-    r2 = r * r
-    return lambda pts: sum_sq(pts - center) <= r2
+    return lambda pts: sum_sq(pts - center, in_place=True), r * r
 
 
-def _bounded(pts: np.ndarray) -> np.ndarray:
-    """Keep test without an exit ball: every |coordinate| <= DIVERGENCE_LIMIT, which NaN fails."""
-    return (np.abs(pts) <= DIVERGENCE_LIMIT).all(axis=1)
+# keep test without an exit ball: every |coordinate| <= DIVERGENCE_LIMIT, which NaN fails
+_bounded = (lambda pts: np.abs(pts).max(axis=1), DIVERGENCE_LIMIT)
 
 
 def _iterate(select, pts: np.ndarray, steps, keep, points=None, subgrads=None):
     """The step loop: x <- x - a * select(x, ids) on every live row, for each step size a.
 
-    keep(pts) is the one stop rule, applied to the starts (k = 0) and after
-    every step k: a row it fails retires with exit index k and that point; the
-    rest keep -1.  Returns (exit_index, last_points), recording row 0's
-    iterates and selections into points[1:] and subgrads when given.
+    keep = (measure, bound) is the one stop rule, applied to the starts (k = 0)
+    and after every step k: a row without measure <= bound retires with exit
+    index k and that point; the rest keep -1.  Returns (exit_index, last_points),
+    recording row 0's iterates and selections into points[1:] and subgrads if given.
 
     ``pts`` is never written: the loop steps its own column-major copy in
     place, scaling each fresh selection by a and subtracting it, which gives
@@ -178,9 +178,11 @@ def _iterate(select, pts: np.ndarray, steps, keep, points=None, subgrads=None):
     pts = np.array(last, order="F")
     exit_index = np.full(pts.shape[0], -1, dtype=np.int64)
     alive_ids = np.arange(pts.shape[0])
+    measure, bound = keep
     for k, a in enumerate(chain(steps, (None,))):
-        kept = keep(pts)
-        if not kept.all():
+        m = measure(pts)
+        if not m.max(initial=-np.inf) <= bound:  # one reduction; a NaN row propagates and fails
+            kept = m <= bound
             gone = alive_ids[~kept]
             exit_index[gone] = k
             last[gone] = pts[~kept]
@@ -275,7 +277,7 @@ def run(fn: CatalogFunction, x0, alpha: float, n_steps: int,
         chosen_subgradients=subgrads[:k_last].copy(),
         policy=policy,
         seed=int(seed),
-        diverged_at=None if _bounded(last)[0] else k_last,
+        diverged_at=None if _bounded[0](last)[0] <= DIVERGENCE_LIMIT else k_last,
     )
 
 
@@ -345,5 +347,6 @@ def interpolate(path: InterpolatedPath, t) -> np.ndarray:
 
 def first_exit(traj: Trajectory, center, radius: float) -> int | None:
     """Smallest k with points[k] outside the ball (``_inside`` fails, as on NaN), or None."""
-    hits = np.flatnonzero(~_inside(center, radius, traj.dim)(traj.points))
+    measure, bound = _inside(center, radius, traj.dim)
+    hits = np.flatnonzero(~(measure(traj.points) <= bound))
     return int(hits[0]) if hits.size else None

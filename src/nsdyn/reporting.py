@@ -6,7 +6,7 @@ so regenerating any artifact from the same inputs is byte-identical.
 
 A CSV is built from whole columns, and a column's dtype decides how every
 cell in it prints: integer and bool columns as integers (a bool as 0 or
-1), every other column through ``fmt``.
+1), every other column as ``fmt`` prints a float.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ def fmt(v) -> str:
 
 
 def _csv(header: list[str], columns: list) -> str:
-    cols = [map(str, c.astype(np.int64).tolist()) if c.dtype.kind in "biu" else map(fmt, c.tolist())
+    # repr of a Python float is fmt without its float() call
+    cols = [map(repr, c.astype(np.int64 if c.dtype.kind in "biu" else float, copy=False).tolist())
             for c in map(np.asarray, columns)]
     return "\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n"
 

@@ -242,6 +242,43 @@ def test_cross_sign_symmetry():
             npt.assert_array_equal(g, [s1 * base[0], s2 * base[1]])
 
 
+def _field_at(name, x):
+    """One point's minimal-norm field in float64 scalars, in the kernels' association order."""
+    x1, x2 = x[0], x[-1]
+    sign = np.sign
+    if name == "quad":
+        return list(x)
+    if name == "abs_sum":
+        return [sign(v) for v in x]
+    if name == "cross":
+        a1, a2 = abs(x1), abs(x2)
+        r1, r2 = np.sqrt(a1), np.sqrt(a2)
+        return [1.5 * r1 * a2 * r2 * sign(x1), 1.5 * a1 * r1 * r2 * sign(x2)]
+    if name == "wiggle":
+        return [np.float64(0.0) if x1 == 0.0 else 2.0 * x1 * np.sin(1.0 / x1) - np.cos(1.0 / x1)]
+    if name == "vee_bowl":
+        return [sign(x1), 2.0 * x2]
+    r = np.sqrt(x1 * x1 + x2 * x2)  # neg_norm: the squared columns added left to right
+    return [(-v) / r if r > 0.0 else np.float64(0.0) for v in x]
+
+
+def test_fields_keep_the_bits_of_the_one_point_formula_in_any_layout():
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1e300, -1e-300, 0.7]
+    table = np.concatenate([np.array(list(itertools.product(special, repeat=2))),
+                            make_rng(11).uniform(-3.0, 3.0, (40, 2))])
+    for name in ("quad", "abs_sum", "cross", "wiggle", "vee_bowl", "neg_norm"):
+        fn = get_function(name)
+        pts = table[:, :fn.dim]
+        with np.errstate(all="ignore"):
+            want = np.array([_field_at(name, row) for row in pts], dtype=float)
+            for batch in (np.ascontiguousarray(pts), np.asfortranarray(pts)):
+                got = fn.min_norm_many(batch)
+                assert (got.flags.c_contiguous, got.flags.f_contiguous) == \
+                       (batch.flags.c_contiguous, batch.flags.f_contiguous), name
+                bad = np.flatnonzero((got.view(np.uint64) != want.view(np.uint64)).any(axis=1))
+                assert bad.size == 0, (name, batch.flags.f_contiguous, pts[bad[:3]].tolist())
+
+
 def test_generator_norms_respect_analytic_lipschitz_constants():
     rng = make_rng(31)
     cases = [

@@ -276,6 +276,17 @@ def test_divergence_exit_3(tmp_path, capsys):
     assert len(lines) == 335
 
 
+def test_divergence_stderr_is_one_line(tmp_path, capsys, recwarn):
+    # the step overflows to inf: the CSV keeps the truthful inf, and no numpy
+    # warning joins the one diagnostic line
+    rc = _run_in(tmp_path, ["simulate", "--function", "cross", "--x0", "1e99,1e99",
+                            "--alpha", "1", "--steps", "3", "--out", "div.csv"])
+    assert rc == 3
+    assert capsys.readouterr().err == "diverged at iterate 1\n"
+    assert len(recwarn) == 0
+    assert (tmp_path / "div.csv").read_text().splitlines()[-1].endswith(",inf,inf")
+
+
 def test_compare_emits_aligned_pair(tmp_path):
     rc = _run_in(tmp_path, ["compare", "--function", "vee_bowl", "--x0", "0,0.8",
                             "--alpha", "0.1", "--horizon", "1.0", "--out", "fig"])

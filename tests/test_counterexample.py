@@ -103,12 +103,13 @@ def test_escape_experiment_forced_axis_start():
     assert stats.stuck_on_S_count == 1
     assert per_sample["on_S"][0]
     assert per_sample["exit_index"][0] == -1
-    # an axis start outside the ball exits at 0, as an off-axis one does
+    # an axis start outside the ball exits at 0, as an off-axis one does, and
+    # counts as escaped only: stuck counts the axis starts inside the ball
     stats, per_sample = escape_experiment(0.25, 0.1, 3, k_max=100, seed=7,
                                           initial_points=[[1.0, 0.0], [1.5, 0.0], [1.5, 0.1]])
     assert per_sample["exit_index"].tolist() == [-1, 0, 0]
     assert per_sample["on_S"].tolist() == [True, True, False]
-    assert (stats.escaped_count, stats.stuck_on_S_count, stats.non_escaped_offS_count) == (2, 2, 0)
+    assert (stats.escaped_count, stats.stuck_on_S_count, stats.non_escaped_offS_count) == (2, 1, 0)
 
 
 def test_escape_experiment_regression_baseline():

@@ -16,7 +16,7 @@ from nsdyn import (
     step,
     subdifferential,
 )
-from nsdyn.engine import DIVERGENCE_LIMIT, derive_seed, make_rng
+from nsdyn.engine import DIVERGENCE_LIMIT, Trajectory, derive_seed, make_rng
 from nsdyn.errors import NonFiniteState, OutOfHorizon
 
 QUAD1 = get_function("quad", 1)
@@ -187,6 +187,33 @@ def test_divergence_flagged_not_raised():
     npt.assert_array_equal(exit_idx, [333, 0])
     for i, x0 in enumerate(x0s):
         assert last[i].tobytes() == run(QUAD1, x0, 3.0, 400).points[-1].tobytes()
+
+
+def test_stop_rule_retires_exactly_the_masked_rows():
+    # the loop takes one max per step and builds the row mask only when it fails;
+    # the rows it retires must be those the per-row mask retires
+    quad, lim, r = get_function("quad", 2), DIVERGENCE_LIMIT, 0.5
+    rows = np.array([[0.1, -0.2], [np.nan, 0.0], [0.0, -np.inf], [0.5, 0.0], [0.0, -0.5],
+                     [np.nextafter(0.5, 1.0), 0.0], [lim, -lim], [0.5, np.nextafter(lim, np.inf)]])
+    bounded = (np.abs(rows) <= lim).all(axis=1)
+    inside = (rows * rows).sum(axis=1) <= r * r
+    assert bounded.tolist() == [True, False, False, True, True, True, True, False]
+    assert inside.tolist() == [True, False, False, True, True, False, False, False]
+    # at alpha 2 quad maps x to -x exactly, so a kept row stays kept
+    for ball, mask in (((None, None), bounded), ((np.zeros(2), r), inside)):
+        # the whole table, and each row beside a kept one (a lone NaN must win the max)
+        for ids in (list(range(len(rows))), *([0, i] for i in range(1, len(rows)))):
+            batch, want = rows[ids], np.where(mask[ids], -1, 0)
+            for n_steps in (0, 4):
+                exit_idx, last = run_batch(quad, batch, 2.0, n_steps, *ball)
+                npt.assert_array_equal(exit_idx, want)
+                assert last[want == 0].tobytes() == batch[want == 0].tobytes()
+        exit_idx, last = run_batch(quad, np.empty((0, 2)), 0.1, 3, *ball)
+        assert exit_idx.shape == (0,) and last.shape == (0, 2)
+    for row, kept_b, kept_i in zip(rows, bounded, inside):
+        assert run(quad, row, 2.0, 4).diverged_at == (None if kept_b else 0)
+        traj = Trajectory("quad", 2.0, np.array([rows[0], row]), np.zeros((1, 2)), MINIMAL_NORM, 0)
+        assert first_exit(traj, np.zeros(2), r) == (None if kept_i else 1)
 
 
 def test_bad_exit_ball_is_rejected_everywhere():

@@ -12,6 +12,7 @@ from nsdyn import (
     run,
 )
 from nsdyn.reporting import (
+    _csv,
     fmt,
     flow_csv_text,
     json_text,
@@ -26,6 +27,15 @@ def test_fmt_is_shortest_roundtrip():
     for v in (0.5, 0.1, 1 / 3, 0.32805000000000006, 1e-300, -0.0):
         assert float(fmt(v)) == v
         assert len(fmt(v).replace("-", "").replace(".", "").replace("e", "").lstrip("0")) <= 17
+
+
+def test_csv_cells_print_as_fmt():
+    col = np.array([0.1, -0.0, 1e-300, 5e-324, np.inf, -np.inf, np.nan, 1 / 3, 1e22, 123456789.0])
+    flags = np.array([True, False] * 5)
+    rows = _csv(["v", "on", "k"], [col, flags, np.arange(10) - 5]).splitlines()
+    assert rows[1:] == [f"{fmt(v)},{int(b)},{k - 5}" for k, (v, b) in enumerate(zip(col, flags))]
+    # a zero-row column prints no cell, not one empty cell
+    assert _csv(["v", "k"], [col[:0], np.arange(0)]) == "v,k\n"
 
 
 def test_trajectory_csv_deterministic(tmp_path):
