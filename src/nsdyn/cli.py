@@ -34,11 +34,11 @@ import numpy as np
 from . import reporting
 from .catalog import get_function
 from .counterexample import escape_experiment
-from .engine import InterpolatedPath, SelectionPolicy, run
+from .engine import InterpolatedPath, SelectionPolicy, _check_recorded, run
 from .errors import NonFiniteState
 from .flow import integrate_flow, sup_deviation
 from .reporting import json_text, write_text
-from .stability import StabilityQuery, convex_bounds_report, probe
+from .stability import StabilityQuery, _convex_bounds, probe
 
 __all__ = ["RunConfig", "run_command", "main"]
 
@@ -186,6 +186,14 @@ def _emit(text: str, out: str | None):
         write_text(out, text)
 
 
+def _diverged(k: int | None) -> int:
+    """Exit code 3, after one stderr line, for a run that diverged at iterate k; else 0."""
+    if k is None:
+        return 0
+    print(f"diverged at iterate {k}", file=sys.stderr)
+    return 3
+
+
 def _policy(cfg: RunConfig) -> SelectionPolicy:
     return SelectionPolicy(cfg.policy, cfg.policy_index)
 
@@ -205,10 +213,7 @@ def execute(cfg: RunConfig) -> int:
                              "points": traj.points, "diverged_at": traj.diverged_at}), cfg.out)
         else:
             _emit(reporting.trajectory_csv_text(traj, fn), cfg.out)
-        if traj.diverged_at is not None:
-            print(f"diverged at iterate {traj.diverged_at}", file=sys.stderr)
-            return 3
-        return 0
+        return _diverged(traj.diverged_at)
 
     if cfg.command == "flow":
         fn = get_function(cfg.function, dim=len(cfg.x0))
@@ -217,18 +222,16 @@ def execute(cfg: RunConfig) -> int:
 
     if cfg.command == "compare":
         fn = get_function(cfg.function, dim=len(cfg.x0))
-        if cfg.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {cfg.horizon}")
+        steps = np.ceil(np.float64(cfg.horizon) / cfg.alpha)  # inf at alpha 0, below 0 for a negative input
+        _check_recorded(steps, "horizon/alpha")
         h = cfg.h if cfg.h is not None else cfg.alpha / 100.0
-        steps = int(np.ceil(cfg.horizon / cfg.alpha))
-        traj = run(fn, cfg.x0, cfg.alpha, steps, _policy(cfg), seed=cfg.seed)
+        traj = run(fn, cfg.x0, cfg.alpha, int(steps), _policy(cfg), seed=cfg.seed)
         sol = integrate_flow(fn, cfg.x0, cfg.horizon, h)
         stem = cfg.out if cfg.out is not None else "compare"
         write_text(f"{stem}.discrete.csv", reporting.trajectory_csv_text(traj, fn))
         write_text(f"{stem}.flow.csv", reporting.flow_csv_text(sol))
         if traj.diverged_at is not None:
-            print(f"diverged at iterate {traj.diverged_at}", file=sys.stderr)
-            return 3
+            return _diverged(traj.diverged_at)
         dev = sup_deviation(InterpolatedPath(traj, cfg.horizon), sol)
         _emit(json_text(dev), f"{stem}.compare.json")
         return 0
@@ -265,8 +268,9 @@ def execute(cfg: RunConfig) -> int:
 
     # convex-bounds, the last row of SUBCOMMANDS
     fn = get_function(cfg.function, dim=len(cfg.x0))
-    _emit(json_text(convex_bounds_report(fn, cfg.x0, cfg.alpha, cfg.epsilon, n_steps=cfg.steps)), cfg.out)
-    return 0
+    report, diverged_at = _convex_bounds(fn, cfg.x0, cfg.alpha, cfg.epsilon, n_steps=cfg.steps)
+    _emit(json_text(report), cfg.out)
+    return _diverged(diverged_at)
 
 
 def run_command(argv: list[str]) -> int:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import as_point, get_function
-from .engine import _check_alpha, derive_seed, make_rng, run_batch, sample_ball
+from .engine import _positive, derive_seed, make_rng, run_batch, sample_ball
 from .errors import OnNullSet, PreconditionViolated
 
 __all__ = [
@@ -120,7 +120,7 @@ def escape_experiment(epsilon: float, alpha: float, n_samples: int, k_max: int =
     """
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("epsilon must lie in (0, 1/2]")
-    _check_alpha(alpha)
+    _positive("alpha", alpha)
     if n_samples < 1 or k_max < 1:
         raise ValueError("n_samples and k_max must be >= 1")
     fn = get_function("cross")

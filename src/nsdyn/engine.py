@@ -5,17 +5,18 @@ down.  The default minimal-norm selection matches the slow-solution
 convention of the continuous flow and makes discrete/continuous comparisons
 canonical.  It is the closed form ``fn.min_norm_many``, which the generator
 policies also take except at an exact kink.  ``run``, ``run_batch``, ``step``
-and the flow share one row selector and one step loop ``_iterate``, so all
-agree bit for bit; Wolfe's projector never steps.  The loop alone decides when
-a row stops, by one keep test applied from k = 0 on: ``_inside`` an exit ball,
-or ``_bounded`` without one, so a diverged batch row retires at its
-divergence step, where ``run`` records ``diverged_at``.  A keep test is a pair
-(measure, bound), kept while measure <= bound; each step takes one max and builds
-the row mask only when it fails, and a NaN propagates, so a NaN row retires.
+and the flow share one row selector and one step x - a * s, so all agree bit
+for bit; Wolfe's projector never steps.  One keep test, a pair (measure,
+bound) kept while measure <= bound, decides when a row stops, from k = 0 on:
+``_inside`` an exit ball, or ``_bounded`` without one; a NaN propagates
+through max and fails it.  The batch loop ``_iterate`` retires rows every
+step.  The recorded loop ``_record`` steps one row inside its own record and
+tests each block of new iterates at once; the iterates computed past the
+first failing one are discarded, silently.
 
-The loop owns its working rows: one column-major (``order="F"``) copy of the
-start points, updated in place (``s *= a; pts -= s``) and compacted only when
-rows exit, into a new column-major array.  Column-major keeps the per-row
+The batch loop owns its working rows: one column-major (``order="F"``) copy of
+the start points, updated in place (``s *= a; pts -= s``) and compacted only
+when rows exit, into a new column-major array.  Column-major keeps the per-row
 reductions over the few coordinates cheap on a thousand rows.  numpy's
 ``sum(axis=1)`` adds an F-ordered batch column by column but a C-ordered row
 of 8 or more entries pairwise, so its bits would depend on the layout and a
@@ -60,6 +61,8 @@ __all__ = [
 
 # any coordinate beyond this magnitude marks the trajectory as diverged
 DIVERGENCE_LIMIT = 1e100
+RECORD_BLOCK = 64  # a recorded run tests its new iterates once per this many steps
+MAX_RECORDED_STEPS = 10 ** 7  # 16 bytes per coordinate per step
 
 _POLICY_KINDS = ("minimal_norm", "random_extreme", "fixed_index")
 
@@ -137,10 +140,16 @@ def _selector(fn: CatalogFunction, policy: SelectionPolicy, rng_of=None):
     return select
 
 
-def _check_alpha(alpha: float):
-    """The step size must be finite and positive; NaN fails."""
-    if not 0.0 < alpha < np.inf:
-        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+def _positive(name: str, value, error=ValueError):
+    """The parameter ``name`` must be finite and positive; NaN fails."""
+    if not 0.0 < value < np.inf:
+        raise error(f"{name} must be finite and positive, got {value}")
+
+
+def _check_recorded(n_steps, source: str):
+    """A recorded run keeps 0 to MAX_RECORDED_STEPS steps, checked before allocating; ``source`` set n_steps."""
+    if not 0 <= n_steps <= MAX_RECORDED_STEPS:
+        raise ValueError(f"{source} must give between 0 and {MAX_RECORDED_STEPS} recorded steps")
 
 
 def _inside(center, radius: float, dim: int):
@@ -161,13 +170,17 @@ def _inside(center, radius: float, dim: int):
 _bounded = (lambda pts: np.abs(pts).max(axis=1), DIVERGENCE_LIMIT)
 
 
-def _iterate(select, pts: np.ndarray, steps, keep, points=None, subgrads=None):
-    """The step loop: x <- x - a * select(x, ids) on every live row, for each step size a.
+def _first_failing(m: np.ndarray, bound) -> int | None:
+    """Index of the first entry without m <= bound (NaN fails), or None; one max when none fails."""
+    return None if m.max(initial=-np.inf) <= bound else int(np.argmin(m <= bound))
+
+
+def _iterate(select, pts: np.ndarray, steps, keep):
+    """The batch loop: x <- x - a * select(x, ids) on every live row, for each step size a.
 
     keep = (measure, bound) is the one stop rule, applied to the starts (k = 0)
     and after every step k: a row without measure <= bound retires with exit
-    index k and that point; the rest keep -1.  Returns (exit_index, last_points),
-    recording row 0's iterates and selections into points[1:] and subgrads if given.
+    index k and that point; the rest keep -1.  Returns (exit_index, last_points).
 
     ``pts`` is never written: the loop steps its own column-major copy in
     place, scaling each fresh selection by a and subtracting it, which gives
@@ -191,14 +204,32 @@ def _iterate(select, pts: np.ndarray, steps, keep, points=None, subgrads=None):
         if a is None or alive_ids.size == 0:
             break
         s = select(pts, alive_ids)
-        if points is not None:
-            subgrads[k] = s[0]
         s *= a
         pts -= s
-        if points is not None:
-            points[k + 1] = pts[0]
     last[alive_ids] = pts
     return exit_index, last
+
+
+def _record(select, points: np.ndarray, subgrads: np.ndarray, steps, keep) -> int | None:
+    """points[k+1] = points[k] - a * subgrads[k] in place, for each step size a; returns the exit k or None.
+
+    The start is tested first, then each block of RECORD_BLOCK new iterates;
+    the caller drops the iterates stepped past the exit.
+    """
+    measure, bound = keep
+    tested = 0  # points[:tested] passed the keep test
+    with np.errstate(all="ignore"):  # steps past an exit may overflow; they are discarded
+        for k, a in enumerate(chain(steps, (None,))):
+            if k % RECORD_BLOCK == 0 or a is None:
+                hit = _first_failing(measure(points[tested:k + 1]), bound)
+                if hit is not None or a is None:
+                    return hit if hit is None else tested + hit
+                tested = k + 1
+            x = points[k:k + 1]
+            s = select(x, [0])
+            subgrads[k] = s
+            s *= a
+            np.subtract(x, s, out=points[k + 1:k + 2])
 
 
 def step(fn: CatalogFunction, x, alpha: float, policy: SelectionPolicy = MINIMAL_NORM,
@@ -208,7 +239,7 @@ def step(fn: CatalogFunction, x, alpha: float, policy: SelectionPolicy = MINIMAL
     The rng advances only for random_extreme at points with more than one
     generator.
     """
-    _check_alpha(alpha)
+    _positive("alpha", alpha)
     x = as_point(x, fn.dim)
     if not np.all(np.isfinite(x)):
         raise NonFiniteState(f"non-finite state {x}")
@@ -258,18 +289,17 @@ def run(fn: CatalogFunction, x0, alpha: float, n_steps: int,
     stop is (center, radius); from the start on, the first point outside the
     ball or diverged (any |coordinate| > 1e100 or non-finite) is recorded and
     iteration halts there.  Divergence is recorded in diverged_at, never
-    raised.  n_steps = 0 is allowed and records the initial point alone.
+    raised.  n_steps runs from 0, the initial point alone, to MAX_RECORDED_STEPS.
     """
-    _check_alpha(alpha)
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
+    _positive("alpha", alpha)
+    _check_recorded(n_steps, "steps")
     points = np.empty((n_steps + 1, fn.dim))
     subgrads = np.empty((n_steps, fn.dim))
     points[0] = as_point(x0, fn.dim)
     keep = _bounded if stop is None else _inside(stop[0], stop[1], fn.dim)
-    exit_index, last = _iterate(_selector(fn, policy, lambda row: make_rng(seed)), points[:1],
-                                repeat(alpha, n_steps), keep, points, subgrads)
-    k_last = n_steps if exit_index[0] < 0 else int(exit_index[0])
+    exit_k = _record(_selector(fn, policy, lambda row: make_rng(seed)), points, subgrads,
+                     repeat(alpha, n_steps), keep)
+    k_last = n_steps if exit_k is None else exit_k
     return Trajectory(
         fn_id=fn.name,
         alpha=float(alpha),
@@ -277,7 +307,7 @@ def run(fn: CatalogFunction, x0, alpha: float, n_steps: int,
         chosen_subgradients=subgrads[:k_last].copy(),
         policy=policy,
         seed=int(seed),
-        diverged_at=None if _bounded[0](last)[0] <= DIVERGENCE_LIMIT else k_last,
+        diverged_at=None if _bounded[0](points[k_last:k_last + 1])[0] <= DIVERGENCE_LIMIT else k_last,
     )
 
 
@@ -293,7 +323,7 @@ def run_batch(fn: CatalogFunction, x0s: np.ndarray, alpha: float, n_steps: int,
     without one, diverged; else -1.  So a diverged row retires at its
     divergence step.
     """
-    _check_alpha(alpha)
+    _positive("alpha", alpha)
     keep = _bounded if exit_center is None else _inside(exit_center, exit_radius, fn.dim)
     rng_of = None if seeds is None else lambda i: make_rng(seeds(int(i)))
     return _iterate(_selector(fn, policy, rng_of), x0s, repeat(alpha, n_steps), keep)
@@ -348,5 +378,4 @@ def interpolate(path: InterpolatedPath, t) -> np.ndarray:
 def first_exit(traj: Trajectory, center, radius: float) -> int | None:
     """Smallest k with points[k] outside the ball (``_inside`` fails, as on NaN), or None."""
     measure, bound = _inside(center, radius, traj.dim)
-    hits = np.flatnonzero(~(measure(traj.points) <= bound))
-    return int(hits[0]) if hits.size else None
+    return _first_failing(measure(traj.points), bound)

@@ -3,7 +3,7 @@
 The scheme is the explicit Euler polygon at a step h much finer than the
 discrete dynamics it is compared against: x_{j+1} = x_j - h * v_j with v_j
 the minimal-norm element of the subdifferential at x_j, run by the engine's
-step loop on the closed-form field with step sizes diff(ts).  Accuracy is
+recorded loop on the closed-form field with step sizes diff(ts).  Accuracy is
 certified against the closed-form quadratic flow and the energy identity
 
     f(x(T)) - f(x(0)) = - integral of ||v(t)||^2 dt
@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CatalogFunction, as_point
-from .engine import MINIMAL_NORM, InterpolatedPath, _blend, _bounded, _iterate, _selector, _times, interpolate
+from .engine import (MINIMAL_NORM, InterpolatedPath, _blend, _bounded, _check_recorded, _positive, _record, _selector,
+                     _times, interpolate)
 from .errors import HorizonMismatch, NonFiniteState
 
 __all__ = [
@@ -71,9 +72,12 @@ class FlowSolution:
 
 
 def integrate_flow(fn: CatalogFunction, x0, horizon: float, h: float) -> FlowSolution:
-    """Integrate from x0 over [0, horizon] with fixed step h; the horizon must be finite."""
-    if not 0.0 < h <= horizon < np.inf:
-        raise ValueError(f"need 0 < h <= horizon < inf, got h={h}, horizon={horizon}")
+    """Integrate from x0 over [0, horizon] with fixed step h; a finite horizon, at most MAX_RECORDED_STEPS steps."""
+    _positive("h", h)
+    _positive("horizon", horizon)
+    if h > horizon:
+        raise ValueError(f"need h <= horizon, got h={h}, horizon={horizon}")
+    _check_recorded(horizon / h, "horizon/h")
     x0 = as_point(x0, fn.dim)
     n_full = int(np.floor(horizon / h + 1e-12))
     ts = h * np.arange(n_full + 1)
@@ -83,9 +87,9 @@ def integrate_flow(fn: CatalogFunction, x0, horizon: float, h: float) -> FlowSol
     xs = np.empty((m, fn.dim))
     subs = np.empty((m, fn.dim))
     xs[0] = x0
-    exit_index, _ = _iterate(_selector(fn, MINIMAL_NORM), xs[:1], np.diff(ts), _bounded, xs, subs)
-    if exit_index[0] >= 0:
-        raise NonFiniteState(f"flow diverged at t={ts[exit_index[0]]}")
+    exit_k = _record(_selector(fn, MINIMAL_NORM), xs, subs, np.diff(ts), _bounded)
+    if exit_k is not None:
+        raise NonFiniteState(f"flow diverged at t={ts[exit_k]}")
     subs[m - 1] = fn.min_norm_many(xs[m - 1:])[0]
     return FlowSolution(
         fn_id=fn.name,

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CatalogFunction, as_point, evaluate, get_function
-from .engine import (MINIMAL_NORM, SelectionPolicy, Trajectory, _check_alpha, derive_seed, make_rng, run,
-                     run_batch, sample_ball)
+from .engine import (MINIMAL_NORM, SelectionPolicy, Trajectory, _check_recorded, _positive, derive_seed, make_rng,
+                     run, run_batch, sample_ball)
 from .errors import InvalidQuery, NotConvex
 
 __all__ = [
@@ -141,10 +141,9 @@ def _value_key(x: float) -> int:
 def _validate(q: StabilityQuery, x_star: np.ndarray, deltas: np.ndarray, alphas: np.ndarray | None):
     """Checks the query before any sampling; alphas is None for the default grid."""
     grids = [deltas] if alphas is None else [deltas, alphas]
-    if not all(np.isfinite(v).all() for v in [q.epsilon, x_star] + grids):
-        raise InvalidQuery("epsilon, x_star and the grids must be finite")
-    if q.epsilon <= 0:
-        raise InvalidQuery("epsilon must be positive")
+    _positive("epsilon", q.epsilon, InvalidQuery)
+    if not all(np.isfinite(v).all() for v in [x_star] + grids):
+        raise InvalidQuery("x_star and the grids must be finite")
     if q.n_samples < 1:
         raise InvalidQuery("n_samples must be >= 1")
     if q.max_iters is not None and q.max_iters < 1:
@@ -266,9 +265,14 @@ class BoundReport:
 
 def convex_bounds_report(fn: CatalogFunction, x0, alpha: float, epsilon: float,
                          n_steps: int | None = None) -> BoundReport:
-    _check_alpha(alpha)
-    if not 0.0 < epsilon < np.inf:
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    return _convex_bounds(fn, x0, alpha, epsilon, n_steps)[0]
+
+
+def _convex_bounds(fn: CatalogFunction, x0, alpha: float, epsilon: float,
+                   n_steps: int | None = None) -> tuple[BoundReport, int | None]:
+    """``convex_bounds_report`` and its run's ``diverged_at``, which the report does not carry."""
+    _positive("alpha", alpha)
+    _positive("epsilon", epsilon)
     if not fn.convex:
         raise NotConvex(f"{fn.name} is not convex")
     minimizers = fn.known_minimizers
@@ -284,6 +288,7 @@ def convex_bounds_report(fn: CatalogFunction, x0, alpha: float, epsilon: float,
         raise ValueError("x0 is too far from the minimizers: d(x0, X)^2 / (alpha * epsilon) overflows")
     budget = int(np.floor(ratio))
     if n_steps is None:
+        _check_recorded(2 * ratio, "x0/alpha/epsilon")
         n_steps = max(200, 2 * budget)
     traj = run(fn, x0, alpha, n_steps, MINIMAL_NORM)
     gaps = fn.value_many(traj.points) - inf_f
@@ -307,4 +312,4 @@ def convex_bounds_report(fn: CatalogFunction, x0, alpha: float, epsilon: float,
         terminal_distance=terminal,
         dist_bound=dist_bound,
         beta=beta,
-    )
+    ), traj.diverged_at

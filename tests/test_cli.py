@@ -186,7 +186,8 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
             ({"command": "flow", "function": "quad", "x0": [1], "horizon": 1, "h": 0.1, "format": "json",
               "policy": "random_extreme", "per_sample_csv": "zz.csv"}, "policy"),
             ({"command": "simulate", "function": "quad", "x0": [1], "alpha": 0.1, "steps": 3,
-              "format": "xml"}, "format")]):
+              "format": "xml"}, "format"),
+            ({"command": "simulate", "function": "quad", "x0": [1], "alpha": 0.1, "steps": 10 ** 23}, "steps")]):
         (tmp_path / f"table{i}.json").write_text(json.dumps(cfg))
         rows.append((None, ["--config", f"table{i}.json"], named))
     (tmp_path / "nan.json").write_text('{"command": "simulate", "function": "quad", "x0": [NaN], '
@@ -210,7 +211,18 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
                        ("simulate --function quad --x0 1 --alpha 0.1 --steps -1", "steps"),
                        ("convex-bounds --function quad --x0 1 --alpha 0.1 --epsilon 0.1 --steps -3", "steps"),
                        ("probe --function neg_norm --xstar 0,0 --epsilon 0.1 --samples 0", "samples"),
-                       ("counterexample --epsilon 0.25 --alpha 0.3 --samples 0", "samples")]:
+                       ("counterexample --epsilon 0.25 --alpha 0.3 --samples 0", "samples"),
+                       ("compare --function quad --x0 1 --alpha 0 --horizon 1", "alpha"),
+                       # more steps than a recorded run may keep, refused before allocating
+                       ("simulate --function quad --x0 1 --alpha 0.1 --steps 100000000000", "steps"),
+                       ("compare --function quad --x0 1 --alpha 1e-9 --horizon 1", "horizon/alpha"),
+                       ("compare --function quad --x0 1 --alpha 5e-324 --horizon 1e10", "horizon/alpha"),
+                       ("flow --function quad --x0 1 --horizon 1 --h 1e-9", "horizon/h"),
+                       ("convex-bounds --function quad --x0 1000 --alpha 0.1 --epsilon 0.1", "x0/alpha/epsilon"),
+                       ("convex-bounds --function abs_sum --x0 1e99 --alpha 1e-200 --epsilon 1e100",
+                        "x0/alpha/epsilon"),
+                       ("convex-bounds --function quad --x0 1 --alpha 0.1 --epsilon 0.1 --steps 100000000000",
+                        "steps")]:
         rows.append((None, cmd.split() + ["--out", "o"], named))
     for env_seed, argv, named in rows:
         with monkeypatch.context() as m:
@@ -274,6 +286,13 @@ def test_divergence_exit_3(tmp_path, capsys):
     # the truncated trajectory is still written
     lines = (tmp_path / "div.csv").read_text().splitlines()
     assert len(lines) == 335
+    # convex-bounds writes its report, with the usual keys, and then exits 3 on the same line
+    rc = _run_in(tmp_path, ["convex-bounds", "--function", "quad", "--x0", "1", "--alpha", "3",
+                            "--epsilon", "0.1", "--steps", "400", "--out", "div.json"])
+    assert rc == 3
+    assert capsys.readouterr().err == "diverged at iterate 333\n"
+    golden = json.loads((GOLDENS / "convex_bounds_abssum.json").read_text())
+    assert set(json.loads((tmp_path / "div.json").read_text())) == set(golden)
 
 
 def test_divergence_stderr_is_one_line(tmp_path, capsys, recwarn):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -16,7 +18,7 @@ from nsdyn import (
     step,
     subdifferential,
 )
-from nsdyn.engine import DIVERGENCE_LIMIT, Trajectory, derive_seed, make_rng
+from nsdyn.engine import DIVERGENCE_LIMIT, MAX_RECORDED_STEPS, RECORD_BLOCK, Trajectory, derive_seed, make_rng
 from nsdyn.errors import NonFiniteState, OutOfHorizon
 
 QUAD1 = get_function("quad", 1)
@@ -72,6 +74,9 @@ def test_run_zero_steps_records_initial_point():
     traj = run(QUAD1, [1.0], 0.1, 0)
     assert traj.points.shape == (1, 1)
     assert traj.chosen_subgradients.shape == (0, 1)
+    for n_steps in (-1, MAX_RECORDED_STEPS + 1):  # refused before anything is allocated
+        with pytest.raises(ValueError, match="steps"):
+            run(QUAD1, [1.0], 0.1, n_steps)
 
 
 def test_recursion_identity_is_exact():
@@ -173,6 +178,38 @@ def test_run_stop_ball_truncates_at_first_exit():
     assert np.all(np.linalg.norm(traj.points[:-1], axis=1) <= 0.3)
 
 
+def test_recorded_loop_exits_at_the_first_failing_iterate():
+    # at alpha 3 quad maps x to -2x exactly, so |x_k| = 1.5 * 2^(k - K) leaves the unit ball at k = K;
+    # the recorded loop tests a block of RECORD_BLOCK iterates at once and must still stop at K
+    b = RECORD_BLOCK
+    for exit_k in (1, b // 2, b, b + 1, 2 * b, 2 * b + 1):
+        for n_steps in (0, 1, b - 1, b, b + 1, 2 * b + 7, 3 * b):
+            x0 = [1.5 * 2.0 ** -exit_k]
+            traj = run(QUAD1, x0, 3.0, n_steps, stop=([0.0], 1.0))
+            k_last = min(exit_k, n_steps)
+            assert traj.points.shape == (k_last + 1, 1) and traj.diverged_at is None
+            assert first_exit(traj, [0.0], 1.0) == (exit_k if exit_k <= n_steps else None)
+            exit_idx, last = run_batch(QUAD1, np.array([x0]), 3.0, n_steps, [0.0], 1.0)
+            assert exit_idx[0] == (exit_k if exit_k <= n_steps else -1)
+            assert last[0].tobytes() == traj.points[-1].tobytes()
+            recon = traj.points[:-1] - traj.alpha * traj.chosen_subgradients
+            assert recon.tobytes() == traj.points[1:].tobytes()
+    # a start outside the ball, or a NaN start, exits at 0 and is never stepped
+    for x0, stop in (([1.5], ([0.0], 1.0)), ([np.nan], None)):
+        oracle = _CountingOracle(QUAD1)
+        traj = run(oracle, x0, 3.0, 2 * b, stop=stop)
+        assert traj.points.shape == (1, 1) and oracle.rows == []
+        assert run_batch(QUAD1, np.array([x0]), 3.0, 2 * b, *(stop or (None, None)))[0][0] == 0
+
+
+def test_steps_past_an_exit_raise_no_warning():
+    # the run leaves at k = 1 and the block steps on to inf and NaN, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run(CROSS, [1e99, 1e99], 1.0, 3)
+    assert traj.diverged_at == 1 and traj.points.shape == (2, 2)
+
+
 def test_divergence_flagged_not_raised():
     traj = run(QUAD1, [1.0], 3.0, 400)  # |x| doubles every step
     assert traj.diverged_at == 333
@@ -267,7 +304,8 @@ def test_run_batch_matches_run_under_every_policy():
 
     @hyp.settings(max_examples=25, deadline=None, database=None, derandomize=True)
     @hyp.given(data=st.data(), fn=st.sampled_from(fns), policy=st.sampled_from(policies),
-               alpha=st.sampled_from([0.25, 0.1, 0.03]), n_steps=st.integers(0, 12),
+               alpha=st.sampled_from([0.25, 0.1, 0.03]),
+               n_steps=st.integers(0, 12) | st.integers(RECORD_BLOCK - 2, RECORD_BLOCK + 2),
                radius=st.none() | st.floats(0.2, 2.0), column_major=st.booleans(),
                root=st.integers(0, 2 ** 32))
     def check(data, fn, policy, alpha, n_steps, radius, column_major, root):

@@ -45,6 +45,17 @@ def test_nodes_equally_spaced_with_final_partial_step():
     assert sol.ts.shape[0] == 4  # exact multiple: no extra node
 
 
+def test_flow_nodes_are_the_recorded_euler_steps():
+    # more steps than one block of the recorded loop, and a shorter last step
+    for fn, x0 in [(CROSS, [1.0, 0.1]), (get_function("neg_norm", 3), [0.2, -0.1, 0.05])]:
+        sol = integrate_flow(fn, x0, 1.0, 0.0073)
+        dt = np.diff(sol.ts)
+        assert sol.ts.shape[0] == 138 and 0.0 < dt[-1] < dt[0]
+        for j in range(dt.size):
+            assert sol.min_norm_subgrads[j].tobytes() == fn.min_norm_many(sol.xs[j:j + 1])[0].tobytes()
+            assert sol.xs[j + 1].tobytes() == (sol.xs[j] - dt[j] * sol.min_norm_subgrads[j]).tobytes()
+
+
 def test_energy_residual_quad_and_ratio():
     sol_a = integrate_flow(QUAD1, [1.0], 1.0, 1e-3)
     sol_b = integrate_flow(QUAD1, [1.0], 1.0, 5e-4)
