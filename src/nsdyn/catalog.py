@@ -5,9 +5,12 @@ scalar ``value`` is its one-row case) and the exact generator representation
 of its Clarke subdifferential: the subdifferential at a point is the convex
 hull of finitely many generator vectors (a single generator wherever the
 function is differentiable, the extreme limiting gradients at kinks).  The
-closed-form minimal-norm field min_norm_many drives all dynamics; Wolfe's
-projector minimal_norm_element is the tested reference: each closed-form
-row lies in the hull and is no longer than Wolfe's answer.
+closed-form minimal-norm field drives all dynamics, written twice in one
+association order: ``min_norm_at`` on one point in Python floats, which
+recorded runs step on, and ``min_norm_many`` on a batch of rows, which
+batches step on.  Tests hold the two bit-identical, special values
+included.  Wolfe's projector minimal_norm_element is the tested reference:
+each closed-form row lies in the hull and is no longer than Wolfe's answer.
 
 Catalog:
 
@@ -28,6 +31,7 @@ Catalog:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +51,12 @@ __all__ = [
 ]
 
 MIN_NORM_TOL = 1e-12
+_DEFAULT_NAN = math.inf - math.inf  # the hardware's NaN for an invalid operation, as np.sin(inf) returns
+
+
+def _sign(v: float) -> float:
+    """np.sign of one float: +1.0 or -1.0, +0.0 for either zero, and a NaN is returned as it is."""
+    return 1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0 if v == 0.0 else v
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
@@ -138,17 +148,28 @@ class CatalogFunction:
         coordinate (|x_i| <= active_tol among ``kinked``) set to -1 and +1
         in turn: 2^|A| rows in ``itertools.product`` order.
         """
-        x = as_point(x, self.dim)
-        gens = self.min_norm_many(x[None, :])
-        active = np.flatnonzero(np.abs(x[self.kinked]) <= active_tol)
-        if active.size:
-            gens = np.repeat(gens, 2 ** active.size, axis=0)
-            gens[:, active] = list(itertools.product((-1.0, 1.0), repeat=active.size))
+        x = as_point(x, self.dim).tolist()
+        gens = np.array([self.min_norm_at(x)])
+        active = [i for i in range(self.dim)[self.kinked] if abs(x[i]) <= active_tol]
+        if active:
+            gens = np.repeat(gens, 2 ** len(active), axis=0)
+            gens[:, active] = list(itertools.product((-1.0, 1.0), repeat=len(active)))
         return gens
 
     def at_kink(self, pts: np.ndarray, active_tol: float = 0.0) -> np.ndarray:
         """Rows where ``generators`` gives more than one row: a ``kinked`` coordinate is active."""
         return (np.abs(pts[:, self.kinked]) <= active_tol).any(axis=1)
+
+    def min_norm_at(self, x) -> tuple:
+        """Minimal-norm subgradient at one point, given as a sequence of Python floats.
+
+        Each catalog function writes its one-point formula here in Python
+        floats, in the association order of its ``min_norm_many`` kernel, so
+        the two agree bit for bit.  This fallback takes the one row of
+        ``min_norm_many``, so a function that defines only the batch kernel
+        still runs everywhere.
+        """
+        return tuple(self.min_norm_many(np.array([x], dtype=float))[0].tolist())
 
     def min_norm_many(self, pts: np.ndarray) -> np.ndarray:
         """Minimal-norm subgradient at each row of ``pts`` (closed form).
@@ -156,9 +177,11 @@ class CatalogFunction:
         Returns a new array in the memory layout of ``pts``: the step loop
         scales it in place and keeps its working rows column-major.  Each
         kernel makes few whole-array passes in one fixed association order,
-        so a row's bits do not depend on layout or batch.  Signs multiply by
-        ``np.sign``, never ``np.copysign``: np.sign(-0.0) is +0.0, and
-        copysign would move the next iterate of a -0.0 start.
+        so each row has the bits of the one-point formula ``min_norm_at``,
+        whatever the layout or batch (all but the sign of a NaN, where two
+        NaNs of opposite sign meet).  Signs multiply by ``np.sign``, never
+        ``np.copysign``: np.sign(-0.0) is +0.0, and copysign would move the
+        next iterate of a -0.0 start.
         """
         raise NotImplementedError
 
@@ -189,6 +212,9 @@ class Quad(CatalogFunction):
     def value_many(self, pts):
         return 0.5 * np.vecdot(pts, pts)
 
+    def min_norm_at(self, x):
+        return tuple(x)
+
     def min_norm_many(self, pts):
         return pts.copy(order="K")
 
@@ -212,6 +238,9 @@ class AbsSum(CatalogFunction):
 
     def value_many(self, pts):
         return np.sum(np.abs(pts), axis=1)
+
+    def min_norm_at(self, x):
+        return tuple(map(_sign, x))
 
     def min_norm_many(self, pts):
         return np.sign(pts)
@@ -238,15 +267,23 @@ class Cross(CatalogFunction):
         a = np.abs(pts)
         return np.float_power(a[:, 0], 1.5) * np.float_power(a[:, 1], 1.5)
 
+    def min_norm_at(self, x):
+        x1, x2 = x
+        a1, a2 = abs(x1), abs(x2)
+        r1, r2 = math.sqrt(a1), math.sqrt(a2)
+        return 1.5 * r1 * a2 * r2 * _sign(x1), 1.5 * a1 * r1 * r2 * _sign(x2)
+
     def min_norm_many(self, pts):
-        w = np.empty((pts.shape[0], 4), order="F")  # columns a1, a2, r1, r2: |x|, then sqrt|x|
-        np.abs(pts, out=w[:, :2])
-        np.sqrt(w[:, :2], out=w[:, 2:])
-        # ((((1.5*r1)*a2)*r2)*sign(x1)) and ((((1.5*a1)*r1)*r2)*sign(x2)), over column pairs
-        out = np.multiply(1.5, w[:, 2::-2], out=np.empty_like(pts))
-        out *= w[:, 1:3]
-        out *= w[:, 3:]
-        out *= np.sign(pts)
+        # coordinate-major throughout: each pass is one loop over the rows per coordinate, in either layout
+        w = np.empty((4, pts.shape[0]))  # rows a1, a2, r1, r2: |x|, then sqrt|x|
+        np.abs(pts.T, out=w[:2])
+        np.sqrt(w[:2], out=w[2:])
+        # ((((1.5*r1)*a2)*r2)*sign(x1)) and ((((1.5*a1)*r1)*r2)*sign(x2)), over row pairs
+        out = np.empty_like(pts)
+        o = np.multiply(1.5, w[2::-2], out=out.T)
+        o *= w[1:3]
+        o *= w[3:]
+        o *= np.sign(pts.T)
         return out
 
 
@@ -274,6 +311,16 @@ class Wiggle(CatalogFunction):
         out[nz] = t[nz] * t[nz] * np.sin(1.0 / t[nz])
         return out
 
+    def min_norm_at(self, x):
+        t, = x
+        if t == 0.0:
+            return (0.0,)
+        inv = 1.0 / t
+        try:
+            return (2.0 * t * math.sin(inv) - math.cos(inv),)
+        except ValueError:  # 1/t overflowed to inf: math.sin raises, np.sin gives the default NaN
+            return (_DEFAULT_NAN,)
+
     def min_norm_many(self, pts):
         t = pts[:, 0]
         nz = t != 0.0
@@ -299,6 +346,10 @@ class VeeBowl(CatalogFunction):
 
     def value_many(self, pts):
         return np.abs(pts[:, 0]) + pts[:, 1] * pts[:, 1]
+
+    def min_norm_at(self, x):
+        x1, x2 = x
+        return _sign(x1), 2.0 * x2
 
     def min_norm_many(self, pts):
         out = np.empty_like(pts)
@@ -331,6 +382,13 @@ class NegNorm(CatalogFunction):
 
     def at_kink(self, pts, active_tol=0.0):
         return np.sqrt(sum_sq(pts)) <= active_tol
+
+    def min_norm_at(self, x):
+        acc = x[0] * x[0]
+        for v in x[1:]:  # sum_sq's order: the squared coordinates added left to right
+            acc += v * v
+        r = math.sqrt(acc)
+        return tuple(v / -r for v in x) if r > 0.0 else (0.0,) * len(x)
 
     def min_norm_many(self, pts):
         r = np.sqrt(sum_sq(pts))[:, None]

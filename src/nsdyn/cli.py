@@ -15,8 +15,10 @@ from it, and ``nsdyn --config cfg.json`` (the JSON form of a ``RunConfig``)
 is held to the same table; both spellings produce identical bytes.
 
 Exit codes: 0 success, 2 usage error, 3 numerical divergence (reported in
-the output, not crashed).  NSDYN_SEED, when set, must be an integer; it
-overrides --seed for the commands that take one.
+the output, not crashed).  JSON output is strict: a report that would hold
+inf or NaN is not written, and the command exits 3 with one stderr line.
+NSDYN_SEED, when set, must be an integer; it overrides --seed for the
+commands that take one.
 """
 
 from __future__ import annotations
@@ -194,6 +196,20 @@ def _diverged(k: int | None) -> int:
     return 3
 
 
+def _emit_json(obj, out: str | None, diverged_at: int | None) -> int:
+    """Write ``obj`` as strict JSON, then return ``_diverged(diverged_at)``.
+
+    A diverged run whose report holds a non-finite value writes nothing and
+    exits 3 on its one divergence line.
+    """
+    try:
+        _emit(json_text(obj), out)
+    except NonFiniteState:
+        if diverged_at is None:
+            raise
+    return _diverged(diverged_at)
+
+
 def _policy(cfg: RunConfig) -> SelectionPolicy:
     return SelectionPolicy(cfg.policy, cfg.policy_index)
 
@@ -209,10 +225,9 @@ def execute(cfg: RunConfig) -> int:
         fn = get_function(cfg.function, dim=len(cfg.x0))
         traj = run(fn, cfg.x0, cfg.alpha, cfg.steps, _policy(cfg), seed=cfg.seed)
         if cfg.format == "json":
-            _emit(json_text({"fn_id": traj.fn_id, "alpha": traj.alpha,
-                             "points": traj.points, "diverged_at": traj.diverged_at}), cfg.out)
-        else:
-            _emit(reporting.trajectory_csv_text(traj, fn), cfg.out)
+            return _emit_json({"fn_id": traj.fn_id, "alpha": traj.alpha, "points": traj.points,
+                               "diverged_at": traj.diverged_at}, cfg.out, traj.diverged_at)
+        _emit(reporting.trajectory_csv_text(traj, fn), cfg.out)
         return _diverged(traj.diverged_at)
 
     if cfg.command == "flow":
@@ -269,8 +284,7 @@ def execute(cfg: RunConfig) -> int:
     # convex-bounds, the last row of SUBCOMMANDS
     fn = get_function(cfg.function, dim=len(cfg.x0))
     report, diverged_at = _convex_bounds(fn, cfg.x0, cfg.alpha, cfg.epsilon, n_steps=cfg.steps)
-    _emit(json_text(report), cfg.out)
-    return _diverged(diverged_at)
+    return _emit_json(report, cfg.out, diverged_at)
 
 
 def run_command(argv: list[str]) -> int:

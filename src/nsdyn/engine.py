@@ -3,16 +3,20 @@
 The inclusion leaves the subgradient selection free; SelectionPolicy pins it
 down.  The default minimal-norm selection matches the slow-solution
 convention of the continuous flow and makes discrete/continuous comparisons
-canonical.  It is the closed form ``fn.min_norm_many``, which the generator
-policies also take except at an exact kink.  ``run``, ``run_batch``, ``step``
-and the flow share one row selector and one step x - a * s, so all agree bit
-for bit; Wolfe's projector never steps.  One keep test, a pair (measure,
-bound) kept while measure <= bound, decides when a row stops, from k = 0 on:
-``_inside`` an exit ball, or ``_bounded`` without one; a NaN propagates
-through max and fails it.  The batch loop ``_iterate`` retires rows every
-step.  The recorded loop ``_record`` steps one row inside its own record and
-tests each block of new iterates at once; the iterates computed past the
-first failing one are discarded, silently.
+canonical.  It is the closed-form field, which the generator policies also
+take except at an exact kink.  Recorded runs (``run``, the flow, ``step``)
+take it one point at a time from ``fn.min_norm_at`` in Python floats, and
+step each coordinate as x_i - a * s_i; batches (``run_batch``) take it from
+``fn.min_norm_many`` and step x - a * s in numpy.  Python floats and numpy
+round these operations alike, and tests hold the two fields bit-identical,
+so all agree bit for bit; Wolfe's projector never steps.  One keep test, a
+pair (measure, bound) kept while measure <= bound, decides when a row stops,
+from k = 0 on: ``_inside`` an exit ball, or ``_bounded`` without one; a NaN
+propagates through max and fails it.  The batch loop ``_iterate`` retires
+rows every step.  The recorded loop ``_record`` steps one row in Python
+floats, writes each block of new iterates into its record and tests the
+block at once; the iterates computed past the first failing one are
+discarded, silently.
 
 The batch loop owns its working rows: one column-major (``order="F"``) copy of
 the start points, updated in place (``s *= a; pts -= s``) and compacted only
@@ -140,6 +144,24 @@ def _selector(fn: CatalogFunction, policy: SelectionPolicy, rng_of=None):
     return select
 
 
+def _select_at(fn: CatalogFunction, policy: SelectionPolicy, rng_of=None):
+    """``_selector`` on one point given as Python floats, returning a tuple of floats.
+
+    The minimal-norm policy is ``fn.min_norm_at`` itself; a generator policy
+    takes it too, except at an exact kink, where it runs ``_selector`` on the
+    point as a one-row batch.
+    """
+    if policy.kind == "minimal_norm":
+        return fn.min_norm_at
+    select = _selector(fn, policy, rng_of)
+
+    def select_at(x):
+        pt = np.array([x])
+        return tuple(select(pt, [0])[0].tolist()) if fn.at_kink(pt)[0] else fn.min_norm_at(x)
+
+    return select_at
+
+
 def _positive(name: str, value, error=ValueError):
     """The parameter ``name`` must be finite and positive; NaN fails."""
     if not 0.0 < value < np.inf:
@@ -211,25 +233,34 @@ def _iterate(select, pts: np.ndarray, steps, keep):
 
 
 def _record(select, points: np.ndarray, subgrads: np.ndarray, steps, keep) -> int | None:
-    """points[k+1] = points[k] - a * subgrads[k] in place, for each step size a; returns the exit k or None.
+    """points[k+1] = points[k] - a * subgrads[k], for each Python float step size a; returns the exit k or None.
 
-    The start is tested first, then each block of RECORD_BLOCK new iterates;
-    the caller drops the iterates stepped past the exit.
+    ``select`` maps one point, a list of Python floats, to its subgradient as
+    a tuple of floats (``_select_at``), and each coordinate steps as
+    x_i - a * s_i in Python floats, which round as numpy does.  The start is
+    tested first; each block of RECORD_BLOCK new iterates and subgradients is
+    then written into ``points`` and ``subgrads`` and tested at once.  The
+    caller drops the iterates stepped past the exit.
     """
     measure, bound = keep
+    x = points[0].tolist()
+    xs, ss = [], []  # the block stepped since the last test
     tested = 0  # points[:tested] passed the keep test
     with np.errstate(all="ignore"):  # steps past an exit may overflow; they are discarded
         for k, a in enumerate(chain(steps, (None,))):
             if k % RECORD_BLOCK == 0 or a is None:
+                if xs:
+                    points[tested:k + 1] = xs
+                    subgrads[tested - 1:k] = ss
+                    xs, ss = [], []
                 hit = _first_failing(measure(points[tested:k + 1]), bound)
                 if hit is not None or a is None:
                     return hit if hit is None else tested + hit
                 tested = k + 1
-            x = points[k:k + 1]
-            s = select(x, [0])
-            subgrads[k] = s
-            s *= a
-            np.subtract(x, s, out=points[k + 1:k + 2])
+            s = select(x)
+            x = [xi - a * si for xi, si in zip(x, s)]
+            xs.append(x)
+            ss.append(s)
 
 
 def step(fn: CatalogFunction, x, alpha: float, policy: SelectionPolicy = MINIMAL_NORM,
@@ -243,7 +274,7 @@ def step(fn: CatalogFunction, x, alpha: float, policy: SelectionPolicy = MINIMAL
     x = as_point(x, fn.dim)
     if not np.all(np.isfinite(x)):
         raise NonFiniteState(f"non-finite state {x}")
-    s = _selector(fn, policy, None if rng is None else lambda row: rng)(x[None, :], [0])[0]
+    s = np.array(_select_at(fn, policy, None if rng is None else lambda row: rng)(x.tolist()))
     return x - alpha * s, s
 
 
@@ -297,8 +328,8 @@ def run(fn: CatalogFunction, x0, alpha: float, n_steps: int,
     subgrads = np.empty((n_steps, fn.dim))
     points[0] = as_point(x0, fn.dim)
     keep = _bounded if stop is None else _inside(stop[0], stop[1], fn.dim)
-    exit_k = _record(_selector(fn, policy, lambda row: make_rng(seed)), points, subgrads,
-                     repeat(alpha, n_steps), keep)
+    exit_k = _record(_select_at(fn, policy, lambda row: make_rng(seed)), points, subgrads,
+                     repeat(float(alpha), n_steps), keep)
     k_last = n_steps if exit_k is None else exit_k
     return Trajectory(
         fn_id=fn.name,

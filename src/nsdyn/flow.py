@@ -3,8 +3,9 @@
 The scheme is the explicit Euler polygon at a step h much finer than the
 discrete dynamics it is compared against: x_{j+1} = x_j - h * v_j with v_j
 the minimal-norm element of the subdifferential at x_j, run by the engine's
-recorded loop on the closed-form field with step sizes diff(ts).  Accuracy is
-certified against the closed-form quadratic flow and the energy identity
+recorded loop on the closed-form field ``min_norm_at`` with step sizes
+diff(ts).  Accuracy is certified against the closed-form quadratic flow and
+the energy identity
 
     f(x(T)) - f(x(0)) = - integral of ||v(t)||^2 dt
 
@@ -30,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CatalogFunction, as_point
-from .engine import (MINIMAL_NORM, InterpolatedPath, _blend, _bounded, _check_recorded, _positive, _record, _selector,
-                     _times, interpolate)
+from .engine import InterpolatedPath, _blend, _bounded, _check_recorded, _positive, _record, _times, interpolate
 from .errors import HorizonMismatch, NonFiniteState
 
 __all__ = [
@@ -87,7 +87,7 @@ def integrate_flow(fn: CatalogFunction, x0, horizon: float, h: float) -> FlowSol
     xs = np.empty((m, fn.dim))
     subs = np.empty((m, fn.dim))
     xs[0] = x0
-    exit_k = _record(_selector(fn, MINIMAL_NORM), xs, subs, np.diff(ts), _bounded)
+    exit_k = _record(fn.min_norm_at, xs, subs, np.diff(ts).tolist(), _bounded)
     if exit_k is not None:
         raise NonFiniteState(f"flow diverged at t={ts[exit_k]}")
     subs[m - 1] = fn.min_norm_many(xs[m - 1:])[0]

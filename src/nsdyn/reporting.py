@@ -2,7 +2,9 @@
 
 All reals are printed with Python's shortest round-trip representation
 (at most 17 significant digits), keys are sorted, and line endings are LF,
-so regenerating any artifact from the same inputs is byte-identical.
+so regenerating any artifact from the same inputs is byte-identical.  JSON
+is strict: a report holding inf or NaN is refused, not written.  A CSV
+keeps the truthful ``inf`` and ``nan`` of a diverged run.
 
 A CSV is built from whole columns, and a column's dtype decides how every
 cell in it prints: integer and bool columns as integers (a bool as 0 or
@@ -18,6 +20,7 @@ import numpy as np
 
 from .catalog import CatalogFunction, get_function, list_catalog
 from .engine import SelectionPolicy, Trajectory
+from .errors import NonFiniteState
 from .flow import FlowSolution
 from .stability import StabilityQuery, StabilityVerdict
 
@@ -93,7 +96,11 @@ def _plain(obj):
 
 
 def json_text(obj) -> str:
-    return json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n"
+    """Strict JSON text of ``obj``; a non-finite float, which JSON cannot spell, raises NonFiniteState."""
+    try:
+        return json.dumps(_plain(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFiniteState(f"no JSON output, it would hold a non-finite value ({exc})") from None
 
 
 def write_text(path, text: str):

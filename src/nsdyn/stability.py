@@ -265,6 +265,13 @@ class BoundReport:
 
 def convex_bounds_report(fn: CatalogFunction, x0, alpha: float, epsilon: float,
                          n_steps: int | None = None) -> BoundReport:
+    """The bounds of ``BoundReport``, checked on one minimal-norm run from x0.
+
+    The report does not say whether its run diverged.  ``c`` is measured on
+    the run itself, so a library call on a diverged run still reports
+    ``achieved_within_budget`` from its own ``c``, however large; the CLI
+    exits 3 on such a run.
+    """
     return _convex_bounds(fn, x0, alpha, epsilon, n_steps)[0]
 
 

@@ -263,6 +263,7 @@ def _field_at(name, x):
 
 
 def test_fields_keep_the_bits_of_the_one_point_formula_in_any_layout():
+    # NaN is the positive np.nan: where two NaNs of opposite sign meet, numpy and C may keep either sign
     special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1e300, -1e-300, 0.7]
     table = np.concatenate([np.array(list(itertools.product(special, repeat=2))),
                             make_rng(11).uniform(-3.0, 3.0, (40, 2))])
@@ -271,12 +272,39 @@ def test_fields_keep_the_bits_of_the_one_point_formula_in_any_layout():
         pts = table[:, :fn.dim]
         with np.errstate(all="ignore"):
             want = np.array([_field_at(name, row) for row in pts], dtype=float)
+            # min_norm_at, in Python floats: wiggle's 1/5e-324 is inf, where it must give np.sin's NaN
+            at = np.array([fn.min_norm_at(row) for row in pts.tolist()], dtype=float)
+            bad = np.flatnonzero((at.view(np.uint64) != want.view(np.uint64)).any(axis=1))
+            assert bad.size == 0, (name, "min_norm_at", pts[bad[:3]].tolist())
             for batch in (np.ascontiguousarray(pts), np.asfortranarray(pts)):
                 got = fn.min_norm_many(batch)
                 assert (got.flags.c_contiguous, got.flags.f_contiguous) == \
                        (batch.flags.c_contiguous, batch.flags.f_contiguous), name
                 bad = np.flatnonzero((got.view(np.uint64) != want.view(np.uint64)).any(axis=1))
                 assert bad.size == 0, (name, batch.flags.f_contiguous, pts[bad[:3]].tolist())
+
+
+def test_min_norm_at_matches_min_norm_many_rows():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    fns = [get_function(name, dim) for name in ("quad", "abs_sum", "neg_norm") for dim in range(1, 6)]
+    fns += [get_function(name) for name in ("cross", "wiggle", "vee_bowl")]
+    # rows of like sizes, where the order of a sum shows, and rows of any float or special value (NaN is np.nan)
+    size = st.floats(-2.0, 2.0)
+    coord = size | st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, np.nan, 5e-324, -2.5e-310, 1e-160])
+
+    @hyp.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hyp.given(data=st.data(), fn=st.sampled_from(fns))
+    def check(data, fn):
+        point = st.lists(size, min_size=fn.dim, max_size=fn.dim) | st.lists(coord, min_size=fn.dim, max_size=fn.dim)
+        rows = data.draw(st.lists(point, min_size=1, max_size=8))
+        with np.errstate(all="ignore"):
+            want = np.array([fn.min_norm_at(row) for row in rows], dtype=float)
+            for batch in (np.array(rows), np.asfortranarray(rows)):
+                got = fn.min_norm_many(batch)
+                assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), (fn, rows)
+
+    check()
 
 
 def test_generator_norms_respect_analytic_lipschitz_constants():

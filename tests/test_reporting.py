@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from nsdyn import (
     StabilityQuery,
@@ -21,6 +22,7 @@ from nsdyn.reporting import (
     verdict_json_dict,
     write_text,
 )
+from nsdyn.errors import NonFiniteState
 
 
 def test_fmt_is_shortest_roundtrip():
@@ -125,3 +127,12 @@ def test_final_row_reports_min_norm_element():
 def test_json_text_sorts_keys_and_keeps_bools():
     text = json_text({"b": True, "a": np.float64(0.5), "c": np.arange(2)})
     assert text == '{\n  "a": 0.5,\n  "b": true,\n  "c": [\n    0,\n    1\n  ]\n}\n'
+
+
+def test_json_text_refuses_non_finite_values():
+    # strict JSON has no spelling for inf or NaN; a diverged quad bound report holds inf in c and bound_c2a2
+    with np.errstate(all="ignore"):
+        report = convex_bounds_report(get_function("quad", 1), [1.0], 1e300, 0.1)
+    for obj in ({"c": np.inf}, {"x": [0.5, -np.inf]}, np.array([[np.nan]]), report):
+        with pytest.raises(NonFiniteState, match="non-finite"):
+            json_text(obj)
