@@ -9,7 +9,11 @@ closed-form minimal-norm field drives all dynamics, written twice in one
 association order: ``min_norm_at`` on one point in Python floats, which
 recorded runs step on, and ``min_norm_many`` on a batch of rows, which
 batches step on.  Tests hold the two bit-identical, special values
-included.  Wolfe's projector minimal_norm_element is the tested reference:
+included.  For ``wiggle`` that identity also rests on libm's ``math.sin``
+and ``math.cos`` rounding like numpy's ``np.sin`` and ``np.cos``, which may
+use their own SIMD loops on some CPUs and builds; a failure of those tests
+that only ``wiggle`` shows is such a library mismatch, not a logic error.
+Wolfe's projector minimal_norm_element is the tested reference:
 each closed-form row lies in the hull and is no longer than Wolfe's answer.
 
 Catalog:
