@@ -14,9 +14,10 @@ Subcommands map one-to-one onto library operations:
 from it, and ``nsdyn --config cfg.json`` (the JSON form of a ``RunConfig``)
 is held to the same table; both spellings produce identical bytes.
 
-Exit codes: 0 success, 2 usage error, 3 numerical divergence (reported in
-the output, not crashed).  JSON output is strict: a report that would hold
-inf or NaN is not written, and the command exits 3 with one stderr line.
+Exit codes: 0 success, 2 usage error, 3 numerical divergence on one stderr
+line (a diverged flow writes nothing).  JSON output is strict: a report
+that would hold inf or NaN is not written, and the command exits 3 with
+one stderr line.
 NSDYN_SEED, when set, must be an integer; it overrides --seed for the
 commands that take one.
 """
@@ -28,7 +29,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -70,7 +71,7 @@ class RunConfig:
     per_sample_csv: str | None = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        return json_text(self)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -156,6 +157,7 @@ def _check_config(cfg: RunConfig):
     """Hold a config, from flags or --config alike, to its row of SUBCOMMANDS; errors name the field.
 
     A field the command does not take keeps its default, so ``to_json`` output stays valid input.
+    A number in a float or vector field becomes the float its flag gives, so both spellings print alike.
     """
     if cfg.command not in SUBCOMMANDS:
         raise ValueError(f"unknown command {cfg.command!r}")
@@ -174,6 +176,8 @@ def _check_config(cfg: RunConfig):
             raise ValueError(f"{f.name} must be one of {CHOICES[f.name]}, got {value!r}")
         elif f.name in MINIMUM and value < MINIMUM[f.name]:
             raise ValueError(f"{f.name} must be >= {MINIMUM[f.name]}, got {value!r}")
+        elif KINDS[f.name] in (float, list):
+            setattr(cfg, f.name, float(value) if KINDS[f.name] is float else [float(v) for v in value])
 
 
 def _set(**kwargs) -> dict:

@@ -21,7 +21,7 @@ be sized accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -91,17 +91,10 @@ class EscapeStats:
     non_escaped_offS_count: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "alpha": self.alpha,
-            "N": self.n_samples,
-            "K_max": self.k_max,
-            "seed": self.seed,
-            "escaped_count": self.escaped_count,
-            "max_exit_index": self.max_exit_index,
-            "stuck_on_S_count": self.stuck_on_S_count,
-            "non_escaped_offS_count": self.non_escaped_offS_count,
-        }
+        """The fields as plain data, with n_samples and k_max under the report's names N and K_max."""
+        out = asdict(self)
+        out["N"], out["K_max"] = out.pop("n_samples"), out.pop("k_max")
+        return out
 
 
 def escape_experiment(epsilon: float, alpha: float, n_samples: int, k_max: int = 100_000,

@@ -160,7 +160,7 @@ def sup_deviation(path: InterpolatedPath, sol: FlowSolution) -> DeviationReport:
     if abs(t_path - t_flow) > 1e-9 * max(1.0, horizon):
         raise HorizonMismatch(f"path horizon {t_path} vs flow horizon {t_flow}")
     traj = path.trajectory
-    node_ts = traj.alpha * np.arange(traj.n_steps + 1)
+    node_ts = traj.times
     grid = np.union1d(node_ts[node_ts <= horizon], sol.ts[sol.ts <= horizon])
     d = interpolate(path, grid) - flow_value(sol, grid)
     gaps = np.sqrt(np.vecdot(d, d))

@@ -2,9 +2,11 @@
 
 All reals are printed with Python's shortest round-trip representation
 (at most 17 significant digits), keys are sorted, and line endings are LF,
-so regenerating any artifact from the same inputs is byte-identical.  JSON
-is strict: a report holding inf or NaN is refused, not written.  A CSV
-keeps the truthful ``inf`` and ``nan`` of a diverged run.
+so regenerating any artifact from the same inputs is byte-identical.  Each
+JSON document is ``json_text`` of what ``_plain`` builds from an object's own
+fields, so a value prints as it was given.  JSON is strict: a report holding
+inf or NaN is refused, not written.  A CSV keeps the truthful ``inf`` and
+``nan`` of a diverged run.
 
 A CSV is built from whole columns, and a column's dtype decides how every
 cell in it prints: integer and bool columns as integers (a bool as 0 or
@@ -14,15 +16,15 @@ cell in it prints: integer and bool columns as integers (a bool as 0 or
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 
 import numpy as np
 
 from .catalog import CatalogFunction, get_function, list_catalog
-from .engine import SelectionPolicy, Trajectory
+from .engine import Trajectory
 from .errors import NonFiniteState
 from .flow import FlowSolution
-from .stability import StabilityQuery, StabilityVerdict
+from .stability import StabilityVerdict
 
 __all__ = [
     "fmt",
@@ -33,7 +35,6 @@ __all__ = [
     "write_text",
     "verdict_json_dict",
     "catalog_json_list",
-    "policy_json",
 ]
 
 
@@ -59,8 +60,7 @@ def trajectory_csv_text(traj: Trajectory, fn: CatalogFunction | None = None) -> 
     fn = fn if fn is not None else get_function(traj.fn_id, dim=traj.dim)
     header = ["k", "t"] + [f"x_{i}" for i in range(traj.dim)] + ["f", "subgrad_norm"]
     subs = np.concatenate([traj.chosen_subgradients, fn.min_norm_many(traj.points[-1:])])
-    k = np.arange(traj.points.shape[0])
-    return _csv(header, [k, traj.alpha * k, *traj.points.T, fn.value_many(traj.points),
+    return _csv(header, [np.arange(traj.points.shape[0]), traj.times, *traj.points.T, fn.value_many(traj.points),
                          np.sqrt(np.vecdot(subs, subs))])
 
 
@@ -78,16 +78,11 @@ def per_sample_csv_text(per_sample: np.ndarray) -> str:
 
 
 def _plain(obj):
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
+    """JSON's types for ``obj``: a dataclass as the dict of its fields, numpy arrays and scalars as Python's."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     if is_dataclass(obj):
-        return {k: _plain(v) for k, v in asdict(obj).items()}
+        return _plain(asdict(obj))
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -108,53 +103,25 @@ def write_text(path, text: str):
         fh.write(text)
 
 
-def policy_json(policy: SelectionPolicy) -> dict:
-    return {"kind": policy.kind, "index": policy.index}
-
-
-def _query_json(q: StabilityQuery) -> dict:
-    return {
-        "fn_id": q.fn_id,
-        "x_star": _plain(np.asarray(q.x_star, float)),
-        "epsilon": q.epsilon,
-        "delta_grid": None if q.delta_grid is None else _plain(np.asarray(q.delta_grid, float)),
-        "alpha_grid": None if q.alpha_grid is None else _plain(np.asarray(q.alpha_grid, float)),
-        "n_samples": q.n_samples,
-        "max_iters": q.max_iters,
-        "policy": policy_json(q.policy),
-        "seed": q.seed,
-    }
+def _fields(obj, drop=()) -> dict:
+    """A dataclass's own fields, one level deep, but those set to None or named in ``drop``."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)
+            if f.name not in drop and getattr(obj, f.name) is not None}
 
 
 def verdict_json_dict(verdict: StabilityVerdict, witness_csv: str | None = None) -> dict:
-    """Probe report: query, verdict, per-cell escape counts, Lipschitz estimate.
+    """Probe report: the verdict's fields, less a None certificate or witness; the query is echoed as given.
 
+    The witness leaves out its trajectory, which the CSV ``witness_csv`` names.
     A positive verdict is only ever an observation at the recorded budgets
     and policy, so the status string keeps the word "observed".
     """
-    out = {
-        "query": _query_json(verdict.query),
-        "status": verdict.status,
-        "delta_grid": _plain(verdict.delta_grid),
-        "alpha_grid": _plain(verdict.alpha_grid),
-        "iters_per_alpha": _plain(verdict.iters_per_alpha),
-        "escape_counts": _plain(verdict.escape_counts),
-        "lipschitz_estimate": float(verdict.lipschitz_estimate),
-    }
-    if verdict.certificate is not None:
-        out["certificate"] = _plain(verdict.certificate)
+    out = _fields(verdict)
     if verdict.witness is not None:
-        w = verdict.witness
-        out["witness"] = {
-            "x0": _plain(w.x0),
-            "alpha": w.alpha,
-            "exit_index": w.exit_index,
-            "delta": w.delta,
-            "seed": w.seed,
-        }
+        out["witness"] = _fields(verdict.witness, drop=("trajectory_ref",))
         if witness_csv is not None:
             out["witness"]["trajectory_csv"] = witness_csv
-    return out
+    return _plain(out)
 
 
 def catalog_json_list() -> list[dict]:

@@ -10,6 +10,7 @@ import pytest
 
 from nsdyn.cli import (KINDS, SUBCOMMANDS, TAKES, RunConfig, _build_parser, _check_config, _config_from_args,
                        run_command)
+from nsdyn.reporting import json_text
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -106,16 +107,18 @@ def test_probe_json_example():
 
 
 def test_flags_and_config_produce_identical_bytes(tmp_path):
-    argv = ["simulate", "--function", "vee_bowl", "--x0", "0.2,0.5",
-            "--alpha", "0.05", "--steps", "40", "--seed", "5",
-            "--out", str(tmp_path / "flags.csv")]
-    assert run_command(argv) == 0
-    cfg = RunConfig(command="simulate", function="vee_bowl", x0=[0.2, 0.5],
-                    alpha=0.05, steps=40, seed=5, out=str(tmp_path / "cfg.csv"))
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(cfg.to_json())
-    assert run_command(["--config", str(cfg_path)]) == 0
-    assert (tmp_path / "flags.csv").read_bytes() == (tmp_path / "cfg.csv").read_bytes()
+    # the probe config spells its numbers as JSON ints, which print as the flags' floats do
+    cases = [("simulate --function vee_bowl --x0 0.2,0.5 --alpha 0.05 --steps 40 --seed 5",
+              RunConfig(command="simulate", function="vee_bowl", x0=[0.2, 0.5], alpha=0.05, steps=40, seed=5)),
+             ("probe --function quad --xstar 0,0 --epsilon 2 --delta-grid 1 --alpha-grid 1 --samples 3 --max-iters 5",
+              RunConfig(command="probe", function="quad", xstar=[0, 0], epsilon=2, delta_grid=[1], alpha_grid=[1],
+                        samples=3, max_iters=5))]
+    for i, (flags, cfg) in enumerate(cases):
+        assert run_command(flags.split() + ["--out", str(tmp_path / f"flags{i}")]) == 0
+        cfg.out = str(tmp_path / f"cfg{i}")
+        (tmp_path / f"run{i}.json").write_text(cfg.to_json())
+        assert run_command(["--config", str(tmp_path / f"run{i}.json")]) == 0
+        assert (tmp_path / f"flags{i}").read_bytes() == (tmp_path / f"cfg{i}").read_bytes(), flags
 
 
 def test_runconfig_json_roundtrip():
@@ -279,27 +282,32 @@ def test_readme_command_line_matches_the_table():
 
 
 def test_divergence_exit_3(tmp_path, capsys):
-    # (argv, the one stderr line, whether the output is written): JSON is strict,
-    # so a report that would hold inf or NaN is not written, and the command still exits 3
+    # (argv, the one stderr line, whether any output is written): JSON is strict,
+    # so a report that would hold inf or NaN is not written, and the command still exits 3;
+    # a diverged flow writes nothing, not even compare's discrete CSV
     quad = ["--function", "quad", "--x0", "1"]
     far = ["--function", "quad", "--x0", "1e90", "--alpha", "1e300"]  # the first step overflows to -inf
+    wild = ["--horizon", "100000", "--h", "3000"]  # each flow step multiplies x by -2999
     rows = [(["simulate", *quad, "--alpha", "3", "--steps", "400"], "diverged at iterate 333", True),
             (["simulate", *quad, "--alpha", "3", "--steps", "400", "--format", "json"],
              "diverged at iterate 333", True),
             (["simulate", *far, "--steps", "3", "--format", "json"], "diverged at iterate 1", False),
             (["convex-bounds", *quad, "--alpha", "3", "--epsilon", "0.1", "--steps", "400"],
              "diverged at iterate 333", True),
-            (["convex-bounds", *quad, "--alpha", "1e300", "--epsilon", "0.1"], "diverged at iterate 1", False)]
+            (["convex-bounds", *quad, "--alpha", "1e300", "--epsilon", "0.1"], "diverged at iterate 1", False),
+            (["flow", *quad, *wild], "diverged: flow diverged at t=87000.0", False),
+            # the discrete run stays finite (x flips sign each step), and its 50000 steps keep the row cheap
+            (["compare", *quad, "--alpha", "2", *wild], "diverged: flow diverged at t=87000.0", False)]
     for i, (argv, line, written) in enumerate(rows):
-        out = tmp_path / f"out{i}"
-        assert _run_in(tmp_path, argv + ["--out", out.name]) == 3, argv
+        (tmp_path / str(i)).mkdir()
+        assert _run_in(tmp_path / str(i), argv + ["--out", "out"]) == 3, argv
         assert capsys.readouterr().err.splitlines() == [line], argv
-        assert out.exists() == written, argv
+        assert any((tmp_path / str(i)).iterdir()) == written, argv
     # the truncated trajectory is still written, and convex-bounds' report has the usual keys
-    assert len((tmp_path / "out0").read_text().splitlines()) == 335
-    assert len(json.loads((tmp_path / "out1").read_text())["points"]) == 334
+    assert len((tmp_path / "0" / "out").read_text().splitlines()) == 335
+    assert len(json.loads((tmp_path / "1" / "out").read_text())["points"]) == 334
     golden = json.loads((GOLDENS / "convex_bounds_abssum.json").read_text())
-    assert set(json.loads((tmp_path / "out3").read_text())) == set(golden)
+    assert set(json.loads((tmp_path / "3" / "out").read_text())) == set(golden)
     # no divergence, but c^2 * alpha / 2 overflows: the JSON is refused all the same; the line
     # ends in json's own exception text, so only the part this package writes is matched
     assert _run_in(tmp_path, ["convex-bounds", "--function", "quad", "--x0", "1e50", "--alpha", "1e300",
@@ -349,3 +357,23 @@ def test_stdout_emission(capsys):
     assert run_command(["list-functions"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)[0]["id"] == "quad"
+
+
+def test_every_json_report_round_trips_as_strict_json(tmp_path):
+    """Each JSON the CLI writes is json_text of its own parse: strict, sorted and printed as it reads."""
+    jobs = {"list.json": "list-functions",
+            "sim.json": "simulate --function cross --x0 1,0.1 --alpha 0.1 --steps 20 --format json",
+            "cmp": "compare --function vee_bowl --x0 0,0.8 --alpha 0.1 --horizon 0.5 --h 0.05",
+            "cert.json": "probe --function quad --xstar 0,0 --epsilon 0.1 --samples 3 --max-iters 5",
+            "witness.json": "probe --function neg_norm --xstar 0,0 --epsilon 0.1 --samples 10 --seed 3",
+            "ce.json": "counterexample --epsilon 0.25 --alpha 0.3 --samples 20 --max-iters 1000 --seed 1",
+            "bounds.json": "convex-bounds --function abs_sum --x0 1 --alpha 0.1 --epsilon 0.1 --steps 40"}
+    for out, argv in jobs.items():
+        assert _run_in(tmp_path, argv.split() + ["--out", out]) == 0, argv
+    reports = sorted(tmp_path.glob("*.json"))
+    assert len(reports) == len(jobs)
+    for path in reports:
+        text = path.read_text()
+        assert json_text(json.loads(text)) == text, path.name
+    assert "certificate" in json.loads((tmp_path / "cert.json").read_text())
+    assert "witness" in json.loads((tmp_path / "witness.json").read_text())

@@ -12,7 +12,7 @@ from nsdyn import (
     sup_deviation,
 )
 from nsdyn.flow import flow_value
-from nsdyn.errors import HorizonMismatch, OutOfHorizon
+from nsdyn.errors import HorizonMismatch, NonFiniteState, OutOfHorizon
 
 QUAD1 = get_function("quad", 1)
 ABS1 = get_function("abs_sum", 1)
@@ -225,3 +225,9 @@ def test_integrate_flow_validates_step():
     for horizon in (np.inf, np.nan):
         with pytest.raises(ValueError, match="horizon"):
             integrate_flow(QUAD1, [1.0], horizon, 0.1)
+
+
+def test_diverging_flow_names_the_time():
+    # each step at h=3000 multiplies x by -2999, so |x| passes DIVERGENCE_LIMIT (1e100) at step 29, t = 29 * 3000
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteState, match=r"^flow diverged at t=87000\.0$"):
+        integrate_flow(QUAD1, [1.0], 100000.0, 3000.0)

@@ -93,6 +93,15 @@ def test_flow_csv_and_report_json(tmp_path):
     assert per_sample_csv_text(per_sample).splitlines()[1:3] == ["0,1.0,0.0,-1,1", "1,0.5,-0.25,7,0"]
 
 
+def test_query_is_echoed_as_given():
+    # x_star and the grids keep the ints they were given, as epsilon always has
+    q = StabilityQuery("quad", [0, 0], 2, delta_grid=(1,), alpha_grid=(1,), n_samples=3, max_iters=5)
+    got = json.loads(json_text(verdict_json_dict(probe(q))))["query"]
+    assert got == {"fn_id": "quad", "x_star": [0, 0], "epsilon": 2, "delta_grid": [1], "alpha_grid": [1],
+                   "n_samples": 3, "max_iters": 5, "policy": {"kind": "minimal_norm", "index": 0}, "seed": 0}
+    assert {type(v) for v in (got["epsilon"], *got["x_star"], *got["delta_grid"], *got["alpha_grid"])} == {int}
+
+
 def test_compare_csvs_agree_at_t0():
     # compare's discrete and flow CSVs start at the same point, so row 0 of
     # each prints the same t, x, f and subgradient norm
