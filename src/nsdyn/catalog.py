@@ -63,6 +63,14 @@ def _sign(v: float) -> float:
     return 1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0 if v == 0.0 else v
 
 
+def _norm_at(x) -> float:
+    """||x|| of one point in Python floats, adding the squares in ``sum_sq``'s order."""
+    acc = x[0] * x[0]
+    for v in x[1:]:
+        acc += v * v
+    return math.sqrt(acc)
+
+
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Coerce to a 1-D float64 array, optionally checking the dimension."""
     v = np.atleast_1d(np.asarray(x, dtype=float))
@@ -148,7 +156,7 @@ class CatalogFunction:
     def generators(self, x: np.ndarray, active_tol: float = 0.0) -> np.ndarray:
         """Generator rows of the Clarke subdifferential at ``x``.
 
-        The field row ``min_norm_many`` gives at ``x``, with each active kink
+        The field row ``min_norm_at`` gives at ``x``, with each active kink
         coordinate (|x_i| <= active_tol among ``kinked``) set to -1 and +1
         in turn: 2^|A| rows in ``itertools.product`` order.
         """
@@ -160,20 +168,18 @@ class CatalogFunction:
             gens[:, active] = list(itertools.product((-1.0, 1.0), repeat=len(active)))
         return gens
 
-    def at_kink(self, pts: np.ndarray, active_tol: float = 0.0) -> np.ndarray:
-        """Rows where ``generators`` gives more than one row: a ``kinked`` coordinate is active."""
-        return (np.abs(pts[:, self.kinked]) <= active_tol).any(axis=1)
+    def at_kink(self, pts: np.ndarray) -> np.ndarray:
+        """Rows where ``generators`` gives more than one row: a ``kinked`` coordinate is +-0.0."""
+        return (pts[:, self.kinked] == 0.0).any(axis=1)
 
     def min_norm_at(self, x) -> tuple:
         """Minimal-norm subgradient at one point, given as a sequence of Python floats.
 
         Each catalog function writes its one-point formula here in Python
         floats, in the association order of its ``min_norm_many`` kernel, so
-        the two agree bit for bit.  This fallback takes the one row of
-        ``min_norm_many``, so a function that defines only the batch kernel
-        still runs everywhere.
+        the two agree bit for bit.
         """
-        return tuple(self.min_norm_many(np.array([x], dtype=float))[0].tolist())
+        raise NotImplementedError
 
     def min_norm_many(self, pts: np.ndarray) -> np.ndarray:
         """Minimal-norm subgradient at each row of ``pts`` (closed form).
@@ -378,20 +384,16 @@ class NegNorm(CatalogFunction):
         return -np.sqrt(np.vecdot(pts, pts))
 
     def generators(self, x, active_tol=0.0):
-        x = as_point(x, self.dim)
-        if self.at_kink(x[None, :], active_tol)[0]:
-            eye = np.eye(self.dim)
-            return np.concatenate([eye, -eye], axis=0)
+        x = as_point(x, self.dim).tolist()
+        if _norm_at(x) <= active_tol:
+            return np.concatenate([np.eye(self.dim), -np.eye(self.dim)])
         return super().generators(x)
 
-    def at_kink(self, pts, active_tol=0.0):
-        return np.sqrt(sum_sq(pts)) <= active_tol
+    def at_kink(self, pts):
+        return sum_sq(pts) == 0.0  # ||x|| == 0, a square that underflows included
 
     def min_norm_at(self, x):
-        acc = x[0] * x[0]
-        for v in x[1:]:  # sum_sq's order: the squared coordinates added left to right
-            acc += v * v
-        r = math.sqrt(acc)
+        r = _norm_at(x)
         return tuple(v / -r for v in x) if r > 0.0 else (0.0,) * len(x)
 
     def min_norm_many(self, pts):

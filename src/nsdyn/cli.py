@@ -243,9 +243,9 @@ def execute(cfg: RunConfig) -> int:
         fn = get_function(cfg.function, dim=len(cfg.x0))
         steps = np.ceil(np.float64(cfg.horizon) / cfg.alpha)  # inf at alpha 0, below 0 for a negative input
         _check_recorded(steps, "horizon/alpha")
-        h = cfg.h if cfg.h is not None else cfg.alpha / 100.0
+        # the flow first: a flow that diverges stops the command before the discrete run is paid for
+        sol = integrate_flow(fn, cfg.x0, cfg.horizon, cfg.h if cfg.h is not None else cfg.alpha / 100.0)
         traj = run(fn, cfg.x0, cfg.alpha, int(steps), _policy(cfg), seed=cfg.seed)
-        sol = integrate_flow(fn, cfg.x0, cfg.horizon, h)
         stem = cfg.out if cfg.out is not None else "compare"
         write_text(f"{stem}.discrete.csv", reporting.trajectory_csv_text(traj, fn))
         write_text(f"{stem}.flow.csv", reporting.flow_csv_text(sol))

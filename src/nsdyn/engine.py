@@ -3,20 +3,20 @@
 The inclusion leaves the subgradient selection free; SelectionPolicy pins it
 down.  The default minimal-norm selection matches the slow-solution
 convention of the continuous flow and makes discrete/continuous comparisons
-canonical.  It is the closed-form field, which the generator policies also
-take except at an exact kink.  Recorded runs (``run``, the flow, ``step``)
-take it one point at a time from ``fn.min_norm_at`` in Python floats, and
-step each coordinate as x_i - a * s_i; batches (``run_batch``) take it from
-``fn.min_norm_many`` and step x - a * s in numpy.  Python floats and numpy
-round these operations alike, and tests hold the two fields bit-identical,
-so all agree bit for bit; Wolfe's projector never steps.  One keep test, a
-pair (measure, bound) kept while measure <= bound, decides when a row stops,
-from k = 0 on: ``_inside`` an exit ball, or ``_bounded`` without one; a NaN
-propagates through max and fails it.  The batch loop ``_iterate`` retires
-rows every step.  The recorded loop ``_record`` steps one row in Python
-floats, writes each block of new iterates into its record and tests the
-block at once; the iterates computed past the first failing one are
-discarded, silently.
+canonical.  One rule, ``_select_at``, picks on one point in Python floats:
+``fn.min_norm_at`` under the minimal-norm policy, else a row of
+``fn.generators(x)``, the ``min_norm_at`` row alone off a kink.  Recorded
+runs (``run``, the flow, ``step``) step x_i - a * s_i per coordinate;
+batches (``run_batch``) step x - a * s in numpy on ``fn.min_norm_many``,
+with ``_select_at`` on a generator policy's ``at_kink`` rows.  Python floats
+and numpy round alike, and tests hold the two fields bit-identical, so all
+agree bit for bit; Wolfe's projector never steps.  One keep test, a pair
+(measure, bound) kept while measure <= bound, decides when a row stops, from
+k = 0 on: ``_inside`` an exit ball, or ``_bounded`` without one; a NaN
+propagates through max and fails it.  The recorded loop ``_record`` steps one
+row in Python floats, writes each block of new iterates into its record and
+tests the block at once; the iterates computed past the first failing one
+are discarded, silently.
 
 The batch loop owns its working rows: one column-major (``order="F"``) copy of
 the start points, updated in place (``s *= a; pts -= s``) and compacted only
@@ -117,47 +117,26 @@ def sample_ball(center, radius: float, n: int, rng: np.random.Generator) -> np.n
     return center[None, :] + radii[:, None] * direction
 
 
-def _selector(fn: CatalogFunction, policy: SelectionPolicy, rng_of=None):
-    """Maps (pts, row ids) to one subgradient per row, for every policy.
-
-    A row takes its ``min_norm_many`` row unless it sits at an exact kink under
-    a generator policy: then generator ``index % m``, or a uniform draw from the
-    row's own stream ``rng_of(id)``, made at its first draw.
-    """
-    if policy.kind == "minimal_norm":
-        return lambda pts, ids: fn.min_norm_many(pts)
-    rngs = {}
-
-    def select(pts, ids):
-        s = fn.min_norm_many(pts)
-        for r in np.flatnonzero(fn.at_kink(pts)):
-            gens = fn.generators(pts[r], 0.0)
-            j = policy.index
-            if policy.kind == "random_extreme":
-                if rng_of is None:
-                    raise ValueError("random_extreme selection at a kink needs an rng or seeds")
-                rng = rngs[ids[r]] = rngs.get(ids[r]) or rng_of(ids[r])
-                j = int(rng.integers(gens.shape[0]))
-            s[r] = gens[j % gens.shape[0]]
-        return s
-
-    return select
-
-
 def _select_at(fn: CatalogFunction, policy: SelectionPolicy, rng_of=None):
-    """``_selector`` on one point given as Python floats, returning a tuple of floats.
+    """The one selection rule: maps one point, a list of Python floats, and its row id to a tuple of floats.
 
-    The minimal-norm policy is ``fn.min_norm_at`` itself; a generator policy
-    takes it too, except at an exact kink, where it runs ``_selector`` on the
-    point as a one-row batch.
+    Minimal norm is ``fn.min_norm_at``.  A generator policy takes row
+    ``index % m`` of ``fn.generators(x)``, or under random_extreme a draw
+    (m > 1 only) from the row's stream ``rng_of(row)``, made once per row.
     """
     if policy.kind == "minimal_norm":
         return fn.min_norm_at
-    select = _selector(fn, policy, rng_of)
+    rngs = {}
 
-    def select_at(x):
-        pt = np.array([x])
-        return tuple(select(pt, [0])[0].tolist()) if fn.at_kink(pt)[0] else fn.min_norm_at(x)
+    def select_at(x, row=0):
+        gens = fn.generators(x)
+        j = policy.index
+        if policy.kind == "random_extreme" and len(gens) > 1:
+            if rng_of is None:
+                raise ValueError("random_extreme selection at a kink needs an rng or seeds")
+            rng = rngs[row] = rngs.get(row) or rng_of(row)
+            j = int(rng.integers(len(gens)))
+        return tuple(gens[j % len(gens)].tolist())
 
     return select_at
 
@@ -356,8 +335,17 @@ def run_batch(fn: CatalogFunction, x0s: np.ndarray, alpha: float, n_steps: int,
     """
     _positive("alpha", alpha)
     keep = _bounded if exit_center is None else _inside(exit_center, exit_radius, fn.dim)
-    rng_of = None if seeds is None else lambda i: make_rng(seeds(int(i)))
-    return _iterate(_selector(fn, policy, rng_of), x0s, repeat(alpha, n_steps), keep)
+    if policy.kind == "minimal_norm":
+        return _iterate(lambda pts, ids: fn.min_norm_many(pts), x0s, repeat(alpha, n_steps), keep)
+    select_at = _select_at(fn, policy, None if seeds is None else lambda i: make_rng(seeds(int(i))))
+
+    def select(pts, ids):
+        s = fn.min_norm_many(pts)
+        for r in np.flatnonzero(fn.at_kink(pts)):
+            s[r] = select_at(pts[r].tolist(), ids[r])
+        return s
+
+    return _iterate(select, x0s, repeat(alpha, n_steps), keep)
 
 
 @dataclass(frozen=True)

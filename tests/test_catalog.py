@@ -13,6 +13,7 @@ from nsdyn import (
     minimal_norm_element,
     subdifferential,
 )
+from nsdyn.catalog import CATALOG_IDS, CatalogFunction
 from nsdyn.engine import make_rng, sample_ball
 from nsdyn.errors import DimensionMismatch, NonFiniteInput
 
@@ -96,31 +97,19 @@ def test_minimal_norm_examples():
 
 
 def _min_norm_by_subset_enumeration(gens):
-    # exhaustive oracle: the solution is the min-norm point of the affine
-    # hull of some generator subset, with nonnegative weights and no
-    # improving generator left outside
+    # exhaustive oracle: the least-norm point among the affine min-norm points
+    # of the generator subsets whose affine weights are all >= 0
     m = gens.shape[0]
-    best, best_norm = None, np.inf
+    feasible = []
     for size in range(1, m + 1):
-        for subset in itertools.combinations(range(m), size):
-            pts = gens[list(subset)]
-            gram = pts @ pts.T
-            lhs = np.block([[gram, np.ones((size, 1))], [np.ones((1, size)), np.zeros((1, 1))]])
-            rhs = np.zeros(size + 1)
-            rhs[size] = 1.0
-            try:
-                lam = np.linalg.lstsq(lhs, rhs, rcond=None)[0][:size]
-            except np.linalg.LinAlgError:
-                continue
-            if np.any(lam < -1e-9):
-                continue
-            x = lam @ pts
-            if np.any(gens @ x < x @ x - 1e-9):
-                continue
-            n = np.linalg.norm(x)
-            if n < best_norm:
-                best, best_norm = x, n
-    return best
+        pts = gens[list(itertools.combinations(range(m), size))]  # one (size, dim) block per subset
+        lhs = np.ones((pts.shape[0], size + 1, size + 1))
+        lhs[:, :size, :size] = pts @ pts.transpose(0, 2, 1)
+        lhs[:, size, size] = 0.0
+        lam = np.linalg.pinv(lhs)[:, :size, size]  # least-squares weights of [[G, 1], [1, 0]] w = e_last
+        feasible.append(np.einsum("sj,sjd->sd", lam, pts)[lam.min(axis=1) >= 0.0])
+    cands = np.concatenate(feasible)
+    return cands[np.argmin(np.linalg.norm(cands, axis=1))]
 
 
 def test_minimal_norm_against_enumeration_oracle():
@@ -135,6 +124,23 @@ def test_minimal_norm_against_enumeration_oracle():
         want = _min_norm_by_subset_enumeration(gens)
         assert abs(np.linalg.norm(got) - np.linalg.norm(want)) < 1e-9
         assert hull_distance(gens, got) < 1e-9
+
+
+def test_minimal_norm_matches_brute_force_on_random_polytopes():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    # 1-7 generators in dimensions 1-4: Gaussian, or small integers with repeated and collinear rows
+    @hyp.settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @hyp.given(m=st.integers(1, 7), dim=st.integers(1, 4), integer=st.booleans(), shift=st.sampled_from([0.0, 1.5]),
+               seed=st.integers(0, 2 ** 32 - 1))
+    def check(m, dim, integer, shift, seed):
+        rng = make_rng(seed)
+        gens = (rng.integers(-2, 3, (m, dim)).astype(float) if integer else rng.standard_normal((m, dim))) + shift
+        want = _min_norm_by_subset_enumeration(gens)
+        assert np.abs(minimal_norm_element(gens) - want).max() <= 1e-9, gens.tolist()
+
+    check()
 
 
 def test_minimal_norm_exact_zero_for_symmetric_hulls():
@@ -183,6 +189,35 @@ def test_min_norm_lies_in_hull_with_smallest_norm():
         row = fn.min_norm_many(x[None, :])[0]
         assert hull_distance(s, row) <= 1e-12, (name, x)
         assert np.linalg.norm(row) <= np.linalg.norm(v) + 1e-15, (name, x)
+
+
+def test_at_kink_marks_exactly_the_points_with_several_generators():
+    # run_batch sends its at_kink rows to generators and run asks generators alone, so the two must agree
+    rng = make_rng(12)
+    cases = {}
+    for name, dim, x in KINK_POINTS:
+        cases.setdefault((name, dim), []).append(x)
+    for name, dim, center, radius in SAMPLE_SPECS:
+        cases.setdefault((name, dim), []).extend(sample_ball(np.array(center), radius, 20, rng).tolist())
+    for (name, dim), rows in cases.items():  # and every row of +-0.0, NaN and 0.5
+        rows.extend(itertools.product([0.0, -0.0, np.nan, 0.5], repeat=dim))
+    # neg_norm: the square of 1e-200 underflows to 0, a kink; that of 1e-160 is subnormal, not one
+    cases[("neg_norm", 2)] += [[1e-200, 0.0], [1e-160, 0.0]]
+    assert get_function("neg_norm", 2).at_kink(np.array([[1e-200, 0.0], [1e-160, 0.0]])).tolist() == [True, False]
+    assert {name for name, _ in cases} == set(CATALOG_IDS)
+    for (name, dim), rows in cases.items():
+        fn = get_function(name, dim)
+        pts = np.array(rows, float)
+        assert fn.at_kink(pts).tolist() == [fn.generators(p).shape[0] > 1 for p in pts], name
+
+
+def test_min_norm_at_has_no_fallback():
+    # each catalog function writes its one-point formula; one row of the batch kernel does not stand in for it
+    class BatchOnly(CatalogFunction):
+        min_norm_many = staticmethod(get_function("cross").min_norm_many)
+
+    with pytest.raises(NotImplementedError):
+        BatchOnly(2).min_norm_at([0.5, 0.5])
 
 
 def test_no_duplicate_generators():

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nsdyn import cli, engine
 from nsdyn.cli import (KINDS, SUBCOMMANDS, TAKES, RunConfig, _build_parser, _check_config, _config_from_args,
                        run_command)
 from nsdyn.reporting import json_text
@@ -281,7 +282,7 @@ def test_readme_command_line_matches_the_table():
                     in SUBCOMMANDS.items()}
 
 
-def test_divergence_exit_3(tmp_path, capsys):
+def test_divergence_exit_3(tmp_path, capsys, monkeypatch):
     # (argv, the one stderr line, whether any output is written): JSON is strict,
     # so a report that would hold inf or NaN is not written, and the command still exits 3;
     # a diverged flow writes nothing, not even compare's discrete CSV
@@ -296,11 +297,15 @@ def test_divergence_exit_3(tmp_path, capsys):
              "diverged at iterate 333", True),
             (["convex-bounds", *quad, "--alpha", "1e300", "--epsilon", "0.1"], "diverged at iterate 1", False),
             (["flow", *quad, *wild], "diverged: flow diverged at t=87000.0", False),
-            # the discrete run stays finite (x flips sign each step), and its 50000 steps keep the row cheap
+            # compare integrates the flow first, so its 50000 discrete steps are never run
             (["compare", *quad, "--alpha", "2", *wild], "diverged: flow diverged at t=87000.0", False)]
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args) or engine.run(*args, **kwargs))
     for i, (argv, line, written) in enumerate(rows):
         (tmp_path / str(i)).mkdir()
+        runs.clear()
         assert _run_in(tmp_path / str(i), argv + ["--out", "out"]) == 3, argv
+        assert bool(runs) == (argv[0] == "simulate"), argv
         assert capsys.readouterr().err.splitlines() == [line], argv
         assert any((tmp_path / str(i)).iterdir()) == written, argv
     # the truncated trajectory is still written, and convex-bounds' report has the usual keys

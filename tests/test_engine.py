@@ -18,10 +18,8 @@ from nsdyn import (
     step,
     subdifferential,
 )
-from nsdyn.catalog import CatalogFunction
 from nsdyn.engine import DIVERGENCE_LIMIT, MAX_RECORDED_STEPS, RECORD_BLOCK, Trajectory, derive_seed, make_rng
 from nsdyn.errors import NonFiniteState, OutOfHorizon
-from nsdyn.flow import integrate_flow
 
 QUAD1 = get_function("quad", 1)
 CROSS = get_function("cross")
@@ -347,11 +345,12 @@ def test_random_extreme_needs_a_stream_only_at_kinks():
 
 
 class _CountingOracle:
-    """Delegates to a catalog function, recording the rows of each min_norm_many call."""
+    """Delegates to a catalog function, recording the rows of each min_norm_many call and counting at_kink calls."""
 
     def __init__(self, fn):
         self.fn = fn
         self.rows = []
+        self.kink_calls = 0
 
     def __getattr__(self, name):
         return getattr(self.fn, name)
@@ -360,41 +359,21 @@ class _CountingOracle:
         self.rows.append(pts.shape[0])
         return self.fn.min_norm_many(pts)
 
-
-class _BatchOnlyCross(CatalogFunction):
-    """cross defined by its batch kernel alone, recording the rows of each min_norm_many call."""
-
-    name = "batch_only_cross"
-
-    def __init__(self):
-        super().__init__(2)
-        self.rows = []
-
-    def value_many(self, pts):
-        return CROSS.value_many(pts)
-
-    def min_norm_many(self, pts):
-        self.rows.append(pts.shape[0])
-        return CROSS.min_norm_many(pts)
+    def at_kink(self, pts):
+        self.kink_calls += 1
+        return self.fn.at_kink(pts)
 
 
-def test_a_function_with_only_the_batch_kernel_runs_through_the_fallback():
-    # min_norm_at falls back to one row of min_norm_many: run, integrate_flow, step and generators
-    # take one one-row call per point, and give cross's own bits
-    fn = _BatchOnlyCross()
-    n_steps = 2 * RECORD_BLOCK + 5
-    traj, want = run(fn, [1.0, 0.1], 0.1, n_steps), run(CROSS, [1.0, 0.1], 0.1, n_steps)
-    assert traj.points.tobytes() == want.points.tobytes()
-    assert traj.chosen_subgradients.tobytes() == want.chosen_subgradients.tobytes()
-    assert fn.rows == [1] * n_steps
-    fn.rows.clear()
-    sol, ref = integrate_flow(fn, [1.0, 0.1], 0.5, 0.01), integrate_flow(CROSS, [1.0, 0.1], 0.5, 0.01)
-    assert sol.xs.tobytes() == ref.xs.tobytes()
-    assert sol.min_norm_subgrads.tobytes() == ref.min_norm_subgrads.tobytes()
-    assert fn.rows == [1] * sol.ts.shape[0]  # every Euler step, then the last node
-    for got, ref in zip(step(fn, [0.3, -0.2], 0.1), step(CROSS, [0.3, -0.2], 0.1)):
-        assert got.tobytes() == ref.tobytes()
-    assert fn.generators([0.3, -0.2]).tobytes() == CROSS.generators([0.3, -0.2]).tobytes()
+def test_a_recorded_generator_policy_run_makes_no_batch_call():
+    # run and step pick from generators on one point, at a kink and off it, with no one-row batch
+    for policy in (SelectionPolicy("random_extreme"), SelectionPolicy("fixed_index", 1)):
+        oracle = _CountingOracle(ABS1)
+        traj = run(oracle, [0.5], 0.25, 2 * RECORD_BLOCK, policy, seed=3)
+        assert traj.points[2, 0] == 0.0 and traj.chosen_subgradients[2, 0] in (-1.0, 1.0)
+        assert traj.points.tobytes() == run(ABS1, [0.5], 0.25, 2 * RECORD_BLOCK, policy, seed=3).points.tobytes()
+        for x in ([0.0], [0.5]):
+            step(oracle, x, 0.25, policy, make_rng(3))
+        assert oracle.rows == [] and oracle.kink_calls == 0, policy
 
 
 def test_batch_exit_indices_match_first_exit():
