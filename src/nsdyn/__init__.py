@@ -10,7 +10,6 @@ minimum.
 
 from .catalog import (
     CatalogFunction,
-    SubdifferentialSet,
     evaluate,
     get_function,
     hull_distance,

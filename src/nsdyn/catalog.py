@@ -5,6 +5,10 @@ scalar ``value`` is its one-row case) and the exact generator representation
 of its Clarke subdifferential: the subdifferential at a point is the convex
 hull of finitely many generator vectors (a single generator wherever the
 function is differentiable, the extreme limiting gradients at kinks).  The
+bit rule: with active kinked coordinates A there are ``generator_count`` =
+2^|A|, and ``generator(x, j)`` is the ``min_norm_at`` row with active
+coordinate t set to +1 where bit |A|-1-t of j is set, else -1 (``neg_norm``
+at 0: 2*dim, +e_i then -e_i); ``generators`` lists up to MAX_GENERATORS.  The
 closed-form minimal-norm field drives all dynamics, written twice in one
 association order: ``min_norm_at`` on one point in Python floats, which
 recorded runs step on, and ``min_norm_many`` on a batch of rows, which
@@ -34,9 +38,7 @@ Catalog:
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +46,6 @@ from .errors import DimensionMismatch, NonFiniteInput
 
 __all__ = [
     "CatalogFunction",
-    "SubdifferentialSet",
     "evaluate",
     "subdifferential",
     "minimal_norm_element",
@@ -55,6 +56,7 @@ __all__ = [
 ]
 
 MIN_NORM_TOL = 1e-12
+MAX_GENERATORS = 2 ** 20  # the rows of abs_sum at 0 in R^20 take ~0.7 s and ~200 MB to list (numpy 2.4, x86-64)
 _DEFAULT_NAN = math.inf - math.inf  # the hardware's NaN for an invalid operation, as np.sin(inf) returns
 
 
@@ -97,34 +99,12 @@ def sum_sq(pts: np.ndarray, in_place: bool = False) -> np.ndarray:
     return acc
 
 
-@dataclass(frozen=True)
-class SubdifferentialSet:
-    """Clarke subdifferential at ``point`` as the hull of ``generators``.
-
-    generators has shape (m, dim) with no duplicate rows; the subdifferential
-    is exactly conv(generators) for every catalog function.
-    """
-
-    generators: np.ndarray
-    point: np.ndarray
-
-    def __post_init__(self):
-        g = np.atleast_2d(np.asarray(self.generators, dtype=float))
-        object.__setattr__(self, "generators", g)
-        object.__setattr__(self, "point", as_point(self.point, g.shape[1]))
-
-    @property
-    def dim(self) -> int:
-        return self.generators.shape[1]
-
-
 class CatalogFunction:
     """Base class: closed-form value plus exact generator oracle."""
 
     name: str
     semialgebraic: bool = True
     convex: bool = False
-    any_dim: bool = False
     quad_growth: float | None = None  # beta with f(x) - inf f >= beta * d(x, X)^2
     kinked: slice = slice(0)  # leading coordinates i with a kink |x_i| at x_i = 0
 
@@ -153,23 +133,38 @@ class CatalogFunction:
         """
         raise NotImplementedError
 
-    def generators(self, x: np.ndarray, active_tol: float = 0.0) -> np.ndarray:
-        """Generator rows of the Clarke subdifferential at ``x``.
+    def _active(self, x, active_tol: float) -> list[int]:  # NaN is never active; ``kinked`` leads, so i indexes x
+        return [i for i, v in enumerate(x[self.kinked]) if abs(v) <= active_tol]
 
-        The field row ``min_norm_at`` gives at ``x``, with each active kink
-        coordinate (|x_i| <= active_tol among ``kinked``) set to -1 and +1
-        in turn: 2^|A| rows in ``itertools.product`` order.
-        """
+    def generator_count(self, x, active_tol: float = 0.0) -> int:
+        """Number of generators at one point, a sequence of Python floats: 2^|A|."""
+        return 1 << len(self._active(x, active_tol))
+
+    def generator(self, x, j: int, active_tol: float = 0.0) -> tuple:
+        """Generator j < ``generator_count(x)`` at one point in Python floats, by the bit rule; j is any int."""
+        g = list(self.min_norm_at(x))
+        for b, i in enumerate(reversed(self._active(x, active_tol))):
+            g[i] = 1.0 if j >> b & 1 else -1.0
+        return tuple(g)
+
+    def generators(self, x: np.ndarray, active_tol: float = 0.0) -> np.ndarray:
+        """All generator rows at ``x``, row j ``generator(x, j)``; ValueError above MAX_GENERATORS rows."""
         x = as_point(x, self.dim).tolist()
-        gens = np.array([self.min_norm_at(x)])
-        active = [i for i in range(self.dim)[self.kinked] if abs(x[i]) <= active_tol]
-        if active:
-            gens = np.repeat(gens, 2 ** len(active), axis=0)
-            gens[:, active] = list(itertools.product((-1.0, 1.0), repeat=len(active)))
+        m = self.generator_count(x, active_tol)
+        if m > MAX_GENERATORS:
+            raise ValueError(f"the subdifferential here has {m} generators; at most {MAX_GENERATORS} can be listed")
+        return np.array([self.min_norm_at(x)]) if m == 1 else self._listing(x, m, active_tol)
+
+    def _listing(self, x, m: int, active_tol: float) -> np.ndarray:
+        """The m > 1 generator rows at one point, the bit rule of ``generator`` taken one column at a time."""
+        gens = np.repeat(np.array([self.min_norm_at(x)]), m, axis=0)
+        j = np.arange(m)
+        for b, i in enumerate(reversed(self._active(x, active_tol))):
+            gens[:, i] = np.where(j >> b & 1, 1.0, -1.0)
         return gens
 
     def at_kink(self, pts: np.ndarray) -> np.ndarray:
-        """Rows where ``generators`` gives more than one row: a ``kinked`` coordinate is +-0.0."""
+        """Rows where ``generator_count`` is above 1: a ``kinked`` coordinate is +-0.0."""
         return (pts[:, self.kinked] == 0.0).any(axis=1)
 
     def min_norm_at(self, x) -> tuple:
@@ -212,7 +207,6 @@ class Quad(CatalogFunction):
 
     name = "quad"
     convex = True
-    any_dim = True
     quad_growth = 0.5
 
     @property
@@ -239,7 +233,6 @@ class AbsSum(CatalogFunction):
 
     name = "abs_sum"
     convex = True
-    any_dim = True
     kinked = slice(None)
 
     @property
@@ -378,16 +371,21 @@ class NegNorm(CatalogFunction):
     """
 
     name = "neg_norm"
-    any_dim = True
 
     def value_many(self, pts):
         return -np.sqrt(np.vecdot(pts, pts))
 
-    def generators(self, x, active_tol=0.0):
-        x = as_point(x, self.dim).tolist()
-        if _norm_at(x) <= active_tol:
-            return np.concatenate([np.eye(self.dim), -np.eye(self.dim)])
-        return super().generators(x)
+    def generator_count(self, x, active_tol=0.0):
+        return 2 * self.dim if _norm_at(x) <= active_tol else 1  # a NaN point keeps its one row
+
+    def generator(self, x, j, active_tol=0.0):
+        """+e_j for j < dim, else -e_(j-dim) with the -0.0 zeros of ``-np.eye``."""
+        if self.generator_count(x, active_tol) == 1:
+            return self.min_norm_at(x)
+        return tuple((1.0 if j < self.dim else -1.0) * (i == j % self.dim) for i in range(self.dim))
+
+    def _listing(self, x, m, active_tol):
+        return np.concatenate([np.eye(self.dim), -np.eye(self.dim)])
 
     def at_kink(self, pts):
         return sum_sq(pts) == 0.0  # ||x|| == 0, a square that underflows included
@@ -435,8 +433,8 @@ def evaluate(fn: CatalogFunction, x) -> float:
     return fn.value(x)
 
 
-def subdifferential(fn: CatalogFunction, x, active_tol: float = 0.0) -> SubdifferentialSet:
-    """Exact Clarke subdifferential at ``x`` as a generator set.
+def subdifferential(fn: CatalogFunction, x, active_tol: float = 0.0) -> np.ndarray:
+    """Exact Clarke subdifferential at ``x`` as its (m, dim) generator rows, ``fn.generators``.
 
     A kink is treated as active when its defining quantity has magnitude
     <= active_tol; with active_tol = 0 the set is exact at the given
@@ -444,8 +442,7 @@ def subdifferential(fn: CatalogFunction, x, active_tol: float = 0.0) -> Subdiffe
     """
     if active_tol < 0:
         raise ValueError("active_tol must be nonnegative")
-    x = as_point(x, fn.dim)
-    return SubdifferentialSet(fn.generators(x, active_tol), x)
+    return fn.generators(x, active_tol)
 
 
 def _segment_min_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -472,17 +469,16 @@ def _affine_min_norm(pts: np.ndarray) -> np.ndarray:
     return sol[:m]
 
 
-def minimal_norm_element(sub) -> np.ndarray:
-    """argmin{||v|| : v in conv(generators)}.
+def minimal_norm_element(gens) -> np.ndarray:
+    """argmin{||v|| : v in conv(gens)}, over the rows of an (m, dim) array.
 
     Exact segment projection for up to two generators; Wolfe's minimum-norm
     point iteration (tolerance 1e-12, iteration cap 10*m^2) beyond that.
     Wolfe's answer carries a residue up to that tolerance: at ``abs_sum``
     [0, 0, 0.5, 1] its first two entries are -4.4e-16 where 0 is exact.
     The dynamics never use it; they step on ``min_norm_many``.
-    Accepts a SubdifferentialSet or a raw (m, dim) array.
     """
-    gens = sub.generators if isinstance(sub, SubdifferentialSet) else np.atleast_2d(np.asarray(sub, float))
+    gens = np.atleast_2d(np.asarray(gens, float))
     m = gens.shape[0]
     if m == 0:
         raise ValueError("empty generator set")
@@ -543,8 +539,6 @@ def _wolfe_min_norm(gens: np.ndarray, tol: float = MIN_NORM_TOL) -> np.ndarray:
     return x
 
 
-def hull_distance(sub, v) -> float:
-    """Distance from ``v`` to conv(generators); 0 means hull membership."""
-    gens = sub.generators if isinstance(sub, SubdifferentialSet) else np.atleast_2d(np.asarray(sub, float))
-    shifted = gens - np.asarray(v, float)[None, :]
-    return float(np.linalg.norm(minimal_norm_element(shifted)))
+def hull_distance(gens, v) -> float:
+    """Distance from ``v`` to the hull of the rows of ``gens``; 0 means hull membership."""
+    return float(np.linalg.norm(minimal_norm_element(np.asarray(gens, float) - np.asarray(v, float))))

@@ -4,8 +4,8 @@ The inclusion leaves the subgradient selection free; SelectionPolicy pins it
 down.  The default minimal-norm selection matches the slow-solution
 convention of the continuous flow and makes discrete/continuous comparisons
 canonical.  One rule, ``_select_at``, picks on one point in Python floats:
-``fn.min_norm_at`` under the minimal-norm policy, else a row of
-``fn.generators(x)``, the ``min_norm_at`` row alone off a kink.  Recorded
+``fn.min_norm_at``, or under a generator policy where ``fn.generator_count``
+exceeds 1, the one ``fn.generator(x, j)`` it picks, never the set.  Recorded
 runs (``run``, the flow, ``step``) step x_i - a * s_i per coordinate;
 batches (``run_batch``) step x - a * s in numpy on ``fn.min_norm_many``,
 with ``_select_at`` on a generator policy's ``at_kink`` rows.  Python floats
@@ -73,10 +73,12 @@ _POLICY_KINDS = ("minimal_norm", "random_extreme", "fixed_index")
 
 @dataclass(frozen=True)
 class SelectionPolicy:
-    """How to pick one subgradient from the generator set.
+    """How to pick one subgradient from the m generators at a point.
 
     minimal_norm   argmin-norm element of the hull (deterministic)
-    random_extreme uniform over the generators (seed-dependent)
+    random_extreme uniform over the generators (seed-dependent): j is
+                   ``rng.integers(m)`` up to m = 2^63; above, m = 2^|A| and
+                   j is |A| draws of ``rng.integers(2)``, highest bit first
     fixed_index    generator ``index`` modulo the generator count
     """
 
@@ -120,23 +122,26 @@ def sample_ball(center, radius: float, n: int, rng: np.random.Generator) -> np.n
 def _select_at(fn: CatalogFunction, policy: SelectionPolicy, rng_of=None):
     """The one selection rule: maps one point, a list of Python floats, and its row id to a tuple of floats.
 
-    Minimal norm is ``fn.min_norm_at``.  A generator policy takes row
-    ``index % m`` of ``fn.generators(x)``, or under random_extreme a draw
-    (m > 1 only) from the row's stream ``rng_of(row)``, made once per row.
+    Minimal norm is ``fn.min_norm_at``, as is a generator policy where
+    ``fn.generator_count(x)`` is 1.  Else it builds ``fn.generator(x, j)`` alone:
+    j = ``index % m``, or a draw from the row's stream ``rng_of(row)``, made once.
     """
     if policy.kind == "minimal_norm":
         return fn.min_norm_at
     rngs = {}
 
     def select_at(x, row=0):
-        gens = fn.generators(x)
+        m = fn.generator_count(x)
+        if m == 1:
+            return fn.min_norm_at(x)
         j = policy.index
-        if policy.kind == "random_extreme" and len(gens) > 1:
+        if policy.kind == "random_extreme":
             if rng_of is None:
                 raise ValueError("random_extreme selection at a kink needs an rng or seeds")
             rng = rngs[row] = rngs.get(row) or rng_of(row)
-            j = int(rng.integers(len(gens)))
-        return tuple(gens[j % len(gens)].tolist())
+            n = m.bit_length() - 1  # numpy's integers draws below at most 2^63; above, m = 2^n is n bits
+            j = int(rng.integers(m)) if m <= 2 ** 63 else int("".join(map(str, rng.integers(2, size=n))), 2)
+        return fn.generator(x, j % m)
 
     return select_at
 

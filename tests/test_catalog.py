@@ -5,7 +5,6 @@ import numpy.testing as npt
 import pytest
 
 from nsdyn import (
-    SubdifferentialSet,
     evaluate,
     get_function,
     hull_distance,
@@ -51,39 +50,39 @@ def test_evaluate_errors():
 def test_subdifferential_examples():
     abs1 = get_function("abs_sum", 1)
     s = subdifferential(abs1, [0.0], 0.0)
-    npt.assert_array_equal(np.sort(s.generators, axis=0), [[-1.0], [1.0]])
+    npt.assert_array_equal(np.sort(s, axis=0), [[-1.0], [1.0]])
 
     cross = get_function("cross")
     s = subdifferential(cross, [1.0, 0.1], 0.0)
-    assert s.generators.shape == (1, 2)
-    npt.assert_allclose(s.generators[0],
+    assert s.shape == (1, 2)
+    npt.assert_allclose(s[0],
                         [1.5 * 0.1 ** 1.5, 1.5 * 0.1 ** 0.5], rtol=1e-15)
 
     s = subdifferential(cross, [1.0, 0.0], 0.0)
-    npt.assert_array_equal(s.generators, [[0.0, 0.0]])
+    npt.assert_array_equal(s, [[0.0, 0.0]])
 
 
 def test_active_tol_widens_kinks():
     vb = get_function("vee_bowl")
-    assert subdifferential(vb, [1e-9, 0.5], 0.0).generators.shape == (1, 2)
+    assert subdifferential(vb, [1e-9, 0.5], 0.0).shape == (1, 2)
     s = subdifferential(vb, [1e-9, 0.5], 1e-8)
-    assert s.generators.shape == (2, 2)
-    npt.assert_array_equal(s.generators[:, 1], [1.0, 1.0])
+    assert s.shape == (2, 2)
+    npt.assert_array_equal(s[:, 1], [1.0, 1.0])
 
     abs3 = get_function("abs_sum", 3)
     s = subdifferential(abs3, [0.0, 2.0, 0.0], 0.0)
-    assert s.generators.shape == (4, 3)
-    assert np.all(s.generators[:, 1] == 1.0)
+    assert s.shape == (4, 3)
+    assert np.all(s[:, 1] == 1.0)
 
 
 def test_wiggle_at_zero_and_away():
     wig = get_function("wiggle")
     assert evaluate(wig, [0.0]) == 0.0
     s = subdifferential(wig, [0.0], 0.0)
-    npt.assert_array_equal(np.sort(s.generators, axis=0), [[-1.0], [1.0]])
+    npt.assert_array_equal(np.sort(s, axis=0), [[-1.0], [1.0]])
     t = 0.02
     s = subdifferential(wig, [t], 0.0)
-    npt.assert_allclose(s.generators[0, 0],
+    npt.assert_allclose(s[0, 0],
                         2 * t * np.sin(1 / t) - np.cos(1 / t), rtol=1e-15)
     assert not wig.semialgebraic
 
@@ -182,7 +181,7 @@ def test_min_norm_lies_in_hull_with_smallest_norm():
         s = subdifferential(fn, x, 0.0)
         v = minimal_norm_element(s)
         assert hull_distance(s, v) <= 1e-10
-        gen_norms = np.linalg.norm(s.generators, axis=1)
+        gen_norms = np.linalg.norm(s, axis=1)
         assert np.linalg.norm(v) <= gen_norms.min() + 1e-12
         # the closed-form field the dynamics use: in the hull, and no longer
         # than Wolfe's projection
@@ -192,7 +191,8 @@ def test_min_norm_lies_in_hull_with_smallest_norm():
 
 
 def test_at_kink_marks_exactly_the_points_with_several_generators():
-    # run_batch sends its at_kink rows to generators and run asks generators alone, so the two must agree
+    # run_batch sends its at_kink rows to the one-point selection, which counts generators, so the two must
+    # agree; and the one generator the selection builds is the row generators lists, bit for bit
     rng = make_rng(12)
     cases = {}
     for name, dim, x in KINK_POINTS:
@@ -208,7 +208,15 @@ def test_at_kink_marks_exactly_the_points_with_several_generators():
     for (name, dim), rows in cases.items():
         fn = get_function(name, dim)
         pts = np.array(rows, float)
-        assert fn.at_kink(pts).tolist() == [fn.generators(p).shape[0] > 1 for p in pts], name
+        assert fn.at_kink(pts).tolist() == [fn.generator_count(p) > 1 for p in pts.tolist()], name
+        for p, tol in itertools.product(pts.tolist(), (0.0, 0.3)):
+            gens = fn.generators(p, tol)
+            one = np.array([fn.generator(p, j, tol) for j in range(fn.generator_count(p, tol))])
+            assert one.tobytes() == gens.tobytes(), (name, p, tol)  # -0.0 and NaN bits included
+    # the bit rule on a set too large to list: active coordinate t takes bit |A|-1-t of j
+    fn, x = get_function("abs_sum", 70), [0.0] * 69 + [2.0]
+    assert fn.generator_count(x) == 2 ** 69
+    assert fn.generator(x, 2 ** 68 + 1) == (1.0,) + (-1.0,) * 67 + (1.0, 1.0)
 
 
 def test_min_norm_at_has_no_fallback():
@@ -228,7 +236,7 @@ def test_no_duplicate_generators():
         ("neg_norm", 3, [0.0, 0.0, 0.0]),
     ]
     for name, dim, x in checks:
-        gens = subdifferential(get_function(name, dim), x, 0.0).generators
+        gens = subdifferential(get_function(name, dim), x, 0.0)
         assert len(np.unique(gens, axis=0)) == gens.shape[0]
 
 
@@ -258,8 +266,8 @@ def test_singleton_generator_matches_finite_differences():
                 continue
             tested += 1
             s = subdifferential(fn, x, 0.0)
-            assert s.generators.shape[0] == 1
-            g = s.generators[0]
+            assert s.shape[0] == 1
+            g = s[0]
             fd = np.array([_central_difference(fn, x, i) for i in range(dim)])
             npt.assert_allclose(g, fd, rtol=1e-6, atol=1e-6)
 
@@ -269,11 +277,11 @@ def test_cross_sign_symmetry():
     rng = make_rng(5)
     for _ in range(50):
         x = rng.uniform(0.05, 1.5, 2)
-        base = subdifferential(cross, x, 0.0).generators[0]
+        base = subdifferential(cross, x, 0.0)[0]
         for s1, s2 in itertools.product((-1.0, 1.0), repeat=2):
             flipped = np.array([s1 * x[0], s2 * x[1]])
             assert evaluate(cross, flipped) == evaluate(cross, x)
-            g = subdifferential(cross, flipped, 0.0).generators[0]
+            g = subdifferential(cross, flipped, 0.0)[0]
             npt.assert_array_equal(g, [s1 * base[0], s2 * base[1]])
 
 
@@ -375,6 +383,7 @@ def test_list_catalog_descriptors():
 
 def test_subdifferential_set_validates_dim():
     with pytest.raises(DimensionMismatch):
-        SubdifferentialSet(np.array([[1.0, 0.0]]), np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(DimensionMismatch):
         subdifferential(get_function("cross"), [1.0], 0.0)
+    # and lists at most MAX_GENERATORS rows, refusing more before it builds any
+    with pytest.raises(ValueError, match=f"{2 ** 40} generators"):
+        subdifferential(get_function("abs_sum", 41), [0.0] * 40 + [1.0])

@@ -34,6 +34,18 @@ def test_simulate_row_count(tmp_path):
     assert lines[0] == "k,t,x_0,x_1,f,subgrad_norm"
 
 
+def test_generator_policies_pick_without_listing_the_set(tmp_path):
+    # 2^40 and 2^70 generators at the start: each step builds the one it picks, and above 2^63 the
+    # random pick is drawn bit by bit
+    for dim, policy in ((40, "random_extreme"), (70, "random_extreme"), (70, "fixed_index:5")):
+        zeros = ",".join(["0"] * dim)
+        rc = _run_in(tmp_path, ["simulate", "--function", "abs_sum", "--x0", zeros, "--alpha", "0.1",
+                                "--steps", "3", "--policy", policy, "--out", "t.csv"])
+        assert rc == 0, (dim, policy)
+        rows = [line.split(",") for line in (tmp_path / "t.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 4 and {abs(float(v)) for v in rows[1][2:2 + dim]} == {0.1}, (dim, policy)
+
+
 def test_goldens_regenerate_byte_identical(tmp_path):
     jobs = {
         "simulate_quad_k2.csv": ["simulate", "--function", "quad", "--x0", "1",
@@ -226,7 +238,10 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
                        ("convex-bounds --function abs_sum --x0 1e99 --alpha 1e-200 --epsilon 1e100",
                         "x0/alpha/epsilon"),
                        ("convex-bounds --function quad --x0 1 --alpha 0.1 --epsilon 0.1 --steps 100000000000",
-                        "steps")]:
+                        "steps"),
+                       # the Lipschitz estimate lists the generators at the center: too many to list
+                       ("probe --function abs_sum --xstar " + ",".join(["0"] * 40) + " --epsilon 0.1",
+                        f"{2 ** 40} generators")]:
         rows.append((None, cmd.split() + ["--out", "o"], named))
     for env_seed, argv, named in rows:
         with monkeypatch.context() as m:

@@ -100,8 +100,8 @@ def test_replay_is_bit_identical():
 def test_chosen_subgradients_live_in_the_hull():
     traj = run(ABS1, [0.0], 0.1, 20, SelectionPolicy("random_extreme"), seed=5)
     for k in range(traj.n_steps):
-        s = subdifferential(ABS1, traj.points[k], 0.0)
-        assert hull_distance(s, traj.chosen_subgradients[k]) <= 1e-10
+        gens = subdifferential(ABS1, traj.points[k], 0.0)
+        assert hull_distance(gens, traj.chosen_subgradients[k]) <= 1e-10
 
 
 def test_policies_coincide_on_singletons():
@@ -300,7 +300,7 @@ def test_run_batch_matches_run_under_every_policy():
     # exact kinks, starts that step onto one at alpha 0.25, and NaN starts
     coord = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.25, 0.75, np.nan]), st.floats(-1.0, 1.0))
     policies = [MINIMAL_NORM, SelectionPolicy("random_extreme"), SelectionPolicy("fixed_index", 1),
-                SelectionPolicy("fixed_index", 2)]
+                SelectionPolicy("fixed_index", 2), SelectionPolicy("fixed_index", 5)]
 
     @hyp.settings(max_examples=25, deadline=None, database=None, derandomize=True)
     @hyp.given(data=st.data(), fn=st.sampled_from(fns), policy=st.sampled_from(policies),
@@ -345,12 +345,14 @@ def test_random_extreme_needs_a_stream_only_at_kinks():
 
 
 class _CountingOracle:
-    """Delegates to a catalog function, recording the rows of each min_norm_many call and counting at_kink calls."""
+    """Delegates to a catalog function, recording the rows of each min_norm_many call and counting at_kink
+    and generators calls."""
 
     def __init__(self, fn):
         self.fn = fn
         self.rows = []
         self.kink_calls = 0
+        self.generators_calls = 0
 
     def __getattr__(self, name):
         return getattr(self.fn, name)
@@ -363,9 +365,14 @@ class _CountingOracle:
         self.kink_calls += 1
         return self.fn.at_kink(pts)
 
+    def generators(self, x, active_tol=0.0):
+        self.generators_calls += 1
+        return self.fn.generators(x, active_tol)
+
 
 def test_a_recorded_generator_policy_run_makes_no_batch_call():
-    # run and step pick from generators on one point, at a kink and off it, with no one-row batch
+    # run and step pick one generator on one point, at a kink and off it, with no one-row batch;
+    # no selection lists the generator set, run_batch's included
     for policy in (SelectionPolicy("random_extreme"), SelectionPolicy("fixed_index", 1)):
         oracle = _CountingOracle(ABS1)
         traj = run(oracle, [0.5], 0.25, 2 * RECORD_BLOCK, policy, seed=3)
@@ -374,6 +381,8 @@ def test_a_recorded_generator_policy_run_makes_no_batch_call():
         for x in ([0.0], [0.5]):
             step(oracle, x, 0.25, policy, make_rng(3))
         assert oracle.rows == [] and oracle.kink_calls == 0, policy
+        run_batch(oracle, np.array([[0.5], [0.0]]), 0.25, 5, policy=policy, seeds=lambda i: i)
+        assert oracle.kink_calls > 0 and oracle.generators_calls == 0, policy
 
 
 def test_batch_exit_indices_match_first_exit():
