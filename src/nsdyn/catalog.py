@@ -83,16 +83,16 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def sum_sq(pts: np.ndarray, in_place: bool = False) -> np.ndarray:
+def sum_sq(pts: np.ndarray) -> np.ndarray:
     """Squared norm of each row, adding the squared columns left to right.
 
     The same bits in any memory layout, which ``(pts * pts).sum(axis=1)``
-    does not promise; the dynamics take every row sum from here.
+    does not promise; the engine's ball test adds in this order too.
     Outputs (values, CSV norms, deviations) take ``np.vecdot(v, v)``
     instead: on C-ordered rows it has the bits of the scalar ``x @ x`` and
     of ``np.linalg.norm``, so a row prints the same as its one-point case.
     """
-    sq = np.multiply(pts, pts, out=pts if in_place else None)
+    sq = pts * pts
     acc = sq[:, 0]
     for j in range(1, sq.shape[1]):
         acc += sq[:, j]

@@ -11,23 +11,22 @@ batches (``run_batch``) step x - a * s in numpy on ``fn.min_norm_many``,
 with ``_select_at`` on a generator policy's ``at_kink`` rows.  Python floats
 and numpy round alike, and tests hold the two fields bit-identical, so all
 agree bit for bit; Wolfe's projector never steps.  One keep test, a pair
-(measure, bound) kept while measure <= bound, decides when a row stops, from
-k = 0 on: ``_inside`` an exit ball, or ``_bounded`` without one; a NaN
-propagates through max and fails it.  The recorded loop ``_record`` steps one
-row in Python floats, writes each block of new iterates into its record and
-tests the block at once; the iterates computed past the first failing one
-are discarded, silently.
+(center, bound) kept while ``_measure`` <= bound, decides when a row stops,
+from k = 0 on: ``_inside`` an exit ball, or ``_bounded`` without one; a NaN
+coordinate makes the measure NaN, which fails <=.  The recorded loop
+``_record`` steps one row in Python floats, writes each block of new iterates
+into its record and tests the block at once; the iterates computed past the
+first failing one are discarded, silently.
 
 The batch loop owns its working rows: one column-major (``order="F"``) copy of
-the start points, updated in place (``s *= a; pts -= s``) and compacted only
-when rows exit, into a new column-major array.  Column-major keeps the per-row
-reductions over the few coordinates cheap on a thousand rows.  numpy's
+the start points, updated in place and compacted only when rows exit, into a
+new column-major array with a new keep-test workspace.  Column-major keeps the
+per-row reductions over the few coordinates cheap on a thousand rows.  numpy's
 ``sum(axis=1)`` adds an F-ordered batch column by column but a C-ordered row
 of 8 or more entries pairwise, so its bits would depend on the layout and a
-batch row would drift from its ``run`` replay.  Every row reduction of the
-dynamics (the ball test, ``neg_norm``'s field) therefore uses
-``catalog.sum_sq``, which adds the squared columns left to right in any
-layout.
+batch row would drift from its ``run`` replay.  Every row sum of the dynamics
+(the ball test, ``neg_norm``'s field) therefore adds the squared columns left
+to right in any layout, as ``catalog.sum_sq`` does.
 
 Reproducibility contract: every random draw comes from a counter-based
 Philox generator.  A trajectory owns a single 64-bit seed; batch drivers
@@ -44,7 +43,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .catalog import CatalogFunction, as_point, sum_sq
+from .catalog import CatalogFunction, as_point
 from .errors import NonFiniteState, OutOfHorizon
 
 __all__ = [
@@ -159,54 +158,80 @@ def _check_recorded(n_steps, source: str):
 
 
 def _inside(center, radius: float, dim: int):
-    """Keep test ||x - center||^2 <= radius^2 as a (measure, bound) pair; NaN and inf rows fail it.
+    """Keep test ||x - center||^2 <= radius^2 as a (center, bound) pair; NaN and inf rows fail it.
 
     The ball must have a finite radius > 0 and lie within DIVERGENCE_LIMIT / 2
-    of the origin, so a row inside it is always ``_bounded``.
+    of the origin, so a row inside it is always ``_bounded``.  Bounds are 0-d
+    arrays, which numpy compares without converting a Python float each time.
     """
     center = as_point(center, dim)
     r = float(radius)
     if not (0.0 < r < np.inf and np.abs(center).max() + r <= DIVERGENCE_LIMIT / 2):
         raise ValueError(f"exit ball needs a finite radius > 0 and a finite center, within "
                          f"{DIVERGENCE_LIMIT / 2:g} of the origin; got radius {radius}, center {center.tolist()}")
-    return lambda pts: sum_sq(pts - center, in_place=True), r * r
+    return center, np.array(r * r)
 
 
 # keep test without an exit ball: every |coordinate| <= DIVERGENCE_LIMIT, which NaN fails
-_bounded = (lambda pts: np.abs(pts).max(axis=1), DIVERGENCE_LIMIT)
+_bounded = (None, np.array(DIVERGENCE_LIMIT))
 
 
-def _first_failing(m: np.ndarray, bound) -> int | None:
-    """Index of the first entry without m <= bound (NaN fails), or None; one max when none fails."""
-    return None if m.max(initial=-np.inf) <= bound else int(np.argmin(m <= bound))
+def _workspace(rows: int, dim: int, center):
+    """Keep-test scratch: an F-ordered (rows, dim) buffer, its column views, a bool mask, and a ball's center
+    on every row, since numpy subtracts a same-shape array in far fewer ns than a broadcast one."""
+    buf = np.empty((rows, dim), order="F")
+    tile = None if center is None else np.asfortranarray(np.broadcast_to(center, (rows, dim)))
+    return buf, [buf[:, j] for j in range(dim)], np.empty(rows, dtype=bool), tile
+
+
+def _measure(keep, pts: np.ndarray, ws=None) -> np.ndarray:
+    """Each row's ||x - center||^2, adding squared columns left to right as ``sum_sq`` does, or without a center
+    max |x_i|, where NaN propagates; written into column 0 of the workspace ``ws`` or of a fresh one."""
+    buf, cols, _, tile = ws or _workspace(*pts.shape, keep[0])
+    if tile is None:
+        np.abs(pts, buf)
+        fold = np.maximum
+    else:
+        np.square(np.subtract(pts, tile, buf), buf)
+        fold = np.add
+    for col in cols[1:]:
+        fold(cols[0], col, out=cols[0])
+    return cols[0]
+
+
+def _first_failing(keep, pts: np.ndarray) -> int | None:
+    """Index of the first row without measure <= bound (NaN fails), or None."""
+    kept = _measure(keep, pts) <= keep[1]
+    return None if kept.all() else int(np.argmin(kept))
 
 
 def _iterate(select, pts: np.ndarray, steps, keep):
-    """The batch loop: x <- x - a * select(x, ids) on every live row, for each step size a.
+    """The batch loop: x <- x - a * select(x, ids) on every live row, for each step size a, a float64 0-d array.
 
-    keep = (measure, bound) is the one stop rule, applied to the starts (k = 0)
-    and after every step k: a row without measure <= bound retires with exit
+    keep = (center, bound) is the one stop rule, applied to the starts (k = 0)
+    and after every step k: a row without ``_measure`` <= bound retires with exit
     index k and that point; the rest keep -1.  Returns (exit_index, last_points).
 
     ``pts`` is never written: the loop steps its own column-major copy in
     place, scaling each fresh selection by a and subtracting it, which gives
     the same bits as x - a * s.  select gets the live rows and their row numbers
-    in ``pts`` once per step; exits compact the copy and keep it column-major.
+    in ``pts`` once per step.  The keep test fills a ``_workspace`` made per live-row
+    count; one count of its mask tells whether rows stop, and the mask compacts the copy.
     """
     last = np.array(pts, dtype=float)
     pts = np.array(last, order="F")
     exit_index = np.full(pts.shape[0], -1, dtype=np.int64)
     alive_ids = np.arange(pts.shape[0])
-    measure, bound = keep
+    ws = _workspace(*pts.shape, keep[0])
     for k, a in enumerate(chain(steps, (None,))):
-        m = measure(pts)
-        if not m.max(initial=-np.inf) <= bound:  # one reduction; a NaN row propagates and fails
-            kept = m <= bound
+        kept = np.less_equal(_measure(keep, pts, ws), keep[1], ws[2])  # NaN fails
+        if np.count_nonzero(kept) != alive_ids.size:
             gone = alive_ids[~kept]
             exit_index[gone] = k
             last[gone] = pts[~kept]
             alive_ids = alive_ids[kept]
             pts = pts.T.compress(kept, axis=1).T  # pts[kept] would come back row-major
+            ws = _workspace(*pts.shape, keep[0])
         if a is None or alive_ids.size == 0:
             break
         s = select(pts, alive_ids)
@@ -226,7 +251,6 @@ def _record(select, points: np.ndarray, subgrads: np.ndarray, steps, keep) -> in
     then written into ``points`` and ``subgrads`` and tested at once.  The
     caller drops the iterates stepped past the exit.
     """
-    measure, bound = keep
     x = points[0].tolist()
     xs, ss = [], []  # the block stepped since the last test
     tested = 0  # points[:tested] passed the keep test
@@ -237,7 +261,7 @@ def _record(select, points: np.ndarray, subgrads: np.ndarray, steps, keep) -> in
                     points[tested:k + 1] = xs
                     subgrads[tested - 1:k] = ss
                     xs, ss = [], []
-                hit = _first_failing(measure(points[tested:k + 1]), bound)
+                hit = _first_failing(keep, points[tested:k + 1])
                 if hit is not None or a is None:
                     return hit if hit is None else tested + hit
                 tested = k + 1
@@ -322,7 +346,7 @@ def run(fn: CatalogFunction, x0, alpha: float, n_steps: int,
         chosen_subgradients=subgrads[:k_last].copy(),
         policy=policy,
         seed=int(seed),
-        diverged_at=None if _bounded[0](points[k_last:k_last + 1])[0] <= DIVERGENCE_LIMIT else k_last,
+        diverged_at=None if _first_failing(_bounded, points[k_last:k_last + 1]) is None else k_last,
     )
 
 
@@ -340,8 +364,9 @@ def run_batch(fn: CatalogFunction, x0s: np.ndarray, alpha: float, n_steps: int,
     """
     _positive("alpha", alpha)
     keep = _bounded if exit_center is None else _inside(exit_center, exit_radius, fn.dim)
+    steps = repeat(np.array(alpha, dtype=float), n_steps)
     if policy.kind == "minimal_norm":
-        return _iterate(lambda pts, ids: fn.min_norm_many(pts), x0s, repeat(alpha, n_steps), keep)
+        return _iterate(lambda pts, ids: fn.min_norm_many(pts), x0s, steps, keep)
     select_at = _select_at(fn, policy, None if seeds is None else lambda i: make_rng(seeds(int(i))))
 
     def select(pts, ids):
@@ -350,7 +375,7 @@ def run_batch(fn: CatalogFunction, x0s: np.ndarray, alpha: float, n_steps: int,
             s[r] = select_at(pts[r].tolist(), ids[r])
         return s
 
-    return _iterate(select, x0s, repeat(alpha, n_steps), keep)
+    return _iterate(select, x0s, steps, keep)
 
 
 @dataclass(frozen=True)
@@ -401,5 +426,4 @@ def interpolate(path: InterpolatedPath, t) -> np.ndarray:
 
 def first_exit(traj: Trajectory, center, radius: float) -> int | None:
     """Smallest k with points[k] outside the ball (``_inside`` fails, as on NaN), or None."""
-    measure, bound = _inside(center, radius, traj.dim)
-    return _first_failing(measure(traj.points), bound)
+    return _first_failing(_inside(center, radius, traj.dim), traj.points)

@@ -161,7 +161,8 @@ def sup_deviation(path: InterpolatedPath, sol: FlowSolution) -> DeviationReport:
         raise HorizonMismatch(f"path horizon {t_path} vs flow horizon {t_flow}")
     traj = path.trajectory
     node_ts = traj.times
-    grid = np.union1d(node_ts[node_ts <= horizon], sol.ts[sol.ts <= horizon])
+    # sorted, not np.union1d (its np.unique imports numpy.ma); a time in both grids comes twice, at one gap
+    grid = np.sort(np.concatenate((node_ts[node_ts <= horizon], sol.ts[sol.ts <= horizon])))
     d = interpolate(path, grid) - flow_value(sol, grid)
     gaps = np.sqrt(np.vecdot(d, d))
     i = int(np.argmax(gaps))

@@ -46,34 +46,36 @@ def test_generator_policies_pick_without_listing_the_set(tmp_path):
         assert len(rows) == 4 and {abs(float(v)) for v in rows[1][2:2 + dim]} == {0.1}, (dim, policy)
 
 
+GOLDEN_JOBS = {
+    "simulate_quad_k2.csv": ["simulate", "--function", "quad", "--x0", "1",
+                             "--alpha", "0.1", "--steps", "2"],
+    "simulate_quad_k0.csv": ["simulate", "--function", "quad", "--x0", "1",
+                             "--alpha", "0.1", "--steps", "0"],
+    "simulate_cross_200.csv": ["simulate", "--function", "cross", "--x0", "1,0.1",
+                               "--alpha", "0.1", "--steps", "200"],
+    "list_functions.json": ["list-functions"],
+    "counterexample_e025_a01_n1000_s7.json": [
+        "counterexample", "--epsilon", "0.25", "--alpha", "0.1",
+        "--samples", "1000", "--seed", "7"],
+    "probe_negnorm_s3.json": ["probe", "--function", "neg_norm", "--xstar", "0,0",
+                              "--epsilon", "0.1", "--samples", "10", "--seed", "3"],
+    "convex_bounds_abssum.json": ["convex-bounds", "--function", "abs_sum", "--x0", "1",
+                                  "--alpha", "0.1", "--epsilon", "0.1", "--steps", "400"],
+    # --out is the stem of the .discrete.csv, .flow.csv and .compare.json
+    # triple; h=0.03 puts both curves' grids off each other's nodes
+    "compare_negnorm_h003": ["compare", "--function", "neg_norm", "--x0", "0.3,-0.4",
+                             "--alpha", "0.1", "--horizon", "1", "--h", "0.03"],
+    "compare_cross_h003": ["compare", "--function", "cross", "--x0", "1,0.1",
+                           "--alpha", "0.1", "--horizon", "1", "--h", "0.03"],
+    "counterexample_e025_a03_n20_s1.json": [
+        "counterexample", "--epsilon", "0.25", "--alpha", "0.3", "--samples", "20",
+        "--max-iters", "1000", "--seed", "1",
+        "--per-sample-csv", "counterexample_e025_a03_n20_s1_per_sample.csv"],
+}
+
+
 def test_goldens_regenerate_byte_identical(tmp_path):
-    jobs = {
-        "simulate_quad_k2.csv": ["simulate", "--function", "quad", "--x0", "1",
-                                 "--alpha", "0.1", "--steps", "2"],
-        "simulate_quad_k0.csv": ["simulate", "--function", "quad", "--x0", "1",
-                                 "--alpha", "0.1", "--steps", "0"],
-        "simulate_cross_200.csv": ["simulate", "--function", "cross", "--x0", "1,0.1",
-                                   "--alpha", "0.1", "--steps", "200"],
-        "list_functions.json": ["list-functions"],
-        "counterexample_e025_a01_n1000_s7.json": [
-            "counterexample", "--epsilon", "0.25", "--alpha", "0.1",
-            "--samples", "1000", "--seed", "7"],
-        "probe_negnorm_s3.json": ["probe", "--function", "neg_norm", "--xstar", "0,0",
-                                  "--epsilon", "0.1", "--samples", "10", "--seed", "3"],
-        "convex_bounds_abssum.json": ["convex-bounds", "--function", "abs_sum", "--x0", "1",
-                                      "--alpha", "0.1", "--epsilon", "0.1", "--steps", "400"],
-        # --out is the stem of the .discrete.csv, .flow.csv and .compare.json
-        # triple; h=0.03 puts both curves' grids off each other's nodes
-        "compare_negnorm_h003": ["compare", "--function", "neg_norm", "--x0", "0.3,-0.4",
-                                 "--alpha", "0.1", "--horizon", "1", "--h", "0.03"],
-        "compare_cross_h003": ["compare", "--function", "cross", "--x0", "1,0.1",
-                               "--alpha", "0.1", "--horizon", "1", "--h", "0.03"],
-        "counterexample_e025_a03_n20_s1.json": [
-            "counterexample", "--epsilon", "0.25", "--alpha", "0.3", "--samples", "20",
-            "--max-iters", "1000", "--seed", "1",
-            "--per-sample-csv", "counterexample_e025_a03_n20_s1_per_sample.csv"],
-    }
-    for name, argv in jobs.items():
+    for name, argv in GOLDEN_JOBS.items():
         assert _run_in(tmp_path, argv + ["--out", str(tmp_path / name)]) == 0, name
     # every file a command writes (the probe witness, the compare triple, the
     # per-sample table) is a golden, and every golden is written
@@ -81,6 +83,21 @@ def test_goldens_regenerate_byte_identical(tmp_path):
     assert written == sorted(p.name for p in GOLDENS.iterdir())
     for name in written:
         assert (tmp_path / name).read_bytes() == (GOLDENS / name).read_bytes(), name
+
+
+def test_compare_goldens_need_no_unique(tmp_path, monkeypatch):
+    # np.unique's first call imports numpy.ma (~22 ms, ~1.3 MB), which nothing else on the trajectory path
+    # loads; sup_deviation merges its two grids without it, to the same bytes
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    monkeypatch.setattr("numpy.lib._arraysetops_impl.unique", refuse)  # the name np.union1d calls
+    for stem in ("compare_negnorm_h003", "compare_cross_h003"):
+        assert _run_in(tmp_path, GOLDEN_JOBS[stem] + ["--out", str(tmp_path / stem)]) == 0, stem
+        for suffix in (".discrete.csv", ".flow.csv", ".compare.json"):
+            name = stem + suffix
+            assert (tmp_path / name).read_bytes() == (GOLDENS / name).read_bytes(), name
 
 
 def test_same_invocation_twice_is_byte_identical(tmp_path):

@@ -227,30 +227,38 @@ def test_divergence_flagged_not_raised():
 
 
 def test_stop_rule_retires_exactly_the_masked_rows():
-    # the loop takes one max per step and builds the row mask only when it fails;
-    # the rows it retires must be those the per-row mask retires
-    quad, lim, r = get_function("quad", 2), DIVERGENCE_LIMIT, 0.5
-    rows = np.array([[0.1, -0.2], [np.nan, 0.0], [0.0, -np.inf], [0.5, 0.0], [0.0, -0.5],
-                     [np.nextafter(0.5, 1.0), 0.0], [lim, -lim], [0.5, np.nextafter(lim, np.inf)]])
-    bounded = (np.abs(rows) <= lim).all(axis=1)
-    inside = (rows * rows).sum(axis=1) <= r * r
-    assert bounded.tolist() == [True, False, False, True, True, True, True, False]
-    assert inside.tolist() == [True, False, False, True, True, False, False, False]
-    # at alpha 2 quad maps x to -x exactly, so a kept row stays kept
-    for ball, mask in (((None, None), bounded), ((np.zeros(2), r), inside)):
-        # the whole table, and each row beside a kept one (a lone NaN must win the max)
-        for ids in (list(range(len(rows))), *([0, i] for i in range(1, len(rows)))):
-            batch, want = rows[ids], np.where(mask[ids], -1, 0)
-            for n_steps in (0, 4):
-                exit_idx, last = run_batch(quad, batch, 2.0, n_steps, *ball)
-                npt.assert_array_equal(exit_idx, want)
-                assert last[want == 0].tobytes() == batch[want == 0].tobytes()
-        exit_idx, last = run_batch(quad, np.empty((0, 2)), 0.1, 3, *ball)
-        assert exit_idx.shape == (0,) and last.shape == (0, 2)
-    for row, kept_b, kept_i in zip(rows, bounded, inside):
-        assert run(quad, row, 2.0, 4).diverged_at == (None if kept_b else 0)
-        traj = Trajectory("quad", 2.0, np.array([rows[0], row]), np.zeros((1, 2)), MINIMAL_NORM, 0)
-        assert first_exit(traj, np.zeros(2), r) == (None if kept_i else 1)
+    # the loop writes each row's measure into a workspace, adding (ball) or taking the max of (box) its
+    # columns into column 0, and counts the mask's kept rows; in dims 1 to 3 (no column step, one, two) and
+    # in either layout the rows it retires must be those the per-row reference retires
+    lim, r = DIVERGENCE_LIMIT, 0.5
+    over_r, over_lim = np.nextafter(r, 1.0), np.nextafter(lim, np.inf)
+    edges = [r, -r, over_r, -over_r, np.nan, np.inf, -np.inf, lim, -lim, over_lim, -over_lim]
+    for dim in (1, 2, 3):
+        quad = get_function("quad", dim)
+        # each edge value in each column, the other coordinates 0, behind one interior row
+        rows = np.array([[0.1, -0.2, 0.05][:dim]] + [[v if j == c else 0.0 for j in range(dim)]
+                                                     for c in range(dim) for v in edges])
+        bounded = (np.abs(rows) <= lim).all(axis=1)
+        inside = (rows * rows).sum(axis=1) <= r * r
+        # on the sphere is kept and one ulp outside retires; +-1e100 is bounded and one ulp beyond is not
+        assert inside.tolist() == [True] + ([True] * 2 + [False] * 9) * dim and bounded.tolist() == \
+            [True] + ([True] * 4 + [False] * 3 + [True] * 2 + [False] * 2) * dim
+        # at alpha 2 quad maps x to -x exactly, so a kept row stays kept
+        for ball, mask in (((None, None), bounded), ((np.zeros(dim), r), inside)):
+            # the whole table, and each row beside a kept one
+            for ids in (list(range(len(rows))), *([0, i] for i in range(1, len(rows)))):
+                want = np.where(mask[ids], -1, 0)
+                for batch in (rows[ids], np.asfortranarray(rows[ids])):
+                    for n_steps in (0, 4):
+                        exit_idx, last = run_batch(quad, batch, 2.0, n_steps, *ball)
+                        npt.assert_array_equal(exit_idx, want)
+                        assert last[want == 0].tobytes() == rows[ids][want == 0].tobytes()
+            exit_idx, last = run_batch(quad, np.empty((0, dim)), 0.1, 3, *ball)
+            assert exit_idx.shape == (0,) and last.shape == (0, dim)
+        for row, kept_b, kept_i in zip(rows, bounded, inside):
+            assert run(quad, row, 2.0, 4).diverged_at == (None if kept_b else 0)
+            traj = Trajectory("quad", 2.0, np.array([rows[0], row]), np.zeros((1, dim)), MINIMAL_NORM, 0)
+            assert first_exit(traj, np.zeros(dim), r) == (None if kept_i else 1)
 
 
 def test_bad_exit_ball_is_rejected_everywhere():
@@ -322,6 +330,34 @@ def test_run_batch_matches_run_under_every_policy():
             assert last[i].tobytes() == traj.points[-1].tobytes()
 
     check()
+
+
+def test_reflection_flips_each_coordinate_bit_for_bit():
+    # every field but wiggle's (x^2 sin(1/x) is odd, so its field is even) is odd in each coordinate, and
+    # round-to-nearest is symmetric in sign: flipping start coordinate i flips coordinate i of every
+    # iterate, so a sign or association slip in a kernel or in the step shows here
+    rng = make_rng(41)
+    for name, dim in (("quad", 3), ("abs_sum", 3), ("cross", 2), ("vee_bowl", 2), ("neg_norm", 3)):
+        fn = get_function(name, dim)
+        for _ in range(4):
+            x0, alpha = rng.uniform(-1.0, 1.0, dim), rng.uniform(0.01, 0.3)
+            for i in range(dim):
+                flip = np.ones(dim)
+                flip[i] = -1.0
+                ref, got = run(fn, x0, alpha, 300), run(fn, flip * x0, alpha, 300)
+                assert got.points.tobytes() == (flip * ref.points).tobytes(), (name, i)
+        x0s = sample_ball(np.zeros(dim), 1.0, 200, rng)
+        center, radius = rng.uniform(-0.2, 0.2, dim), 0.9
+        for i in range(dim):
+            flip = np.ones(dim)
+            flip[i] = -1.0
+            for ball in ((None, None), (center, radius)):
+                exit_ref, last_ref = run_batch(fn, x0s, 0.15, 150, *ball)
+                flipped = (None, None) if ball[0] is None else (flip * center, radius)
+                exit_got, last_got = run_batch(fn, np.asfortranarray(flip * x0s), 0.15, 150, *flipped)
+                npt.assert_array_equal(exit_got, exit_ref)
+                assert last_got.tobytes() == (flip * last_ref).tobytes(), (name, i)
+        assert (exit_ref >= 0).any(), name  # the ball compacts the batch
 
 
 def test_alpha_must_be_finite_and_positive():
@@ -399,14 +435,39 @@ def test_batch_exit_indices_match_first_exit():
     for i, x0 in enumerate(x0s):
         traj = run(nn, x0, 0.01, 50)
         assert first_exit(traj, np.zeros(2), 0.1) == (None if exit_idx[i] < 0 else exit_idx[i])
-    # one oracle call per loop iteration, on the rows still alive at that step
-    steps = np.where(exit_idx >= 0, exit_idx, 50)
-    assert oracle.rows == [int((steps >= k).sum()) for k in range(1, 51)]
-    assert sum(oracle.rows) == steps.sum()
+    _assert_one_call_per_step_on_live_rows(oracle, exit_idx, 50)
     for batch in (x0s, np.asfortranarray(x0s)):  # and without an exit ball, in either layout
         kept = batch.tobytes(order="A")
         run_batch(nn, batch, 0.01, 5)
         assert batch.tobytes(order="A") == kept
+    # the box test: at alpha 3 quad maps x to -2x, so 1e99 and 3e99 diverge at steps 4 and 2, mid-run
+    x0s = np.array([[1.0, -0.5], [1e99, 0.0], [0.25, 3e99], [np.nan, 0.0], [0.0, 0.0]])
+    for batch in (x0s, np.asfortranarray(x0s)):
+        oracle = _CountingOracle(get_function("quad", 2))
+        exit_idx, _ = run_batch(oracle, batch, 3.0, 12)
+        npt.assert_array_equal(exit_idx, [-1, 4, 2, 0, -1])
+        _assert_one_call_per_step_on_live_rows(oracle, exit_idx, 12)
+    # a generator policy: on abs_sum at alpha 0.25 the origin and (0.25, 0.25) map to each other until a row
+    # at the origin draws another corner (+-0.25, +-0.25), three of which leave the ball; (0.1, 0.2) oscillates
+    x0s = np.array([[0.25, 0.25], [0.0, 0.0], [0.1, 0.2], [0.0, 0.25], [0.6, 0.0]])
+    center, radius = np.array([0.1, 0.1]), 0.3
+    policy, seeds = SelectionPolicy("random_extreme"), [derive_seed(5, i) for i in range(len(x0s))]
+    oracle = _CountingOracle(get_function("abs_sum", 2))
+    exit_idx, _ = run_batch(oracle, x0s, 0.25, 30, center, radius, policy, seeds.__getitem__)
+    assert exit_idx[0] > 1 and exit_idx[1] > 0 and exit_idx[2] == -1 and exit_idx[4] == 0
+    assert oracle.kink_calls == len(oracle.rows)
+    for i, x0 in enumerate(x0s):
+        traj = run(oracle.fn, x0, 0.25, 30, policy, seed=seeds[i], stop=(center, radius))
+        assert first_exit(traj, center, radius) == (None if exit_idx[i] < 0 else exit_idx[i])
+    _assert_one_call_per_step_on_live_rows(oracle, exit_idx, 30)
+
+
+def _assert_one_call_per_step_on_live_rows(oracle, exit_idx, n_steps):
+    """One oracle call per loop iteration, on the rows still alive at that step, and no call past the last."""
+    steps = np.where(exit_idx >= 0, exit_idx, n_steps)
+    live = [int((steps >= k).sum()) for k in range(1, n_steps + 1)]
+    assert oracle.rows == [n for n in live if n > 0]
+    assert sum(oracle.rows) == steps.sum()
 
 
 def test_cross_iterates_avoid_axis_set():
