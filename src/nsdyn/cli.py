@@ -14,10 +14,10 @@ Subcommands map one-to-one onto library operations:
 from it, and ``nsdyn --config cfg.json`` (the JSON form of a ``RunConfig``)
 is held to the same table; both spellings produce identical bytes.
 
-Exit codes: 0 success, 2 usage error, 3 numerical divergence on one stderr
-line (a diverged flow writes nothing).  JSON output is strict: a report
-that would hold inf or NaN is not written, and the command exits 3 with
-one stderr line.
+Exit codes: 0 success, 2 usage error, argparse's own included, and 3
+numerical divergence, each error on one stderr line (a diverged flow
+writes nothing).  JSON output is strict: a report that would hold inf or
+NaN is not written, and the command exits 3 with one stderr line.
 NSDYN_SEED, when set, must be an integer; it overrides --seed for the
 commands that take one.
 """
@@ -121,8 +121,15 @@ PARSE = {list: (_parse_vector, "a list of finite numbers"), float: (float, "a fi
          int: (int, "an int"), str: (str, "a string")}
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a usage error is one stderr line and exit 2, as every other usage error is."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nsdyn",
         description="Subgradient-dynamics laboratory: simulate, integrate, probe.",
     )
@@ -299,7 +306,7 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     if args.config is None and args.command is None:
-        parser.print_usage(sys.stderr)
+        print("error: a command or --config is required", file=sys.stderr)
         return 2
     try:
         if args.config is not None:

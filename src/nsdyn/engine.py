@@ -329,6 +329,8 @@ def run(fn: CatalogFunction, x0, alpha: float, n_steps: int,
     ball or diverged (any |coordinate| > 1e100 or non-finite) is recorded and
     iteration halts there.  Divergence is recorded in diverged_at, never
     raised.  n_steps runs from 0, the initial point alone, to MAX_RECORDED_STEPS.
+    A run that uses every step returns the arrays it recorded into; one that
+    stops early returns copies of their prefixes.
     """
     _positive("alpha", alpha)
     _check_recorded(n_steps, "steps")
@@ -339,14 +341,16 @@ def run(fn: CatalogFunction, x0, alpha: float, n_steps: int,
     exit_k = _record(_select_at(fn, policy, lambda row: make_rng(seed)), points, subgrads,
                      repeat(float(alpha), n_steps), keep)
     k_last = n_steps if exit_k is None else exit_k
+    if k_last < n_steps:  # a copy of the prefix frees the unused tail
+        points, subgrads = points[:k_last + 1].copy(), subgrads[:k_last].copy()
     return Trajectory(
         fn_id=fn.name,
         alpha=float(alpha),
-        points=points[: k_last + 1].copy(),
-        chosen_subgradients=subgrads[:k_last].copy(),
+        points=points,
+        chosen_subgradients=subgrads,
         policy=policy,
         seed=int(seed),
-        diverged_at=None if _first_failing(_bounded, points[k_last:k_last + 1]) is None else k_last,
+        diverged_at=None if _first_failing(_bounded, points[-1:]) is None else k_last,
     )
 
 

@@ -8,9 +8,11 @@ fields, so a value prints as it was given.  JSON is strict: a report holding
 inf or NaN is refused, not written.  A CSV keeps the truthful ``inf`` and
 ``nan`` of a diverged run.
 
-A CSV is built from whole columns, and a column's dtype decides how every
-cell in it prints: integer and bool columns as integers (a bool as 0 or
-1), every other column as ``fmt`` prints a float.
+A CSV is built from columns of equal length, and a column's dtype decides
+how every cell in it prints: integer and bool columns as integers (a bool
+as 0 or 1), every other column as ``fmt`` prints a float.  Rows are
+formatted CSV_BLOCK at a time, so the Python objects of one block's cells
+are alive at once, not those of the whole table.
 """
 
 from __future__ import annotations
@@ -38,16 +40,22 @@ __all__ = [
 ]
 
 
+CSV_BLOCK = 1024  # rows formatted at a time
+
+
 def fmt(v) -> str:
     """Shortest round-trip decimal for one real."""
     return repr(float(v))
 
 
 def _csv(header: list[str], columns: list) -> str:
+    cols = [c.astype(np.int64 if c.dtype.kind in "biu" else float, copy=False) for c in map(np.asarray, columns)]
+    if len({len(c) for c in cols}) > 1:
+        raise ValueError(f"CSV columns of unequal lengths {[len(c) for c in cols]}")
     # repr of a Python float is fmt without its float() call
-    cols = [map(repr, c.astype(np.int64 if c.dtype.kind in "biu" else float, copy=False).tolist())
-            for c in map(np.asarray, columns)]
-    return "\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n"
+    blocks = ("\n".join(map(",".join, zip(*(map(repr, c[i:i + CSV_BLOCK].tolist()) for c in cols)))) + "\n"
+              for i in range(0, len(cols[0]), CSV_BLOCK))
+    return "".join([",".join(header) + "\n", *blocks])
 
 
 def trajectory_csv_text(traj: Trajectory, fn: CatalogFunction | None = None) -> str:
@@ -59,9 +67,9 @@ def trajectory_csv_text(traj: Trajectory, fn: CatalogFunction | None = None) -> 
     """
     fn = fn if fn is not None else get_function(traj.fn_id, dim=traj.dim)
     header = ["k", "t"] + [f"x_{i}" for i in range(traj.dim)] + ["f", "subgrad_norm"]
-    subs = np.concatenate([traj.chosen_subgradients, fn.min_norm_many(traj.points[-1:])])
+    s, last = traj.chosen_subgradients, fn.min_norm_many(traj.points[-1:])
     return _csv(header, [np.arange(traj.points.shape[0]), traj.times, *traj.points.T, fn.value_many(traj.points),
-                         np.sqrt(np.vecdot(subs, subs))])
+                         np.sqrt(np.concatenate([np.vecdot(s, s), np.vecdot(last, last)]))])
 
 
 def flow_csv_text(sol: FlowSolution) -> str:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nsdyn import cli, engine
-from nsdyn.cli import (KINDS, SUBCOMMANDS, TAKES, RunConfig, _build_parser, _check_config, _config_from_args,
+from nsdyn.cli import (KINDS, MINIMUM, SUBCOMMANDS, TAKES, RunConfig, _build_parser, _check_config, _config_from_args,
                        run_command)
 from nsdyn.reporting import json_text
 
@@ -174,10 +174,17 @@ def test_env_seed_overrides_flag(tmp_path, monkeypatch):
 
 
 def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
-    assert run_command(["simulate", "--function", "quad"]) == 2  # missing flags
-    assert capsys.readouterr().err != ""
-    assert run_command(["no-such-command"]) == 2
-    assert run_command([]) == 2
+    # argparse's own errors, and no command at all, are one line too
+    for argv, named in ((["simulate", "--function", "quad"], "--x0"), (["no-such-command"], "no-such-command"),
+                        ([], "command"), (["simulate", "--function", "cross", "--x0", "1,0.1", "--alpha", "0.1",
+                                           "--steps", "abc"], "--steps")):
+        assert run_command(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], (argv, err)
+    # --help still prints the usage block, to stdout, and exits 0
+    assert run_command(["simulate", "--help"]) == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("usage: nsdyn simulate") and out.err == ""
     # flags a command does not take are argparse errors
     for cmd in ("flow --function quad --x0 1 --horizon 1 --h 0.1 --format json",
                 "flow --function quad --x0 1 --horizon 1 --h 0.1 --seed 1",
@@ -297,6 +304,26 @@ def test_every_command_holds_configs_to_its_row(tmp_path, capsys):
         assert run_command(["--config", str(tmp_path / f"{i}.json")]) == 2, cfg
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and re.search(rf"\b{named}\b", err[0]), (cfg, err)
+
+
+def test_every_numeric_flag_fails_on_one_line(tmp_path, capsys, monkeypatch):
+    """Walk SUBCOMMANDS with flags: nan, +-inf and a value below MINIMUM each exit 2 with one line naming the flag."""
+    monkeypatch.delenv("NSDYN_SEED", raising=False)
+    flag = lambda name: "--" + name.replace("_", "-")
+    spell = lambda value: ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    cases = []  # (argv, field)
+    for command, (_, required, optional) in SUBCOMMANDS.items():
+        base = [command, "--out=o", *(f"{flag(name)}={spell(SAMPLE[name])}" for name in required)]
+        for name in (n for n in required + optional if KINDS[n] is not str):
+            values = ["nan", "inf", "-inf"] + ([str(MINIMUM[name] - 1)] if name in MINIMUM else [])
+            cases += [([a for a in base if not a.startswith(flag(name) + "=")] + [f"{flag(name)}={value}"], name)
+                      for value in values]
+    assert len(cases) > 60
+    for argv, name in cases:
+        assert _run_in(tmp_path, argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.search(rf"\b{name}\b|{flag(name)}\b", err[0]), (argv, err)
+    assert not any(tmp_path.iterdir())
 
 
 def test_readme_command_line_matches_the_table():

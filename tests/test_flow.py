@@ -8,6 +8,7 @@ from nsdyn import (
     exact_flow_quadratic,
     get_function,
     integrate_flow,
+    interpolate,
     run,
     sup_deviation,
 )
@@ -215,6 +216,26 @@ def test_flow_value_nodes_exact_and_bounded():
     assert rows.shape == (ts.size, 2)
     for t, row in zip(ts, rows):
         assert row.tobytes() == flow_value(sol, t).tobytes()
+
+
+def test_node_times_give_the_stored_points_bit_for_bit():
+    # shuffled arrays that mix every node time with interior times, on each catalog function and step size
+    rng = np.random.default_rng(19)
+    starts = {"quad": [0.7, -0.0], "abs_sum": [0.05, -0.3], "cross": [1.0, 0.1], "wiggle": [0.3],
+              "vee_bowl": [-0.0, 0.8], "neg_norm": [0.3, -0.4]}
+    for name, x0 in starts.items():
+        fn = get_function(name, len(x0))
+        for alpha in (0.1, 0.03, 0.007, 1 / 3):
+            traj = run(fn, x0, alpha, 40)
+            sol = integrate_flow(fn, x0, 40.5 * alpha, alpha)  # a last node after a short step
+            for at, nodes, stored in ((lambda t: interpolate(InterpolatedPath(traj, 40 * alpha), t),
+                                       alpha * np.arange(41), traj.points),
+                                      (lambda t: flow_value(sol, t), sol.ts, sol.xs)):
+                ts = np.append(nodes, nodes[:-1] + rng.uniform(size=nodes.size - 1) * np.diff(nodes))
+                perm = rng.permutation(ts.size)
+                rows = np.empty((ts.size, fn.dim))
+                rows[perm] = at(ts[perm])
+                assert rows[:nodes.size].tobytes() == stored.tobytes(), (name, alpha)
 
 
 def test_integrate_flow_validates_step():

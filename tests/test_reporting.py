@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from nsdyn import (
     run,
 )
 from nsdyn.reporting import (
+    CSV_BLOCK,
     _csv,
     fmt,
     flow_csv_text,
@@ -32,12 +34,37 @@ def test_fmt_is_shortest_roundtrip():
 
 
 def test_csv_cells_print_as_fmt():
-    col = np.array([0.1, -0.0, 1e-300, 5e-324, np.inf, -np.inf, np.nan, 1 / 3, 1e22, 123456789.0])
-    flags = np.array([True, False] * 5)
-    rows = _csv(["v", "on", "k"], [col, flags, np.arange(10) - 5]).splitlines()
-    assert rows[1:] == [f"{fmt(v)},{int(b)},{k - 5}" for k, (v, b) in enumerate(zip(col, flags))]
-    # a zero-row column prints no cell, not one empty cell
-    assert _csv(["v", "k"], [col[:0], np.arange(0)]) == "v,k\n"
+    # every row prints its cells one by one, on either side of each block boundary
+    b = CSV_BLOCK
+    for n in (0, 1, b - 1, b, b + 1, 2 * b + 1):
+        col = np.resize([0.1, -0.0, 1e-300, 5e-324, np.inf, -np.inf, np.nan, 1 / 3, 1e22, 123456789.0], n)
+        flags = np.arange(n) % 3 == 0
+        ks = np.arange(n) - 5
+        lines = _csv(["v", "on", "k"], [col, flags, ks]).split("\n")
+        assert lines == ["v,on,k", *(f"{fmt(v)},{int(on)},{int(k)}" for v, on, k in zip(col, flags, ks)), ""], n
+    # a short column is refused, not truncated or padded with blank lines
+    with pytest.raises(ValueError, match=r"\[3, 2, 3\]"):
+        _csv(["a", "b", "c"], [np.zeros(3), np.arange(2), np.ones(3, bool)])
+
+
+def _traced_peak(call):
+    """call()'s result and the peak bytes allocated during it, numpy's included; tracing slows every allocation."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_recorded_run_and_its_csv_peak_near_their_size():
+    # the record is held once, and the CSV at about twice its text
+    fn = get_function("cross")
+    trajectory_csv_text(run(fn, [1.0, 0.1], 0.1, 10), fn)  # imports and caches before tracing
+    traj, peak = _traced_peak(lambda: run(fn, [1.0, 0.1], 0.1, 3000))
+    assert peak <= 1.25 * (traj.points.nbytes + traj.chosen_subgradients.nbytes)
+    traj = run(fn, [1.0, 0.1], 0.1, 10 ** 4)
+    text, peak = _traced_peak(lambda: trajectory_csv_text(traj, fn))
+    assert peak <= 3 * len(text)
 
 
 def test_trajectory_csv_deterministic(tmp_path):
