@@ -20,7 +20,9 @@ that only ``wiggle`` shows is such a library mismatch, not a logic error.
 Wolfe's projector minimal_norm_element is the tested reference:
 each closed-form row lies in the hull and is no longer than Wolfe's answer.
 
-Catalog:
+Catalog (``_REGISTRY``, the one place names and dimensions are declared:
+each class states its ``name`` and ``fixed_dim`` once, and its constructor
+is the one dimension check, so ``get_function`` and the class agree):
 
     quad      0.5 * ||x||^2          smooth, convex, minimizer 0, any dim
     abs_sum   sum_i |x_i|            sharp strict minimum at 0, convex, any dim
@@ -107,8 +109,12 @@ class CatalogFunction:
     convex: bool = False
     quad_growth: float | None = None  # beta with f(x) - inf f >= beta * d(x, X)^2
     kinked: slice = slice(0)  # leading coordinates i with a kink |x_i| at x_i = 0
+    fixed_dim: int | None = None  # the one dimension an entry is defined on; None: any dim >= 1
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int | None = None):
+        dim = (self.fixed_dim or 2) if dim is None else dim
+        if self.fixed_dim is not None and dim != self.fixed_dim:
+            raise DimensionMismatch(f"{self.name} is defined on R^{self.fixed_dim}")
         if dim < 1:
             raise DimensionMismatch("dim must be a positive integer")
         self.dim = int(dim)
@@ -148,7 +154,12 @@ class CatalogFunction:
         return tuple(g)
 
     def generators(self, x: np.ndarray, active_tol: float = 0.0) -> np.ndarray:
-        """All generator rows at ``x``, row j ``generator(x, j)``; ValueError above MAX_GENERATORS rows."""
+        """All generator rows at ``x``, row j ``generator(x, j)``; ValueError above MAX_GENERATORS rows.
+
+        ``active_tol`` must be >= 0 (inf makes every kinked coordinate active); NaN or a negative raises ValueError.
+        """
+        if not active_tol >= 0:
+            raise ValueError(f"active_tol must be nonnegative, got {active_tol!r}")
         x = as_point(x, self.dim).tolist()
         m = self.generator_count(x, active_tol)
         if m > MAX_GENERATORS:
@@ -260,11 +271,7 @@ class Cross(CatalogFunction):
     """
 
     name = "cross"
-
-    def __init__(self, dim: int = 2):
-        if dim != 2:
-            raise DimensionMismatch("cross is defined on R^2")
-        super().__init__(2)
+    fixed_dim = 2
 
     def value_many(self, pts):
         a = np.abs(pts)
@@ -299,13 +306,9 @@ class Wiggle(CatalogFunction):
     """
 
     name = "wiggle"
+    fixed_dim = 1
     semialgebraic = False
     kinked = slice(None)
-
-    def __init__(self, dim: int = 1):
-        if dim != 1:
-            raise DimensionMismatch("wiggle is defined on R")
-        super().__init__(1)
 
     def value_many(self, pts):
         t = pts[:, 0]
@@ -335,13 +338,9 @@ class VeeBowl(CatalogFunction):
     """f(x1, x2) = |x1| + x2^2; strict minimum at the origin."""
 
     name = "vee_bowl"
+    fixed_dim = 2
     convex = True
     kinked = slice(1)
-
-    def __init__(self, dim: int = 2):
-        if dim != 2:
-            raise DimensionMismatch("vee_bowl is defined on R^2")
-        super().__init__(2)
 
     @property
     def known_minimizers(self):
@@ -399,30 +398,20 @@ class NegNorm(CatalogFunction):
         return np.divide(pts, -r, out=np.zeros_like(pts), where=r > 0.0)  # x/(-r) == (-x)/r bit for bit
 
 
-_FLEX = {"quad": Quad, "abs_sum": AbsSum, "neg_norm": NegNorm}
-_FIXED = {"cross": Cross, "wiggle": Wiggle, "vee_bowl": VeeBowl}
-CATALOG_IDS = ("quad", "abs_sum", "cross", "wiggle", "vee_bowl", "neg_norm")
+_REGISTRY = {cls.name: cls for cls in (Quad, AbsSum, Cross, Wiggle, VeeBowl, NegNorm)}
+CATALOG_IDS = tuple(_REGISTRY)
 
 
 def get_function(name: str, dim: int | None = None) -> CatalogFunction:
-    """Instantiate a catalog function, inferring a default dimension.
-
-    quad, abs_sum and neg_norm accept any dim >= 1 (default 2); the others
-    have fixed dimensions.
-    """
-    if name in _FLEX:
-        return _FLEX[name](2 if dim is None else dim)
-    if name in _FIXED:
-        fn = _FIXED[name]()
-        if dim is not None and dim != fn.dim:
-            raise DimensionMismatch(f"{name} is defined on R^{fn.dim}")
-        return fn
-    raise KeyError(f"unknown catalog function {name!r}; known: {', '.join(CATALOG_IDS)}")
+    """Instantiate a catalog entry at ``dim``: by default its fixed dimension, else 2."""
+    if name not in _REGISTRY:
+        raise KeyError(f"unknown catalog function {name!r}; known: {', '.join(CATALOG_IDS)}")
+    return _REGISTRY[name](dim)
 
 
 def list_catalog() -> list[CatalogFunction]:
     """All six catalog entries at their default dimensions."""
-    return [get_function(name) for name in CATALOG_IDS]
+    return [cls() for cls in _REGISTRY.values()]
 
 
 def evaluate(fn: CatalogFunction, x) -> float:
@@ -440,8 +429,6 @@ def subdifferential(fn: CatalogFunction, x, active_tol: float = 0.0) -> np.ndarr
     <= active_tol; with active_tol = 0 the set is exact at the given
     floating-point location.
     """
-    if active_tol < 0:
-        raise ValueError("active_tol must be nonnegative")
     return fn.generators(x, active_tol)
 
 

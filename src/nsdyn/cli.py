@@ -12,7 +12,8 @@ Subcommands map one-to-one onto library operations:
 
 ``SUBCOMMANDS`` declares each command's flags once.  The parser is built
 from it, and ``nsdyn --config cfg.json`` (the JSON form of a ``RunConfig``)
-is held to the same table; both spellings produce identical bytes.
+is held to the same table; both spellings produce identical bytes.  A
+command given beside ``--config`` is a usage error.
 
 Exit codes: 0 success, 2 usage error, argparse's own included, and 3
 numerical divergence, each error on one stderr line (a diverged flow
@@ -305,8 +306,8 @@ def run_command(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if args.config is None and args.command is None:
-        print("error: a command or --config is required", file=sys.stderr)
+    if (args.config is None) == (args.command is None):  # --config replaces the command and all its flags
+        print("error: give a command or --config, exactly one of them", file=sys.stderr)
         return 2
     try:
         if args.config is not None:

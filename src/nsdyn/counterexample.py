@@ -8,15 +8,17 @@ generic engine), checks the magnitude-doubling inequality that keeps x2
 away from zero, runs seeded escape experiments, and checks the strict
 downward drift of x1 that forces the eventual exit.
 
-Measured escape times matter: with |x2| hovering near its attracting scale
-~0.5625 * alpha^2 * x1^3, the x1 coordinate drifts down by about
-0.63 * alpha^4 * x1^5 per step, so an exit from B((1,0), 0.25) starting at
-x1 = 1 takes roughly 0.85/alpha^4 steps (about 1e2 at alpha=0.3, 8e3 at
-alpha=0.1, 1.4e5 at alpha=0.05, 8.5e7 at alpha=0.01).  Starts further right
-take longer, up to about 1.09/alpha^4 from x1 = 1.25, so the largest exit
-index measured over the ball is higher (131 at alpha=0.3, 10845 at
-alpha=0.1 over 1000 seeded starts; the README quotes these).  Budgets must
-be sized accordingly.
+Escape times follow from the update in closed form.  Off the axes the x2
+update has the period-2 cycle x2 -> -x2 at |x2| = (9/16) * alpha^2 * x1^3
+(0.5625), the scale |x2| hovers near; on it x1 falls by
+1.5 * alpha * sqrt(x1) * |x2|^1.5 = (81/128) * alpha^4 * x1^5 (~0.63) per
+step, so x1^-4 grows by (81/32) * alpha^4 per step.  An exit from
+B((1,0), 0.25) at x1 = 0.75 then takes (0.75^-4 - x1_0^-4) / ((81/32) *
+alpha^4) steps: 0.85/alpha^4 from x1_0 = 1 (about 1e2 at alpha=0.3, 8e3 at
+alpha=0.1, 1.4e5 at alpha=0.05, 8.5e7 at alpha=0.01), and up to about
+1.09/alpha^4 from x1_0 = 1.25, so the largest exit index measured over the
+ball is higher (131 at alpha=0.3, 10845 at alpha=0.1 over 1000 seeded
+starts; the README quotes these).  Budgets must be sized accordingly.
 """
 
 from __future__ import annotations

@@ -1,4 +1,7 @@
 import itertools
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -12,7 +15,7 @@ from nsdyn import (
     minimal_norm_element,
     subdifferential,
 )
-from nsdyn.catalog import CATALOG_IDS, CatalogFunction
+from nsdyn.catalog import CATALOG_IDS, CatalogFunction, sum_sq
 from nsdyn.engine import make_rng, sample_ball
 from nsdyn.errors import DimensionMismatch, NonFiniteInput
 
@@ -73,6 +76,14 @@ def test_active_tol_widens_kinks():
     s = subdifferential(abs3, [0.0, 2.0, 0.0], 0.0)
     assert s.shape == (4, 3)
     assert np.all(s[:, 1] == 1.0)
+    # a NaN or negative tolerance is refused through both entry points; inf makes every kinked coordinate active
+    for tol in (np.nan, -1.0, -0.5e-300):
+        for lister in (lambda x, t: subdifferential(abs3, x, t), abs3.generators):
+            with pytest.raises(ValueError, match="active_tol"):
+                lister([0.0, 2.0, 0.0], tol)
+    assert subdifferential(abs3, [0.0, 2.0, -1e300], np.inf).shape == (8, 3)
+    assert subdifferential(get_function("neg_norm", 2), [3.0, -4.0], np.inf).shape == (4, 2)
+    assert subdifferential(get_function("cross"), [1.0, 0.0], np.inf).shape == (1, 2)
 
 
 def test_wiggle_at_zero_and_away():
@@ -350,6 +361,75 @@ def test_min_norm_at_matches_min_norm_many_rows():
     check()
 
 
+def _exact_field(mp, name, x):
+    """The field at the float point x in mpmath's working precision, and each component's error scale.
+
+    ``wiggle`` is taken at the rounded 1/t, with scale |2t sin(1/t)| + |cos(1/t)|: cos(1/t) magnifies the
+    rounding of 1/t by 1/t (~1.7e7 ulps near t = 1e-6 against the exact 1/t), which is the conditioning of
+    the function, not an error of its formula; the difference cancels, so its result is not the scale.
+    """
+    x = [mp.mpf(v) for v in x]
+    if name == "quad":
+        field = x
+    elif name == "abs_sum":
+        field = [mp.sign(v) for v in x]
+    elif name == "cross":
+        a1, a2 = abs(x[0]), abs(x[1])
+        field = [1.5 * mp.sqrt(a1) * a2 ** 1.5 * mp.sign(x[0]), 1.5 * a1 ** 1.5 * mp.sqrt(a2) * mp.sign(x[1])]
+    elif name == "wiggle":
+        t = x[0]
+        if not t:  # the minimal-norm element of [-1, 1]
+            return [t], [t]
+        inv = mp.mpf(1.0 / float(t))
+        a, b = 2 * t * mp.sin(inv), mp.cos(inv)
+        return [a - b], [abs(a) + abs(b)]
+    elif name == "vee_bowl":
+        field = [mp.sign(x[0]), 2 * x[1]]
+    else:  # neg_norm
+        r = mp.sqrt(sum(v * v for v in x))
+        field = [-v / r if r else v for v in x]
+    return field, [abs(v) for v in field]
+
+
+# a priori worst error of each field in ulps of its scale (scale * 2^-52), at most half of one per rounding:
+# cross two square roots and three products; neg_norm in R^3 three squares and two sums (halved by the square
+# root), the root and the division; wiggle libm's sin and cos (each within an ulp), a product and the
+# difference.  quad, abs_sum and vee_bowl round nothing (2 * x2 is exact).
+FIELD_ULPS = {"quad": 0.0, "abs_sum": 0.0, "cross": 2.5, "wiggle": 2.0, "vee_bowl": 0.0, "neg_norm": 1.75}
+
+
+def test_fields_are_accurate_against_50_digit_arithmetic():
+    # the bit tests hold min_norm_at, min_norm_many and a float64 copy of each formula to one another; this
+    # holds them to the real value.  Roundings to nearest cancel on average, so the mean signed error stays
+    # near 0 where a constant off in its last digits shifts every value one way (1.5 by one ulp: +0.67).
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    # the finite special values within the keep test's 1e100: beyond it the runs stop, and intermediates
+    # overflow (cross at (1e300, 0) is NaN); wiggle at 5e-324 and -2.5e-310, where 1/t overflows, is NaN
+    special = [0.0, -0.0, 5e-324, -2.5e-310, -1e-300, 1e-100, 0.7, -3.0, 1e100]
+    rng = make_rng(13)
+    with mp.workdps(50):
+        for name, dim in (("quad", 2), ("abs_sum", 2), ("cross", 2), ("wiggle", 1), ("vee_bowl", 2),
+                          ("neg_norm", 3)):
+            fn = get_function(name, dim)
+            table = np.array(list(itertools.product(special, repeat=dim)))
+            if name == "wiggle":
+                table = table[[t == 0.0 or math.isfinite(1.0 / t) for t in table[:, 0].tolist()]]
+            if name == "neg_norm":  # a squared norm that underflows to 0 is the kink, and a subnormal one is not exact
+                table = table[(table == 0.0).all(axis=1) | (sum_sq(table) >= 2.0 ** -1022)]
+            sampled = rng.choice([-1.0, 1.0], (300, dim)) * 10.0 ** rng.uniform(-5.0, 5.0, (300, dim))
+            for label, pts in (("special", table), ("sampled", sampled)):
+                errs = []
+                for x, got in zip(pts.tolist(), fn.min_norm_many(pts).tolist()):
+                    assert tuple(got) == fn.min_norm_at(x), (name, x)
+                    want, scale = _exact_field(mp, name, x)
+                    errs += [float((g - w) / max(sc * 2.0 ** -52, mp.mpf(2.0 ** -1074))) * (1 if w >= 0 else -1)
+                             for g, w, sc in zip(got, want, scale)]
+                errs = np.array(errs)
+                assert np.abs(errs).max() <= FIELD_ULPS[name], (name, label, pts[np.argmax(np.abs(errs)) // dim])
+                assert abs(errs.mean()) <= 0.2, (name, label, errs.mean())
+
+
 def test_generator_norms_respect_analytic_lipschitz_constants():
     rng = make_rng(31)
     cases = [
@@ -369,7 +449,27 @@ def test_generator_norms_respect_analytic_lipschitz_constants():
 
 def test_list_catalog_descriptors():
     cat = {fn.name: fn for fn in list_catalog()}
-    assert len(cat) == 6
+    # the registry's order is the order list-functions prints
+    golden = json.loads((Path(__file__).parent / "goldens" / "list_functions.json").read_text())
+    assert list(cat) == list(CATALOG_IDS) == [d["id"] for d in golden]
+    # get_function and the class's own constructor take the same dims, and refuse the others with one message
+    for name, fn in cat.items():
+        fixed = type(fn).fixed_dim
+        assert fn.dim == (fixed or 2) == get_function(name).dim
+        for d in {0, 1, 2, 3, 7} | ({fixed - 1, fixed + 1} if fixed else set()):
+            messages = set()
+            for build in (get_function, lambda _, d: type(fn)(d)):
+                if d == 0 or fixed not in (None, d):
+                    with pytest.raises(DimensionMismatch) as exc:
+                        build(name, d)
+                    messages.add(str(exc.value))
+                else:
+                    assert build(name, d).dim == d
+            assert len(messages) <= 1, (name, d, messages)
+            if d != 0 and fixed not in (None, d):
+                assert messages == {f"{name} is defined on R^{fixed}"}
+    with pytest.raises(KeyError, match="nope"):
+        get_function("nope")
     assert cat["cross"].semialgebraic
     assert not cat["wiggle"].semialgebraic
     assert cat["quad"].convex

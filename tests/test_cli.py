@@ -198,6 +198,7 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     (tmp_path / "extra.json").write_text('{"command": "list-functions", "bogus_key": 1}')
     (tmp_path / "nocommand.json").write_text('{"function": "quad"}')
     (tmp_path / "array.json").write_text("[1, 2]")
+    (tmp_path / "list.json").write_text('{"command": "list-functions"}')
     simulate = ["simulate", "--function", "quad", "--x0", "1", "--alpha", "0.1",
                 "--steps", "1", "--out", "x.csv"]
     rows = [  # (NSDYN_SEED, argv, text the one stderr line must name)
@@ -207,6 +208,10 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
         (None, ["--config", "missing.json"], "missing.json"),
         (None, ["--config", "nocommand.json"], "'command'"),
         (None, ["--config", "array.json"], "JSON object"),
+        # a command beside --config is refused, not run with its flags dropped
+        (None, ["--config", "list.json", "list-functions"], "--config"),
+        (None, ["--config", "list.json", "simulate", "--function", "quad", "--x0", "1", "--alpha", "0.1",
+                "--steps", "1"], "--config"),
         (None, simulate + ["--policy", "fixed_index:x"], "'x'"),
         (None, ["simulate", "--function", "quad", "--x0", "1", "--alpha", "inf", "--steps", "1"], "alpha"),
     ]
