@@ -10,12 +10,10 @@ minimum.
 
 from .catalog import (
     CatalogFunction,
-    evaluate,
     get_function,
     hull_distance,
     list_catalog,
     minimal_norm_element,
-    subdifferential,
 )
 from .counterexample import (
     EscapeStats,

@@ -1,8 +1,9 @@
 """Locally Lipschitz test functions with exact subdifferential oracles.
 
 Every catalog function provides its closed-form value ``value_many`` (the
-scalar ``value`` is its one-row case) and the exact generator representation
-of its Clarke subdifferential: the subdifferential at a point is the convex
+scalar ``value``, its one-row case, refuses a wrong dim or a non-finite
+coordinate) and the exact generator representation of its Clarke
+subdifferential: the subdifferential at a point is the convex
 hull of finitely many generator vectors (a single generator wherever the
 function is differentiable, the extreme limiting gradients at kinks).  The
 bit rule: with active kinked coordinates A there are ``generator_count`` =
@@ -48,8 +49,6 @@ from .errors import DimensionMismatch, NonFiniteInput
 
 __all__ = [
     "CatalogFunction",
-    "evaluate",
-    "subdifferential",
     "minimal_norm_element",
     "hull_distance",
     "list_catalog",
@@ -60,6 +59,7 @@ __all__ = [
 MIN_NORM_TOL = 1e-12
 MAX_GENERATORS = 2 ** 20  # the rows of abs_sum at 0 in R^20 take ~0.7 s and ~200 MB to list (numpy 2.4, x86-64)
 _DEFAULT_NAN = math.inf - math.inf  # the hardware's NaN for an invalid operation, as np.sin(inf) returns
+_TINY = 2.0 ** -1022  # the least normal float64
 
 
 def _sign(v: float) -> float:
@@ -67,12 +67,12 @@ def _sign(v: float) -> float:
     return 1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0 if v == 0.0 else v
 
 
-def _norm_at(x) -> float:
-    """||x|| of one point in Python floats, adding the squares in ``sum_sq``'s order."""
+def _sum_sq_at(x) -> float:
+    """||x||^2 of one point in Python floats, adding the squares in ``sum_sq``'s order."""
     acc = x[0] * x[0]
     for v in x[1:]:
         acc += v * v
-    return math.sqrt(acc)
+    return acc
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
@@ -125,8 +125,11 @@ class CatalogFunction:
         return []
 
     def value(self, x: np.ndarray) -> float:
-        """f(x), the one-row case of ``value_many``."""
-        return float(self.value_many(as_point(x, self.dim)[None, :])[0])
+        """f(x), the one-row case of ``value_many``; rejects wrong dims and non-finite input."""
+        x = as_point(x, self.dim)
+        if not np.isfinite(x).all():
+            raise NonFiniteInput(f"non-finite input {x}")
+        return float(self.value_many(x[None, :])[0])
 
     def value_many(self, pts: np.ndarray) -> np.ndarray:
         """f at each row of ``pts``, the only value formula of each function.
@@ -154,10 +157,10 @@ class CatalogFunction:
         return tuple(g)
 
     def generators(self, x: np.ndarray, active_tol: float = 0.0) -> np.ndarray:
-        """All generator rows at ``x``, row j ``generator(x, j)``; ValueError above MAX_GENERATORS rows.
+        """The exact Clarke subdifferential at ``x``: its (m, dim) generator rows, row j ``generator(x, j)``.
 
-        ``active_tol`` must be >= 0 (inf makes every kinked coordinate active); NaN or a negative raises ValueError.
-        """
+        A kink is active where its defining quantity is <= ``active_tol`` in magnitude (0: exact at ``x``; inf: all
+        kinked coordinates).  A NaN or negative tolerance, or over MAX_GENERATORS rows, raise ValueError."""
         if not active_tol >= 0:
             raise ValueError(f"active_tol must be nonnegative, got {active_tol!r}")
         x = as_point(x, self.dim).tolist()
@@ -366,7 +369,10 @@ class NegNorm(CatalogFunction):
     The true Clarke subdifferential at 0 is the whole unit ball; the finite
     generator list there is the cross-polytope {+-e_i}, a sub-polytope that
     still contains the minimal-norm element 0.  Trajectories never hit 0
-    exactly under continuous sampling, so the approximation is inert.
+    exactly under continuous sampling, so the approximation is inert.  The
+    kink is x == 0 exactly.  Where the squares of x leave the normal range the
+    field is that of x * 2^-e (exact, e the exponent of max |x_i|); the value
+    keeps one formula, off by < 1.5e-154 there or overflowing beyond 1e100.
     """
 
     name = "neg_norm"
@@ -375,7 +381,7 @@ class NegNorm(CatalogFunction):
         return -np.sqrt(np.vecdot(pts, pts))
 
     def generator_count(self, x, active_tol=0.0):
-        return 2 * self.dim if _norm_at(x) <= active_tol else 1  # a NaN point keeps its one row
+        return 2 * self.dim if math.hypot(*x) <= active_tol else 1  # hypot neither underflows nor overflows; NaN: 1
 
     def generator(self, x, j, active_tol=0.0):
         """+e_j for j < dim, else -e_(j-dim) with the -0.0 zeros of ``-np.eye``."""
@@ -387,14 +393,24 @@ class NegNorm(CatalogFunction):
         return np.concatenate([np.eye(self.dim), -np.eye(self.dim)])
 
     def at_kink(self, pts):
-        return sum_sq(pts) == 0.0  # ||x|| == 0, a square that underflows included
+        return (pts == 0.0).all(axis=1)
 
     def min_norm_at(self, x):
-        r = _norm_at(x)
+        acc = _sum_sq_at(x)
+        if acc < _TINY or acc == math.inf:  # the squares left the normal range: the field of x * 2^-e, exactly
+            e = math.frexp(max(map(abs, x)))[1]
+            x = [math.ldexp(v, -e) for v in x]
+            acc = _sum_sq_at(x)
+        r = math.sqrt(acc)
         return tuple(v / -r for v in x) if r > 0.0 else (0.0,) * len(x)
 
     def min_norm_many(self, pts):
-        r = np.sqrt(sum_sq(pts))[:, None]
+        acc = sum_sq(pts)
+        off = (acc < _TINY) | (acc == np.inf)  # min_norm_at's branch; NaN takes neither
+        if off.any():
+            pts = np.ldexp(pts, np.where(off, -np.frexp(np.abs(pts).max(axis=1))[1], 0)[:, None])
+            acc = sum_sq(pts)
+        r = np.sqrt(acc)[:, None]
         return np.divide(pts, -r, out=np.zeros_like(pts), where=r > 0.0)  # x/(-r) == (-x)/r bit for bit
 
 
@@ -412,24 +428,6 @@ def get_function(name: str, dim: int | None = None) -> CatalogFunction:
 def list_catalog() -> list[CatalogFunction]:
     """All six catalog entries at their default dimensions."""
     return [cls() for cls in _REGISTRY.values()]
-
-
-def evaluate(fn: CatalogFunction, x) -> float:
-    """Closed-form function value; rejects wrong dims and non-finite input."""
-    x = as_point(x, fn.dim)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput(f"non-finite input {x}")
-    return fn.value(x)
-
-
-def subdifferential(fn: CatalogFunction, x, active_tol: float = 0.0) -> np.ndarray:
-    """Exact Clarke subdifferential at ``x`` as its (m, dim) generator rows, ``fn.generators``.
-
-    A kink is treated as active when its defining quantity has magnitude
-    <= active_tol; with active_tol = 0 the set is exact at the given
-    floating-point location.
-    """
-    return fn.generators(x, active_tol)
 
 
 def _segment_min_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

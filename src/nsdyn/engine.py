@@ -44,7 +44,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .catalog import CatalogFunction, as_point
-from .errors import NonFiniteState, OutOfHorizon
+from .errors import NonFiniteInput, NonFiniteState, OutOfHorizon
 
 __all__ = [
     "DIVERGENCE_LIMIT",
@@ -103,12 +103,15 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def sample_ball(center, radius: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n points uniform in the closed ball B(center, radius).
+    """n points uniform in the closed ball B(center, radius), with a finite center and a finite radius > 0.
 
     Isotropic direction times radius * u^(1/dim), the standard volume-uniform
     construction; documented so seeded experiments stay reproducible.
     """
     center = as_point(center)
+    if not np.isfinite(center).all():
+        raise NonFiniteInput(f"ball center must be finite, got {center.tolist()}")
+    _positive("radius", radius)
     dim = center.shape[0]
     direction = rng.standard_normal((n, dim))
     norms = np.sqrt((direction * direction).sum(axis=1))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import CatalogFunction, as_point, evaluate, get_function
+from .catalog import CatalogFunction, as_point, get_function
 from .engine import (MINIMAL_NORM, SelectionPolicy, Trajectory, _check_recorded, _positive, derive_seed, make_rng,
                      run, run_batch, sample_ball)
 from .errors import InvalidQuery, NotConvex
@@ -230,7 +230,7 @@ def local_min_check(fn: CatalogFunction, x_star, radius: float, samples: int = 2
     if samples < 1:
         raise ValueError("samples must be >= 1")
     x_star = as_point(x_star, fn.dim)
-    f_center = evaluate(fn, x_star)
+    f_center = fn.value(x_star)
     pts = sample_ball(x_star, radius, samples, make_rng(seed))
     values = fn.value_many(pts)
     below = np.flatnonzero(values < f_center - F_COMPARE_TOL)
@@ -288,7 +288,7 @@ def _convex_bounds(fn: CatalogFunction, x0, alpha: float, epsilon: float,
     x0 = as_point(x0, fn.dim)
     with np.errstate(over="ignore"):  # a start too far for the budget is rejected below
         d0 = min(float(np.linalg.norm(x0 - m)) for m in minimizers)
-    inf_f = min(evaluate(fn, m) for m in minimizers)
+    inf_f = min(fn.value(m) for m in minimizers)
     # nudge before flooring so exact integer ratios survive float rounding
     ratio = d0 * d0 / (alpha * epsilon) * (1.0 + 1e-12)
     if not np.isfinite(ratio):

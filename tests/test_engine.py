@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -16,7 +17,6 @@ from nsdyn import (
     run_batch,
     sample_ball,
     step,
-    subdifferential,
 )
 from nsdyn.engine import DIVERGENCE_LIMIT, MAX_RECORDED_STEPS, RECORD_BLOCK, Trajectory, derive_seed, make_rng
 from nsdyn.errors import NonFiniteState, OutOfHorizon
@@ -100,7 +100,7 @@ def test_replay_is_bit_identical():
 def test_chosen_subgradients_live_in_the_hull():
     traj = run(ABS1, [0.0], 0.1, 20, SelectionPolicy("random_extreme"), seed=5)
     for k in range(traj.n_steps):
-        gens = subdifferential(ABS1, traj.points[k], 0.0)
+        gens = ABS1.generators(traj.points[k], 0.0)
         assert hull_distance(gens, traj.chosen_subgradients[k]) <= 1e-10
 
 
@@ -378,6 +378,16 @@ def test_random_extreme_needs_a_stream_only_at_kinks():
         step(ABS1, [0.0], 0.1, policy)
     with pytest.raises(ValueError, match="rng"):
         run_batch(ABS1, np.array([[0.5], [0.0]]), 0.1, 3, policy=policy)
+
+
+def test_random_extreme_draws_the_documented_index():
+    # j is rng.integers(m) up to m = 2^63, and above it |A| draws of rng.integers(2), highest bit first
+    policy = SelectionPolicy("random_extreme")
+    for dim, seed in itertools.product((3, 63, 64, 70), (4, 5, 6)):
+        fn, x, m = get_function("abs_sum", dim), [0.0] * dim, 2 ** dim
+        rng = make_rng(seed)
+        j = int(rng.integers(m)) if m <= 2 ** 63 else int("".join(map(str, rng.integers(2, size=dim))), 2)
+        assert tuple(step(fn, x, 0.1, policy, make_rng(seed))[1]) == fn.generator(x, j), (dim, seed)
 
 
 class _CountingOracle:

@@ -223,6 +223,19 @@ def test_local_min_check_examples():
     assert get_function("wiggle").value(out.counterexample) < -1e-12
 
 
+@pytest.mark.parametrize("helper", [estimate_lipschitz, local_min_check])
+def test_ball_helpers_refuse_a_ball_they_cannot_sample(helper):
+    # both sample through sample_ball, whose one check refuses these; unchecked, a NaN center estimated L = 0.0,
+    # and a NaN radius passed neg_norm's strict maximum as consistent_with_local_min
+    for fn_id, center, radius in [("quad", [0.0, 0.0], np.nan), ("neg_norm", [0.0, 0.0], np.nan),
+                                  ("quad", [0.0, 0.0], -1.0), ("quad", [0.0, 0.0], 0.0),
+                                  ("quad", [0.0, 0.0], np.inf), ("quad", [np.nan, 0.0], 0.1)]:
+        with pytest.raises(ValueError, match="radius|finite"):
+            helper(get_function(fn_id, 2), center, radius)
+    with pytest.raises(ValueError, match="center"):
+        sample_ball([0.0, np.inf], 0.1, 4, make_rng(0))
+
+
 def test_convex_bounds_abs_sum_from_one():
     fn = get_function("abs_sum", 1)
     rep = convex_bounds_report(fn, [1.0], 0.1, 0.1, n_steps=400)

@@ -1,0 +1,168 @@
+#!/usr/bin/env python3
+"""A committed mutation table: each row breaks the package in one place and names the tests that must catch it.
+
+    python tools/mutants.py
+
+For each row, alone and one after another, the tool copies ``src/``, ``tests/``, ``demos/``,
+``pyproject.toml`` and ``README.md`` into a fresh temporary directory, replaces each of the row's exact old
+texts in its file under ``src/nsdyn/`` (each must occur there exactly once), and runs
+``python -m pytest -x -q`` on the row's tests in that directory.
+A row is killed when pytest reports a failed test (exit code 1) or an import error (exit code 2), and
+survives when its tests pass.  The named tests must first pass on an unmutated copy.  The tool prints one
+line per row and the count killed, and exits 1 if a row survives, if an old text is missing or not unique,
+or if pytest ends in any other way (a named test that does not exist ends with exit code 4 or 5).  A change
+that moves mutated code updates its row.
+
+Standard library only; nothing runs in parallel.  The whole table takes about a minute on 2 CPUs.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+E, C, S, F, R, CLI, X = ("tests/test_engine.py", "tests/test_catalog.py", "tests/test_stability.py",
+                         "tests/test_flow.py", "tests/test_reporting.py", "tests/test_cli.py",
+                         "tests/test_counterexample.py")
+
+# (file under src/nsdyn, ((exact old text, new text), ...), tests that must fail)
+MUTANTS = [
+    # the batch keep test: skip a ball's (or box's) last column, let NaN pass the box, retire a row on the
+    # sphere, test only every other step
+    ("engine.py", (("for col in cols[1:]:", "for col in cols[1:-1]:"),),
+     (f"{E}::test_stop_rule_retires_exactly_the_masked_rows",)),
+    ("engine.py", (("fold = np.maximum", "fold = np.fmax"),),
+     (f"{E}::test_stop_rule_retires_exactly_the_masked_rows",)),
+    ("engine.py", (("np.less_equal(_measure(keep, pts, ws), keep[1], ws[2])",
+                    "np.less(_measure(keep, pts, ws), keep[1], ws[2])"),),
+     (f"{E}::test_stop_rule_retires_exactly_the_masked_rows",)),
+    ("engine.py", (("if np.count_nonzero(kept) != alive_ids.size:",
+                    "if k % 2 == 0 and np.count_nonzero(kept) != alive_ids.size:"),),
+     (f"{E}::test_batch_exit_indices_match_first_exit",)),
+    # the recorded loop's exit index, off by one
+    ("engine.py", (("else tested + hit\n", "else tested + hit + 1\n"),),
+     (f"{E}::test_recorded_loop_exits_at_the_first_failing_iterate",)),
+    # the seed's key order
+    ("engine.py", (("SeedSequence((int(root),) + tuple(int(i) for i in indices))",
+                    "SeedSequence(tuple(int(i) for i in indices) + (int(root),))"),),
+     (f"{CLI}::test_goldens_regenerate_byte_identical",)),
+    # random_extreme's draw: drawn bits in place of rng.integers(m) wherever m > 2
+    ("engine.py", (("if m <= 2 ** 63 else", "if m <= 2 else"),),
+     (f"{E}::test_random_extreme_draws_the_documented_index",)),
+    # sample_ball's check: a NaN center, and a radius that is not finite and positive
+    ("engine.py", (("if not np.isfinite(center).all():", "if False:"),),
+     (f"{S}::test_ball_helpers_refuse_a_ball_they_cannot_sample",)),
+    ("engine.py", (('    _positive("radius", radius)\n', ""),),
+     (f"{S}::test_ball_helpers_refuse_a_ball_they_cannot_sample",)),
+    # a constant in its last digits, in both kernels alike
+    ("catalog.py", (("return 1.5 * r1 * a2 * r2 * _sign(x1), 1.5 * a1", "return 1.5000000000000002 * r1 * a2 * r2 "
+                     "* _sign(x1), 1.5000000000000002 * a1"),
+                    ("np.multiply(1.5, w[2::-2]", "np.multiply(1.5000000000000002, w[2::-2]")),
+     (f"{C}::test_fields_are_accurate_against_50_digit_arithmetic",)),
+    ("catalog.py", (("return (2.0 * t * math.sin(inv) - math.cos(inv),)",
+                     "return (2.0000000000000004 * t * math.sin(inv) - math.cos(inv),)"),
+                    ("np.where(nz, 2.0 * t * np.sin(inv)", "np.where(nz, 2.0000000000000004 * t * np.sin(inv)")),
+     (f"{C}::test_fields_are_accurate_against_50_digit_arithmetic",)),
+    ("catalog.py", (("return _sign(x1), 2.0 * x2", "return _sign(x1), 2.0000000000000004 * x2"),
+                    ("np.multiply(2.0, pts[:, 1], out=out[:, 1])", "np.multiply(2.0000000000000004, pts[:, 1], "
+                     "out=out[:, 1])")),
+     (f"{C}::test_fields_are_accurate_against_50_digit_arithmetic",)),
+    # the registry's order
+    ("catalog.py", (("(Quad, AbsSum, Cross,", "(AbsSum, Quad, Cross,"),),
+     (f"{C}::test_list_catalog_descriptors",)),
+    # value's finiteness check, and the listing's active_tol check (NaN would pass)
+    ("catalog.py", (("if not np.isfinite(x).all():", "if False:"),), (f"{C}::test_evaluate_errors",)),
+    ("catalog.py", (("if not active_tol >= 0:", "if active_tol < 0:"),), (f"{C}::test_active_tol_widens_kinks",)),
+    # neg_norm's scaled branch, in each kernel, and its kink at x == 0 exactly
+    ("catalog.py", (("if acc < _TINY or acc == math.inf:", "if acc == math.inf:"),),
+     (f"{C}::test_fields_keep_the_bits_of_the_one_point_formula_in_any_layout",)),
+    ("catalog.py", (("off = (acc < _TINY) | (acc == np.inf)", "off = acc == np.inf"),),
+     (f"{C}::test_fields_keep_the_bits_of_the_one_point_formula_in_any_layout",)),
+    ("catalog.py", (("return (pts == 0.0).all(axis=1)", "return (pts == 0.0).any(axis=1)"),),
+     (f"{C}::test_at_kink_marks_exactly_the_points_with_several_generators",)),
+    # the flow's step sizes, 0.1% long: a coordinate leaves its h-band around the closed-form flow
+    ("flow.py", (("np.diff(ts).tolist()", "(np.diff(ts) * 1.001).tolist()"),),
+     (f"{F}::test_flow_error_against_closed_form_nonsmooth_flows",)),
+    # a CSV block boundary
+    ("reporting.py", (("c[i:i + CSV_BLOCK]", "c[i:i + CSV_BLOCK - 1]"),),
+     (f"{R}::test_csv_cells_print_as_fmt",)),
+    # the certificate is the first escape-free cell, not the last
+    ("stability.py", (("d_idx, a_idx = np.argwhere(clear)[0]", "d_idx, a_idx = np.argwhere(clear)[-1]"),),
+     (f"{S}::test_probe_quad_certificate",)),
+    # an axis start that escaped (it starts outside the ball) counted as stuck
+    ("counterexample.py", (("((x0s[:, 1] == 0.0) & ~escaped).sum()", "(x0s[:, 1] == 0.0).sum()"),),
+     (f"{X}::test_escape_experiment_forced_axis_start",)),
+    # divergence exits 3, not 2
+    ("cli.py", (('print(f"diverged: {exc}", file=sys.stderr)\n        return 3',
+                 'print(f"diverged: {exc}", file=sys.stderr)\n        return 2'),),
+     (f"{CLI}::test_divergence_exit_3",)),
+    # NonFiniteInput is a ValueError, so a caller's ValueError handler (the CLI's exit 2) catches it
+    ("errors.py", (("class NonFiniteInput(ValueError):", "class NonFiniteInput(RuntimeError):"),),
+     (f"{S}::test_ball_helpers_refuse_a_ball_they_cannot_sample",)),
+    # the package exports
+    ("__init__.py", (("    integrate_flow,\n", ""),), (F,)),
+]
+
+
+def _copy(dest: Path):
+    skip = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+    for name in ("src", "tests", "demos"):
+        shutil.copytree(ROOT / name, dest / name, ignore=skip)
+    for name in ("pyproject.toml", "README.md"):  # the tests read the README's command lines
+        shutil.copy2(ROOT / name, dest / name)
+
+
+def _apply(path: Path, edits) -> str | None:
+    """Write the edits into ``path``; returns a problem, or None."""
+    text = path.read_text(encoding="utf-8")
+    for old, new in edits:
+        if text.count(old) != 1:
+            return f"old text found {text.count(old)} times, not once: {old!r}"
+        text = text.replace(old, new)
+    path.write_text(text, encoding="utf-8")
+    return None
+
+
+def run_tests(fname: str, edits, tests) -> tuple[int | None, str]:
+    """pytest's exit code on ``tests`` in a fresh copy with the edits made to ``fname``, and a detail line;
+    the code is None when an old text is not found exactly once."""
+    with tempfile.TemporaryDirectory(prefix="nsdyn-mutant-") as tmp:
+        tmp = Path(tmp)
+        _copy(tmp)
+        problem = _apply(tmp / "src" / "nsdyn" / fname, edits)
+        if problem:
+            return None, problem
+        env = dict(os.environ, PYTHONPATH=str(tmp / "src"))
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+                              cwd=tmp, env=env, capture_output=True, text=True, timeout=600)
+    return proc.returncode, (proc.stdout.strip().splitlines() or [""])[-1]
+
+
+def main() -> int:
+    # a named test that fails with no mutation would kill every row it guards
+    code, detail = run_tests("__init__.py", (), sorted({t for _, _, tests in MUTANTS for t in tests}))
+    if code != 0:
+        print(f"the named tests do not pass on the unmutated tree: [{detail}]")
+        return 1
+    outcomes = []
+    for i, (fname, edits, tests) in enumerate(MUTANTS):
+        t0 = time.perf_counter()
+        code, detail = run_tests(fname, edits, tests)
+        outcomes.append("killed" if code in (1, 2) else "survived" if code == 0 else "error")
+        first = edits[0][0].strip().splitlines()[0]
+        print(f"{i:2d} {outcomes[-1]:8s} {time.perf_counter() - t0:5.1f}s  {fname}: {first[:60]}  [{detail}]",
+              flush=True)
+    killed = outcomes.count("killed")
+    print(f"killed {killed}/{len(MUTANTS)}")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
