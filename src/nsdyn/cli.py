@@ -66,7 +66,6 @@ class RunConfig:
     max_iters: int | None = None
     seed: int = 0
     policy: str = "minimal_norm"
-    policy_index: int = 0
     out: str | None = None
     format: str | None = None
     per_sample_csv: str | None = None
@@ -109,9 +108,8 @@ SUBCOMMANDS = {
     "convex-bounds": ("constant-step bounds on a convex entry",
                       ("function", "x0", "alpha", "epsilon"), ("steps",)),
 }
-# the fields each command takes: its row, command and out, and policy_index along with policy
-TAKES = {command: {"command", "out", *required, *optional} | ({"policy_index"} if "policy" in optional else set())
-         for command, (_, required, optional) in SUBCOMMANDS.items()}
+# the fields each command takes: its row, command and out
+TAKES = {command: {"command", "out", *required, *optional} for command, (_, required, optional) in SUBCOMMANDS.items()}
 HELP = {"h": "flow step, default alpha/100", "out": "output path (stdout when omitted)"}
 CHOICES = {"format": ("csv", "json")}
 # the least value of each bounded count, checked in the same field loop as the kinds
@@ -146,10 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)})
-    if cfg.policy.startswith("fixed_index:"):
-        cfg.policy, cfg.policy_index = "fixed_index", int(cfg.policy.split(":", 1)[1])
-    return cfg
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)})
 
 
 def _has_kind(value, kind) -> bool:
@@ -159,6 +154,14 @@ def _has_kind(value, kind) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         return False
     return not isinstance(value, float) or math.isfinite(value)
+
+
+def _policy(cfg: RunConfig) -> SelectionPolicy:
+    """``cfg.policy``, one string in flags and --config alike: a kind, or ``fixed_index:INDEX`` and no other index."""
+    kind, colon, index = cfg.policy.partition(":")
+    if colon and kind != "fixed_index":
+        raise ValueError(f"policy takes an index only after fixed_index, got {cfg.policy!r}")
+    return SelectionPolicy(kind, int(index) if colon else 0)
 
 
 def _check_config(cfg: RunConfig):
@@ -186,6 +189,8 @@ def _check_config(cfg: RunConfig):
             raise ValueError(f"{f.name} must be >= {MINIMUM[f.name]}, got {value!r}")
         elif KINDS[f.name] in (float, list):
             setattr(cfg, f.name, float(value) if KINDS[f.name] is float else [float(v) for v in value])
+        elif f.name == "policy":
+            _policy(cfg)  # parsed before any work
 
 
 def _set(**kwargs) -> dict:
@@ -220,10 +225,6 @@ def _emit_json(obj, out: str | None, diverged_at: int | None) -> int:
         if diverged_at is None:
             raise
     return _diverged(diverged_at)
-
-
-def _policy(cfg: RunConfig) -> SelectionPolicy:
-    return SelectionPolicy(cfg.policy, cfg.policy_index)
 
 
 def execute(cfg: RunConfig) -> int:

@@ -291,7 +291,7 @@ def step(fn: CatalogFunction, x, alpha: float, policy: SelectionPolicy = MINIMAL
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded iterate sequence with everything needed for bit-exact replay.
+    """Recorded iterate sequence; ``run`` on the same inputs, its policy and seed too, replays it bit for bit.
 
     points has shape (k_last+1, dim); chosen_subgradients has one row per
     executed step and satisfies points[k+1] == points[k] - alpha * chosen[k]
@@ -302,8 +302,6 @@ class Trajectory:
     alpha: float
     points: np.ndarray
     chosen_subgradients: np.ndarray
-    policy: SelectionPolicy
-    seed: int
     diverged_at: int | None = None
 
     def __post_init__(self):
@@ -351,8 +349,6 @@ def run(fn: CatalogFunction, x0, alpha: float, n_steps: int,
         alpha=float(alpha),
         points=points,
         chosen_subgradients=subgrads,
-        policy=policy,
-        seed=int(seed),
         diverged_at=None if _first_failing(_bounded, points[-1:]) is None else k_last,
     )
 

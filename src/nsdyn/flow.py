@@ -49,13 +49,11 @@ __all__ = [
 class FlowSolution:
     """Euler-polygon solution nodes with per-node minimal-norm subgradients.
 
-    nodes sit at t = j*h with a possibly shorter final step landing exactly
-    on the horizon; f_values and min_norm_subgrads align with the nodes.
+    Nodes sit at t = j*h from xs[0] up to ts[-1]: a multiple of h within 1e-12 of the horizon, else the
+    horizon after a shorter last step.  f_values and min_norm_subgrads align with the nodes.
     """
 
     fn_id: str
-    x0: np.ndarray
-    horizon: float
     node_step: float
     ts: np.ndarray
     xs: np.ndarray
@@ -78,7 +76,6 @@ def integrate_flow(fn: CatalogFunction, x0, horizon: float, h: float) -> FlowSol
     if h > horizon:
         raise ValueError(f"need h <= horizon, got h={h}, horizon={horizon}")
     _check_recorded(horizon / h, "horizon/h")
-    x0 = as_point(x0, fn.dim)
     n_full = int(np.floor(horizon / h + 1e-12))
     ts = h * np.arange(n_full + 1)
     if horizon - ts[-1] > 1e-12 * max(1.0, horizon):
@@ -86,15 +83,13 @@ def integrate_flow(fn: CatalogFunction, x0, horizon: float, h: float) -> FlowSol
     m = ts.shape[0]
     xs = np.empty((m, fn.dim))
     subs = np.empty((m, fn.dim))
-    xs[0] = x0
+    xs[0] = as_point(x0, fn.dim)
     exit_k = _record(fn.min_norm_at, xs, subs, np.diff(ts).tolist(), _bounded)
     if exit_k is not None:
         raise NonFiniteState(f"flow diverged at t={ts[exit_k]}")
     subs[m - 1] = fn.min_norm_many(xs[m - 1:])[0]
     return FlowSolution(
         fn_id=fn.name,
-        x0=x0,
-        horizon=float(horizon),
         node_step=float(h),
         ts=ts,
         xs=xs,

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CatalogFunction, as_point, get_function
-from .engine import (MINIMAL_NORM, SelectionPolicy, Trajectory, _check_recorded, _positive, derive_seed, make_rng,
-                     run, run_batch, sample_ball)
+from .engine import (MINIMAL_NORM, SelectionPolicy, Trajectory, _check_recorded, _inside, _positive, derive_seed,
+                     make_rng, run, run_batch, sample_ball)
 from .errors import InvalidQuery, NotConvex
 
 __all__ = [
@@ -48,12 +48,13 @@ F_COMPARE_TOL = 1e-12
 
 
 def _max_generator_norm(fn: CatalogFunction, pts: np.ndarray) -> float:
-    """Largest generator norm over the rows of ``pts``, one ``generators`` call per row."""
-    best = 0.0
-    for p in pts:
-        gens = fn.generators(p, 0.0)
-        best = max(best, float(np.sqrt((gens * gens).sum(axis=1).max())))
-    return best
+    """Largest generator norm over the rows of ``pts``, one ``generators`` call per row; NaN if any norm is NaN.
+
+    ``np.max`` keeps a NaN that Python's ``max`` would drop; one sqrt of the largest square has the bits of the
+    largest sqrt, as sqrt is monotone and correctly rounded.
+    """
+    squares = [(g * g).sum(axis=1).max() for g in (fn.generators(p, 0.0) for p in pts)]
+    return float(np.sqrt(np.max(squares)))
 
 
 def estimate_lipschitz(fn: CatalogFunction, center, radius: float, samples: int = 256,
@@ -168,13 +169,18 @@ def probe(q: StabilityQuery) -> StabilityVerdict:
     (delta, alpha_bar) whose cells are escape-free for every tested
     alpha <= alpha_bar; the witness is the smallest (delta index, alpha
     index, sample index), so the verdict does not depend on execution order.
+    Before any run, an exit ball B(x*, epsilon) that ``run_batch`` would
+    refuse raises ValueError, and a Lipschitz estimate that is not finite
+    and positive (NaN where the field is NaN) raises InvalidQuery.
     """
     fn = get_function(q.fn_id, dim=as_point(q.x_star).shape[0])
     x_star = as_point(q.x_star, fn.dim)
     deltas = np.asarray(q.delta_grid, float) if q.delta_grid is not None else default_delta_grid(q.epsilon)
     alphas = np.asarray(q.alpha_grid, float) if q.alpha_grid is not None else None
     _validate(q, x_star, deltas, alphas)
+    _inside(x_star, q.epsilon, fn.dim)
     lip = estimate_lipschitz(fn, x_star, q.epsilon, seed=derive_seed(q.seed, 0x11F))
+    _positive("the Lipschitz estimate", lip, InvalidQuery)
     if alphas is None:
         alphas = default_alpha_grid(q.epsilon, lip)
 

@@ -137,9 +137,13 @@ def test_probe_json_example():
 
 
 def test_flags_and_config_produce_identical_bytes(tmp_path):
-    # the probe config spells its numbers as JSON ints, which print as the flags' floats do
+    # the probe config spells its numbers as JSON ints, which print as the flags' floats do; a policy with an
+    # index is one string in both spellings
     cases = [("simulate --function vee_bowl --x0 0.2,0.5 --alpha 0.05 --steps 40 --seed 5",
               RunConfig(command="simulate", function="vee_bowl", x0=[0.2, 0.5], alpha=0.05, steps=40, seed=5)),
+             ("simulate --function abs_sum --x0 0,0.5,0 --alpha 0.1 --steps 3 --policy fixed_index:2",
+              RunConfig(command="simulate", function="abs_sum", x0=[0, 0.5, 0], alpha=0.1, steps=3,
+                        policy="fixed_index:2")),
              ("probe --function quad --xstar 0,0 --epsilon 2 --delta-grid 1 --alpha-grid 1 --samples 3 --max-iters 5",
               RunConfig(command="probe", function="quad", xstar=[0, 0], epsilon=2, delta_grid=[1], alpha_grid=[1],
                         samples=3, max_iters=5))]
@@ -154,7 +158,7 @@ def test_flags_and_config_produce_identical_bytes(tmp_path):
 def test_runconfig_json_roundtrip():
     cfg = RunConfig(command="probe", function="quad", xstar=[0.0, 0.0], epsilon=0.1,
                     delta_grid=[0.05], alpha_grid=[0.2, 0.1], samples=9, seed=42,
-                    policy="fixed_index", policy_index=2, format="json")
+                    policy="fixed_index:2", format="json")
     assert RunConfig.from_json(cfg.to_json()) == cfg
 
 
@@ -232,7 +236,12 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
               "policy": "random_extreme", "per_sample_csv": "zz.csv"}, "policy"),
             ({"command": "simulate", "function": "quad", "x0": [1], "alpha": 0.1, "steps": 3,
               "format": "xml"}, "format"),
-            ({"command": "simulate", "function": "quad", "x0": [1], "alpha": 0.1, "steps": 10 ** 23}, "steps")]):
+            ({"command": "simulate", "function": "quad", "x0": [1], "alpha": 0.1, "steps": 10 ** 23}, "steps"),
+            # an index only after fixed_index, and in the policy string itself, not in a key of its own
+            ({"command": "simulate", "function": "quad", "x0": [1], "alpha": 0.1, "steps": 3,
+              "policy": "random_extreme:1"}, "policy"),
+            ({"command": "simulate", "function": "quad", "x0": [1], "alpha": 0.1, "steps": 3,
+              "policy": "fixed_index", "policy_index": 2}, "policy_index")]):
         (tmp_path / f"table{i}.json").write_text(json.dumps(cfg))
         rows.append((None, ["--config", f"table{i}.json"], named))
     (tmp_path / "nan.json").write_text('{"command": "simulate", "function": "quad", "x0": [NaN], '
@@ -268,6 +277,9 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
                         "x0/alpha/epsilon"),
                        ("convex-bounds --function quad --x0 1 --alpha 0.1 --epsilon 0.1 --steps 100000000000",
                         "steps"),
+                       # a probe ball beyond the keep box, and a Lipschitz estimate of NaN on wiggle's subnormal ball
+                       ("probe --function cross --xstar 1e300,0 --epsilon 1", "5e+99"),
+                       ("probe --function wiggle --xstar 5e-324 --epsilon 1e-320", "Lipschitz estimate"),
                        # the Lipschitz estimate lists the generators at the center: too many to list
                        ("probe --function abs_sum --xstar " + ",".join(["0"] * 40) + " --epsilon 0.1",
                         f"{2 ** 40} generators")]:
@@ -284,7 +296,7 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
 # a value each field accepts; a command's walk starts from its required fields set to these
 SAMPLE = {"function": "quad", "x0": [1.0], "xstar": [0.0], "alpha": 0.1, "steps": 2, "horizon": 1.0,
           "h": 0.1, "epsilon": 0.25, "delta_grid": [0.05], "alpha_grid": [0.1], "samples": 3,
-          "max_iters": 5, "seed": 1, "policy": "random_extreme", "policy_index": 1, "out": "o",
+          "max_iters": 5, "seed": 1, "policy": "random_extreme", "out": "o",
           "format": "json", "per_sample_csv": "s.csv"}
 # the largest value below each bounded int field's minimum
 BELOW_MINIMUM = {"steps": -1, "samples": 0, "max_iters": 0, "seed": -1}

@@ -257,7 +257,7 @@ def test_stop_rule_retires_exactly_the_masked_rows():
             assert exit_idx.shape == (0,) and last.shape == (0, dim)
         for row, kept_b, kept_i in zip(rows, bounded, inside):
             assert run(quad, row, 2.0, 4).diverged_at == (None if kept_b else 0)
-            traj = Trajectory("quad", 2.0, np.array([rows[0], row]), np.zeros((1, dim)), MINIMAL_NORM, 0)
+            traj = Trajectory("quad", 2.0, np.array([rows[0], row]), np.zeros((1, dim)))
             assert first_exit(traj, np.zeros(dim), r) == (None if kept_i else 1)
 
 

@@ -44,7 +44,8 @@ def test_nodes_equally_spaced_with_final_partial_step():
     sol = integrate_flow(QUAD1, [1.0], 0.25, 0.1)
     npt.assert_allclose(sol.ts, [0.0, 0.1, 0.2, 0.25], rtol=0, atol=1e-15)
     sol = integrate_flow(QUAD1, [1.0], 0.3, 0.1)
-    assert sol.ts.shape[0] == 4  # exact multiple: no extra node
+    # a multiple of h within 1e-12 of the horizon ends the record: no extra node, and ts[-1] is 3h, not 0.3
+    assert sol.ts.shape[0] == 4 and sol.ts[-1] == 3 * 0.1
 
 
 def test_flow_nodes_are_the_recorded_euler_steps():
@@ -143,7 +144,7 @@ def test_flow_error_against_closed_form_nonsmooth_flows():
             # so compare's sup_dev measures the discrete run against the flow, not the flow's own error: against
             # the exact flow on the same nodes it moves by at most their largest node distance
             path = InterpolatedPath(run(fn, x0, 0.1, 10), 1.0)
-            exact_sol = FlowSolution(name, x0, 1.0, h, sol.ts, exact, sol.min_norm_subgrads, sol.f_values)
+            exact_sol = FlowSolution(name, h, sol.ts, exact, sol.min_norm_subgrads, sol.f_values)
             gap = np.linalg.norm(sol.xs - exact, axis=1).max()
             moved = abs(sup_deviation(path, sol).sup_dev - sup_deviation(path, exact_sol).sup_dev)
             assert moved <= gap + 16 * eps, (name, h, moved, gap)

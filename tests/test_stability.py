@@ -18,6 +18,7 @@ from nsdyn import (
 from nsdyn.engine import derive_seed, make_rng
 from nsdyn.errors import InvalidQuery, NotConvex
 from nsdyn.reporting import json_text, verdict_json_dict
+from nsdyn.stability import _max_generator_norm
 
 
 def test_estimate_lipschitz_abs_sum_is_sharp():
@@ -39,6 +40,20 @@ def test_estimate_lipschitz_cross_below_analytic_sup():
     sup = 1.5 * np.sqrt(1.5 * 0.5 ** 3 + 1.5 ** 3 * 0.5)
     assert L <= 1.1 * sup
     assert L >= 0.5 * sup  # the sample actually explores the ball
+
+
+def test_max_generator_norm_keeps_its_bits_and_a_nan():
+    # one sqrt of the largest square against the largest sqrt, row by row, on finite rows
+    for fn, center in ((get_function("cross"), [1.0, 0.0]), (get_function("abs_sum", 3), [0.0, 0.5, 0.0]),
+                       (get_function("neg_norm", 2), [0.0, 0.0])):
+        pts = np.concatenate([[center], sample_ball(center, 0.7, 64, make_rng(5))])
+        want = max(float(np.sqrt((g * g).sum(axis=1).max())) for g in (fn.generators(p, 0.0) for p in pts))
+        assert _max_generator_norm(fn, pts) == want
+    # wiggle's field is NaN where 1/t overflows, as on this subnormal ball: the estimate is NaN, not 0.0,
+    # and so is the largest norm when a finite one comes first
+    fn = get_function("wiggle")
+    assert np.isnan(estimate_lipschitz(fn, [5e-324], 1e-320, samples=4))
+    assert np.isnan(_max_generator_norm(fn, np.array([[0.5], [1e-320]])))
 
 
 def test_probe_quad_certificate():

@@ -93,12 +93,21 @@ MUTANTS = [
     # a CSV block boundary
     ("reporting.py", (("c[i:i + CSV_BLOCK]", "c[i:i + CSV_BLOCK - 1]"),),
      (f"{R}::test_csv_cells_print_as_fmt",)),
+    # the probe's refusals before any run: its ball beyond the keep box, a Lipschitz estimate that is not
+    # finite and positive; and the largest generator norm through Python's max, which drops a NaN
+    ("stability.py", (("    _inside(x_star, q.epsilon, fn.dim)", "    pass"),), (f"{CLI}::test_usage_errors_exit_2",)),
+    ("stability.py", (('    _positive("the Lipschitz estimate", lip, InvalidQuery)\n', ""),),
+     (f"{CLI}::test_usage_errors_exit_2",)),
+    ("stability.py", (("np.sqrt(np.max(squares))", "np.sqrt(max(squares))"),),
+     (f"{S}::test_max_generator_norm_keeps_its_bits_and_a_nan",)),
     # the certificate is the first escape-free cell, not the last
     ("stability.py", (("d_idx, a_idx = np.argwhere(clear)[0]", "d_idx, a_idx = np.argwhere(clear)[-1]"),),
      (f"{S}::test_probe_quad_certificate",)),
     # an axis start that escaped (it starts outside the ball) counted as stuck
     ("counterexample.py", (("((x0s[:, 1] == 0.0) & ~escaped).sum()", "(x0s[:, 1] == 0.0).sum()"),),
      (f"{X}::test_escape_experiment_forced_axis_start",)),
+    # a policy index after a kind other than fixed_index, accepted
+    ("cli.py", (('if colon and kind != "fixed_index":', "if False:"),), (f"{CLI}::test_usage_errors_exit_2",)),
     # divergence exits 3, not 2
     ("cli.py", (('print(f"diverged: {exc}", file=sys.stderr)\n        return 3',
                  'print(f"diverged: {exc}", file=sys.stderr)\n        return 2'),),
