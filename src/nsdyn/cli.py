@@ -161,7 +161,11 @@ def _policy(cfg: RunConfig) -> SelectionPolicy:
     kind, colon, index = cfg.policy.partition(":")
     if colon and kind != "fixed_index":
         raise ValueError(f"policy takes an index only after fixed_index, got {cfg.policy!r}")
-    return SelectionPolicy(kind, int(index) if colon else 0)
+    try:
+        index = int(index) if colon else 0
+    except ValueError:
+        raise ValueError(f"policy {cfg.policy!r} needs an integer index, got {index!r}") from None
+    return SelectionPolicy(kind, index)
 
 
 def _check_config(cfg: RunConfig):

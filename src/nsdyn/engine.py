@@ -14,9 +14,11 @@ agree bit for bit; Wolfe's projector never steps.  One keep test, a pair
 (center, bound) kept while ``_measure`` <= bound, decides when a row stops,
 from k = 0 on: ``_inside`` an exit ball, or ``_bounded`` without one; a NaN
 coordinate makes the measure NaN, which fails <=.  The recorded loop
-``_record`` steps one row in Python floats, writes each block of new iterates
-into its record and tests the block at once; the iterates computed past the
-first failing one are discarded, silently.
+``_record`` steps one row in Python floats, a block at a time in one inner
+loop into flat lists, with the coordinate step chosen once by dimension and
+the same x_i - a * s_i in each; it writes each block into its record and tests
+it at once; the iterates computed past the first failing one are discarded,
+silently.
 
 The batch loop owns its working rows: one column-major (``order="F"``) copy of
 the start points, updated in place and compacted only when rows exit, into a
@@ -39,7 +41,7 @@ first kink, so ``run`` and each row of ``run_batch`` replay bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -64,7 +66,7 @@ __all__ = [
 
 # any coordinate beyond this magnitude marks the trajectory as diverged
 DIVERGENCE_LIMIT = 1e100
-RECORD_BLOCK = 64  # a recorded run tests its new iterates once per this many steps
+RECORD_BLOCK = 64  # a recorded run steps this many iterates into flat lists, then writes and tests them at once
 MAX_RECORDED_STEPS = 10 ** 7  # 16 bytes per coordinate per step
 
 _POLICY_KINDS = ("minimal_norm", "random_extreme", "fixed_index")
@@ -244,34 +246,51 @@ def _iterate(select, pts: np.ndarray, steps, keep):
     return exit_index, last
 
 
+def _stepper(dim: int):
+    """x - a * s as x_i - a * s_i per coordinate in Python floats: written out in R^1 and R^2, a comprehension else."""
+    if dim == 1:
+        return lambda x, a, s: [x[0] - a * s[0]]
+    if dim == 2:
+        return lambda x, a, s: [x[0] - a * s[0], x[1] - a * s[1]]
+    return lambda x, a, s: [xi - a * si for xi, si in zip(x, s)]
+
+
 def _record(select, points: np.ndarray, subgrads: np.ndarray, steps, keep) -> int | None:
     """points[k+1] = points[k] - a * subgrads[k], for each Python float step size a; returns the exit k or None.
 
     ``select`` maps one point, a list of Python floats, to its subgradient as
-    a tuple of floats (``_select_at``), and each coordinate steps as
-    x_i - a * s_i in Python floats, which round as numpy does.  The start is
-    tested first; each block of RECORD_BLOCK new iterates and subgradients is
-    then written into ``points`` and ``subgrads`` and tested at once.  The
-    caller drops the iterates stepped past the exit.
+    a tuple of floats (``_select_at``), and ``_stepper(dim)`` steps each
+    coordinate as x_i - a * s_i in Python floats, which round as numpy does.
+    The start is tested first.  Then one inner loop steps a block of up to
+    RECORD_BLOCK iterates into flat lists, each written at once into its rows
+    of ``points`` or ``subgrads`` through a flat view (both are C-ordered),
+    and the block is tested at once.  The caller drops the iterates stepped
+    past the exit.
     """
     x = points[0].tolist()
-    xs, ss = [], []  # the block stepped since the last test
-    tested = 0  # points[:tested] passed the keep test
+    dim = len(x)
+    step_x = _stepper(dim)
+    flat_x, flat_s = points.reshape(-1), subgrads.reshape(-1)
+    steps = iter(steps)
+    tested, new = 0, 1  # points[:tested] passed the keep test; the next new rows await it
     with np.errstate(all="ignore"):  # steps past an exit may overflow; they are discarded
-        for k, a in enumerate(chain(steps, (None,))):
-            if k % RECORD_BLOCK == 0 or a is None:
-                if xs:
-                    points[tested:k + 1] = xs
-                    subgrads[tested - 1:k] = ss
-                    xs, ss = [], []
-                hit = _first_failing(keep, points[tested:k + 1])
-                if hit is not None or a is None:
-                    return hit if hit is None else tested + hit
-                tested = k + 1
-            s = select(x)
-            x = [xi - a * si for xi, si in zip(x, s)]
-            xs.append(x)
-            ss.append(s)
+        while True:
+            hit = _first_failing(keep, points[tested:tested + new])
+            if hit is not None:
+                return tested + hit
+            tested += new
+            xs, ss = [], []  # the block's iterates and subgradients, flat
+            for a in islice(steps, RECORD_BLOCK):
+                s = select(x)
+                x = step_x(x, a, s)
+                xs += x
+                ss += s
+            if not xs:
+                return None
+            new = len(xs) // dim
+            i, j = tested * dim, (tested + new) * dim
+            flat_x[i:j] = xs
+            flat_s[i - dim:j - dim] = ss
 
 
 def step(fn: CatalogFunction, x, alpha: float, policy: SelectionPolicy = MINIMAL_NORM,

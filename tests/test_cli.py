@@ -216,7 +216,9 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
         (None, ["--config", "list.json", "list-functions"], "--config"),
         (None, ["--config", "list.json", "simulate", "--function", "quad", "--x0", "1", "--alpha", "0.1",
                 "--steps", "1"], "--config"),
-        (None, simulate + ["--policy", "fixed_index:x"], "'x'"),
+        # a policy index that is not an integer, or empty, is named with its policy
+        (None, simulate + ["--policy", "fixed_index:x"], "policy 'fixed_index:x' needs an integer index, got 'x'"),
+        (None, simulate + ["--policy", "fixed_index:"], "policy 'fixed_index:' needs an integer index, got ''"),
         (None, ["simulate", "--function", "quad", "--x0", "1", "--alpha", "inf", "--steps", "1"], "alpha"),
     ]
     probe = ["probe", "--function", "quad", "--out", "p.json"]
@@ -241,7 +243,9 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
             ({"command": "simulate", "function": "quad", "x0": [1], "alpha": 0.1, "steps": 3,
               "policy": "random_extreme:1"}, "policy"),
             ({"command": "simulate", "function": "quad", "x0": [1], "alpha": 0.1, "steps": 3,
-              "policy": "fixed_index", "policy_index": 2}, "policy_index")]):
+              "policy": "fixed_index", "policy_index": 2}, "policy_index"),
+            ({"command": "simulate", "function": "quad", "x0": [1], "alpha": 0.1, "steps": 3,
+              "policy": "fixed_index:"}, "policy 'fixed_index:' needs an integer index")]):
         (tmp_path / f"table{i}.json").write_text(json.dumps(cfg))
         rows.append((None, ["--config", f"table{i}.json"], named))
     (tmp_path / "nan.json").write_text('{"command": "simulate", "function": "quad", "x0": [NaN], '

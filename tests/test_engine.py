@@ -179,27 +179,32 @@ def test_run_stop_ball_truncates_at_first_exit():
 
 
 def test_recorded_loop_exits_at_the_first_failing_iterate():
-    # at alpha 3 quad maps x to -2x exactly, so |x_k| = 1.5 * 2^(k - K) leaves the unit ball at k = K;
-    # the recorded loop tests a block of RECORD_BLOCK iterates at once and must still stop at K
+    # at alpha 3 quad maps x to -2x exactly, so |x_k| = |x_0| * 2^k, with |x_0| in (1, 2) * 2^-K, leaves the
+    # unit ball at k = K; the recorded loop steps and tests a block of RECORD_BLOCK iterates at once, with a
+    # step written out in R^1 and R^2 and a loop in R^3, and must still stop at K on each side of a block edge
     b = RECORD_BLOCK
-    for exit_k in (1, b // 2, b, b + 1, 2 * b, 2 * b + 1):
-        for n_steps in (0, 1, b - 1, b, b + 1, 2 * b + 7, 3 * b):
-            x0 = [1.5 * 2.0 ** -exit_k]
-            traj = run(QUAD1, x0, 3.0, n_steps, stop=([0.0], 1.0))
-            k_last = min(exit_k, n_steps)
-            assert traj.points.shape == (k_last + 1, 1) and traj.diverged_at is None
-            assert first_exit(traj, [0.0], 1.0) == (exit_k if exit_k <= n_steps else None)
-            exit_idx, last = run_batch(QUAD1, np.array([x0]), 3.0, n_steps, [0.0], 1.0)
-            assert exit_idx[0] == (exit_k if exit_k <= n_steps else -1)
-            assert last[0].tobytes() == traj.points[-1].tobytes()
-            recon = traj.points[:-1] - traj.alpha * traj.chosen_subgradients
-            assert recon.tobytes() == traj.points[1:].tobytes()
-    # a start outside the ball, or a NaN start, exits at 0 and is never stepped
-    for x0, stop in (([1.5], ([0.0], 1.0)), ([np.nan], None)):
-        oracle = _CountingOracle(QUAD1)
-        traj = run(oracle, x0, 3.0, 2 * b, stop=stop)
-        assert traj.points.shape == (1, 1) and oracle.rows == []
-        assert run_batch(QUAD1, np.array([x0]), 3.0, 2 * b, *(stop or (None, None)))[0][0] == 0
+    for dim in (1, 2, 3):
+        quad, center = get_function("quad", dim), np.zeros(dim)
+        for exit_k in (1, b // 2, b - 1, b, b + 1, 2 * b, 2 * b + 1):
+            for n_steps in (0, 1, b - 1, b, b + 1, 2 * b + 7, 3 * b):
+                x0 = [c * 2.0 ** -exit_k for c in (1.5, -0.75, 0.375)[:dim]]
+                traj = run(quad, x0, 3.0, n_steps, stop=(center, 1.0))
+                k_last = min(exit_k, n_steps)
+                assert traj.points.shape == (k_last + 1, dim) and traj.diverged_at is None
+                assert first_exit(traj, center, 1.0) == (exit_k if exit_k <= n_steps else None)
+                assert traj.points.tobytes() == (np.array([x0]) * (-2.0) ** np.arange(k_last + 1)[:, None]).tobytes()
+                exit_idx, last = run_batch(quad, np.array([x0]), 3.0, n_steps, center, 1.0)
+                assert exit_idx[0] == (exit_k if exit_k <= n_steps else -1)
+                assert last[0].tobytes() == traj.points[-1].tobytes()
+                recon = traj.points[:-1] - traj.alpha * traj.chosen_subgradients
+                assert recon.tobytes() == traj.points[1:].tobytes()
+        # a start outside the ball, or a NaN start, exits at 0 and is never stepped
+        for x0, stop in (([1.5] * dim, (center, 1.0)), ([np.nan] * dim, None)):
+            oracle, selected = _CountingOracle(quad), []
+            oracle.min_norm_at = lambda x: selected.append(x) or quad.min_norm_at(x)
+            traj = run(oracle, x0, 3.0, 2 * b, stop=stop)
+            assert traj.points.shape == (1, dim) and selected == []
+            assert run_batch(quad, np.array([x0]), 3.0, 2 * b, *(stop or (None, None)))[0][0] == 0
 
 
 def test_steps_past_an_exit_raise_no_warning():
@@ -304,7 +309,8 @@ def test_run_batch_matches_run_under_every_policy():
     st = hyp.strategies
     fns = [get_function(name, dim) for name, dim in (("abs_sum", 1), ("abs_sum", 3), ("vee_bowl", 2),
                                                      ("wiggle", 1), ("neg_norm", 1), ("neg_norm", 2),
-                                                     ("cross", 2), ("quad", 2))]
+                                                     ("cross", 2), ("quad", 2),
+                                                     ("quad", 3), ("neg_norm", 3))]
     # exact kinks, starts that step onto one at alpha 0.25, and NaN starts
     coord = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.25, 0.75, np.nan]), st.floats(-1.0, 1.0))
     policies = [MINIMAL_NORM, SelectionPolicy("random_extreme"), SelectionPolicy("fixed_index", 1),

@@ -46,8 +46,16 @@ MUTANTS = [
     ("engine.py", (("if np.count_nonzero(kept) != alive_ids.size:",
                     "if k % 2 == 0 and np.count_nonzero(kept) != alive_ids.size:"),),
      (f"{E}::test_batch_exit_indices_match_first_exit",)),
-    # the recorded loop's exit index, off by one
-    ("engine.py", (("else tested + hit\n", "else tested + hit + 1\n"),),
+    # the recorded loop: its exit index off by one, a block tested without its last iterate, the R^2 step with
+    # the first subgradient coordinate in both, the R^1 step adding
+    ("engine.py", (("return tested + hit\n", "return tested + hit + 1\n"),),
+     (f"{E}::test_recorded_loop_exits_at_the_first_failing_iterate",)),
+    ("engine.py", (("_first_failing(keep, points[tested:tested + new])",
+                    "_first_failing(keep, points[tested:tested + new - 1])"),),
+     (f"{E}::test_recorded_loop_exits_at_the_first_failing_iterate",)),
+    ("engine.py", (("[x[0] - a * s[0], x[1] - a * s[1]]", "[x[0] - a * s[0], x[1] - a * s[0]]"),),
+     (f"{E}::test_recorded_loop_exits_at_the_first_failing_iterate",)),
+    ("engine.py", (("[x[0] - a * s[0]]\n", "[x[0] + a * s[0]]\n"),),
      (f"{E}::test_recorded_loop_exits_at_the_first_failing_iterate",)),
     # the seed's key order
     ("engine.py", (("SeedSequence((int(root),) + tuple(int(i) for i in indices))",
