@@ -44,4 +44,4 @@ from nsdyn import energy_residual  # noqa: E402
 
 for h in (1e-2, 1e-3, 1e-4):
     sol = integrate_flow(quad, [1.0], 1.0, h)
-    print(f"  h={h:<7} residual {energy_residual(quad, sol):.3e}")
+    print(f"  h={h:<7} residual {energy_residual(sol):.3e}")

@@ -32,7 +32,6 @@ from .engine import (
     run,
     run_batch,
     sample_ball,
-    step,
 )
 from .flow import (
     DeviationReport,

@@ -6,7 +6,7 @@ convention of the continuous flow and makes discrete/continuous comparisons
 canonical.  One rule, ``_select_at``, picks on one point in Python floats:
 ``fn.min_norm_at``, or under a generator policy where ``fn.generator_count``
 exceeds 1, the one ``fn.generator(x, j)`` it picks, never the set.  Recorded
-runs (``run``, the flow, ``step``) step x_i - a * s_i per coordinate;
+runs (``run``, the flow) step x_i - a * s_i per coordinate;
 batches (``run_batch``) step x - a * s in numpy on ``fn.min_norm_many``,
 with ``_select_at`` on a generator policy's ``at_kink`` rows.  Python floats
 and numpy round alike, and tests hold the two fields bit-identical, so all
@@ -34,8 +34,8 @@ Reproducibility contract: every random draw comes from a counter-based
 Philox generator.  A trajectory owns a single 64-bit seed; batch drivers
 derive per-sample seeds with ``derive_seed(root, *indices)`` (a SeedSequence
 keyed on the index tuple), so parallel or reordered execution cannot change
-any stream.  A batch row draws from ``make_rng(seeds(row))``, made at its
-first kink, so ``run`` and each row of ``run_batch`` replay bit for bit.
+any stream.  A row draws from ``make_rng(seeds(row))``, made at its first
+kink, with ``run``'s seed or ``run_batch``'s seeds, so the two replay bit for bit.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from .catalog import CatalogFunction, as_point
-from .errors import NonFiniteInput, NonFiniteState, OutOfHorizon
+from .errors import DimensionMismatch, NonFiniteInput, OutOfHorizon
 
 __all__ = [
     "DIVERGENCE_LIMIT",
@@ -54,7 +54,6 @@ __all__ = [
     "MINIMAL_NORM",
     "Trajectory",
     "InterpolatedPath",
-    "step",
     "run",
     "run_batch",
     "interpolate",
@@ -123,12 +122,13 @@ def sample_ball(center, radius: float, n: int, rng: np.random.Generator) -> np.n
     return center[None, :] + radii[:, None] * direction
 
 
-def _select_at(fn: CatalogFunction, policy: SelectionPolicy, rng_of=None):
+def _select_at(fn: CatalogFunction, policy: SelectionPolicy, seeds=None):
     """The one selection rule: maps one point, a list of Python floats, and its row id to a tuple of floats.
 
     Minimal norm is ``fn.min_norm_at``, as is a generator policy where
     ``fn.generator_count(x)`` is 1.  Else it builds ``fn.generator(x, j)`` alone:
-    j = ``index % m``, or a draw from the row's stream ``rng_of(row)``, made once.
+    j = ``index % m``, or a draw from the row's stream ``make_rng(seeds(row))``,
+    made at the row's first kink; ``row`` is a Python int.
     """
     if policy.kind == "minimal_norm":
         return fn.min_norm_at
@@ -140,9 +140,9 @@ def _select_at(fn: CatalogFunction, policy: SelectionPolicy, rng_of=None):
             return fn.min_norm_at(x)
         j = policy.index
         if policy.kind == "random_extreme":
-            if rng_of is None:
-                raise ValueError("random_extreme selection at a kink needs an rng or seeds")
-            rng = rngs[row] = rngs.get(row) or rng_of(row)
+            if seeds is None:
+                raise ValueError("random_extreme selection at a kink needs seeds")
+            rng = rngs[row] = rngs.get(row) or make_rng(seeds(row))
             n = m.bit_length() - 1  # numpy's integers draws below at most 2^63; above, m = 2^n is n bits
             j = int(rng.integers(m)) if m <= 2 ** 63 else int("".join(map(str, rng.integers(2, size=n))), 2)
         return fn.generator(x, j % m)
@@ -293,21 +293,6 @@ def _record(select, points: np.ndarray, subgrads: np.ndarray, steps, keep) -> in
             flat_s[i - dim:j - dim] = ss
 
 
-def step(fn: CatalogFunction, x, alpha: float, policy: SelectionPolicy = MINIMAL_NORM,
-         rng: np.random.Generator | None = None):
-    """One update: returns (x - alpha*s, s) with s selected per policy.
-
-    The rng advances only for random_extreme at points with more than one
-    generator.
-    """
-    _positive("alpha", alpha)
-    x = as_point(x, fn.dim)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteState(f"non-finite state {x}")
-    s = np.array(_select_at(fn, policy, None if rng is None else lambda row: rng)(x.tolist()))
-    return x - alpha * s, s
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded iterate sequence; ``run`` on the same inputs, its policy and seed too, replays it bit for bit.
@@ -358,7 +343,7 @@ def run(fn: CatalogFunction, x0, alpha: float, n_steps: int,
     subgrads = np.empty((n_steps, fn.dim))
     points[0] = as_point(x0, fn.dim)
     keep = _bounded if stop is None else _inside(stop[0], stop[1], fn.dim)
-    exit_k = _record(_select_at(fn, policy, lambda row: make_rng(seed)), points, subgrads,
+    exit_k = _record(_select_at(fn, policy, lambda row: seed), points, subgrads,
                      repeat(float(alpha), n_steps), keep)
     k_last = n_steps if exit_k is None else exit_k
     if k_last < n_steps:  # a copy of the prefix frees the unused tail
@@ -377,24 +362,28 @@ def run_batch(fn: CatalogFunction, x0s: np.ndarray, alpha: float, n_steps: int,
               policy: SelectionPolicy = MINIMAL_NORM, seeds=None):
     """``run``'s step loop over many initial points at once.
 
-    Row i replayed through ``run(..., policy, seed=seeds(i), stop=ball)`` gives
-    the same iterates bit for bit; ``seeds`` is called at a row's first kink
+    ``x0s`` must be a 2-D (n, fn.dim) array, in either layout, n >= 0, or
+    DimensionMismatch is raised before any step.  Row i replayed through
+    ``run(..., policy, seed=seeds(i), stop=ball)`` gives the same iterates bit
+    for bit; ``seeds`` is called with a Python int at a row's first kink
     only.  Returns (exit_index, last_points): exit_index[i] is the first k (0
     for the start) at which ``run`` halts, with x_k outside the exit ball or,
     without one, diverged; else -1.  So a diverged row retires at its
     divergence step.
     """
     _positive("alpha", alpha)
+    if np.shape(x0s)[1:] != (fn.dim,):
+        raise DimensionMismatch(f"expected starts of shape (n, {fn.dim}), got shape {np.shape(x0s)}")
     keep = _bounded if exit_center is None else _inside(exit_center, exit_radius, fn.dim)
     steps = repeat(np.array(alpha, dtype=float), n_steps)
     if policy.kind == "minimal_norm":
         return _iterate(lambda pts, ids: fn.min_norm_many(pts), x0s, steps, keep)
-    select_at = _select_at(fn, policy, None if seeds is None else lambda i: make_rng(seeds(int(i))))
+    select_at = _select_at(fn, policy, seeds)
 
     def select(pts, ids):
         s = fn.min_norm_many(pts)
         for r in np.flatnonzero(fn.at_kink(pts)):
-            s[r] = select_at(pts[r].tolist(), ids[r])
+            s[r] = select_at(pts[r].tolist(), int(ids[r]))
         return s
 
     return _iterate(select, x0s, steps, keep)

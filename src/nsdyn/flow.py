@@ -112,7 +112,7 @@ def flow_value(sol: FlowSolution, t) -> np.ndarray:
                   t == ts[j], t == ts[j + 1])
 
 
-def energy_residual(fn: CatalogFunction, sol: FlowSolution) -> float:
+def energy_residual(sol: FlowSolution) -> float:
     """| f(x(T)) - f(x(0)) + Q | with Q the trapezoidal integral of ||v||^2.
 
     Small residuals certify the dissipation identity numerically; for this

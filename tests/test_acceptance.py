@@ -26,7 +26,7 @@ from nsdyn import (
     integrate_flow,
     probe,
     run,
-    step,
+    run_batch,
     sup_deviation,
 )
 from nsdyn.cli import run_command
@@ -81,16 +81,21 @@ def test_c2_doubling_inequality_never_fails():
 
 def test_c3_update_formula_equivalence():
     rng = make_rng(998877)
-    worst = 0.0
-    checked = 0
-    while checked < 10_000:
+    xs, alphas = [], []
+    while len(xs) < 10_000:
         x = rng.uniform(-2.0, 2.0, 2)
         if x[0] * x[1] == 0.0:
             continue
-        alpha = float(rng.choice((0.01, 0.05, 0.1, 0.3)))
-        checked += 1
-        via_engine, _ = step(CROSS, x, alpha)
-        via_formula = cross_update(x, alpha)
+        xs.append(x)
+        alphas.append(float(rng.choice((0.01, 0.05, 0.1, 0.3))))
+    xs, alphas = np.array(xs), np.array(alphas)
+    worst = 0.0
+    checked = len(xs)
+    for alpha in np.unique(alphas).tolist():  # one engine step on every point drawn with this alpha
+        pts = xs[alphas == alpha]
+        exit_idx, via_engine = run_batch(CROSS, pts, alpha, 1)
+        assert (exit_idx == -1).all()
+        via_formula = np.array([cross_update(x, alpha) for x in pts])
         denom = np.maximum(np.abs(via_engine), 1e-300)
         worst = max(worst, float(np.max(np.abs(via_formula - via_engine) / denom)))
     ok = _report("C3 closed-form update matches engine step", worst <= 1e-15,
@@ -100,11 +105,11 @@ def test_c3_update_formula_equivalence():
 
 def test_c4_energy_identity():
     quad = get_function("quad", 1)
-    r_coarse = energy_residual(quad, integrate_flow(quad, [1.0], 1.0, 1e-3))
-    r_fine = energy_residual(quad, integrate_flow(quad, [1.0], 1.0, 5e-4))
+    r_coarse = energy_residual(integrate_flow(quad, [1.0], 1.0, 1e-3))
+    r_fine = energy_residual(integrate_flow(quad, [1.0], 1.0, 5e-4))
     ratio = r_coarse / r_fine
     abs1 = get_function("abs_sum", 1)
-    r_abs = energy_residual(abs1, integrate_flow(abs1, [0.05], 0.05, 1e-4))
+    r_abs = energy_residual(integrate_flow(abs1, [0.05], 0.05, 1e-4))
     ok = (r_coarse <= 5e-3 and r_fine <= 3e-3 and 1.5 <= ratio <= 4.0 and r_abs <= 2e-4)
     _report("C4 energy identity residuals", ok,
             f"quad h=1e-3: {r_coarse:.2e} (<=5e-3), h=5e-4: {r_fine:.2e} (<=3e-3), "

@@ -9,7 +9,7 @@ from nsdyn import (
     get_function,
     monotone_drift_check,
     run,
-    step,
+    run_batch,
 )
 from nsdyn.counterexample import DEFAULT_ALPHAS
 from nsdyn.engine import make_rng
@@ -42,14 +42,19 @@ def test_cross_update_rejects_axis_points():
 
 def test_cross_update_agrees_with_engine_step():
     rng = make_rng(271828)
+    xs, alphas = [], []
     for _ in range(2000):
         x = rng.uniform(-2.0, 2.0, 2)
         if x[0] * x[1] == 0.0:
             continue
-        alpha = float(rng.choice(DEFAULT_ALPHAS))
-        via_engine, _ = step(CROSS, x, alpha)
-        via_formula = cross_update(x, alpha)
-        npt.assert_array_equal(via_formula, via_engine)
+        xs.append(x)
+        alphas.append(float(rng.choice(DEFAULT_ALPHAS)))
+    xs, alphas = np.array(xs), np.array(alphas)
+    for alpha in np.unique(alphas).tolist():  # one engine step on every point drawn with this alpha
+        pts = xs[alphas == alpha]
+        exit_idx, via_engine = run_batch(CROSS, pts, alpha, 1)
+        assert (exit_idx == -1).all()
+        npt.assert_array_equal(np.array([cross_update(x, alpha) for x in pts]), via_engine)
 
 
 def test_doubling_boundary_example():

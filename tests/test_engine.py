@@ -16,24 +16,29 @@ from nsdyn import (
     run,
     run_batch,
     sample_ball,
-    step,
 )
 from nsdyn.engine import DIVERGENCE_LIMIT, MAX_RECORDED_STEPS, RECORD_BLOCK, Trajectory, derive_seed, make_rng
-from nsdyn.errors import NonFiniteState, OutOfHorizon
+from nsdyn.errors import DimensionMismatch, OutOfHorizon
 
 QUAD1 = get_function("quad", 1)
 CROSS = get_function("cross")
 ABS1 = get_function("abs_sum", 1)
 
 
+def _one_step(fn, x, alpha, policy=MINIMAL_NORM, seed=0):
+    """One update as ``run`` records it: (x - alpha * s, s)."""
+    traj = run(fn, x, alpha, 1, policy, seed)
+    return traj.points[1], traj.chosen_subgradients[0]
+
+
 def test_step_quad():
-    x, s = step(QUAD1.__class__(2), [1.0, 0.0], 0.1)
+    x, s = _one_step(get_function("quad", 2), [1.0, 0.0], 0.1)
     npt.assert_array_equal(x, [0.9, 0.0])
     npt.assert_array_equal(s, [1.0, 0.0])
 
 
 def test_step_cross_matches_displayed_update():
-    x, s = step(CROSS, [1.0, 0.1], 0.1)
+    x, s = _one_step(CROSS, [1.0, 0.1], 0.1)
     want_s1 = 1.5 * np.sqrt(1.0) * 0.1 * np.sqrt(0.1)
     want_s2 = 1.5 * 1.0 * np.sqrt(1.0) * np.sqrt(0.1)
     npt.assert_allclose(s, [want_s1, want_s2], rtol=1e-15)
@@ -42,14 +47,9 @@ def test_step_cross_matches_displayed_update():
 
 
 def test_step_abs_sum_kink_is_fixed_point():
-    x, s = step(ABS1, [0.0], 0.1, MINIMAL_NORM)
+    x, s = _one_step(ABS1, [0.0], 0.1, MINIMAL_NORM)
     npt.assert_array_equal(x, [0.0])
     npt.assert_array_equal(s, [0.0])
-
-
-def test_step_rejects_nonfinite_state():
-    with pytest.raises(NonFiniteState):
-        step(QUAD1, [np.nan], 0.1)
 
 
 def test_run_quad_closed_form():
@@ -107,16 +107,21 @@ def test_chosen_subgradients_live_in_the_hull():
 def test_policies_coincide_on_singletons():
     x = [0.4, -0.2]
     qq = get_function("quad", 2)
-    base, _ = step(qq, x, 0.1, MINIMAL_NORM)
+    base = run(qq, x, 0.1, 1, MINIMAL_NORM)
     for policy in (SelectionPolicy("random_extreme"), SelectionPolicy("fixed_index", 3)):
-        rng = make_rng(0)
-        got, _ = step(qq, x, 0.1, policy, rng)
-        npt.assert_array_equal(got, base)
-        # a singleton leaves nothing to draw, so the stream stays put
-        assert rng.random() == make_rng(0).random()
-    rng = make_rng(0)
-    step(ABS1, [0.0], 0.1, SelectionPolicy("random_extreme"), rng)
-    assert rng.random() != make_rng(0).random()
+        got = run(qq, x, 0.1, 1, policy, seed=0)
+        assert got.points.tobytes() == base.points.tobytes()
+        assert got.chosen_subgradients.tobytes() == base.chosen_subgradients.tobytes()
+    # a singleton leaves nothing to draw, so the stream stays put: from 0.25 at alpha 0.25 abs_sum steps onto
+    # its kink at k = 1 and draws there what a run started on the kink draws at k = 0 under the same seed
+    policy, picks = SelectionPolicy("random_extreme"), set()
+    for seed in range(32):
+        after = run(ABS1, [0.25], 0.25, 2, policy, seed=seed)
+        at = run(ABS1, [0.0], 0.25, 1, policy, seed=seed)
+        assert after.points[1, 0] == 0.0
+        assert after.chosen_subgradients[1, 0] == at.chosen_subgradients[0, 0], seed
+        picks.add(float(at.chosen_subgradients[0, 0]))
+    assert picks == {-1.0, 1.0}  # the kink does draw
 
 
 def test_interpolate_examples():
@@ -260,10 +265,18 @@ def test_stop_rule_retires_exactly_the_masked_rows():
                         assert last[want == 0].tobytes() == rows[ids][want == 0].tobytes()
             exit_idx, last = run_batch(quad, np.empty((0, dim)), 0.1, 3, *ball)
             assert exit_idx.shape == (0,) and last.shape == (0, dim)
+        # starts of any other shape are refused before a step: a wrong width, a 1-D point, a stack
+        for bad in (np.ones((3, dim + 1)), np.ones((3, dim - 1 or 2)), np.empty((0, dim + 1)), np.ones(dim),
+                    np.ones((2, 3, dim))):
+            for batch in (bad, np.asfortranarray(bad)):
+                with pytest.raises(DimensionMismatch, match=rf"^expected starts of shape \(n, {dim}\)"):
+                    run_batch(quad, batch, 0.1, 3)
         for row, kept_b, kept_i in zip(rows, bounded, inside):
             assert run(quad, row, 2.0, 4).diverged_at == (None if kept_b else 0)
             traj = Trajectory("quad", 2.0, np.array([rows[0], row]), np.zeros((1, dim)))
             assert first_exit(traj, np.zeros(dim), r) == (None if kept_i else 1)
+    with pytest.raises(DimensionMismatch):  # refused before cross's two-column kernel sees it
+        run_batch(CROSS, np.ones((3, 3)), 0.1, 3)
 
 
 def test_bad_exit_ball_is_rejected_everywhere():
@@ -369,8 +382,6 @@ def test_reflection_flips_each_coordinate_bit_for_bit():
 def test_alpha_must_be_finite_and_positive():
     for alpha in (0.0, -0.1, np.nan, np.inf):
         with pytest.raises(ValueError, match="alpha"):
-            step(QUAD1, [1.0], alpha)
-        with pytest.raises(ValueError, match="alpha"):
             run(QUAD1, [1.0], alpha, 3)
         with pytest.raises(ValueError, match="alpha"):
             run_batch(QUAD1, np.ones((2, 1)), alpha, 3)
@@ -378,11 +389,8 @@ def test_alpha_must_be_finite_and_positive():
 
 def test_random_extreme_needs_a_stream_only_at_kinks():
     policy = SelectionPolicy("random_extreme")
-    step(ABS1, [0.5], 0.1, policy)  # one generator: nothing to draw
-    run_batch(ABS1, np.array([[0.5], [-0.3]]), 0.1, 3, policy=policy)
-    with pytest.raises(ValueError, match="rng"):
-        step(ABS1, [0.0], 0.1, policy)
-    with pytest.raises(ValueError, match="rng"):
+    run_batch(ABS1, np.array([[0.5], [-0.3]]), 0.1, 3, policy=policy)  # one generator: nothing to draw
+    with pytest.raises(ValueError, match="seeds"):
         run_batch(ABS1, np.array([[0.5], [0.0]]), 0.1, 3, policy=policy)
 
 
@@ -393,7 +401,7 @@ def test_random_extreme_draws_the_documented_index():
         fn, x, m = get_function("abs_sum", dim), [0.0] * dim, 2 ** dim
         rng = make_rng(seed)
         j = int(rng.integers(m)) if m <= 2 ** 63 else int("".join(map(str, rng.integers(2, size=dim))), 2)
-        assert tuple(step(fn, x, 0.1, policy, make_rng(seed))[1]) == fn.generator(x, j), (dim, seed)
+        assert tuple(_one_step(fn, x, 0.1, policy, seed)[1]) == fn.generator(x, j), (dim, seed)
 
 
 class _CountingOracle:
@@ -423,15 +431,13 @@ class _CountingOracle:
 
 
 def test_a_recorded_generator_policy_run_makes_no_batch_call():
-    # run and step pick one generator on one point, at a kink and off it, with no one-row batch;
+    # run picks one generator on one point, at a kink and off it, with no one-row batch;
     # no selection lists the generator set, run_batch's included
     for policy in (SelectionPolicy("random_extreme"), SelectionPolicy("fixed_index", 1)):
         oracle = _CountingOracle(ABS1)
         traj = run(oracle, [0.5], 0.25, 2 * RECORD_BLOCK, policy, seed=3)
         assert traj.points[2, 0] == 0.0 and traj.chosen_subgradients[2, 0] in (-1.0, 1.0)
         assert traj.points.tobytes() == run(ABS1, [0.5], 0.25, 2 * RECORD_BLOCK, policy, seed=3).points.tobytes()
-        for x in ([0.0], [0.5]):
-            step(oracle, x, 0.25, policy, make_rng(3))
         assert oracle.rows == [] and oracle.kink_calls == 0, policy
         run_batch(oracle, np.array([[0.5], [0.0]]), 0.25, 5, policy=policy, seeds=lambda i: i)
         assert oracle.kink_calls > 0 and oracle.generators_calls == 0, policy

@@ -62,8 +62,8 @@ def test_flow_nodes_are_the_recorded_euler_steps():
 def test_energy_residual_quad_and_ratio():
     sol_a = integrate_flow(QUAD1, [1.0], 1.0, 1e-3)
     sol_b = integrate_flow(QUAD1, [1.0], 1.0, 5e-4)
-    r_a = energy_residual(QUAD1, sol_a)
-    r_b = energy_residual(QUAD1, sol_b)
+    r_a = energy_residual(sol_a)
+    r_b = energy_residual(sol_b)
     # analytic drop 0.5*(e^-2 - 1) matches the quadrature as h -> 0
     assert r_a <= 5e-3
     assert r_b <= 3e-3
@@ -72,19 +72,19 @@ def test_energy_residual_quad_and_ratio():
 
 def test_energy_residual_stationary_point_is_zero():
     sol = integrate_flow(CROSS, [1.0, 0.0], 1.0, 1e-2)
-    assert energy_residual(CROSS, sol) == 0.0
+    assert energy_residual(sol) == 0.0
 
 
 def test_energy_residual_abs_sum_unit_slope():
     h = 1e-4
     sol = integrate_flow(ABS1, [0.05], 0.05, h)
     # drop -0.05 against integral of 1 over [0, 0.05]
-    assert energy_residual(ABS1, sol) <= 2 * h
+    assert energy_residual(sol) <= 2 * h
 
 
 def test_energy_residual_halving_trend_abs_sum():
     # halt mid-descent so the kink never enters the window
-    r = [energy_residual(ABS1, integrate_flow(ABS1, [0.05], 0.03, h))
+    r = [energy_residual(integrate_flow(ABS1, [0.05], 0.03, h))
          for h in (1e-3, 5e-4)]
     assert r[0] <= 2e-3 and r[1] <= 1e-3
 

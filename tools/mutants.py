@@ -64,6 +64,15 @@ MUTANTS = [
     # random_extreme's draw: drawn bits in place of rng.integers(m) wherever m > 2
     ("engine.py", (("if m <= 2 ** 63 else", "if m <= 2 else"),),
      (f"{E}::test_random_extreme_draws_the_documented_index",)),
+    # a row's stream from the seed after its own (run and run_batch share the source, so only the draw shows
+    # it), and a kink without seeds reached without the check's error
+    ("engine.py", (("or make_rng(seeds(row))", "or make_rng(seeds(row) + 1)"),),
+     (f"{E}::test_random_extreme_draws_the_documented_index",)),
+    ("engine.py", (("if seeds is None:", "if False:"),),
+     (f"{E}::test_random_extreme_needs_a_stream_only_at_kinks",)),
+    # run_batch's starts check without its width test: a batch of another width steps in its own dimension
+    ("engine.py", (("if np.shape(x0s)[1:] != (fn.dim,):", "if np.ndim(x0s) != 2:"),),
+     (f"{E}::test_stop_rule_retires_exactly_the_masked_rows",)),
     # sample_ball's check: a NaN center, and a radius that is not finite and positive
     ("engine.py", (("if not np.isfinite(center).all():", "if False:"),),
      (f"{S}::test_ball_helpers_refuse_a_ball_they_cannot_sample",)),
