@@ -23,7 +23,10 @@ each closed-form row lies in the hull and is no longer than Wolfe's answer.
 
 Catalog (``_REGISTRY``, the one place names and dimensions are declared:
 each class states its ``name`` and ``fixed_dim`` once, and its constructor
-is the one dimension check, so ``get_function`` and the class agree):
+is the one dimension check, so ``get_function`` and the class agree).  The
+convex entries share one contract: each has the origin as its only
+minimizer, where f is 0, so d(x, X) = ||x|| and f - inf f = f, which
+``stability.convex_bounds_report`` relies on:
 
     quad      0.5 * ||x||^2          smooth, convex, minimizer 0, any dim
     abs_sum   sum_i |x_i|            sharp strict minimum at 0, convex, any dim
@@ -106,7 +109,7 @@ class CatalogFunction:
 
     name: str
     semialgebraic: bool = True
-    convex: bool = False
+    convex: bool = False  # a convex entry's minimizer set X is {0}, where f is 0
     quad_growth: float | None = None  # beta with f(x) - inf f >= beta * d(x, X)^2
     kinked: slice = slice(0)  # leading coordinates i with a kink |x_i| at x_i = 0
     fixed_dim: int | None = None  # the one dimension an entry is defined on; None: any dim >= 1
@@ -118,11 +121,6 @@ class CatalogFunction:
         if dim < 1:
             raise DimensionMismatch("dim must be a positive integer")
         self.dim = int(dim)
-
-    # known minimizers; nonempty for every convex entry
-    @property
-    def known_minimizers(self) -> list[np.ndarray]:
-        return []
 
     def value(self, x: np.ndarray) -> float:
         """f(x), the one-row case of ``value_many``; rejects wrong dims and non-finite input."""
@@ -223,10 +221,6 @@ class Quad(CatalogFunction):
     convex = True
     quad_growth = 0.5
 
-    @property
-    def known_minimizers(self):
-        return [np.zeros(self.dim)]
-
     def value_many(self, pts):
         return 0.5 * np.vecdot(pts, pts)
 
@@ -248,10 +242,6 @@ class AbsSum(CatalogFunction):
     name = "abs_sum"
     convex = True
     kinked = slice(None)
-
-    @property
-    def known_minimizers(self):
-        return [np.zeros(self.dim)]
 
     def value_many(self, pts):
         return np.sum(np.abs(pts), axis=1)
@@ -344,10 +334,6 @@ class VeeBowl(CatalogFunction):
     fixed_dim = 2
     convex = True
     kinked = slice(1)
-
-    @property
-    def known_minimizers(self):
-        return [np.zeros(2)]
 
     def value_many(self, pts):
         return np.abs(pts[:, 0]) + pts[:, 1] * pts[:, 1]

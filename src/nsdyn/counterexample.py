@@ -43,18 +43,23 @@ __all__ = [
 DEFAULT_ALPHAS = (0.01, 0.05, 0.1, 0.3)
 
 
+def _on_axes(pts: np.ndarray) -> np.ndarray:
+    """Whether each point (last axis) is on S: x1 == 0 or x2 == 0, -0.0 included; x1 * x2 underflows to 0 off S."""
+    return (pts == 0.0).any(axis=-1)
+
+
 def cross_update(x, alpha: float) -> np.ndarray:
     """Closed-form off-axis update of the cross function.
 
         x1' = x1 - 1.5 * alpha * |x1|^0.5 * |x2|^1.5 * sign(x1)
         x2' = x2 - 1.5 * alpha * |x1|^1.5 * |x2|^0.5 * sign(x2)
 
-    Defined only off the axis set; raises OnNullSet when x1*x2 == 0.
+    Defined only off the axis set; raises OnNullSet when x1 == 0 or x2 == 0.
     Agrees with the generic engine step on cross to machine precision.
     """
     x = as_point(x, 2)
     x1, x2 = float(x[0]), float(x[1])
-    if x1 * x2 == 0.0:
+    if _on_axes(x):
         raise OnNullSet(f"({x1}, {x2}) lies on the axis set")
     a1, a2 = abs(x1), abs(x2)
     y1 = x1 - alpha * (1.5 * np.sqrt(a1) * a2 * np.sqrt(a2) * np.sign(x1))
@@ -89,7 +94,7 @@ class EscapeStats:
     seed: int
     escaped_count: int
     max_exit_index: int  # -1 when nothing escaped
-    stuck_on_S_count: int  # x2 == 0 starts in the ball: fixed points, never escaped
+    stuck_on_S_count: int  # starts on S that never escaped (x2 == 0 in the ball): fixed points
     non_escaped_offS_count: int
 
     def to_json_dict(self) -> dict:
@@ -106,6 +111,7 @@ def escape_experiment(epsilon: float, alpha: float, n_samples: int, k_max: int =
     Samples uniformly in the ball (the continuous sampler hits the axis set
     with probability zero; an x2 == 0 start in the ball is a fixed point that
     keeps -1 and counts as stuck; any start outside exits at 0 as escaped).
+    Each start is counted once: escaped + stuck + non-escaped off S = n_samples.
     Non-escaping off-axis samples are not discarded: they are counted and
     their indices are available in the per-sample table for inspection.
 
@@ -127,7 +133,7 @@ def escape_experiment(epsilon: float, alpha: float, n_samples: int, k_max: int =
         x0s = np.atleast_2d(np.asarray(initial_points, dtype=float))
         if x0s.shape != (n_samples, 2):
             raise ValueError("initial_points must have shape (n_samples, 2)")
-    on_s = x0s[:, 0] * x0s[:, 1] == 0.0
+    on_s = _on_axes(x0s)
     exit_index, _ = run_batch(fn, x0s, alpha, k_max, center, epsilon)
     escaped = exit_index >= 0
     per_sample = np.zeros(n_samples, dtype=[("x1_0", float), ("x2_0", float),
@@ -144,7 +150,7 @@ def escape_experiment(epsilon: float, alpha: float, n_samples: int, k_max: int =
         seed=int(seed),
         escaped_count=int(escaped.sum()),
         max_exit_index=int(exit_index.max()) if escaped.any() else -1,
-        stuck_on_S_count=int(((x0s[:, 1] == 0.0) & ~escaped).sum()),
+        stuck_on_S_count=int((on_s & ~escaped).sum()),
         non_escaped_offS_count=int((~escaped & ~on_s).sum()),
     )
     return stats, per_sample
@@ -162,6 +168,6 @@ def monotone_drift_check(traj) -> bool:
     x1 = pts[:, 0]
     if np.any(x1 <= 0.0):
         raise PreconditionViolated("x1 must stay positive over the checked span")
-    if np.any(pts[:, 0] * pts[:, 1] == 0.0):
+    if _on_axes(pts).any():
         raise PreconditionViolated("trajectory touches the axis set")
     return bool(np.all(np.diff(x1) < 0.0))

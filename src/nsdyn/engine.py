@@ -41,7 +41,7 @@ kink, with ``run``'s seed or ``run_batch``'s seeds, so the two replay bit for bi
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -210,12 +210,12 @@ def _first_failing(keep, pts: np.ndarray) -> int | None:
     return None if kept.all() else int(np.argmin(kept))
 
 
-def _iterate(select, pts: np.ndarray, steps, keep):
-    """The batch loop: x <- x - a * select(x, ids) on every live row, for each step size a, a float64 0-d array.
+def _iterate(select, pts: np.ndarray, a, n_steps: int, keep):
+    """The batch loop: n_steps updates x <- x - a * select(x, ids) of every live row; the step size a is a 0-d array.
 
     keep = (center, bound) is the one stop rule, applied to the starts (k = 0)
-    and after every step k: a row without ``_measure`` <= bound retires with exit
-    index k and that point; the rest keep -1.  Returns (exit_index, last_points).
+    and after every step k <= n_steps: a row without ``_measure`` <= bound retires
+    with exit index k and that point; the rest keep -1.  Returns (exit_index, last_points).
 
     ``pts`` is never written: the loop steps its own column-major copy in
     place, scaling each fresh selection by a and subtracting it, which gives
@@ -228,7 +228,7 @@ def _iterate(select, pts: np.ndarray, steps, keep):
     exit_index = np.full(pts.shape[0], -1, dtype=np.int64)
     alive_ids = np.arange(pts.shape[0])
     ws = _workspace(*pts.shape, keep[0])
-    for k, a in enumerate(chain(steps, (None,))):
+    for k in range(n_steps + 1):
         kept = np.less_equal(_measure(keep, pts, ws), keep[1], ws[2])  # NaN fails
         if np.count_nonzero(kept) != alive_ids.size:
             gone = alive_ids[~kept]
@@ -237,7 +237,7 @@ def _iterate(select, pts: np.ndarray, steps, keep):
             alive_ids = alive_ids[kept]
             pts = pts.T.compress(kept, axis=1).T  # pts[kept] would come back row-major
             ws = _workspace(*pts.shape, keep[0])
-        if a is None or alive_ids.size == 0:
+        if k == n_steps or alive_ids.size == 0:
             break
         s = select(pts, alive_ids)
         s *= a
@@ -369,15 +369,17 @@ def run_batch(fn: CatalogFunction, x0s: np.ndarray, alpha: float, n_steps: int,
     only.  Returns (exit_index, last_points): exit_index[i] is the first k (0
     for the start) at which ``run`` halts, with x_k outside the exit ball or,
     without one, diverged; else -1.  So a diverged row retires at its
-    divergence step.
+    divergence step.  A negative n_steps raises ValueError.
     """
     _positive("alpha", alpha)
+    if not n_steps >= 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     if np.shape(x0s)[1:] != (fn.dim,):
         raise DimensionMismatch(f"expected starts of shape (n, {fn.dim}), got shape {np.shape(x0s)}")
     keep = _bounded if exit_center is None else _inside(exit_center, exit_radius, fn.dim)
-    steps = repeat(np.array(alpha, dtype=float), n_steps)
+    a = np.array(alpha, dtype=float)
     if policy.kind == "minimal_norm":
-        return _iterate(lambda pts, ids: fn.min_norm_many(pts), x0s, steps, keep)
+        return _iterate(lambda pts, ids: fn.min_norm_many(pts), x0s, a, n_steps, keep)
     select_at = _select_at(fn, policy, seeds)
 
     def select(pts, ids):
@@ -386,7 +388,7 @@ def run_batch(fn: CatalogFunction, x0s: np.ndarray, alpha: float, n_steps: int,
             s[r] = select_at(pts[r].tolist(), int(ids[r]))
         return s
 
-    return _iterate(select, x0s, steps, keep)
+    return _iterate(select, x0s, a, n_steps, keep)
 
 
 @dataclass(frozen=True)

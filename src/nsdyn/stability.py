@@ -32,8 +32,6 @@ __all__ = [
     "BoundReport",
     "LocalMinCheck",
     "estimate_lipschitz",
-    "default_delta_grid",
-    "default_alpha_grid",
     "probe",
     "local_min_check",
     "convex_bounds_report",
@@ -69,14 +67,6 @@ def estimate_lipschitz(fn: CatalogFunction, center, radius: float, samples: int 
     center = as_point(center, fn.dim)
     pts = sample_ball(center, radius, samples, make_rng(seed))
     return LIPSCHITZ_SAFETY * _max_generator_norm(fn, np.concatenate([center[None, :], pts], axis=0))
-
-
-def default_delta_grid(epsilon: float) -> np.ndarray:
-    return epsilon * np.asarray(DELTA_FRACTIONS)
-
-
-def default_alpha_grid(epsilon: float, lipschitz: float) -> np.ndarray:
-    return np.asarray(ALPHA_FRACTIONS) * epsilon / lipschitz
 
 
 @dataclass(frozen=True)
@@ -175,14 +165,14 @@ def probe(q: StabilityQuery) -> StabilityVerdict:
     """
     fn = get_function(q.fn_id, dim=as_point(q.x_star).shape[0])
     x_star = as_point(q.x_star, fn.dim)
-    deltas = np.asarray(q.delta_grid, float) if q.delta_grid is not None else default_delta_grid(q.epsilon)
+    deltas = q.epsilon * np.asarray(DELTA_FRACTIONS) if q.delta_grid is None else np.asarray(q.delta_grid, float)
     alphas = np.asarray(q.alpha_grid, float) if q.alpha_grid is not None else None
     _validate(q, x_star, deltas, alphas)
     _inside(x_star, q.epsilon, fn.dim)
     lip = estimate_lipschitz(fn, x_star, q.epsilon, seed=derive_seed(q.seed, 0x11F))
     _positive("the Lipschitz estimate", lip, InvalidQuery)
     if alphas is None:
-        alphas = default_alpha_grid(q.epsilon, lip)
+        alphas = np.asarray(ALPHA_FRACTIONS) * q.epsilon / lip
 
     horizon = q.epsilon / (3.0 * lip)
     if q.max_iters is not None:
@@ -254,7 +244,10 @@ class BoundReport:
     seen along the trajectory; iters_budget = floor(d(x0, X)^2 / (alpha *
     epsilon)) is the horizon within which the min-so-far gap must come
     within epsilon of the bound; dist_bound = c * sqrt(alpha) / sqrt(2 beta)
-    applies when a quadratic growth constant beta is registered.
+    applies when a quadratic growth constant beta is registered.  A convex
+    entry's minimizer set X is {0}, where f is 0 (the ``catalog`` contract),
+    so d(x0, X) is ||x0||, the gap is f itself and terminal_distance is the
+    last iterate's norm.
     """
 
     fn_id: str
@@ -288,13 +281,9 @@ def _convex_bounds(fn: CatalogFunction, x0, alpha: float, epsilon: float,
     _positive("epsilon", epsilon)
     if not fn.convex:
         raise NotConvex(f"{fn.name} is not convex")
-    minimizers = fn.known_minimizers
-    if not minimizers:
-        raise NotConvex(f"{fn.name} has no registered minimizers")
     x0 = as_point(x0, fn.dim)
     with np.errstate(over="ignore"):  # a start too far for the budget is rejected below
-        d0 = min(float(np.linalg.norm(x0 - m)) for m in minimizers)
-    inf_f = min(fn.value(m) for m in minimizers)
+        d0 = float(np.linalg.norm(x0))  # X = {0} and inf f = 0 for every convex entry
     # nudge before flooring so exact integer ratios survive float rounding
     ratio = d0 * d0 / (alpha * epsilon) * (1.0 + 1e-12)
     if not np.isfinite(ratio):
@@ -304,12 +293,12 @@ def _convex_bounds(fn: CatalogFunction, x0, alpha: float, epsilon: float,
         _check_recorded(2 * ratio, "x0/alpha/epsilon")
         n_steps = max(200, 2 * budget)
     traj = run(fn, x0, alpha, n_steps, MINIMAL_NORM)
-    gaps = fn.value_many(traj.points) - inf_f
+    gaps = fn.value_many(traj.points)
     c = _max_generator_norm(fn, traj.points)
     bound = c * c * alpha / 2.0
     tail = gaps[gaps.shape[0] // 2:]
     min_to_budget = float(gaps[: budget + 1].min())
-    terminal = min(float(np.linalg.norm(traj.points[-1] - m)) for m in minimizers)
+    terminal = float(np.linalg.norm(traj.points[-1]))
     beta = fn.quad_growth
     dist_bound = None
     if beta is not None and alpha <= 1.0 / (2.0 * beta):

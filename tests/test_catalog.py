@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from nsdyn import get_function, hull_distance, list_catalog, minimal_norm_element
-from nsdyn.catalog import CATALOG_IDS, CatalogFunction
+from nsdyn.catalog import CATALOG_IDS, CatalogFunction, as_point
 from nsdyn.engine import make_rng, sample_ball
 from nsdyn.errors import DimensionMismatch, NonFiniteInput
 
@@ -41,6 +41,8 @@ def test_evaluate_errors():
         quad.value([np.nan, 0.0])
     with pytest.raises(NonFiniteInput):
         quad.value([np.inf, 0.0])
+    with pytest.raises(DimensionMismatch, match="1-D"):
+        as_point([[1, 2]])
 
 
 def test_subdifferential_examples():
@@ -96,6 +98,8 @@ def test_minimal_norm_examples():
     npt.assert_array_equal(minimal_norm_element(g), g[0])
     npt.assert_allclose(minimal_norm_element(np.array([[1.0, 0.0], [0.0, 1.0]])),
                         [0.5, 0.5], rtol=1e-12)
+    with pytest.raises(ValueError, match="empty"):
+        minimal_norm_element(np.empty((0, 2)))
 
 
 def _min_norm_by_subset_enumeration(gens):
@@ -471,10 +475,14 @@ def test_list_catalog_descriptors():
     assert cat["cross"].semialgebraic
     assert not cat["wiggle"].semialgebraic
     assert cat["quad"].convex
-    npt.assert_array_equal(cat["quad"].known_minimizers[0], np.zeros(cat["quad"].dim))
+    # the convex contract convex_bounds_report relies on: each convex entry minimizes at the origin, where 0 is
+    # a subgradient and f is 0
+    convex = [fn for fn in cat.values() if fn.convex]
+    assert [fn.name for fn in convex] == ["quad", "abs_sum", "vee_bowl"]
+    for fn in convex + [get_function("quad", 3), get_function("abs_sum", 3)]:
+        zeros = np.zeros(fn.dim)
+        assert fn.value(zeros) == 0.0 and hull_distance(fn.generators(zeros), zeros) == 0.0, fn
     for fn in cat.values():
-        if fn.convex:
-            assert len(fn.known_minimizers) > 0
         d = fn.describe()
         assert set(d) == {"id", "dim", "semialgebraic", "convex"}
 

@@ -181,7 +181,9 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     # argparse's own errors, and no command at all, are one line too
     for argv, named in ((["simulate", "--function", "quad"], "--x0"), (["no-such-command"], "no-such-command"),
                         ([], "command"), (["simulate", "--function", "cross", "--x0", "1,0.1", "--alpha", "0.1",
-                                           "--steps", "abc"], "--steps")):
+                                           "--steps", "abc"], "--steps"),
+                        (["simulate", "--function", "quad", "--x0", "1,abc", "--alpha", "0.1", "--steps", "1"],
+                         "--x0")):
         assert run_command(argv) == 2, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], (argv, err)
@@ -219,6 +221,7 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
         # a policy index that is not an integer, or empty, is named with its policy
         (None, simulate + ["--policy", "fixed_index:x"], "policy 'fixed_index:x' needs an integer index, got 'x'"),
         (None, simulate + ["--policy", "fixed_index:"], "policy 'fixed_index:' needs an integer index, got ''"),
+        (None, simulate + ["--policy", "bogus"], "unknown policy kind 'bogus'"),
         (None, ["simulate", "--function", "quad", "--x0", "1", "--alpha", "inf", "--steps", "1"], "alpha"),
     ]
     probe = ["probe", "--function", "quad", "--out", "p.json"]
@@ -230,6 +233,7 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
         rows.append((None, ["counterexample", "--epsilon", "0.25", "--alpha", alpha, "--samples", "5",
                             "--out", "c.json"], "alpha"))
     for i, (cfg, named) in enumerate([
+            ({"command": "nope"}, "unknown command 'nope'"),
             ({"command": "simulate", "function": "quad"}, "x0"),
             ({"command": "probe", "function": "quad", "xstar": [0, 0]}, "epsilon"),
             ({"command": "simulate", "function": "quad", "x0": [1], "alpha": 0.1, "steps": "3"}, "steps"),
@@ -264,6 +268,8 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
                        ("convex-bounds --function quad --x0 1e200 --alpha 0.1 --epsilon 0.1", "x0"),
                        ("compare --function quad --x0 1 --alpha 0.1 --horizon -1", "horizon"),
                        ("probe --function neg_norm --xstar 0,0 --epsilon 0.1 --max-iters 0", "max_iters"),
+                       ("probe --function quad --xstar 0,0 --epsilon 0.1 --delta-grid=", "nonempty"),
+                       ("probe --function quad --xstar 0,0 --epsilon 0.1 --delta-grid 0.05,-0.01", "positive"),
                        ("counterexample --epsilon 0.25 --alpha 0.3 --samples 5 --max-iters 0", "max_iters"),
                        ("simulate --function quad --x0 1 --alpha 0.1 --steps 3 --seed -1", "seed"),
                        ("simulate --function quad --x0 1 --alpha 0.1 --steps -1", "steps"),
@@ -400,6 +406,13 @@ def test_divergence_exit_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("diverged: no JSON output, it would hold a non-finite value ("), err
     assert not (tmp_path / "overflow.json").exists()
+    # compare's discrete run diverges after its flow ran: both CSVs are written, the deviation summary is not
+    (tmp_path / "c").mkdir()
+    assert _run_in(tmp_path / "c", ["compare", *quad, "--alpha", "3", "--horizon", "1000", "--h", "0.1",
+                                    "--out", "c"]) == 3
+    assert capsys.readouterr().err.splitlines() == ["diverged at iterate 333"]
+    assert sorted(p.name for p in (tmp_path / "c").iterdir()) == ["c.discrete.csv", "c.flow.csv"]
+    assert len((tmp_path / "c" / "c.discrete.csv").read_text().splitlines()) == 335
 
 
 def test_divergence_stderr_is_one_line(tmp_path, capsys, recwarn):

@@ -35,7 +35,7 @@ def test_cross_update_sign_cases():
 
 
 def test_cross_update_rejects_axis_points():
-    for bad in ([1.0, 0.0], [0.0, 0.3], [0.0, 0.0]):
+    for bad in ([1.0, 0.0], [0.0, 0.3], [0.0, 0.0], [1.0, -0.0], [-0.0, 0.3]):
         with pytest.raises(OnNullSet):
             cross_update(bad, 0.1)
 
@@ -55,6 +55,12 @@ def test_cross_update_agrees_with_engine_step():
         exit_idx, via_engine = run_batch(CROSS, pts, alpha, 1)
         assert (exit_idx == -1).all()
         npt.assert_array_equal(np.array([cross_update(x, alpha) for x in pts]), via_engine)
+    # off the axis set, though x1 * x2 underflows to 0
+    tiny = np.array([[1e-200, 1e-200], [0.5, 5e-324]])
+    for alpha in DEFAULT_ALPHAS:
+        exit_idx, via_engine = run_batch(CROSS, tiny, alpha, 1)
+        assert (exit_idx == -1).all()
+        npt.assert_array_equal(np.array([cross_update(x, alpha) for x in tiny]), via_engine)
 
 
 def test_doubling_boundary_example():
@@ -110,19 +116,21 @@ def test_escape_experiment_counts_all_offS_escapes():
 
 
 def test_escape_experiment_forced_axis_start():
-    stats, per_sample = escape_experiment(0.25, 0.1, 1, k_max=100, seed=7,
-                                          initial_points=[[1.0, 0.0]])
-    assert stats.escaped_count == 0
-    assert stats.stuck_on_S_count == 1
-    assert per_sample["on_S"][0]
-    assert per_sample["exit_index"][0] == -1
-    # an axis start outside the ball exits at 0, as an off-axis one does, and
-    # counts as escaped only: stuck counts the axis starts inside the ball
-    stats, per_sample = escape_experiment(0.25, 0.1, 3, k_max=100, seed=7,
-                                          initial_points=[[1.0, 0.0], [1.5, 0.0], [1.5, 0.1]])
-    assert per_sample["exit_index"].tolist() == [-1, 0, 0]
-    assert per_sample["on_S"].tolist() == [True, True, False]
-    assert (stats.escaped_count, stats.stuck_on_S_count, stats.non_escaped_offS_count) == (2, 1, 0)
+    # (epsilon, alpha, k_max, starts, exit indices, on_S, (escaped, stuck, non-escaped off S)); every start is
+    # counted once.  An axis start inside the ball is a fixed point and counts as stuck; one outside exits at 0,
+    # as an off-axis one does, and counts as escaped only.  (0.5, 5e-324) is off S, though x1 * x2 underflows.
+    cases = [
+        (0.25, 0.1, 100, [[1.0, 0.0]], [-1], [True], (0, 1, 0)),
+        (0.25, 0.1, 100, [[1.0, 0.0], [1.5, 0.0], [1.5, 0.1]], [-1, 0, 0], [True, True, False], (2, 1, 0)),
+        (0.5, 0.3, 5, [[0.5, 5e-324], [1.0, 0.0]], [-1, -1], [False, True], (0, 1, 1)),
+    ]
+    for epsilon, alpha, k_max, starts, exits, on_s, counts in cases:
+        stats, per_sample = escape_experiment(epsilon, alpha, len(starts), k_max=k_max, seed=7,
+                                              initial_points=starts)
+        assert per_sample["exit_index"].tolist() == exits
+        assert per_sample["on_S"].tolist() == on_s
+        assert (stats.escaped_count, stats.stuck_on_S_count, stats.non_escaped_offS_count) == counts
+        assert sum(counts) == stats.n_samples
 
 
 def test_escape_experiment_regression_baseline():
@@ -137,6 +145,11 @@ def test_escape_experiment_validates_epsilon():
         escape_experiment(0.6, 0.1, 10)
     with pytest.raises(ValueError):
         escape_experiment(0.0, 0.1, 10)
+    # and the counts and the starts
+    for kwargs in (dict(n_samples=0), dict(k_max=0), dict(initial_points=[[1.0, 0.1]] * 3),
+                   dict(initial_points=[1.0, 0.1, 0.2, 0.3])):
+        with pytest.raises(ValueError, match="n_samples"):
+            escape_experiment(**{"epsilon": 0.25, "alpha": 0.1, "n_samples": 2, **kwargs})
 
 
 def test_monotone_drift_along_escape():

@@ -77,6 +77,8 @@ def test_run_zero_steps_records_initial_point():
     for n_steps in (-1, MAX_RECORDED_STEPS + 1):  # refused before anything is allocated
         with pytest.raises(ValueError, match="steps"):
             run(QUAD1, [1.0], 0.1, n_steps)
+    with pytest.raises(ValueError, match="n_steps"):  # the batch loop would run no test, not even at k = 0
+        run_batch(QUAD1, np.array([[5.0]]), 0.1, -1, [0.0], 1.0)
 
 
 def test_recursion_identity_is_exact():

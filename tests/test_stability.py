@@ -249,6 +249,8 @@ def test_ball_helpers_refuse_a_ball_they_cannot_sample(helper):
             helper(get_function(fn_id, 2), center, radius)
     with pytest.raises(ValueError, match="center"):
         sample_ball([0.0, np.inf], 0.1, 4, make_rng(0))
+    with pytest.raises(ValueError, match="samples"):
+        helper(get_function("quad", 2), [0.0, 0.0], 0.1, samples=0)
 
 
 def test_convex_bounds_abs_sum_from_one():

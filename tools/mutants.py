@@ -46,6 +46,9 @@ MUTANTS = [
     ("engine.py", (("if np.count_nonzero(kept) != alive_ids.size:",
                     "if k % 2 == 0 and np.count_nonzero(kept) != alive_ids.size:"),),
      (f"{E}::test_batch_exit_indices_match_first_exit",)),
+    # the batch loop's last step off by one: a budget of n_steps steps n_steps - 1 times
+    ("engine.py", (("if k == n_steps or alive_ids.size == 0:", "if k == n_steps - 1 or alive_ids.size == 0:"),),
+     (f"{E}::test_batch_exit_indices_match_first_exit",)),
     # the recorded loop: its exit index off by one, a block tested without its last iterate, the R^2 step with
     # the first subgradient coordinate in both, the R^1 step adding
     ("engine.py", (("return tested + hit\n", "return tested + hit + 1\n"),),
@@ -117,12 +120,18 @@ MUTANTS = [
      (f"{CLI}::test_usage_errors_exit_2",)),
     ("stability.py", (("np.sqrt(np.max(squares))", "np.sqrt(max(squares))"),),
      (f"{S}::test_max_generator_norm_keeps_its_bits_and_a_nan",)),
+    # the convex report's terminal distance taken at the start
+    ("stability.py", (("np.linalg.norm(traj.points[-1])", "np.linalg.norm(traj.points[0])"),),
+     (f"{S}::test_convex_bounds_quad_distance_bound",)),
     # the certificate is the first escape-free cell, not the last
     ("stability.py", (("d_idx, a_idx = np.argwhere(clear)[0]", "d_idx, a_idx = np.argwhere(clear)[-1]"),),
      (f"{S}::test_probe_quad_certificate",)),
     # an axis start that escaped (it starts outside the ball) counted as stuck
-    ("counterexample.py", (("((x0s[:, 1] == 0.0) & ~escaped).sum()", "(x0s[:, 1] == 0.0).sum()"),),
+    ("counterexample.py", (("(on_s & ~escaped).sum()", "on_s.sum()"),),
      (f"{X}::test_escape_experiment_forced_axis_start",)),
+    # the axis set tested by the product x1 * x2, which underflows to 0 off the axes
+    ("counterexample.py", (("return (pts == 0.0).any(axis=-1)", "return pts[..., 0] * pts[..., 1] == 0.0"),),
+     (f"{X}::test_cross_update_agrees_with_engine_step",)),
     # a policy index after a kind other than fixed_index, accepted
     ("cli.py", (('if colon and kind != "fixed_index":', "if False:"),), (f"{CLI}::test_usage_errors_exit_2",)),
     # divergence exits 3, not 2
