@@ -63,6 +63,7 @@ MIN_NORM_TOL = 1e-12
 MAX_GENERATORS = 2 ** 20  # the rows of abs_sum at 0 in R^20 take ~0.7 s and ~200 MB to list (numpy 2.4, x86-64)
 _DEFAULT_NAN = math.inf - math.inf  # the hardware's NaN for an invalid operation, as np.sin(inf) returns
 _TINY = 2.0 ** -1022  # the least normal float64
+_THREE_HALVES = np.array(1.5)  # a 0-d array, which numpy multiplies without converting a Python float each call
 
 
 def _sign(v: float) -> float:
@@ -278,15 +279,17 @@ class Cross(CatalogFunction):
 
     def min_norm_many(self, pts):
         # coordinate-major throughout: each pass is one loop over the rows per coordinate, in either layout
-        w = np.empty((4, pts.shape[0]))  # rows a1, a2, r1, r2: |x|, then sqrt|x|
-        np.abs(pts.T, out=w[:2])
-        np.sqrt(w[:2], out=w[2:])
+        x = pts.T
+        w = np.empty((4, x.shape[1]))  # rows a1, a2, r1, r2: |x|, then sqrt|x|; then sign(x) in rows a1, a2
+        a = w[:2]
+        np.abs(x, a)
+        np.sqrt(a, w[2:])
         # ((((1.5*r1)*a2)*r2)*sign(x1)) and ((((1.5*a1)*r1)*r2)*sign(x2)), over row pairs
         out = np.empty_like(pts)
-        o = np.multiply(1.5, w[2::-2], out=out.T)
+        o = np.multiply(_THREE_HALVES, w[2::-2], out.T)
         o *= w[1:3]
         o *= w[3:]
-        o *= np.sign(pts.T)
+        o *= np.sign(x, a)  # |x| is spent
         return out
 
 
@@ -323,8 +326,8 @@ class Wiggle(CatalogFunction):
     def min_norm_many(self, pts):
         t = pts[:, 0]
         nz = t != 0.0
-        inv = np.divide(1.0, t, out=np.zeros_like(t), where=nz)
-        return np.where(nz, 2.0 * t * np.sin(inv) - np.cos(inv), 0.0)[:, None]
+        inv = np.reciprocal(np.where(nz, t, 1.0))  # 1/t, and 1 on the zero rows, whose field is 0
+        return np.where(nz, (t + t) * np.sin(inv) - np.cos(inv), 0.0)[:, None]  # t + t has the bits of 2.0 * t
 
 
 class VeeBowl(CatalogFunction):
@@ -451,7 +454,7 @@ def minimal_norm_element(gens) -> np.ndarray:
     """
     gens = np.atleast_2d(np.asarray(gens, float))
     m = gens.shape[0]
-    if m == 0:
+    if gens.size == 0:  # also [], which atleast_2d makes one generator of dimension 0
         raise ValueError("empty generator set")
     if m == 1:
         return gens[0].copy()

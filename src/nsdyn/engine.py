@@ -13,7 +13,9 @@ and numpy round alike, and tests hold the two fields bit-identical, so all
 agree bit for bit; Wolfe's projector never steps.  One keep test, a pair
 (center, bound) kept while ``_measure`` <= bound, decides when a row stops,
 from k = 0 on: ``_inside`` an exit ball, or ``_bounded`` without one; a NaN
-coordinate makes the measure NaN, which fails <=.  The recorded loop
+coordinate makes the measure NaN, which fails <=.  A ball whose center is
+all +-0.0 (every default probe query's) is measured as ||x||^2, with no
+subtraction: x - (+-0.0) squares to the bits of x * x.  The recorded loop
 ``_record`` steps one row in Python floats, a block at a time in one inner
 loop into flat lists, with the coordinate step chosen once by dimension and
 the same x_i - a * s_i in each; it writes each block into its record and tests
@@ -23,7 +25,10 @@ silently.
 The batch loop owns its working rows: one column-major (``order="F"``) copy of
 the start points, updated in place and compacted only when rows exit, into a
 new column-major array with a new keep-test workspace.  Column-major keeps the
-per-row reductions over the few coordinates cheap on a thousand rows.  numpy's
+per-row reductions over the few coordinates cheap on a thousand rows.  On the
+few dozen rows of a probe cell, numpy's fixed cost per call sets the price of
+an iteration (numpy 2.4 on x86-64: ~0.3 us a ufunc call, ~0.1 us a view, ~0.2 us
+an allocation), so an iteration makes no call, view or allocation it can avoid.  numpy's
 ``sum(axis=1)`` adds an F-ordered batch column by column but a C-ordered row
 of 8 or more entries pairwise, so its bits would depend on the layout and a
 batch row would drift from its ``run`` replay.  Every row sum of the dynamics
@@ -182,26 +187,30 @@ _bounded = (None, np.array(DIVERGENCE_LIMIT))
 
 
 def _workspace(rows: int, dim: int, center):
-    """Keep-test scratch: an F-ordered (rows, dim) buffer, its column views, a bool mask, and a ball's center
-    on every row, since numpy subtracts a same-shape array in far fewer ns than a broadcast one."""
+    """Keep-test scratch, made once per live-row count, as on a small batch each numpy call, view and allocation
+    costs more than its arithmetic: an F-ordered (rows, dim) buffer, its first column, its other columns, a bool
+    mask, and a ball's center on every row (numpy subtracts a same-shape array in far fewer ns than a broadcast
+    one), or None without a ball or for a center of all +-0.0, which ``_measure`` does not subtract."""
     buf = np.empty((rows, dim), order="F")
-    tile = None if center is None else np.asfortranarray(np.broadcast_to(center, (rows, dim)))
-    return buf, [buf[:, j] for j in range(dim)], np.empty(rows, dtype=bool), tile
+    cols = [buf[:, j] for j in range(dim)]
+    tile = None if center is None or not center.any() else np.asfortranarray(np.broadcast_to(center, (rows, dim)))
+    return buf, cols[0], cols[1:], np.empty(rows, dtype=bool), tile
 
 
 def _measure(keep, pts: np.ndarray, ws=None) -> np.ndarray:
     """Each row's ||x - center||^2, adding squared columns left to right as ``sum_sq`` does, or without a center
-    max |x_i|, where NaN propagates; written into column 0 of the workspace ``ws`` or of a fresh one."""
-    buf, cols, _, tile = ws or _workspace(*pts.shape, keep[0])
-    if tile is None:
+    max |x_i|, where NaN propagates; written into column 0 of the workspace ``ws`` or of a fresh one.  A center
+    of all +-0.0 is not subtracted: x - (+-0.0) squares to the bits of x * x, signed zeros, inf and NaN included."""
+    buf, first, rest, _, tile = ws or _workspace(*pts.shape, keep[0])
+    if keep[0] is None:
         np.abs(pts, buf)
-        fold = np.maximum
+        for col in rest:
+            np.maximum(first, col, out=first)  # numpy 2.4 deprecates a positional output here
     else:
-        np.square(np.subtract(pts, tile, buf), buf)
-        fold = np.add
-    for col in cols[1:]:
-        fold(cols[0], col, out=cols[0])
-    return cols[0]
+        np.square(pts if tile is None else np.subtract(pts, tile, buf), buf)
+        for col in rest:
+            np.add(first, col, first)
+    return first
 
 
 def _first_failing(keep, pts: np.ndarray) -> int | None:
@@ -210,36 +219,42 @@ def _first_failing(keep, pts: np.ndarray) -> int | None:
     return None if kept.all() else int(np.argmin(kept))
 
 
-def _iterate(select, pts: np.ndarray, a, n_steps: int, keep):
-    """The batch loop: n_steps updates x <- x - a * select(x, ids) of every live row; the step size a is a 0-d array.
+def _iterate(fn: CatalogFunction, at_kinks, pts: np.ndarray, a, n_steps: int, keep):
+    """The batch loop: n_steps updates x <- x - a * s(x) of every live row; the step size a is a 0-d array.
 
     keep = (center, bound) is the one stop rule, applied to the starts (k = 0)
     and after every step k <= n_steps: a row without ``_measure`` <= bound retires
     with exit index k and that point; the rest keep -1.  Returns (exit_index, last_points).
 
     ``pts`` is never written: the loop steps its own column-major copy in
-    place, scaling each fresh selection by a and subtracting it, which gives
-    the same bits as x - a * s.  select gets the live rows and their row numbers
-    in ``pts`` once per step.  The keep test fills a ``_workspace`` made per live-row
-    count; one count of its mask tells whether rows stop, and the mask compacts the copy.
+    place, scaling each fresh ``fn.min_norm_many`` of the live rows by a and
+    subtracting it, which gives the same bits as x - a * s.  ``at_kinks``, unless
+    None, then gets the live rows, that field and their row numbers in ``pts``,
+    and overwrites the field on kink rows.  The keep test fills a ``_workspace``
+    made per live-row count; one count of its mask tells whether rows stop, and
+    the mask compacts the copy.
     """
     last = np.array(pts, dtype=float)
     pts = np.array(last, order="F")
     exit_index = np.full(pts.shape[0], -1, dtype=np.int64)
     alive_ids = np.arange(pts.shape[0])
     ws = _workspace(*pts.shape, keep[0])
+    field, bound, live = fn.min_norm_many, keep[1], pts.shape[0]
     for k in range(n_steps + 1):
-        kept = np.less_equal(_measure(keep, pts, ws), keep[1], ws[2])  # NaN fails
-        if np.count_nonzero(kept) != alive_ids.size:
+        kept = np.less_equal(_measure(keep, pts, ws), bound, ws[3])  # NaN fails
+        if np.count_nonzero(kept) != live:
             gone = alive_ids[~kept]
             exit_index[gone] = k
             last[gone] = pts[~kept]
             alive_ids = alive_ids[kept]
+            live = alive_ids.size
             pts = pts.T.compress(kept, axis=1).T  # pts[kept] would come back row-major
             ws = _workspace(*pts.shape, keep[0])
-        if k == n_steps or alive_ids.size == 0:
+        if k == n_steps or live == 0:
             break
-        s = select(pts, alive_ids)
+        s = field(pts)
+        if at_kinks is not None:
+            at_kinks(pts, s, alive_ids)
         s *= a
         pts -= s
     last[alive_ids] = pts
@@ -379,16 +394,14 @@ def run_batch(fn: CatalogFunction, x0s: np.ndarray, alpha: float, n_steps: int,
     keep = _bounded if exit_center is None else _inside(exit_center, exit_radius, fn.dim)
     a = np.array(alpha, dtype=float)
     if policy.kind == "minimal_norm":
-        return _iterate(lambda pts, ids: fn.min_norm_many(pts), x0s, a, n_steps, keep)
+        return _iterate(fn, None, x0s, a, n_steps, keep)
     select_at = _select_at(fn, policy, seeds)
 
-    def select(pts, ids):
-        s = fn.min_norm_many(pts)
-        for r in np.flatnonzero(fn.at_kink(pts)):
+    def at_kinks(pts, s, ids):
+        for r in fn.at_kink(pts).nonzero()[0]:
             s[r] = select_at(pts[r].tolist(), int(ids[r]))
-        return s
 
-    return _iterate(select, x0s, a, n_steps, keep)
+    return _iterate(fn, at_kinks, x0s, a, n_steps, keep)
 
 
 @dataclass(frozen=True)

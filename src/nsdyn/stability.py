@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CatalogFunction, as_point, get_function
-from .engine import (MINIMAL_NORM, SelectionPolicy, Trajectory, _check_recorded, _inside, _positive, derive_seed,
-                     make_rng, run, run_batch, sample_ball)
+from .engine import (MAX_RECORDED_STEPS, MINIMAL_NORM, SelectionPolicy, Trajectory, _check_recorded, _inside,
+                     _positive, derive_seed, make_rng, run, run_batch, sample_ball)
 from .errors import InvalidQuery, NotConvex
 
 __all__ = [
@@ -48,10 +48,21 @@ F_COMPARE_TOL = 1e-12
 def _max_generator_norm(fn: CatalogFunction, pts: np.ndarray) -> float:
     """Largest generator norm over the rows of ``pts``, one ``generators`` call per row; NaN if any norm is NaN.
 
-    ``np.max`` keeps a NaN that Python's ``max`` would drop; one sqrt of the largest square has the bits of the
-    largest sqrt, as sqrt is monotone and correctly rounded.
+    The one-generator sets (every row off a kink) are stacked and reduced in one call, with the bits of each
+    row's own C-ordered sum; a listed set is reduced as it comes, so at most one is held.  ``np.max`` keeps a
+    NaN that Python's ``max`` would drop; one sqrt of the largest square has the bits of the largest sqrt, as
+    sqrt is monotone and correctly rounded.
     """
-    squares = [(g * g).sum(axis=1).max() for g in (fn.generators(p, 0.0) for p in pts)]
+    rows, squares = [], []
+    for p in pts:
+        g = fn.generators(p, 0.0)
+        if g.shape[0] == 1:
+            rows.append(g)
+        else:
+            squares.append((g * g).sum(axis=1).max())
+    if rows:
+        g = np.concatenate(rows)
+        squares.append((g * g).sum(axis=1).max())
     return float(np.sqrt(np.max(squares)))
 
 
@@ -75,7 +86,8 @@ class StabilityQuery:
 
     delta_grid and alpha_grid must be decreasing; every delta < epsilon.
     max_iters None selects the horizon heuristic K = ceil(T/alpha) * 50
-    with T = epsilon / (3 * L_estimate) per step size.
+    with T = epsilon / (3 * L_estimate) per step size, at most
+    MAX_RECORDED_STEPS (10^7), which the witness replay records.
     """
 
     fn_id: str
@@ -161,7 +173,8 @@ def probe(q: StabilityQuery) -> StabilityVerdict:
     index, sample index), so the verdict does not depend on execution order.
     Before any run, an exit ball B(x*, epsilon) that ``run_batch`` would
     refuse raises ValueError, and a Lipschitz estimate that is not finite
-    and positive (NaN where the field is NaN) raises InvalidQuery.
+    and positive (NaN where the field is NaN) or a heuristic K above
+    MAX_RECORDED_STEPS raises InvalidQuery.
     """
     fn = get_function(q.fn_id, dim=as_point(q.x_star).shape[0])
     x_star = as_point(q.x_star, fn.dim)
@@ -174,11 +187,14 @@ def probe(q: StabilityQuery) -> StabilityVerdict:
     if alphas is None:
         alphas = np.asarray(ALPHA_FRACTIONS) * q.epsilon / lip
 
-    horizon = q.epsilon / (3.0 * lip)
     if q.max_iters is not None:
         iters = np.full(alphas.size, int(q.max_iters), dtype=np.int64)
     else:
-        iters = np.array([int(np.ceil(horizon / a)) * REPETITION_FACTOR for a in alphas], dtype=np.int64)
+        iters = np.ceil(q.epsilon / (3.0 * lip) / alphas) * REPETITION_FACTOR  # a float, exact up to 2^53
+        if not np.all(iters <= MAX_RECORDED_STEPS):  # the witness replay records up to this many steps
+            raise InvalidQuery(f"the budget ceil(T/alpha) * {REPETITION_FACTOR} exceeds {MAX_RECORDED_STEPS} steps "
+                               "per start; give a smaller --epsilon or larger --alpha-grid values")
+        iters = iters.astype(np.int64)
 
     n = q.n_samples
     exits = np.empty((deltas.size, alphas.size, n), dtype=np.int64)  # exit index per sample, or -1
@@ -284,10 +300,11 @@ def _convex_bounds(fn: CatalogFunction, x0, alpha: float, epsilon: float,
     x0 = as_point(x0, fn.dim)
     with np.errstate(over="ignore"):  # a start too far for the budget is rejected below
         d0 = float(np.linalg.norm(x0))  # X = {0} and inf f = 0 for every convex entry
-    # nudge before flooring so exact integer ratios survive float rounding
-    ratio = d0 * d0 / (alpha * epsilon) * (1.0 + 1e-12)
+    # two quotients, as alpha * epsilon may underflow; nudge before flooring so exact integer ratios survive rounding
+    ratio = (d0 / alpha) * (d0 / epsilon) * (1.0 + 1e-12)
     if not np.isfinite(ratio):
-        raise ValueError("x0 is too far from the minimizers: d(x0, X)^2 / (alpha * epsilon) overflows")
+        raise ValueError("d(x0, X)^2 / (alpha * epsilon) overflows: x0 is too far from the minimizers for this "
+                         "alpha and epsilon")
     budget = int(np.floor(ratio))
     if n_steps is None:
         _check_recorded(2 * ratio, "x0/alpha/epsilon")

@@ -98,8 +98,12 @@ def test_minimal_norm_examples():
     npt.assert_array_equal(minimal_norm_element(g), g[0])
     npt.assert_allclose(minimal_norm_element(np.array([[1.0, 0.0], [0.0, 1.0]])),
                         [0.5, 0.5], rtol=1e-12)
-    with pytest.raises(ValueError, match="empty"):
-        minimal_norm_element(np.empty((0, 2)))
+    # any input with no entries, [] too, which atleast_2d would make one generator of dimension 0
+    for empty in (np.empty((0, 2)), [], [[]], np.empty(0), np.empty((0, 0))):
+        with pytest.raises(ValueError, match="empty generator set"):
+            minimal_norm_element(empty)
+    with pytest.raises(ValueError, match="empty generator set"):
+        hull_distance([], [])
 
 
 def _min_norm_by_subset_enumeration(gens):
@@ -212,6 +216,11 @@ def test_at_kink_marks_exactly_the_points_with_several_generators():
     cases[("neg_norm", 2)] += [[1e-200, 0.0], [1e-160, 0.0]]
     assert get_function("neg_norm", 2).at_kink(np.array([[1e-200, 0.0], [1e-160, 0.0]])).tolist() == [False, False]
     assert {name for name, _ in cases} == set(CATALOG_IDS)
+    # vee_bowl's one kink is x1 = 0; x2 = 0 is smooth
+    vee = get_function("vee_bowl")
+    assert [vee.generator_count(x) for x in ([0.0, 0.0], [-0.0, 0.5], [0.5, 0.0], [0.5, -0.0])] == [2, 2, 1, 1]
+    assert vee.at_kink(np.array([[0.0, 0.3], [0.3, 0.0], [-0.0, -0.0]])).tolist() == [True, False, True]
+    assert vee.generators([0.0, 0.0]).tolist() == [[-1.0, 0.0], [1.0, 0.0]]
     for (name, dim), rows in cases.items():
         fn = get_function(name, dim)
         pts = np.array(rows, float)

@@ -287,6 +287,11 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
                         "x0/alpha/epsilon"),
                        ("convex-bounds --function quad --x0 1 --alpha 0.1 --epsilon 0.1 --steps 100000000000",
                         "steps"),
+                       # alpha * epsilon underflows to 0, and d0 / alpha overflows
+                       ("convex-bounds --function quad --x0 1 --alpha 5e-324 --epsilon 0.1", "overflows"),
+                       # probe's budget ceil(T/alpha) * 50 beyond a recorded run's cap: infinite, and above 2^63
+                       ("probe --function quad --xstar 0,0 --epsilon 0.1 --alpha-grid 1e-320", "--alpha-grid"),
+                       ("probe --function abs_sum --xstar 1 --epsilon 2.5e99 --alpha-grid 0.05,0.01", "--epsilon"),
                        # a probe ball beyond the keep box, and a Lipschitz estimate of NaN on wiggle's subnormal ball
                        ("probe --function cross --xstar 1e300,0 --epsilon 1", "5e+99"),
                        ("probe --function wiggle --xstar 5e-324 --epsilon 1e-320", "Lipschitz estimate"),

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -74,9 +75,16 @@ def test_run_zero_steps_records_initial_point():
     traj = run(QUAD1, [1.0], 0.1, 0)
     assert traj.points.shape == (1, 1)
     assert traj.chosen_subgradients.shape == (0, 1)
-    for n_steps in (-1, MAX_RECORDED_STEPS + 1):  # refused before anything is allocated
-        with pytest.raises(ValueError, match="steps"):
-            run(QUAD1, [1.0], 0.1, n_steps)
+    assert MAX_RECORDED_STEPS == 10 ** 7
+    for n_steps in (-1, 10 ** 7 + 1):  # refused before anything is allocated, here a start outside the ball
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="steps"):
+                run(QUAD1, [1.0], 0.1, n_steps, stop=([0.0], 0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
     with pytest.raises(ValueError, match="n_steps"):  # the batch loop would run no test, not even at k = 0
         run_batch(QUAD1, np.array([[5.0]]), 0.1, -1, [0.0], 1.0)
 
@@ -291,6 +299,47 @@ def test_bad_exit_ball_is_rejected_everywhere():
             run_batch(QUAD1, np.ones((2, 1)), 0.1, 3, center, radius)
         with pytest.raises(ValueError):
             first_exit(traj, center, radius)
+    # a ball may reach DIVERGENCE_LIMIT / 2 = 5e99 from the origin, and not one ulp beyond
+    beyond = np.nextafter(5e99, np.inf)
+    for center, radius in [([0.0], 5e99), ([2.5e99], 2.5e99), ([-4e99], 1e99)]:
+        assert abs(center[0]) + radius == 5e99
+        run(QUAD1, [1.0], 0.1, 3, stop=(center, radius))
+        run_batch(QUAD1, np.ones((2, 1)), 0.1, 3, center, radius)
+        first_exit(traj, center, radius)
+    for center, radius in [([0.0], beyond), ([-beyond], 1e-300), ([2.5e99], np.nextafter(beyond - 2.5e99, np.inf))]:
+        assert abs(center[0]) + radius == beyond
+        with pytest.raises(ValueError, match="within 5e\\+99 of the origin"):
+            run(QUAD1, [1.0], 0.1, 3, stop=(center, radius))
+
+
+def test_run_batch_matches_run_at_signed_zero_and_nonzero_centers():
+    # the keep test squares x alone at a center of +-0.0 and subtracts any other center; at each center, a batch
+    # row, its run replay and the per-row reference ||x - c||^2 <= r^2 must agree, in either layout, on signed
+    # zeros, the least subnormal, NaN, infinities, the sphere and one ulp either side of it
+    r, tiny = 0.5, 5e-324
+    for center in ([0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [0.25, -0.5]):
+        c0, c1 = center
+        edge = c0 + r  # exact at these centers
+        x0s = np.array([[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [tiny, -tiny], [-tiny, 0.0],
+                        [np.nan, 0.0], [0.0, np.nan], [np.inf, 0.0], [0.0, -np.inf], [c0, c1],
+                        [c0 + 0.1, c1 - 0.2], [edge, c1], [np.nextafter(edge, -np.inf), c1],
+                        [np.nextafter(edge, np.inf), c1], [c0, c1 - r], [c0, np.nextafter(c1 - r, -np.inf)]])
+        d = x0s - np.array(center)
+        kept = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= r * r  # NaN fails
+        assert kept[-5:].tolist() == [True, True, False, True, False]
+        for fn, n_steps in itertools.product((get_function("quad"), CROSS, get_function("neg_norm")), (0, 6)):
+            for batch in (x0s, np.asfortranarray(x0s)):
+                exit_idx, last = run_batch(fn, batch, 0.25, n_steps, center, r)
+                if n_steps == 0:
+                    npt.assert_array_equal(exit_idx, np.where(kept, -1, 0))
+                for i, x0 in enumerate(x0s):
+                    traj = run(fn, x0, 0.25, n_steps, stop=(center, r))
+                    k = first_exit(traj, center, r)
+                    assert exit_idx[i] == (-1 if k is None else k), (center, fn.name, i)
+                    assert last[i].tobytes() == traj.points[-1].tobytes(), (center, fn.name, i)
+                    d = traj.points - np.array(center)
+                    inside = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= r * r
+                    assert inside.tolist() == [True] * (len(inside) - (k is not None)) + [False] * (k is not None)
 
 
 def test_batch_matches_scalar_bitwise():

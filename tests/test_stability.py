@@ -49,11 +49,24 @@ def test_max_generator_norm_keeps_its_bits_and_a_nan():
         pts = np.concatenate([[center], sample_ball(center, 0.7, 64, make_rng(5))])
         want = max(float(np.sqrt((g * g).sum(axis=1).max())) for g in (fn.generators(p, 0.0) for p in pts))
         assert _max_generator_norm(fn, pts) == want
+    # the stacked one-generator rows sum as each row alone does, also where numpy sums 8 or more entries pairwise,
+    # beside a listed set at a kink; each row's generator norm is its largest
+    for fn_id, dim in (("quad", 12), ("neg_norm", 9), ("abs_sum", 10)):
+        fn = get_function(fn_id, dim)
+        rng = make_rng(dim)
+        pts = rng.standard_normal((40, dim)) * 10.0 ** rng.integers(-3, 4, (40, dim))
+        pts[7, :3] = 0.0  # abs_sum lists 8 generators here
+        for i, p in enumerate(pts):
+            g = fn.generators(p, 0.0)
+            assert _max_generator_norm(fn, pts[i:i + 1]) == float(np.sqrt((g * g).sum(axis=1).max()))
+        want = max(_max_generator_norm(fn, pts[i:i + 1]) for i in range(len(pts)))
+        assert _max_generator_norm(fn, pts) == want
     # wiggle's field is NaN where 1/t overflows, as on this subnormal ball: the estimate is NaN, not 0.0,
     # and so is the largest norm when a finite one comes first
     fn = get_function("wiggle")
     assert np.isnan(estimate_lipschitz(fn, [5e-324], 1e-320, samples=4))
     assert np.isnan(_max_generator_norm(fn, np.array([[0.5], [1e-320]])))
+    assert np.isnan(_max_generator_norm(fn, np.array([[0.0], [1e-320]])))  # the listed set at the kink is reduced first
 
 
 def test_probe_quad_certificate():
@@ -251,6 +264,12 @@ def test_ball_helpers_refuse_a_ball_they_cannot_sample(helper):
         sample_ball([0.0, np.inf], 0.1, 4, make_rng(0))
     with pytest.raises(ValueError, match="samples"):
         helper(get_function("quad", 2), [0.0, 0.0], 0.1, samples=0)
+    # one sample is the least the helpers take
+    quad = get_function("quad", 2)
+    if helper is local_min_check:
+        assert helper(quad, [0.0, 0.0], 0.1, samples=1).status == "consistent_with_local_min"
+    else:  # 1.1 times the largest of ||x|| over the center (0.5, 0) and one point within 0.1 of it
+        assert 0.55 <= helper(quad, [0.5, 0.0], 0.1, samples=1) <= 0.66
 
 
 def test_convex_bounds_abs_sum_from_one():
@@ -262,6 +281,9 @@ def test_convex_bounds_abs_sum_from_one():
     assert rep.liminf_gap <= rep.bound_c2a2 + 1e-12
     assert rep.achieved_within_budget
     assert rep.dist_bound is None
+    # the ratio d0^2 / (alpha * epsilon) as two quotients: alpha * epsilon is subnormal here, and the exact floor
+    # is 10^10
+    assert convex_bounds_report(get_function("quad", 1), [1e-155], 1e-160, 1e-160, n_steps=10).iters_budget == 10 ** 10
 
 
 def test_convex_bounds_abs_sum_oscillation_pair():
