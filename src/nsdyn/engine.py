@@ -170,10 +170,12 @@ def _check_recorded(n_steps, source: str):
 def _inside(center, radius: float, dim: int):
     """Keep test ||x - center||^2 <= radius^2 as a (center, bound) pair; NaN and inf rows fail it.
 
-    The ball must have a finite radius > 0 and lie within DIVERGENCE_LIMIT / 2
+    The ball needs a center and a finite radius > 0, within DIVERGENCE_LIMIT / 2
     of the origin, so a row inside it is always ``_bounded``.  Bounds are 0-d
     arrays, which numpy compares without converting a Python float each time.
     """
+    if center is None or radius is None:
+        raise ValueError(f"exit ball needs both a center and a radius; got center {center}, radius {radius}")
     center = as_point(center, dim)
     r = float(radius)
     if not (0.0 < r < np.inf and np.abs(center).max() + r <= DIVERGENCE_LIMIT / 2):
@@ -383,15 +385,16 @@ def run_batch(fn: CatalogFunction, x0s: np.ndarray, alpha: float, n_steps: int,
     for bit; ``seeds`` is called with a Python int at a row's first kink
     only.  Returns (exit_index, last_points): exit_index[i] is the first k (0
     for the start) at which ``run`` halts, with x_k outside the exit ball or,
-    without one, diverged; else -1.  So a diverged row retires at its
-    divergence step.  A negative n_steps raises ValueError.
+    without one (both halves None), diverged; else -1.  So a diverged row
+    retires at its divergence step.  Half a ball or a negative n_steps raise
+    ValueError.
     """
     _positive("alpha", alpha)
     if not n_steps >= 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     if np.shape(x0s)[1:] != (fn.dim,):
         raise DimensionMismatch(f"expected starts of shape (n, {fn.dim}), got shape {np.shape(x0s)}")
-    keep = _bounded if exit_center is None else _inside(exit_center, exit_radius, fn.dim)
+    keep = _bounded if exit_center is None and exit_radius is None else _inside(exit_center, exit_radius, fn.dim)
     a = np.array(alpha, dtype=float)
     if policy.kind == "minimal_norm":
         return _iterate(fn, None, x0s, a, n_steps, keep)

@@ -15,6 +15,7 @@ trajectories cell for cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .catalog import CatalogFunction, as_point, get_function
 from .engine import (MAX_RECORDED_STEPS, MINIMAL_NORM, SelectionPolicy, Trajectory, _check_recorded, _inside,
                      _positive, derive_seed, make_rng, run, run_batch, sample_ball)
-from .errors import InvalidQuery, NotConvex
+from .errors import InvalidQuery, NonFiniteInput, NotConvex
 
 __all__ = [
     "StabilityQuery",
@@ -48,22 +49,17 @@ F_COMPARE_TOL = 1e-12
 def _max_generator_norm(fn: CatalogFunction, pts: np.ndarray) -> float:
     """Largest generator norm over the rows of ``pts``, one ``generators`` call per row; NaN if any norm is NaN.
 
-    The one-generator sets (every row off a kink) are stacked and reduced in one call, with the bits of each
-    row's own C-ordered sum; a listed set is reduced as it comes, so at most one is held.  ``np.max`` keeps a
-    NaN that Python's ``max`` would drop; one sqrt of the largest square has the bits of the largest sqrt, as
-    sqrt is monotone and correctly rounded.
+    Every generator at a point has the same norm (the bit rule sets active coordinates to +-1; ``neg_norm``'s rows
+    at 0 are +-e_i), so row 0 stands for its set: a listed set gives a copy of it, and at most one set is held.  The
+    stacked rows reduce in one call, each with the bits of its own C-ordered sum.  ``np.max`` keeps a NaN that
+    Python's ``max`` drops; one sqrt of the largest square is the largest sqrt, as sqrt is monotone and rounds right.
     """
-    rows, squares = [], []
+    rows = []
     for p in pts:
         g = fn.generators(p, 0.0)
-        if g.shape[0] == 1:
-            rows.append(g)
-        else:
-            squares.append((g * g).sum(axis=1).max())
-    if rows:
-        g = np.concatenate(rows)
-        squares.append((g * g).sum(axis=1).max())
-    return float(np.sqrt(np.max(squares)))
+        rows.append(g if g.shape[0] == 1 else g[:1].copy())
+    g = np.concatenate(rows)
+    return float(np.sqrt(np.max((g * g).sum(axis=1))))
 
 
 def estimate_lipschitz(fn: CatalogFunction, center, radius: float, samples: int = 256,
@@ -258,12 +254,12 @@ class BoundReport:
     liminf_gap is estimated as the min objective gap over the tail half of
     the run; bound_c2a2 = c^2 * alpha / 2 with c the largest generator norm
     seen along the trajectory; iters_budget = floor(d(x0, X)^2 / (alpha *
-    epsilon)) is the horizon within which the min-so-far gap must come
-    within epsilon of the bound; dist_bound = c * sqrt(alpha) / sqrt(2 beta)
-    applies when a quadratic growth constant beta is registered.  A convex
-    entry's minimizer set X is {0}, where f is 0 (the ``catalog`` contract),
-    so d(x0, X) is ||x0||, the gap is f itself and terminal_distance is the
-    last iterate's norm.
+    epsilon)), exact, is the horizon within which the min-so-far gap must
+    come within epsilon of the bound; dist_bound = c * sqrt(alpha) / sqrt(2
+    beta) applies when a quadratic growth constant beta is registered.  A
+    convex entry's minimizer set X is {0}, where f is 0 (the ``catalog``
+    contract), so d(x0, X) is ||x0||, the gap is f itself and
+    terminal_distance is the last iterate's norm.
     """
 
     fn_id: str
@@ -282,10 +278,11 @@ def convex_bounds_report(fn: CatalogFunction, x0, alpha: float, epsilon: float,
                          n_steps: int | None = None) -> BoundReport:
     """The bounds of ``BoundReport``, checked on one minimal-norm run from x0.
 
-    The report does not say whether its run diverged.  ``c`` is measured on
-    the run itself, so a library call on a diverged run still reports
-    ``achieved_within_budget`` from its own ``c``, however large; the CLI
-    exits 3 on such a run.
+    ``iters_budget`` is the floor of an exact rational, times the float 1 + 1e-12 so that an exact integer ratio
+    survives the rounding of alpha and epsilon; a NaN or inf in x0 raises NonFiniteInput.  Without ``n_steps`` the
+    run takes max(200, 2 * iters_budget) steps, at most MAX_RECORDED_STEPS; with it, any budget is reported.  The
+    report does not say whether its run diverged.  ``c`` is measured on the run itself, so a library call on a
+    diverged run still reports ``achieved_within_budget`` from its own ``c``, however large; the CLI exits 3 on it.
     """
     return _convex_bounds(fn, x0, alpha, epsilon, n_steps)[0]
 
@@ -298,16 +295,14 @@ def _convex_bounds(fn: CatalogFunction, x0, alpha: float, epsilon: float,
     if not fn.convex:
         raise NotConvex(f"{fn.name} is not convex")
     x0 = as_point(x0, fn.dim)
-    with np.errstate(over="ignore"):  # a start too far for the budget is rejected below
-        d0 = float(np.linalg.norm(x0))  # X = {0} and inf f = 0 for every convex entry
-    # two quotients, as alpha * epsilon may underflow; nudge before flooring so exact integer ratios survive rounding
-    ratio = (d0 / alpha) * (d0 / epsilon) * (1.0 + 1e-12)
-    if not np.isfinite(ratio):
-        raise ValueError("d(x0, X)^2 / (alpha * epsilon) overflows: x0 is too far from the minimizers for this "
-                         "alpha and epsilon")
-    budget = int(np.floor(ratio))
+    if not np.isfinite(x0).all():
+        raise NonFiniteInput(f"x0 must be finite, got {x0.tolist()}")
+    from fractions import Fraction  # not at module level: every other command would pay its ~1.2 ms and ~0.3 MB
+    # d(x0, X)^2 / (alpha * epsilon) exactly, as X = {0}, nudged as the docstring says
+    budget = math.floor(sum(Fraction(v) ** 2 for v in x0.tolist()) / (Fraction(alpha) * Fraction(epsilon))
+                        * Fraction(1.0 + 1e-12))
     if n_steps is None:
-        _check_recorded(2 * ratio, "x0/alpha/epsilon")
+        _check_recorded(2 * budget, "x0/alpha/epsilon")
         n_steps = max(200, 2 * budget)
     traj = run(fn, x0, alpha, n_steps, MINIMAL_NORM)
     gaps = fn.value_many(traj.points)

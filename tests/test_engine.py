@@ -291,8 +291,9 @@ def test_stop_rule_retires_exactly_the_masked_rows():
 
 def test_bad_exit_ball_is_rejected_everywhere():
     traj = run(QUAD1, [1.0], 0.1, 3)
+    # half a ball, either half None, is refused: never run as no ball, nor passed on to float(None)
     for center, radius in [([0.0], 0.0), ([0.0], -0.1), ([0.0], np.nan), ([0.0], np.inf),
-                           ([np.nan], 0.5), ([1e100], 0.5)]:
+                           ([np.nan], 0.5), ([1e100], 0.5), (None, 0.25), ([0.0], None)]:
         with pytest.raises(ValueError):
             run(QUAD1, [1.0], 0.1, 3, stop=(center, radius))
         with pytest.raises(ValueError):

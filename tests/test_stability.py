@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -16,7 +18,7 @@ from nsdyn import (
     sample_ball,
 )
 from nsdyn.engine import derive_seed, make_rng
-from nsdyn.errors import InvalidQuery, NotConvex
+from nsdyn.errors import InvalidQuery, NonFiniteInput, NotConvex
 from nsdyn.reporting import json_text, verdict_json_dict
 from nsdyn.stability import _max_generator_norm
 
@@ -67,6 +69,27 @@ def test_max_generator_norm_keeps_its_bits_and_a_nan():
     assert np.isnan(estimate_lipschitz(fn, [5e-324], 1e-320, samples=4))
     assert np.isnan(_max_generator_norm(fn, np.array([[0.5], [1e-320]])))
     assert np.isnan(_max_generator_norm(fn, np.array([[0.0], [1e-320]])))  # the listed set at the kink is reduced first
+
+
+def test_every_generator_at_a_point_has_one_squared_norm():
+    # _max_generator_norm reduces row 0 of each listed set, which rests on this: bit-equal (g * g).sum(axis=1) on
+    # every row, at kinks beside signed zeros, NaN, subnormal and huge coordinates, in each entry's dims and in
+    # R^9 to R^12, where numpy sums a row of 8 or more entries pairwise
+    pool = np.array([0.0, -0.0, 0.0, -0.0, np.nan, 5e-324, -1e300, 0.75, -3.5])
+    rng = make_rng(11)
+    for fn_id in catalog.CATALOG_IDS:
+        fixed = get_function(fn_id).fixed_dim
+        for dim in (fixed,) if fixed else (1, 2, 3, 9, 10, 11, 12):
+            fn = get_function(fn_id, dim)
+            pts = np.concatenate([np.zeros((2, dim)) * [[1.0], [-1.0]], pool[rng.integers(pool.size, size=(30, dim))]])
+            listed = 0
+            for p in pts:
+                g = fn.generators(p, 0.0)
+                with np.errstate(over="ignore"):  # -1e300 squares to inf
+                    sq = (g * g).sum(axis=1)
+                assert (sq.view(np.uint64) == sq[:1].view(np.uint64)).all(), (fn_id, p)
+                listed += sq.size > 1
+            assert listed > 0 or fn_id in ("quad", "cross"), (fn_id, dim)
 
 
 def test_probe_quad_certificate():
@@ -281,9 +304,31 @@ def test_convex_bounds_abs_sum_from_one():
     assert rep.liminf_gap <= rep.bound_c2a2 + 1e-12
     assert rep.achieved_within_budget
     assert rep.dist_bound is None
-    # the ratio d0^2 / (alpha * epsilon) as two quotients: alpha * epsilon is subnormal here, and the exact floor
-    # is 10^10
+    # alpha * epsilon is subnormal here, and the exact floor is 10^10
     assert convex_bounds_report(get_function("quad", 1), [1e-155], 1e-160, 1e-160, n_steps=10).iters_budget == 10 ** 10
+
+
+def test_convex_bounds_budget_is_exact_for_every_finite_start():
+    # 1 / (1e-309 * 10) * (1 + 1e-12) in exact integers; in floats the first quotient alone overflows
+    (n_a, d_a), (n_e, d_e), (n_u, d_u) = (v.as_integer_ratio() for v in (1e-309, 10.0, 1.0 + 1e-12))
+    want = d_a * d_e * n_u // (n_a * n_e * d_u)
+    assert len(str(want)) == 309
+    assert convex_bounds_report(get_function("quad", 1), [1.0], 1e-309, 10.0, n_steps=10).iters_budget == want
+    for x0 in ([np.nan], [np.inf]):
+        with pytest.raises(NonFiniteInput, match="x0"):
+            convex_bounds_report(get_function("quad", 1), x0, 0.1, 0.1, n_steps=10)
+
+
+def test_convex_bounds_holds_one_listed_set_at_a_time():
+    # abs_sum stays at the origin of R^10, where 1024 generators are listed at each of the 401 points; holding
+    # every set at once would take ~33 MB
+    tracemalloc.start()
+    try:
+        convex_bounds_report(get_function("abs_sum", 10), np.zeros(10), 0.1, 0.1, n_steps=400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_convex_bounds_abs_sum_oscillation_pair():

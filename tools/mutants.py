@@ -84,6 +84,12 @@ MUTANTS = [
      (f"{S}::test_ball_helpers_refuse_a_ball_they_cannot_sample",)),
     ("engine.py", (('    _positive("radius", radius)\n', ""),),
      (f"{S}::test_ball_helpers_refuse_a_ball_they_cannot_sample",)),
+    # half an exit ball: a lone radius dropped by run_batch, and either half let through to float(None)
+    ("engine.py", (("_bounded if exit_center is None and exit_radius is None else",
+                    "_bounded if exit_center is None else"),),
+     (f"{E}::test_bad_exit_ball_is_rejected_everywhere",)),
+    ("engine.py", (("if center is None or radius is None:", "if False:"),),
+     (f"{E}::test_bad_exit_ball_is_rejected_everywhere",)),
     # an exit ball allowed to reach only DIVERGENCE_LIMIT / 3 from the origin, and the recorded-step cap raised
     ("engine.py", (("+ r <= DIVERGENCE_LIMIT / 2", "+ r <= DIVERGENCE_LIMIT / 3"),),
      (f"{E}::test_bad_exit_ball_is_rejected_everywhere",)),
@@ -132,21 +138,31 @@ MUTANTS = [
     ("reporting.py", (("c[i:i + CSV_BLOCK]", "c[i:i + CSV_BLOCK - 1]"),),
      (f"{R}::test_csv_cells_print_as_fmt",)),
     # the probe's refusals before any run: its ball beyond the keep box, a Lipschitz estimate that is not
-    # finite and positive; and the largest generator norm through Python's max, which drops a NaN
+    # finite and positive
     ("stability.py", (("    _inside(x_star, q.epsilon, fn.dim)", "    pass"),), (f"{CLI}::test_usage_errors_exit_2",)),
     ("stability.py", (('    _positive("the Lipschitz estimate", lip, InvalidQuery)\n', ""),),
      (f"{CLI}::test_usage_errors_exit_2",)),
-    ("stability.py", (("np.sqrt(np.max(squares))", "np.sqrt(max(squares))"),),
+    # the largest generator norm: through Python's max, which drops a NaN; the smallest; the stacked rows cut to
+    # the first; a listed set's row 0 kept as a view, which holds the whole set.  Row -1 in place of row 0 is no
+    # row: every generator at a point has the same squared norm, bit for bit, which a test holds
+    ("stability.py", (("np.sqrt(np.max((g * g)", "np.sqrt(max((g * g)"),),
      (f"{S}::test_max_generator_norm_keeps_its_bits_and_a_nan",)),
-    # the stacked one-generator rows cut to the first
+    ("stability.py", (("np.sqrt(np.max((g * g)", "np.sqrt(np.min((g * g)"),),
+     (f"{S}::test_max_generator_norm_keeps_its_bits_and_a_nan",)),
     ("stability.py", (("g = np.concatenate(rows)", "g = rows[0]"),),
      (f"{S}::test_max_generator_norm_keeps_its_bits_and_a_nan",)),
-    # probe's derived budget unchecked (int() of inf, or above 2^63), and the convex ratio through the product
-    # alpha * epsilon, which underflows
+    ("stability.py", (("g[:1].copy()", "g[:1]"),), (f"{S}::test_convex_bounds_holds_one_listed_set_at_a_time",)),
+    # probe's derived budget unchecked (int() of inf, or above 2^63)
     ("stability.py", (("if not np.all(iters <= MAX_RECORDED_STEPS):", "if False:"),),
      (f"{CLI}::test_usage_errors_exit_2",)),
-    ("stability.py", (("ratio = (d0 / alpha) * (d0 / epsilon)", "ratio = d0 * d0 / (alpha * epsilon)"),),
+    # the convex budget: without its nudge (99 for 100 at the abs_sum golden), rounded up, and on a NaN or inf
+    # start without the check that names x0 (Fraction raises its own ValueError or OverflowError)
+    ("stability.py", (("\n                        * Fraction(1.0 + 1e-12))", ")"),),
      (f"{S}::test_convex_bounds_abs_sum_from_one",)),
+    ("stability.py", (("budget = math.floor(", "budget = math.ceil("),),
+     (f"{S}::test_convex_bounds_budget_is_exact_for_every_finite_start",)),
+    ("stability.py", (("if not np.isfinite(x0).all():", "if False:"),),
+     (f"{S}::test_convex_bounds_budget_is_exact_for_every_finite_start",)),
     # one sample refused by either ball helper
     ("stability.py", (("if samples < 1:\n        raise ValueError(\"samples must be >= 1\")\n    center",
                        "if samples < 2:\n        raise ValueError(\"samples must be >= 1\")\n    center"),),
