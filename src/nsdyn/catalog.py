@@ -89,6 +89,13 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def as_count(value, name: str, least: int | None = 0, error=ValueError) -> int:
+    """``value``, a Python or numpy int (no bool or float, 3.0 too) >= ``least`` unless None, as a Python int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (least is not None and value < least):
+        raise error(f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
+    return int(value)
+
+
 def sum_sq(pts: np.ndarray) -> np.ndarray:
     """Squared norm of each row, adding the squared columns left to right.
 
@@ -106,7 +113,7 @@ def sum_sq(pts: np.ndarray) -> np.ndarray:
 
 
 class CatalogFunction:
-    """Base class: closed-form value plus exact generator oracle."""
+    """Base class: closed-form value plus exact generator oracle on R^dim, ``dim`` an integer >= 1 (``as_count``)."""
 
     name: str
     semialgebraic: bool = True
@@ -119,9 +126,7 @@ class CatalogFunction:
         dim = (self.fixed_dim or 2) if dim is None else dim
         if self.fixed_dim is not None and dim != self.fixed_dim:
             raise DimensionMismatch(f"{self.name} is defined on R^{self.fixed_dim}")
-        if dim < 1:
-            raise DimensionMismatch("dim must be a positive integer")
-        self.dim = int(dim)
+        self.dim = as_count(dim, "dim", 1, DimensionMismatch)
 
     def value(self, x: np.ndarray) -> float:
         """f(x), the one-row case of ``value_many``; rejects wrong dims and non-finite input."""

@@ -285,7 +285,7 @@ def execute(cfg: RunConfig) -> int:
         if verdict.witness is not None and cfg.out is not None:
             base = cfg.out[:-5] if cfg.out.endswith(".json") else cfg.out
             witness_csv = os.path.basename(base) + "_witness.csv"
-            write_text(os.path.join(os.path.dirname(base) or ".", witness_csv),
+            write_text(os.path.join(os.path.dirname(base), witness_csv),
                        reporting.trajectory_csv_text(verdict.witness.trajectory_ref))
         _emit(json_text(reporting.verdict_json_dict(verdict, witness_csv)), cfg.out)
         return 0

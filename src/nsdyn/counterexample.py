@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .catalog import as_point, get_function
+from .catalog import as_count, as_point, get_function
 from .engine import _positive, derive_seed, make_rng, run_batch, sample_ball
 from .errors import OnNullSet, PreconditionViolated
 
@@ -117,13 +117,12 @@ def escape_experiment(epsilon: float, alpha: float, n_samples: int, k_max: int =
 
     Returns (EscapeStats, per_sample) where per_sample is a structured array
     with columns (x1_0, x2_0, exit_index, on_S); exit_index is -1 for
-    samples that never left the ball.
+    samples that never left the ball.  Counts and the seed pass ``as_count``.
     """
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("epsilon must lie in (0, 1/2]")
     _positive("alpha", alpha)
-    if n_samples < 1 or k_max < 1:
-        raise ValueError("n_samples and k_max must be >= 1")
+    n_samples, k_max, seed = as_count(n_samples, "n_samples", 1), as_count(k_max, "k_max", 1), as_count(seed, "seed")
     fn = get_function("cross")
     center = np.array([1.0, 0.0])
     if initial_points is None:
@@ -147,7 +146,7 @@ def escape_experiment(epsilon: float, alpha: float, n_samples: int, k_max: int =
         alpha=float(alpha),
         n_samples=n_samples,
         k_max=k_max,
-        seed=int(seed),
+        seed=seed,
         escaped_count=int(escaped.sum()),
         max_exit_index=int(exit_index.max()) if escaped.any() else -1,
         stuck_on_S_count=int((on_s & ~escaped).sum()),

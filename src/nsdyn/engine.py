@@ -45,12 +45,13 @@ kink, with ``run``'s seed or ``run_batch``'s seeds, so the two replay bit for bi
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import islice, repeat
 
 import numpy as np
 
-from .catalog import CatalogFunction, as_point
+from .catalog import CatalogFunction, as_count, as_point
 from .errors import DimensionMismatch, NonFiniteInput, OutOfHorizon
 
 __all__ = [
@@ -84,7 +85,7 @@ class SelectionPolicy:
     random_extreme uniform over the generators (seed-dependent): j is
                    ``rng.integers(m)`` up to m = 2^63; above, m = 2^|A| and
                    j is |A| draws of ``rng.integers(2)``, highest bit first
-    fixed_index    generator ``index`` modulo the generator count
+    fixed_index    generator ``index``, an int of either sign (``as_count``), modulo the generator count
     """
 
     kind: str = "minimal_norm"
@@ -93,23 +94,24 @@ class SelectionPolicy:
     def __post_init__(self):
         if self.kind not in _POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
+        object.__setattr__(self, "index", as_count(self.index, "index", None))
 
 
 MINIMAL_NORM = SelectionPolicy("minimal_norm")
 
 
 def derive_seed(root: int, *indices: int) -> int:
-    """64-bit per-stream seed from a root seed and an index tuple."""
-    words = np.random.SeedSequence((int(root),) + tuple(int(i) for i in indices)).generate_state(2)
-    return int(words[0]) | (int(words[1]) << 32)
+    """64-bit per-stream seed from a root seed and an index tuple, each an integer >= 0 (``as_count``)."""
+    key = (as_count(root, "seed"),) + tuple(as_count(i, "seed index") for i in indices)
+    return int(np.random.SeedSequence(key).generate_state(1, np.uint64)[0])
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(as_count(seed, "seed"))))
 
 
 def sample_ball(center, radius: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n points uniform in the closed ball B(center, radius), with a finite center and a finite radius > 0.
+    """n points uniform in the closed ball B(center, radius): a finite center, a finite radius > 0, an integer n >= 0.
 
     Isotropic direction times radius * u^(1/dim), the standard volume-uniform
     construction; documented so seeded experiments stay reproducible.
@@ -118,6 +120,7 @@ def sample_ball(center, radius: float, n: int, rng: np.random.Generator) -> np.n
     if not np.isfinite(center).all():
         raise NonFiniteInput(f"ball center must be finite, got {center.tolist()}")
     _positive("radius", radius)
+    n = as_count(n, "n")
     dim = center.shape[0]
     direction = rng.standard_normal((n, dim))
     norms = np.sqrt((direction * direction).sum(axis=1))
@@ -156,8 +159,8 @@ def _select_at(fn: CatalogFunction, policy: SelectionPolicy, seeds=None):
 
 
 def _positive(name: str, value, error=ValueError):
-    """The parameter ``name`` must be finite and positive; NaN fails."""
-    if not 0.0 < value < np.inf:
+    """The parameter ``name`` must be positive and at most the largest float (not inf, nor an int beyond); NaN fails."""
+    if not 0.0 < value <= sys.float_info.max:
         raise error(f"{name} must be finite and positive, got {value}")
 
 
@@ -177,10 +180,10 @@ def _inside(center, radius: float, dim: int):
     if center is None or radius is None:
         raise ValueError(f"exit ball needs both a center and a radius; got center {center}, radius {radius}")
     center = as_point(center, dim)
-    r = float(radius)
-    if not (0.0 < r < np.inf and np.abs(center).max() + r <= DIVERGENCE_LIMIT / 2):
+    if not (0.0 < radius <= sys.float_info.max and np.abs(center).max() + radius <= DIVERGENCE_LIMIT / 2):
         raise ValueError(f"exit ball needs a finite radius > 0 and a finite center, within "
                          f"{DIVERGENCE_LIMIT / 2:g} of the origin; got radius {radius}, center {center.tolist()}")
+    r = float(radius)
     return center, np.array(r * r)
 
 
@@ -350,11 +353,13 @@ def run(fn: CatalogFunction, x0, alpha: float, n_steps: int,
     stop is (center, radius); from the start on, the first point outside the
     ball or diverged (any |coordinate| > 1e100 or non-finite) is recorded and
     iteration halts there.  Divergence is recorded in diverged_at, never
-    raised.  n_steps runs from 0, the initial point alone, to MAX_RECORDED_STEPS.
+    raised.  n_steps, an integer (``as_count``), runs from 0, the initial
+    point alone, to MAX_RECORDED_STEPS; ``seed`` is checked before any kink.
     A run that uses every step returns the arrays it recorded into; one that
     stops early returns copies of their prefixes.
     """
     _positive("alpha", alpha)
+    n_steps, seed = as_count(n_steps, "n_steps"), as_count(seed, "seed")
     _check_recorded(n_steps, "steps")
     points = np.empty((n_steps + 1, fn.dim))
     subgrads = np.empty((n_steps, fn.dim))
@@ -386,12 +391,11 @@ def run_batch(fn: CatalogFunction, x0s: np.ndarray, alpha: float, n_steps: int,
     only.  Returns (exit_index, last_points): exit_index[i] is the first k (0
     for the start) at which ``run`` halts, with x_k outside the exit ball or,
     without one (both halves None), diverged; else -1.  So a diverged row
-    retires at its divergence step.  Half a ball or a negative n_steps raise
-    ValueError.
+    retires at its divergence step.  Half a ball, or an n_steps that is not
+    an integer >= 0 (``as_count``), raises ValueError.
     """
     _positive("alpha", alpha)
-    if not n_steps >= 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    n_steps = as_count(n_steps, "n_steps")
     if np.shape(x0s)[1:] != (fn.dim,):
         raise DimensionMismatch(f"expected starts of shape (n, {fn.dim}), got shape {np.shape(x0s)}")
     keep = _bounded if exit_center is None and exit_radius is None else _inside(exit_center, exit_radius, fn.dim)

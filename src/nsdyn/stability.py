@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import CatalogFunction, as_point, get_function
-from .engine import (MAX_RECORDED_STEPS, MINIMAL_NORM, SelectionPolicy, Trajectory, _check_recorded, _inside,
-                     _positive, derive_seed, make_rng, run, run_batch, sample_ball)
+from .catalog import CatalogFunction, as_count, as_point, get_function
+from .engine import (MINIMAL_NORM, SelectionPolicy, Trajectory, _check_recorded, _inside, _positive, derive_seed,
+                     make_rng, run, run_batch, sample_ball)
 from .errors import InvalidQuery, NonFiniteInput, NotConvex
 
 __all__ = [
@@ -67,12 +67,10 @@ def estimate_lipschitz(fn: CatalogFunction, center, radius: float, samples: int 
     """1.1 times the max sampled generator norm over B(center, radius).
 
     Sample-max with a documented 1.1 safety factor; the center itself is
-    always included in the sample.
+    always included in the sample, and ``samples`` is an integer >= 1 (``as_count``).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     center = as_point(center, fn.dim)
-    pts = sample_ball(center, radius, samples, make_rng(seed))
+    pts = sample_ball(center, radius, as_count(samples, "samples", 1), make_rng(seed))
     return LIPSCHITZ_SAFETY * _max_generator_norm(fn, np.concatenate([center[None, :], pts], axis=0))
 
 
@@ -80,7 +78,7 @@ def estimate_lipschitz(fn: CatalogFunction, center, radius: float, samples: int 
 class StabilityQuery:
     """Probe configuration; grids default to geometric ladders when None.
 
-    delta_grid and alpha_grid must be decreasing; every delta < epsilon.
+    delta_grid and alpha_grid must be decreasing; every delta < epsilon; counts are integers >= 1.
     max_iters None selects the horizon heuristic K = ceil(T/alpha) * 50
     with T = epsilon / (3 * L_estimate) per step size, at most
     MAX_RECORDED_STEPS (10^7), which the witness replay records.
@@ -138,15 +136,12 @@ def _value_key(x: float) -> int:
 
 
 def _validate(q: StabilityQuery, x_star: np.ndarray, deltas: np.ndarray, alphas: np.ndarray | None):
-    """Checks the query before any sampling; alphas is None for the default grid."""
+    """Checks the query but its epsilon before any sampling (alphas None: the default grid); returns its counts."""
     grids = [deltas] if alphas is None else [deltas, alphas]
-    _positive("epsilon", q.epsilon, InvalidQuery)
     if not all(np.isfinite(v).all() for v in [x_star] + grids):
         raise InvalidQuery("x_star and the grids must be finite")
-    if q.n_samples < 1:
-        raise InvalidQuery("n_samples must be >= 1")
-    if q.max_iters is not None and q.max_iters < 1:
-        raise InvalidQuery("max_iters must be >= 1")
+    n = as_count(q.n_samples, "n_samples", 1, InvalidQuery)
+    max_iters = None if q.max_iters is None else as_count(q.max_iters, "max_iters", 1, InvalidQuery)
     if any(g.size == 0 for g in grids):
         raise InvalidQuery("grids must be nonempty")
     if any(np.any(g <= 0) for g in grids):
@@ -155,6 +150,7 @@ def _validate(q: StabilityQuery, x_star: np.ndarray, deltas: np.ndarray, alphas:
         raise InvalidQuery("every delta must be < epsilon")
     if any(np.any(np.diff(g) >= 0) for g in grids):
         raise InvalidQuery("grids must be strictly decreasing")
+    return n, max_iters
 
 
 def probe(q: StabilityQuery) -> StabilityVerdict:
@@ -167,39 +163,37 @@ def probe(q: StabilityQuery) -> StabilityVerdict:
     (delta, alpha_bar) whose cells are escape-free for every tested
     alpha <= alpha_bar; the witness is the smallest (delta index, alpha
     index, sample index), so the verdict does not depend on execution order.
-    Before any run, an exit ball B(x*, epsilon) that ``run_batch`` would
-    refuse raises ValueError, and a Lipschitz estimate that is not finite
-    and positive (NaN where the field is NaN) or a heuristic K above
-    MAX_RECORDED_STEPS raises InvalidQuery.
+    Before any run, a bad count or epsilon, or a Lipschitz estimate that is
+    not finite and positive (NaN where the field is NaN), raises InvalidQuery;
+    an exit ball that ``run_batch`` would refuse, or a heuristic K above
+    MAX_RECORDED_STEPS (``_check_recorded``'s line), raises ValueError.
     """
     fn = get_function(q.fn_id, dim=as_point(q.x_star).shape[0])
     x_star = as_point(q.x_star, fn.dim)
+    _positive("epsilon", q.epsilon, InvalidQuery)
     deltas = q.epsilon * np.asarray(DELTA_FRACTIONS) if q.delta_grid is None else np.asarray(q.delta_grid, float)
     alphas = np.asarray(q.alpha_grid, float) if q.alpha_grid is not None else None
-    _validate(q, x_star, deltas, alphas)
+    n, max_iters = _validate(q, x_star, deltas, alphas)
     _inside(x_star, q.epsilon, fn.dim)
     lip = estimate_lipschitz(fn, x_star, q.epsilon, seed=derive_seed(q.seed, 0x11F))
     _positive("the Lipschitz estimate", lip, InvalidQuery)
     if alphas is None:
         alphas = np.asarray(ALPHA_FRACTIONS) * q.epsilon / lip
 
-    if q.max_iters is not None:
-        iters = np.full(alphas.size, int(q.max_iters), dtype=np.int64)
+    if max_iters is not None:
+        iters = np.full(alphas.size, max_iters, dtype=np.int64)
     else:
         iters = np.ceil(q.epsilon / (3.0 * lip) / alphas) * REPETITION_FACTOR  # a float, exact up to 2^53
-        if not np.all(iters <= MAX_RECORDED_STEPS):  # the witness replay records up to this many steps
-            raise InvalidQuery(f"the budget ceil(T/alpha) * {REPETITION_FACTOR} exceeds {MAX_RECORDED_STEPS} steps "
-                               "per start; give a smaller --epsilon or larger --alpha-grid values")
+        _check_recorded(iters.max(), "--epsilon/--alpha-grid")  # the witness replay records this many steps
         iters = iters.astype(np.int64)
 
-    n = q.n_samples
     exits = np.empty((deltas.size, alphas.size, n), dtype=np.int64)  # exit index per sample, or -1
     starts = []
     for a_idx, alpha in enumerate(alphas):
         keys = [(q.seed, _value_key(delta), _value_key(alpha)) for delta in deltas]
         starts.append(np.concatenate([sample_ball(x_star, float(delta), n, make_rng(derive_seed(*key)))
                                       for delta, key in zip(deltas, keys)]))
-        idx, _ = run_batch(fn, starts[-1], float(alpha), int(iters[a_idx]), x_star, q.epsilon, q.policy,
+        idx, _ = run_batch(fn, starts[-1], float(alpha), iters[a_idx], x_star, q.epsilon, q.policy,
                            lambda row: derive_seed(*keys[row // n], row % n))
         exits[:, a_idx] = idx.reshape(-1, n)
     counts = (exits >= 0).sum(axis=2)
@@ -233,13 +227,11 @@ def local_min_check(fn: CatalogFunction, x_star, radius: float, samples: int = 2
 
     The 1e-12 margin avoids float-equality traps at the center; a returned
     counterexample point certifies that x* is not a local minimum at this
-    sampling resolution.
+    sampling resolution.  ``samples`` is an integer >= 1 (``as_count``).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     x_star = as_point(x_star, fn.dim)
     f_center = fn.value(x_star)
-    pts = sample_ball(x_star, radius, samples, make_rng(seed))
+    pts = sample_ball(x_star, radius, as_count(samples, "samples", 1), make_rng(seed))
     values = fn.value_many(pts)
     below = np.flatnonzero(values < f_center - F_COMPARE_TOL)
     if below.size:

@@ -320,8 +320,9 @@ WRONG = {float: [math.nan, math.inf, "1", True], int: [math.nan, math.inf, 1.5, 
 
 
 def test_every_command_holds_configs_to_its_row(tmp_path, capsys):
-    """Walk SUBCOMMANDS with --config files: each case exits 2 with one stderr line naming the field."""
-    cases = []  # (config, field the error names)
+    """Walk SUBCOMMANDS with --config files: each case exits 2 with one stderr line naming the field, and each
+    bounded count runs at its least value."""
+    cases, least = [], []  # (config, field the error names); configs with one count at its least value
     for command, (_, required, _) in SUBCOMMANDS.items():
         base = {"command": command, **{name: SAMPLE[name] for name in required}}
         _check_config(RunConfig(**base))
@@ -330,7 +331,13 @@ def test_every_command_holds_configs_to_its_row(tmp_path, capsys):
         cases += [({**base, name: value}, name) for name in sorted(TAKES[command] - {"command"})
                   for value in WRONG[KINDS[name]]]
         cases += [({**base, name: value}, name) for name, value in BELOW_MINIMUM.items() if name in TAKES[command]]
+        short = {"max_iters": SAMPLE["max_iters"]} if "max_iters" in TAKES[command] else {}
+        least += [{**base, **short, name: below + 1} for name, below in BELOW_MINIMUM.items() if name in TAKES[command]]
     assert len(cases) > 200
+    for i, cfg in enumerate(least):
+        (tmp_path / f"least{i}.json").write_text(json.dumps(cfg))
+        assert _run_in(tmp_path, ["--config", f"least{i}.json"]) == 0, cfg
+    capsys.readouterr()
     for i, (cfg, named) in enumerate(cases):
         (tmp_path / f"{i}.json").write_text(json.dumps(cfg))
         assert run_command(["--config", str(tmp_path / f"{i}.json")]) == 2, cfg
@@ -469,14 +476,20 @@ def test_every_json_report_round_trips_as_strict_json(tmp_path):
             "cmp": "compare --function vee_bowl --x0 0,0.8 --alpha 0.1 --horizon 0.5 --h 0.05",
             "cert.json": "probe --function quad --xstar 0,0 --epsilon 0.1 --samples 3 --max-iters 5",
             "witness.json": "probe --function neg_norm --xstar 0,0 --epsilon 0.1 --samples 10 --seed 3",
+            "sub/report.json": "probe --function neg_norm --xstar 0,0 --epsilon 0.1 --samples 10 --seed 3",
             "ce.json": "counterexample --epsilon 0.25 --alpha 0.3 --samples 20 --max-iters 1000 --seed 1",
             "bounds.json": "convex-bounds --function abs_sum --x0 1 --alpha 0.1 --epsilon 0.1 --steps 40"}
+    (tmp_path / "sub").mkdir()
     for out, argv in jobs.items():
         assert _run_in(tmp_path, argv.split() + ["--out", out]) == 0, argv
-    reports = sorted(tmp_path.glob("*.json"))
+    reports = sorted(tmp_path.rglob("*.json"))
     assert len(reports) == len(jobs)
     for path in reports:
         text = path.read_text()
         assert json_text(json.loads(text)) == text, path.name
     assert "certificate" in json.loads((tmp_path / "cert.json").read_text())
     assert "witness" in json.loads((tmp_path / "witness.json").read_text())
+    # a witness lands beside its report, which names it by its base name
+    assert json.loads((tmp_path / "sub" / "report.json").read_text())["witness"]["trajectory_csv"] == \
+        "report_witness.csv"
+    assert (tmp_path / "sub" / "report_witness.csv").read_bytes() == (tmp_path / "witness_witness.csv").read_bytes()

@@ -145,10 +145,12 @@ def test_escape_experiment_validates_epsilon():
         escape_experiment(0.6, 0.1, 10)
     with pytest.raises(ValueError):
         escape_experiment(0.0, 0.1, 10)
+    assert escape_experiment(0.5, 0.1, 2, k_max=5)[0].epsilon == 0.5  # the interval is closed at 1/2
     # and the counts and the starts
-    for kwargs in (dict(n_samples=0), dict(k_max=0), dict(initial_points=[[1.0, 0.1]] * 3),
-                   dict(initial_points=[1.0, 0.1, 0.2, 0.3])):
-        with pytest.raises(ValueError, match="n_samples"):
+    for kwargs, named in ((dict(n_samples=0), "n_samples"), (dict(k_max=0), "k_max"),
+                          (dict(initial_points=[[1.0, 0.1]] * 3), "n_samples"),
+                          (dict(initial_points=[1.0, 0.1, 0.2, 0.3]), "n_samples")):
+        with pytest.raises(ValueError, match=named):
             escape_experiment(**{"epsilon": 0.25, "alpha": 0.1, "n_samples": 2, **kwargs})
 
 

@@ -10,15 +10,22 @@ from nsdyn import (
     InterpolatedPath,
     MINIMAL_NORM,
     SelectionPolicy,
+    StabilityQuery,
+    convex_bounds_report,
+    escape_experiment,
+    estimate_lipschitz,
     first_exit,
     get_function,
     hull_distance,
     interpolate,
+    local_min_check,
+    probe,
     run,
     run_batch,
     sample_ball,
 )
-from nsdyn.engine import DIVERGENCE_LIMIT, MAX_RECORDED_STEPS, RECORD_BLOCK, Trajectory, derive_seed, make_rng
+from nsdyn.engine import (DIVERGENCE_LIMIT, MAX_RECORDED_STEPS, RECORD_BLOCK, Trajectory, _check_recorded, derive_seed,
+                          make_rng)
 from nsdyn.errors import DimensionMismatch, OutOfHorizon
 
 QUAD1 = get_function("quad", 1)
@@ -76,6 +83,9 @@ def test_run_zero_steps_records_initial_point():
     assert traj.points.shape == (1, 1)
     assert traj.chosen_subgradients.shape == (0, 1)
     assert MAX_RECORDED_STEPS == 10 ** 7
+    _check_recorded(MAX_RECORDED_STEPS, "steps")  # the one cap of every recorded budget, probe's K too
+    with pytest.raises(ValueError, match="--epsilon/--alpha-grid must give between 0 and 10000000 recorded steps"):
+        _check_recorded(MAX_RECORDED_STEPS + 1, "--epsilon/--alpha-grid")
     for n_steps in (-1, 10 ** 7 + 1):  # refused before anything is allocated, here a start outside the ball
         tracemalloc.start()
         try:
@@ -292,13 +302,13 @@ def test_stop_rule_retires_exactly_the_masked_rows():
 def test_bad_exit_ball_is_rejected_everywhere():
     traj = run(QUAD1, [1.0], 0.1, 3)
     # half a ball, either half None, is refused: never run as no ball, nor passed on to float(None)
-    for center, radius in [([0.0], 0.0), ([0.0], -0.1), ([0.0], np.nan), ([0.0], np.inf),
-                           ([np.nan], 0.5), ([1e100], 0.5), (None, 0.25), ([0.0], None)]:
-        with pytest.raises(ValueError):
+    for center, radius in [([0.0], 0.0), ([0.0], -0.0), ([0.0], -0.1), ([0.0], np.nan), ([0.0], np.inf),
+                           ([0.0], 10 ** 400), ([np.nan], 0.5), ([1e100], 0.5), (None, 0.25), ([0.0], None)]:
+        with pytest.raises(ValueError, match="radius"):
             run(QUAD1, [1.0], 0.1, 3, stop=(center, radius))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="radius"):
             run_batch(QUAD1, np.ones((2, 1)), 0.1, 3, center, radius)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="radius"):
             first_exit(traj, center, radius)
     # a ball may reach DIVERGENCE_LIMIT / 2 = 5e99 from the origin, and not one ulp beyond
     beyond = np.nextafter(5e99, np.inf)
@@ -432,7 +442,7 @@ def test_reflection_flips_each_coordinate_bit_for_bit():
 
 
 def test_alpha_must_be_finite_and_positive():
-    for alpha in (0.0, -0.1, np.nan, np.inf):
+    for alpha in (0.0, -0.1, np.nan, np.inf, 10 ** 400):  # an int beyond float range too
         with pytest.raises(ValueError, match="alpha"):
             run(QUAD1, [1.0], alpha, 3)
         with pytest.raises(ValueError, match="alpha"):
@@ -570,3 +580,39 @@ def test_derive_seed_is_stable_and_index_sensitive():
     assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
     assert derive_seed(7, 1, 2) != derive_seed(7, 2, 1)
     assert 0 <= derive_seed(123, 0) < 2 ** 64
+    # the two 32-bit words of the key's state, low word first
+    words = np.random.SeedSequence((7, 1, 2)).generate_state(2)
+    assert derive_seed(7, 1, 2) == int(words[0]) | int(words[1]) << 32
+
+
+def test_every_integer_argument_passes_one_integer_rule():
+    # a count, seed, dim or policy index is a Python or numpy int: a float, 3.0 too, or a bool is refused on one
+    # line naming the argument, as is a value below its least; run checks its seed before any kink needs it
+    quad = get_function("quad", 1)
+    query = dict(fn_id="quad", x_star=np.zeros(1), epsilon=0.1, n_samples=2, max_iters=3)
+    calls = [("dim", 1, lambda v: get_function("quad", v)),
+             ("n_steps", 0, lambda v: run(quad, [1.0], 0.1, v)),
+             ("seed", 0, lambda v: run(quad, [1.0], 0.1, 3, seed=v)),
+             ("n_steps", 0, lambda v: run_batch(quad, np.ones((2, 1)), 0.1, v)),
+             ("n", 0, lambda v: sample_ball([0.0], 0.1, v, make_rng(0))),
+             ("seed", 0, make_rng),
+             ("seed", 0, lambda v: derive_seed(v, 1)),
+             ("seed index", 0, lambda v: derive_seed(1, v)),
+             ("index", None, lambda v: SelectionPolicy("fixed_index", v)),
+             ("samples", 1, lambda v: estimate_lipschitz(quad, [0.0], 0.1, samples=v)),
+             ("samples", 1, lambda v: local_min_check(quad, [0.0], 0.1, samples=v)),
+             ("n_samples", 1, lambda v: probe(StabilityQuery(**{**query, "n_samples": v}))),
+             ("max_iters", 1, lambda v: probe(StabilityQuery(**{**query, "max_iters": v}))),
+             ("seed", 0, lambda v: probe(StabilityQuery(**query, seed=v))),
+             ("n_samples", 1, lambda v: escape_experiment(0.25, 0.3, v, k_max=5)),
+             ("k_max", 1, lambda v: escape_experiment(0.25, 0.3, 3, k_max=v)),
+             ("seed", 0, lambda v: escape_experiment(0.25, 0.3, 3, k_max=5, seed=v)),
+             ("n_steps", 0, lambda v: convex_bounds_report(quad, [1.0], 0.1, 0.1, n_steps=v))]
+    for name, least, call in calls:
+        below = [] if least is None else [least - 1]
+        for value in [2.5, 3.0, True, np.float64(3.0), *below]:
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                call(value)
+        call(np.int64(3))
+    policy = SelectionPolicy("fixed_index", np.int16(-3))  # an index of either sign, kept as a Python int
+    assert type(policy.index) is int and policy.index == -3

@@ -289,9 +289,11 @@ def test_integrate_flow_validates_step():
         integrate_flow(QUAD1, [1.0], 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate_flow(QUAD1, [1.0], 0.5, 1.0)
-    for horizon in (np.inf, np.nan):
+    for horizon in (np.inf, np.nan, 10 ** 400):
         with pytest.raises(ValueError, match="horizon"):
             integrate_flow(QUAD1, [1.0], horizon, 0.1)
+    with pytest.raises(ValueError, match="^h must be"):  # an int beyond float range is refused as inf is
+        integrate_flow(QUAD1, [1.0], 1.0, 10 ** 400)
 
 
 def test_diverging_flow_names_the_time():

@@ -1,13 +1,18 @@
 """A seeded fuzz table over every entry point: the CLI's exit codes and stderr, the library's error types.
 
 Values are drawn mostly valid, mixed with edge values: zeros of both signs, the least subnormal, 1e-320, 1e300,
-1.7e308, NaN, infinities, empty or malformed lists and bad policies.  Budgets stay small in every draw: an explicit
-``--max-iters``, ``--samples`` (or ``k_max``, ``samples``) has no upper cap, so one large draw would run for hours.
-So probe and counterexample always get a small ``--max-iters`` (probe's derived budget may reach 10^7 steps), and
-no point coordinate is 1e-320, which over alpha = epsilon = 5e-324 asks convex-bounds for ~8e6 steps.  Every
-other pair of pool values gives a ratio (horizon/h, the convex budget) below ~2100 or above the 10^7 cap.
+1.7e308, NaN, infinities, empty or malformed lists and bad policies; in the library half also 10**400 reals, negative
+seeds, and ints (counts, seeds, dims, policy indices) given as 2.5, 3.0, True or np.float64(3.0).  Each library call
+is made twice, with Python ints and with numpy ints, and gives the same bits or refusal type both times.
+
+Budgets stay small in every draw: an explicit ``--max-iters``, ``--samples`` (or ``k_max``, ``samples``) has no upper
+cap, so one large draw would run for hours.  So probe and counterexample, the library's probe too, always get a small
+``--max-iters`` (probe's derived budget may reach 10^7 steps), and no point coordinate is 1e-320, which over
+alpha = epsilon = 5e-324 asks convex-bounds for ~8e6 steps.  Every other pair of pool values gives a ratio
+(horizon/h, the convex budget) below ~2100 or above the 10^7 cap.
 """
 
+import dataclasses
 import math
 import os
 import random
@@ -15,8 +20,8 @@ import warnings
 
 import numpy as np
 
-from nsdyn import (SelectionPolicy, convex_bounds_report, escape_experiment, estimate_lipschitz, get_function,
-                   integrate_flow, local_min_check, run, run_batch)
+from nsdyn import (CatalogFunction, SelectionPolicy, StabilityQuery, convex_bounds_report, escape_experiment,
+                   estimate_lipschitz, get_function, integrate_flow, local_min_check, probe, run, run_batch)
 from nsdyn.catalog import CATALOG_IDS
 from nsdyn.cli import KINDS, SUBCOMMANDS, _build_parser, _config_from_args, run_command
 from nsdyn.errors import NonFiniteState
@@ -36,7 +41,8 @@ EDGE_BY_NAME = {"steps": EDGE[int] + ["100000000000"], "seed": EDGE[int] + ["184
                 "function": ["nope", ""], "format": ["xml", ""]}
 
 FLOATS = [0.1, 0.25, 0.05]
-EDGE_NUMBERS = [0.0, -0.0, 5e-324, 1e-320, 1e300, 1.7e308, math.nan, math.inf, -math.inf, -0.1, 1.0]
+EDGE_NUMBERS = [0.0, -0.0, 5e-324, 1e-320, 1e300, 1.7e308, math.nan, math.inf, -math.inf, -0.1, 1.0, 10 ** 400]
+NOT_INTS = [2.5, 3.0, True, np.float64(3.0)]
 COORDS = [1.0, 0.5, 0.0, -0.25, 0.1]
 EDGE_COORDS = [0.0, -0.0, 5e-324, 1e300, 1.7e308, math.nan, math.inf, -math.inf]  # no 1e-320: see above
 
@@ -78,34 +84,83 @@ def _point(rng: random.Random, dim: int) -> list:
 
 
 def _library_call(rng: random.Random):
-    """One library entry point on drawn values, as a thunk; either half of an exit ball may be None."""
+    """One library entry point on drawn values, as a function of ``as_int``, which spells each drawn int.
+
+    Every value is drawn before the call, so the call can be made twice, with Python and with numpy ints.  An int
+    argument (count, seed, dim, policy index) is one time in ten not an int: 2.5, 3.0, True or np.float64(3.0).
+    Either half of an exit ball may be None.
+    """
     def number():
         return rng.choice(FLOATS if rng.random() < 0.8 else EDGE_NUMBERS)
+
+    def integer(*valid):
+        return rng.choice(NOT_INTS if rng.random() < 0.1 else valid)
 
     fn_id = rng.choice(CATALOG_IDS)
     dim = get_function(fn_id).fixed_dim or rng.choice((1, 2, 3))
     fn = get_function(fn_id, dim)
-    x, alpha, steps, seed = _point(rng, dim), number(), rng.choice((0, 1, 5, 20, -1)), rng.choice((0, 7))
-    count = rng.choice((1, 4, 16, 0, -1))
+    x, alpha, a, b = _point(rng, dim), number(), number(), number()
+    steps, count, seed, dim_arg = integer(0, 1, 5, 20, -1), integer(1, 4, 16, 0, -1), integer(0, 7, -1), integer(dim)
+    kind, index = rng.choice(("minimal_norm", "random_extreme", "fixed_index", "nope")), integer(0, 3, -1)
     ball = None
     if rng.random() < 0.5:
         ball = (None if rng.random() < 0.15 else _point(rng, dim), None if rng.random() < 0.15 else number())
+    starts = [_point(rng, dim) for _ in range(rng.choice((0, 1, 3)))]
+    with_seeds = rng.random() < 0.5
+    n_samples, k_max, n_steps = integer(1, 3, 0, -1), integer(1, 5, 20, 0), rng.choice((None, integer(0, 10, -1)))
+    which = rng.randrange(9)
 
-    def policy():
-        return SelectionPolicy(rng.choice(("minimal_norm", "random_extreme", "fixed_index", "nope")),
-                               rng.choice((0, 3, -1)))
+    def call(as_int):
+        def policy():
+            return SelectionPolicy(kind, as_int(index))
 
-    return rng.choice([
-        lambda: run(fn, x, alpha, steps, policy(), seed, stop=ball),
-        lambda: run_batch(fn, np.array([_point(rng, dim) for _ in range(rng.choice((0, 1, 3)))]).reshape(-1, dim),
-                          alpha, steps, *(ball or (None, None)), policy(), rng.choice((None, lambda i: i))),
-        lambda: integrate_flow(fn, x, number(), number()),
-        lambda: escape_experiment(number(), alpha, rng.choice((1, 3, 0, -1)), k_max=rng.choice((1, 5, 20, 0)),
-                                  seed=seed),
-        lambda: estimate_lipschitz(fn, x, number(), samples=count, seed=seed),
-        lambda: local_min_check(fn, x, number(), samples=count, seed=seed),
-        lambda: convex_bounds_report(fn, x, alpha, number(), n_steps=rng.choice((None, 0, 10, -1))),
-    ])
+        return [
+            lambda: run(fn, x, alpha, as_int(steps), policy(), as_int(seed), stop=ball),
+            lambda: run_batch(fn, np.array(starts).reshape(-1, dim), alpha, as_int(steps), *(ball or (None, None)),
+                              policy(), as_int if with_seeds else None),
+            lambda: integrate_flow(fn, x, a, b),
+            lambda: escape_experiment(a, alpha, as_int(n_samples), k_max=as_int(k_max), seed=as_int(seed)),
+            lambda: estimate_lipschitz(fn, x, a, samples=as_int(count), seed=as_int(seed)),
+            lambda: local_min_check(fn, x, a, samples=as_int(count), seed=as_int(seed)),
+            lambda: convex_bounds_report(fn, x, alpha, a, n_steps=as_int(n_steps)),
+            lambda: probe(StabilityQuery(fn_id, np.array(x), a, n_samples=as_int(n_samples),
+                                         max_iters=as_int(k_max), policy=policy(), seed=as_int(seed))),
+            lambda: get_function(fn_id, as_int(dim_arg)),
+        ][which]()
+
+    return call
+
+
+def _numpy_int(v):
+    """A Python int as a numpy int64; anything else, bools included, as it is."""
+    return np.int64(v) if type(v) is int else v
+
+
+def _bits(obj):
+    """A comparable image of a call's result: arrays and floats by their bytes, and every int by its type too.
+
+    A verdict's ``query`` is the caller's own object, as given, so it is left out.
+    """
+    if dataclasses.is_dataclass(obj):
+        return type(obj).__name__, tuple(_bits(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+                                         if f.name != "query")
+    if isinstance(obj, (tuple, list)):
+        return tuple(_bits(v) for v in obj)
+    if isinstance(obj, (np.ndarray, float)):
+        obj = np.asarray(obj)
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, CatalogFunction):
+        return repr(obj), type(obj.dim)
+    return type(obj), obj
+
+
+def _outcome(call, as_int):
+    """``_bits`` of the call's result, or the type of the refusal it raised."""
+    try:
+        with np.errstate(all="ignore"):  # the contract is what a call raises; overflow warnings are not part
+            return _bits(call(as_int))
+    except (ValueError, NonFiniteState) as exc:  # ValueError covers every refusal type in nsdyn.errors
+        return type(exc)
 
 
 def test_fuzz_table_every_entry_point(tmp_path, monkeypatch, capsys):
@@ -137,9 +192,7 @@ def test_fuzz_table_every_entry_point(tmp_path, monkeypatch, capsys):
     raised = 0
     for _ in range(400):
         call = _library_call(rng)
-        try:
-            with np.errstate(all="ignore"):  # the contract is what a call raises; overflow warnings are not part
-                call()
-        except (ValueError, NonFiniteState):  # ValueError covers every refusal type in nsdyn.errors
-            raised += 1
+        outcome = _outcome(call, lambda v: v)
+        raised += isinstance(outcome, type)
+        assert _outcome(call, _numpy_int) == outcome  # numpy ints give the bits of Python ints
     assert 0 < raised < 400

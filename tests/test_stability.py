@@ -16,6 +16,7 @@ from nsdyn import (
     probe,
     run,
     sample_ball,
+    stability,
 )
 from nsdyn.engine import derive_seed, make_rng
 from nsdyn.errors import InvalidQuery, NonFiniteInput, NotConvex
@@ -34,6 +35,9 @@ def test_estimate_lipschitz_quad_tracks_ball_radius():
     fn = get_function("quad", 2)
     L = estimate_lipschitz(fn, [0.0, 0.0], 1.0, samples=512, seed=3)
     assert 1.0 <= L <= 1.1 + 1e-12
+    # probe estimates over B(x*, epsilon) from the stream keyed (seed, 0x11F); here the samples set the estimate
+    verdict = probe(StabilityQuery("quad", np.zeros(2), 0.1, n_samples=1, max_iters=1, seed=5))
+    assert verdict.lipschitz_estimate == estimate_lipschitz(fn, [0.0, 0.0], 0.1, seed=derive_seed(5, 0x11F))
 
 
 def test_estimate_lipschitz_cross_below_analytic_sup():
@@ -155,6 +159,13 @@ def test_probe_validates_query():
         probe(StabilityQuery("quad", np.zeros(2), 0.1, delta_grid=(0.01, 0.05), seed=1))
     with pytest.raises(InvalidQuery):
         probe(StabilityQuery("quad", np.zeros(2), 0.1, n_samples=0, seed=1))
+    # one sample and one step are the least counts; the grid checks name their rule at each boundary
+    assert probe(StabilityQuery("quad", np.zeros(2), 0.1, n_samples=1, max_iters=1)).certificate.n_samples == 1
+    for grids, named in [(dict(delta_grid=(0.1,)), "< epsilon"), (dict(delta_grid=(0.05, 0.05)), "decreasing"),
+                         (dict(alpha_grid=(0.1, 0.1)), "decreasing"), (dict(delta_grid=(0.05, 0.0)), "positive"),
+                         (dict(alpha_grid=(0.1, 0.0)), "positive")]:
+        with pytest.raises(InvalidQuery, match=named):
+            probe(StabilityQuery("quad", np.zeros(2), 0.1, max_iters=1, **grids))
     with pytest.raises(InvalidQuery):
         probe(StabilityQuery("quad", np.zeros(2), -0.1, seed=1))
     for budget in (0, -5):  # an empty budget would certify even neg_norm's strict maximum
@@ -163,6 +174,11 @@ def test_probe_validates_query():
     for bad in (dict(epsilon=np.nan), dict(epsilon=np.inf), dict(x_star=np.array([np.nan, 0.0])),
                 dict(alpha_grid=(np.nan,)), dict(delta_grid=(0.05, np.nan))):
         with pytest.raises(InvalidQuery, match="finite"):
+            probe(StabilityQuery(**{"fn_id": "quad", "x_star": np.zeros(2), "epsilon": 0.1, **bad}))
+    # a count is an integer, never a bool or a float, and epsilon lies within float range
+    for bad, named in [(dict(n_samples=2.5), "n_samples"), (dict(n_samples=True), "n_samples"),
+                       (dict(max_iters=3.0), "max_iters"), (dict(epsilon=10 ** 400), "epsilon")]:
+        with pytest.raises(InvalidQuery, match=named):
             probe(StabilityQuery(**{"fn_id": "quad", "x_star": np.zeros(2), "epsilon": 0.1, **bad}))
 
 
@@ -280,7 +296,8 @@ def test_ball_helpers_refuse_a_ball_they_cannot_sample(helper):
     # and a NaN radius passed neg_norm's strict maximum as consistent_with_local_min
     for fn_id, center, radius in [("quad", [0.0, 0.0], np.nan), ("neg_norm", [0.0, 0.0], np.nan),
                                   ("quad", [0.0, 0.0], -1.0), ("quad", [0.0, 0.0], 0.0),
-                                  ("quad", [0.0, 0.0], np.inf), ("quad", [np.nan, 0.0], 0.1)]:
+                                  ("quad", [0.0, 0.0], np.inf), ("quad", [0.0, 0.0], 10 ** 400),
+                                  ("quad", [np.nan, 0.0], 0.1)]:
         with pytest.raises(ValueError, match="radius|finite"):
             helper(get_function(fn_id, 2), center, radius)
     with pytest.raises(ValueError, match="center"):
@@ -348,6 +365,30 @@ def test_convex_bounds_quad_distance_bound():
     assert rep.terminal_distance == pytest.approx(0.0, abs=1e-30)
 
 
+def test_convex_bounds_default_run_tail_and_cap(monkeypatch):
+    quad = get_function("quad", 1)
+    # without n_steps the run is max(200, 2 * budget) steps: 200 at budget 3 (x_k = (-2)^k), 400 at budget 200
+    for alpha, epsilon, steps in [(3.0, 0.1, 200), (0.1, 0.05, 400)]:
+        rep = convex_bounds_report(quad, [1.0], alpha, epsilon)
+        assert rep.terminal_distance == abs(run(quad, [1.0], alpha, steps).points[-1, 0])
+    assert convex_bounds_report(quad, [1.0], 3.0, 0.1).terminal_distance == 2.0 ** 200
+    # the liminf estimate is the tail half: of 21 iterates from k = 10, where f = 0.5 * 4^10 (a third: 0.5 * 4^7)
+    assert convex_bounds_report(quad, [1.0], 3.0, 0.1, n_steps=20).liminf_gap == 0.5 * 1024.0 ** 2
+    # the 10^7 cap reads 2 * budget, the steps the run records; the run is stubbed, so nothing is stepped
+    asked = []
+
+    def stop(fn, x0, alpha, n_steps, policy):
+        asked.append(n_steps)
+        raise StopIteration
+
+    monkeypatch.setattr(stability, "run", stop)
+    with pytest.raises(StopIteration):  # budget 4 * 10^6
+        convex_bounds_report(quad, [2000.0], 1.0, 1.0)
+    with pytest.raises(ValueError, match="x0/alpha/epsilon"):  # budget 2000^2 + 1000^2 + 1 = 5 * 10^6 + 1
+        convex_bounds_report(get_function("quad", 3), [2000.0, 1000.0, 1.0], 1.0, 1.0)
+    assert asked == [8 * 10 ** 6]
+
+
 def test_convex_bounds_rejects_nonconvex():
     with pytest.raises(NotConvex):
         convex_bounds_report(get_function("cross"), [1.0, 0.1], 0.1, 0.1)
@@ -355,8 +396,9 @@ def test_convex_bounds_rejects_nonconvex():
 
 def test_convex_bounds_validates_alpha_and_epsilon():
     fn = get_function("abs_sum", 1)
-    for alpha, epsilon, named in [(np.nan, 0.1, "alpha"), (-0.1, 0.1, "alpha"), (0.1, 0.0, "epsilon"),
-                                  (0.1, -0.1, "epsilon"), (0.1, np.nan, "epsilon"), (0.1, np.inf, "epsilon")]:
+    for alpha, epsilon, named in [(np.nan, 0.1, "alpha"), (-0.1, 0.1, "alpha"), (10 ** 400, 0.1, "alpha"),
+                                  (0.1, 0.0, "epsilon"), (0.1, -0.1, "epsilon"), (0.1, np.nan, "epsilon"),
+                                  (0.1, np.inf, "epsilon"), (0.1, 10 ** 400, "epsilon")]:
         with pytest.raises(ValueError, match=named):
             convex_bounds_report(fn, [1.0], alpha, epsilon)
 

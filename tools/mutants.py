@@ -64,9 +64,25 @@ MUTANTS = [
     ("engine.py", (("[x[0] - a * s[0]]\n", "[x[0] + a * s[0]]\n"),),
      (f"{E}::test_recorded_loop_exits_at_the_first_failing_iterate",)),
     # the seed's key order
-    ("engine.py", (("SeedSequence((int(root),) + tuple(int(i) for i in indices))",
-                    "SeedSequence(tuple(int(i) for i in indices) + (int(root),))"),),
+    ("engine.py", (('key = (as_count(root, "seed"),) + tuple(as_count(i, "seed index") for i in indices)',
+                    'key = tuple(as_count(i, "seed index") for i in indices) + (as_count(root, "seed"),)'),),
      (f"{CLI}::test_goldens_regenerate_byte_identical",)),
+    # the one integer rule: without its integrality test (2.5 truncates, True counts as 1), a count at its least
+    # value refused, and run's seed checked only at a kink
+    ("catalog.py", (("if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (", "if ("),),
+     (f"{E}::test_every_integer_argument_passes_one_integer_rule",)),
+    ("catalog.py", (("value < least)", "value <= least)"),), (f"{S}::test_probe_validates_query",)),
+    ("engine.py", (('n_steps, seed = as_count(n_steps, "n_steps"), as_count(seed, "seed")',
+                    'n_steps, seed = as_count(n_steps, "n_steps"), seed'),),
+     (f"{E}::test_every_integer_argument_passes_one_integer_rule",)),
+    # a positive real up to inf, so an int beyond float range reaches float() (OverflowError)
+    ("engine.py", (("if not 0.0 < value <= sys.float_info.max:", "if not 0.0 < value < np.inf:"),),
+     (f"{E}::test_alpha_must_be_finite_and_positive",)),
+    # the recorded-step cap refusing exactly MAX_RECORDED_STEPS, and an exit ball of radius 0 (or -0.0)
+    ("engine.py", (("0 <= n_steps <= MAX_RECORDED_STEPS", "0 <= n_steps < MAX_RECORDED_STEPS"),),
+     (f"{E}::test_run_zero_steps_records_initial_point",)),
+    ("engine.py", (("0.0 < radius <= sys.float_info.max and", "0.0 <= radius <= sys.float_info.max and"),),
+     (f"{E}::test_bad_exit_ball_is_rejected_everywhere",)),
     # random_extreme's draw: drawn bits in place of rng.integers(m) wherever m > 2
     ("engine.py", (("if m <= 2 ** 63 else", "if m <= 2 else"),),
      (f"{E}::test_random_extreme_draws_the_documented_index",)),
@@ -91,7 +107,7 @@ MUTANTS = [
     ("engine.py", (("if center is None or radius is None:", "if False:"),),
      (f"{E}::test_bad_exit_ball_is_rejected_everywhere",)),
     # an exit ball allowed to reach only DIVERGENCE_LIMIT / 3 from the origin, and the recorded-step cap raised
-    ("engine.py", (("+ r <= DIVERGENCE_LIMIT / 2", "+ r <= DIVERGENCE_LIMIT / 3"),),
+    ("engine.py", (("+ radius <= DIVERGENCE_LIMIT / 2", "+ radius <= DIVERGENCE_LIMIT / 3"),),
      (f"{E}::test_bad_exit_ball_is_rejected_everywhere",)),
     ("engine.py", (("MAX_RECORDED_STEPS = 10 ** 7", "MAX_RECORDED_STEPS = 10 ** 8"),),
      (f"{E}::test_run_zero_steps_records_initial_point",)),
@@ -152,9 +168,23 @@ MUTANTS = [
     ("stability.py", (("g = np.concatenate(rows)", "g = rows[0]"),),
      (f"{S}::test_max_generator_norm_keeps_its_bits_and_a_nan",)),
     ("stability.py", (("g[:1].copy()", "g[:1]"),), (f"{S}::test_convex_bounds_holds_one_listed_set_at_a_time",)),
-    # probe's derived budget unchecked (int() of inf, or above 2^63)
-    ("stability.py", (("if not np.all(iters <= MAX_RECORDED_STEPS):", "if False:"),),
+    # probe's derived budget unchecked (int() of inf, or above 2^63), and its Lipschitz estimate on another stream
+    ("stability.py", (('_check_recorded(iters.max(), "--epsilon/--alpha-grid")', "None"),),
      (f"{CLI}::test_usage_errors_exit_2",)),
+    ("stability.py", (("derive_seed(q.seed, 0x11F)", "derive_seed(q.seed, 0x120)"),),
+     (f"{S}::test_estimate_lipschitz_quad_tracks_ball_radius",)),
+    # the convex report's own arithmetic: the default run 200 -> 201 steps, or 3 * budget steps; the cap read on
+    # 3 * budget; the liminf over the tail third.  Two mutants need no row: gaps[: budget + 2], and < for <= in
+    # achieved_within_budget, give the same verdict, as the convex bound already puts the prefix minimum within
+    # c^2 alpha / 2 + epsilon / 2
+    ("stability.py", (("n_steps = max(200, 2 * budget)", "n_steps = max(201, 2 * budget)"),),
+     (f"{S}::test_convex_bounds_default_run_tail_and_cap",)),
+    ("stability.py", (("n_steps = max(200, 2 * budget)", "n_steps = max(200, 3 * budget)"),),
+     (f"{S}::test_convex_bounds_default_run_tail_and_cap",)),
+    ("stability.py", (("_check_recorded(2 * budget,", "_check_recorded(3 * budget,"),),
+     (f"{S}::test_convex_bounds_default_run_tail_and_cap",)),
+    ("stability.py", (("gaps[gaps.shape[0] // 2:]", "gaps[gaps.shape[0] // 3:]"),),
+     (f"{S}::test_convex_bounds_default_run_tail_and_cap",)),
     # the convex budget: without its nudge (99 for 100 at the abs_sum golden), rounded up, and on a NaN or inf
     # start without the check that names x0 (Fraction raises its own ValueError or OverflowError)
     ("stability.py", (("\n                        * Fraction(1.0 + 1e-12))", ")"),),
@@ -164,11 +194,11 @@ MUTANTS = [
     ("stability.py", (("if not np.isfinite(x0).all():", "if False:"),),
      (f"{S}::test_convex_bounds_budget_is_exact_for_every_finite_start",)),
     # one sample refused by either ball helper
-    ("stability.py", (("if samples < 1:\n        raise ValueError(\"samples must be >= 1\")\n    center",
-                       "if samples < 2:\n        raise ValueError(\"samples must be >= 1\")\n    center"),),
+    ("stability.py", (('sample_ball(center, radius, as_count(samples, "samples", 1)',
+                       'sample_ball(center, radius, as_count(samples, "samples", 2)'),),
      (f"{S}::test_ball_helpers_refuse_a_ball_they_cannot_sample",)),
-    ("stability.py", (("if samples < 1:\n        raise ValueError(\"samples must be >= 1\")\n    x_star",
-                       "if samples < 2:\n        raise ValueError(\"samples must be >= 1\")\n    x_star"),),
+    ("stability.py", (('sample_ball(x_star, radius, as_count(samples, "samples", 1)',
+                       'sample_ball(x_star, radius, as_count(samples, "samples", 2)'),),
      (f"{S}::test_ball_helpers_refuse_a_ball_they_cannot_sample",)),
     # the convex report's terminal distance taken at the start
     ("stability.py", (("np.linalg.norm(traj.points[-1])", "np.linalg.norm(traj.points[0])"),),
@@ -184,6 +214,14 @@ MUTANTS = [
      (f"{X}::test_cross_update_agrees_with_engine_step",)),
     # a policy index after a kind other than fixed_index, accepted
     ("cli.py", (('if colon and kind != "fixed_index":', "if False:"),), (f"{CLI}::test_usage_errors_exit_2",)),
+    # a probe witness written to the working directory, not beside a report in a subdirectory
+    ("cli.py", (("os.path.join(os.path.dirname(base), witness_csv)", "witness_csv"),),
+     (f"{CLI}::test_every_json_report_round_trips_as_strict_json",)),
+    # the least --samples, or the least --max-iters, refused
+    ("cli.py", (('"samples": 1, "max_iters": 1', '"samples": 2, "max_iters": 1'),),
+     (f"{CLI}::test_every_command_holds_configs_to_its_row",)),
+    ("cli.py", (('"samples": 1, "max_iters": 1', '"samples": 1, "max_iters": 2'),),
+     (f"{CLI}::test_every_command_holds_configs_to_its_row",)),
     # divergence exits 3, not 2
     ("cli.py", (('print(f"diverged: {exc}", file=sys.stderr)\n        return 3',
                  'print(f"diverged: {exc}", file=sys.stderr)\n        return 2'),),
