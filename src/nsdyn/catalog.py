@@ -45,6 +45,8 @@ minimizer, where f is 0, so d(x, X) = ||x|| and f - inf f = f, which
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 
 import numpy as np
 
@@ -94,6 +96,15 @@ def as_count(value, name: str, least: int | None = 0, error=ValueError) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (least is not None and value < least):
         raise error(f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
     return int(value)
+
+
+def as_real(value, name: str, error=ValueError) -> float:
+    """``value``, a real (no bool, string or array) exactly <= the largest float, as a Python float, which is > 0."""
+    exact = value.item() if isinstance(value, np.floating) else value  # a float32 compares the largest float as inf
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (exact <= sys.float_info.max and float(exact) > 0.0)):  # NaN fails; 10**400 never meets float()
+        raise error(f"{name} must be finite and positive, got {value!r}")
+    return float(exact)
 
 
 def sum_sq(pts: np.ndarray) -> np.ndarray:

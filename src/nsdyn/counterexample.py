@@ -27,8 +27,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .catalog import as_count, as_point, get_function
-from .engine import _positive, derive_seed, make_rng, run_batch, sample_ball
+from .catalog import as_count, as_point, as_real, get_function
+from .engine import derive_seed, make_rng, run_batch, sample_ball
 from .errors import OnNullSet, PreconditionViolated
 
 __all__ = [
@@ -117,11 +117,12 @@ def escape_experiment(epsilon: float, alpha: float, n_samples: int, k_max: int =
 
     Returns (EscapeStats, per_sample) where per_sample is a structured array
     with columns (x1_0, x2_0, exit_index, on_S); exit_index is -1 for
-    samples that never left the ball.  Counts and the seed pass ``as_count``.
+    samples that never left the ball.  Counts and the seed pass ``as_count``, epsilon (<= 1/2) and alpha ``as_real``.
     """
-    if not 0.0 < epsilon <= 0.5:
+    epsilon = as_real(epsilon, "epsilon")
+    if epsilon > 0.5:
         raise ValueError("epsilon must lie in (0, 1/2]")
-    _positive("alpha", alpha)
+    alpha = as_real(alpha, "alpha")
     n_samples, k_max, seed = as_count(n_samples, "n_samples", 1), as_count(k_max, "k_max", 1), as_count(seed, "seed")
     fn = get_function("cross")
     center = np.array([1.0, 0.0])
@@ -142,8 +143,8 @@ def escape_experiment(epsilon: float, alpha: float, n_samples: int, k_max: int =
     per_sample["exit_index"] = exit_index
     per_sample["on_S"] = on_s
     stats = EscapeStats(
-        epsilon=float(epsilon),
-        alpha=float(alpha),
+        epsilon=epsilon,
+        alpha=alpha,
         n_samples=n_samples,
         k_max=k_max,
         seed=seed,

@@ -45,13 +45,12 @@ kink, with ``run``'s seed or ``run_batch``'s seeds, so the two replay bit for bi
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import islice, repeat
 
 import numpy as np
 
-from .catalog import CatalogFunction, as_count, as_point
+from .catalog import CatalogFunction, as_count, as_point, as_real
 from .errors import DimensionMismatch, NonFiniteInput, OutOfHorizon
 
 __all__ = [
@@ -111,7 +110,7 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def sample_ball(center, radius: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n points uniform in the closed ball B(center, radius): a finite center, a finite radius > 0, an integer n >= 0.
+    """n points uniform in the closed ball B(center, radius): a finite center, a radius ``as_real``, an integer n >= 0.
 
     Isotropic direction times radius * u^(1/dim), the standard volume-uniform
     construction; documented so seeded experiments stay reproducible.
@@ -119,7 +118,7 @@ def sample_ball(center, radius: float, n: int, rng: np.random.Generator) -> np.n
     center = as_point(center)
     if not np.isfinite(center).all():
         raise NonFiniteInput(f"ball center must be finite, got {center.tolist()}")
-    _positive("radius", radius)
+    radius = as_real(radius, "radius")
     n = as_count(n, "n")
     dim = center.shape[0]
     direction = rng.standard_normal((n, dim))
@@ -158,12 +157,6 @@ def _select_at(fn: CatalogFunction, policy: SelectionPolicy, seeds=None):
     return select_at
 
 
-def _positive(name: str, value, error=ValueError):
-    """The parameter ``name`` must be positive and at most the largest float (not inf, nor an int beyond); NaN fails."""
-    if not 0.0 < value <= sys.float_info.max:
-        raise error(f"{name} must be finite and positive, got {value}")
-
-
 def _check_recorded(n_steps, source: str):
     """A recorded run keeps 0 to MAX_RECORDED_STEPS steps, checked before allocating; ``source`` set n_steps."""
     if not 0 <= n_steps <= MAX_RECORDED_STEPS:
@@ -173,17 +166,16 @@ def _check_recorded(n_steps, source: str):
 def _inside(center, radius: float, dim: int):
     """Keep test ||x - center||^2 <= radius^2 as a (center, bound) pair; NaN and inf rows fail it.
 
-    The ball needs a center and a finite radius > 0, within DIVERGENCE_LIMIT / 2
+    The ball needs a center and a radius (``as_real``), within DIVERGENCE_LIMIT / 2
     of the origin, so a row inside it is always ``_bounded``.  Bounds are 0-d
     arrays, which numpy compares without converting a Python float each time.
     """
     if center is None or radius is None:
         raise ValueError(f"exit ball needs both a center and a radius; got center {center}, radius {radius}")
-    center = as_point(center, dim)
-    if not (0.0 < radius <= sys.float_info.max and np.abs(center).max() + radius <= DIVERGENCE_LIMIT / 2):
+    center, r = as_point(center, dim), as_real(radius, "radius")
+    if not np.abs(center).max() + r <= DIVERGENCE_LIMIT / 2:
         raise ValueError(f"exit ball needs a finite radius > 0 and a finite center, within "
                          f"{DIVERGENCE_LIMIT / 2:g} of the origin; got radius {radius}, center {center.tolist()}")
-    r = float(radius)
     return center, np.array(r * r)
 
 
@@ -353,12 +345,12 @@ def run(fn: CatalogFunction, x0, alpha: float, n_steps: int,
     stop is (center, radius); from the start on, the first point outside the
     ball or diverged (any |coordinate| > 1e100 or non-finite) is recorded and
     iteration halts there.  Divergence is recorded in diverged_at, never
-    raised.  n_steps, an integer (``as_count``), runs from 0, the initial
-    point alone, to MAX_RECORDED_STEPS; ``seed`` is checked before any kink.
+    raised.  alpha is stepped and stored as the float ``as_real`` returns.  n_steps, an integer (``as_count``), runs
+    from 0, the initial point alone, to MAX_RECORDED_STEPS; ``seed`` is checked before any kink.
     A run that uses every step returns the arrays it recorded into; one that
     stops early returns copies of their prefixes.
     """
-    _positive("alpha", alpha)
+    alpha = as_real(alpha, "alpha")
     n_steps, seed = as_count(n_steps, "n_steps"), as_count(seed, "seed")
     _check_recorded(n_steps, "steps")
     points = np.empty((n_steps + 1, fn.dim))
@@ -366,13 +358,13 @@ def run(fn: CatalogFunction, x0, alpha: float, n_steps: int,
     points[0] = as_point(x0, fn.dim)
     keep = _bounded if stop is None else _inside(stop[0], stop[1], fn.dim)
     exit_k = _record(_select_at(fn, policy, lambda row: seed), points, subgrads,
-                     repeat(float(alpha), n_steps), keep)
+                     repeat(alpha, n_steps), keep)
     k_last = n_steps if exit_k is None else exit_k
     if k_last < n_steps:  # a copy of the prefix frees the unused tail
         points, subgrads = points[:k_last + 1].copy(), subgrads[:k_last].copy()
     return Trajectory(
         fn_id=fn.name,
-        alpha=float(alpha),
+        alpha=alpha,
         points=points,
         chosen_subgradients=subgrads,
         diverged_at=None if _first_failing(_bounded, points[-1:]) is None else k_last,
@@ -391,15 +383,15 @@ def run_batch(fn: CatalogFunction, x0s: np.ndarray, alpha: float, n_steps: int,
     only.  Returns (exit_index, last_points): exit_index[i] is the first k (0
     for the start) at which ``run`` halts, with x_k outside the exit ball or,
     without one (both halves None), diverged; else -1.  So a diverged row
-    retires at its divergence step.  Half a ball, or an n_steps that is not
-    an integer >= 0 (``as_count``), raises ValueError.
+    retires at its divergence step.  Half a ball, an alpha (checked first, and stepped as its float) or radius that
+    fails ``as_real``, or an n_steps that is not an integer >= 0 (``as_count``), raises ValueError.
     """
-    _positive("alpha", alpha)
+    alpha = as_real(alpha, "alpha")
     n_steps = as_count(n_steps, "n_steps")
     if np.shape(x0s)[1:] != (fn.dim,):
         raise DimensionMismatch(f"expected starts of shape (n, {fn.dim}), got shape {np.shape(x0s)}")
     keep = _bounded if exit_center is None and exit_radius is None else _inside(exit_center, exit_radius, fn.dim)
-    a = np.array(alpha, dtype=float)
+    a = np.array(alpha)
     if policy.kind == "minimal_norm":
         return _iterate(fn, None, x0s, a, n_steps, keep)
     select_at = _select_at(fn, policy, seeds)

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import CatalogFunction, as_point
-from .engine import InterpolatedPath, _blend, _bounded, _check_recorded, _positive, _record, _times, interpolate
+from .catalog import CatalogFunction, as_point, as_real
+from .engine import InterpolatedPath, _blend, _bounded, _check_recorded, _record, _times, interpolate
 from .errors import HorizonMismatch, NonFiniteState
 
 __all__ = [
@@ -70,9 +70,8 @@ class FlowSolution:
 
 
 def integrate_flow(fn: CatalogFunction, x0, horizon: float, h: float) -> FlowSolution:
-    """Integrate from x0 over [0, horizon] with fixed step h; a finite horizon, at most MAX_RECORDED_STEPS steps."""
-    _positive("h", h)
-    _positive("horizon", horizon)
+    """Integrate x0 over [0, horizon] with step h, both ``as_real`` floats, in at most MAX_RECORDED_STEPS steps."""
+    h, horizon = as_real(h, "h"), as_real(horizon, "horizon")
     if h > horizon:
         raise ValueError(f"need h <= horizon, got h={h}, horizon={horizon}")
     _check_recorded(horizon / h, "horizon/h")
@@ -90,7 +89,7 @@ def integrate_flow(fn: CatalogFunction, x0, horizon: float, h: float) -> FlowSol
     subs[m - 1] = fn.min_norm_many(xs[m - 1:])[0]
     return FlowSolution(
         fn_id=fn.name,
-        node_step=float(h),
+        node_step=h,
         ts=ts,
         xs=xs,
         min_norm_subgrads=subs,
@@ -124,8 +123,8 @@ def energy_residual(sol: FlowSolution) -> float:
 
 
 def exact_flow_quadratic(x0, t: float) -> np.ndarray:
-    """Closed-form flow of 0.5*||x||^2: exponential contraction exp(-t)*x0."""
-    if t < 0:
+    """Closed-form flow of 0.5*||x||^2: exponential contraction exp(-t)*x0, for a time t >= 0; NaN is refused."""
+    if not t >= 0.0:
         raise ValueError("t must be nonnegative")
     return np.exp(-t) * as_point(x0)
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import CatalogFunction, as_count, as_point, get_function
-from .engine import (MINIMAL_NORM, SelectionPolicy, Trajectory, _check_recorded, _inside, _positive, derive_seed,
+from .catalog import CatalogFunction, as_count, as_point, as_real, get_function
+from .engine import (MINIMAL_NORM, SelectionPolicy, Trajectory, _check_recorded, _inside, derive_seed,
                      make_rng, run, run_batch, sample_ball)
 from .errors import InvalidQuery, NonFiniteInput, NotConvex
 
@@ -78,10 +78,9 @@ def estimate_lipschitz(fn: CatalogFunction, center, radius: float, samples: int 
 class StabilityQuery:
     """Probe configuration; grids default to geometric ladders when None.
 
-    delta_grid and alpha_grid must be decreasing; every delta < epsilon; counts are integers >= 1.
-    max_iters None selects the horizon heuristic K = ceil(T/alpha) * 50
-    with T = epsilon / (3 * L_estimate) per step size, at most
-    MAX_RECORDED_STEPS (10^7), which the witness replay records.
+    delta_grid and alpha_grid must be decreasing; epsilon passes ``as_real`` and exceeds every delta; counts are
+    integers >= 1.  max_iters None selects the heuristic K = ceil(T/alpha) * 50 per step size, with T = epsilon /
+    (3 * L_estimate); K or max_iters is at most MAX_RECORDED_STEPS (10^7), which the witness replay records.
     """
 
     fn_id: str
@@ -135,18 +134,19 @@ def _value_key(x: float) -> int:
     return int(np.float64(x).view(np.uint64))
 
 
-def _validate(q: StabilityQuery, x_star: np.ndarray, deltas: np.ndarray, alphas: np.ndarray | None):
-    """Checks the query but its epsilon before any sampling (alphas None: the default grid); returns its counts."""
+def _validate(q: StabilityQuery, epsilon: float, x_star: np.ndarray, deltas: np.ndarray, alphas: np.ndarray | None):
+    """Checks the query, its epsilon already checked, before any sampling (alphas None: the default grid)."""
     grids = [deltas] if alphas is None else [deltas, alphas]
     if not all(np.isfinite(v).all() for v in [x_star] + grids):
         raise InvalidQuery("x_star and the grids must be finite")
     n = as_count(q.n_samples, "n_samples", 1, InvalidQuery)
     max_iters = None if q.max_iters is None else as_count(q.max_iters, "max_iters", 1, InvalidQuery)
+    _check_recorded(max_iters or 0, "max_iters")  # the witness replay records max_iters steps; None derives K
     if any(g.size == 0 for g in grids):
         raise InvalidQuery("grids must be nonempty")
     if any(np.any(g <= 0) for g in grids):
         raise InvalidQuery("grids must be positive")
-    if np.any(deltas >= q.epsilon):
+    if np.any(deltas >= epsilon):
         raise InvalidQuery("every delta must be < epsilon")
     if any(np.any(np.diff(g) >= 0) for g in grids):
         raise InvalidQuery("grids must be strictly decreasing")
@@ -163,27 +163,26 @@ def probe(q: StabilityQuery) -> StabilityVerdict:
     (delta, alpha_bar) whose cells are escape-free for every tested
     alpha <= alpha_bar; the witness is the smallest (delta index, alpha
     index, sample index), so the verdict does not depend on execution order.
-    Before any run, a bad count or epsilon, or a Lipschitz estimate that is
-    not finite and positive (NaN where the field is NaN), raises InvalidQuery;
-    an exit ball that ``run_batch`` would refuse, or a heuristic K above
-    MAX_RECORDED_STEPS (``_check_recorded``'s line), raises ValueError.
+    Before any run, a bad count, or an epsilon or Lipschitz estimate that fails ``as_real`` (NaN where the
+    field is NaN), raises InvalidQuery; an exit ball that ``run_batch`` would refuse, or a max_iters or
+    heuristic K above MAX_RECORDED_STEPS (``_check_recorded``'s line), raises ValueError.
     """
     fn = get_function(q.fn_id, dim=as_point(q.x_star).shape[0])
     x_star = as_point(q.x_star, fn.dim)
-    _positive("epsilon", q.epsilon, InvalidQuery)
-    deltas = q.epsilon * np.asarray(DELTA_FRACTIONS) if q.delta_grid is None else np.asarray(q.delta_grid, float)
+    epsilon = as_real(q.epsilon, "epsilon", InvalidQuery)
+    deltas = epsilon * np.asarray(DELTA_FRACTIONS) if q.delta_grid is None else np.asarray(q.delta_grid, float)
     alphas = np.asarray(q.alpha_grid, float) if q.alpha_grid is not None else None
-    n, max_iters = _validate(q, x_star, deltas, alphas)
-    _inside(x_star, q.epsilon, fn.dim)
-    lip = estimate_lipschitz(fn, x_star, q.epsilon, seed=derive_seed(q.seed, 0x11F))
-    _positive("the Lipschitz estimate", lip, InvalidQuery)
+    n, max_iters = _validate(q, epsilon, x_star, deltas, alphas)
+    _inside(x_star, epsilon, fn.dim)
+    lip = estimate_lipschitz(fn, x_star, epsilon, seed=derive_seed(q.seed, 0x11F))
+    lip = as_real(lip, "the Lipschitz estimate", InvalidQuery)
     if alphas is None:
-        alphas = np.asarray(ALPHA_FRACTIONS) * q.epsilon / lip
+        alphas = np.asarray(ALPHA_FRACTIONS) * epsilon / lip
 
     if max_iters is not None:
         iters = np.full(alphas.size, max_iters, dtype=np.int64)
     else:
-        iters = np.ceil(q.epsilon / (3.0 * lip) / alphas) * REPETITION_FACTOR  # a float, exact up to 2^53
+        iters = np.ceil(epsilon / (3.0 * lip) / alphas) * REPETITION_FACTOR  # a float, exact up to 2^53
         _check_recorded(iters.max(), "--epsilon/--alpha-grid")  # the witness replay records this many steps
         iters = iters.astype(np.int64)
 
@@ -191,9 +190,9 @@ def probe(q: StabilityQuery) -> StabilityVerdict:
     starts = []
     for a_idx, alpha in enumerate(alphas):
         keys = [(q.seed, _value_key(delta), _value_key(alpha)) for delta in deltas]
-        starts.append(np.concatenate([sample_ball(x_star, float(delta), n, make_rng(derive_seed(*key)))
+        starts.append(np.concatenate([sample_ball(x_star, delta, n, make_rng(derive_seed(*key)))
                                       for delta, key in zip(deltas, keys)]))
-        idx, _ = run_batch(fn, starts[-1], float(alpha), iters[a_idx], x_star, q.epsilon, q.policy,
+        idx, _ = run_batch(fn, starts[-1], alpha, iters[a_idx], x_star, epsilon, q.policy,
                            lambda row: derive_seed(*keys[row // n], row % n))
         exits[:, a_idx] = idx.reshape(-1, n)
     counts = (exits >= 0).sum(axis=2)
@@ -201,7 +200,7 @@ def probe(q: StabilityQuery) -> StabilityVerdict:
     clear = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1] == 0  # no escape at this alpha or any smaller one
     if clear.any():
         d_idx, a_idx = np.argwhere(clear)[0]
-        cert = Certificate(epsilon=float(q.epsilon), delta=float(deltas[d_idx]), alpha_bar=float(alphas[a_idx]),
+        cert = Certificate(epsilon=epsilon, delta=float(deltas[d_idx]), alpha_bar=float(alphas[a_idx]),
                            n_samples=n, max_iters=int(iters[a_idx:].max()))
         return StabilityVerdict("no_escape_observed", cert, None, counts, deltas, alphas, iters, lip, q)
 
@@ -272,9 +271,9 @@ def convex_bounds_report(fn: CatalogFunction, x0, alpha: float, epsilon: float,
 
     ``iters_budget`` is the floor of an exact rational, times the float 1 + 1e-12 so that an exact integer ratio
     survives the rounding of alpha and epsilon; a NaN or inf in x0 raises NonFiniteInput.  Without ``n_steps`` the
-    run takes max(200, 2 * iters_budget) steps, at most MAX_RECORDED_STEPS; with it, any budget is reported.  The
-    report does not say whether its run diverged.  ``c`` is measured on the run itself, so a library call on a
-    diverged run still reports ``achieved_within_budget`` from its own ``c``, however large; the CLI exits 3 on it.
+    run takes max(200, 2 * iters_budget) steps, at most MAX_RECORDED_STEPS; with it, any budget is reported.  Both
+    take alpha and epsilon as ``as_real`` floats.  The report does not say whether its run diverged.  ``c`` is
+    measured on the run, so a diverged library run still reports ``achieved_within_budget`` from its own ``c``.
     """
     return _convex_bounds(fn, x0, alpha, epsilon, n_steps)[0]
 
@@ -282,8 +281,7 @@ def convex_bounds_report(fn: CatalogFunction, x0, alpha: float, epsilon: float,
 def _convex_bounds(fn: CatalogFunction, x0, alpha: float, epsilon: float,
                    n_steps: int | None = None) -> tuple[BoundReport, int | None]:
     """``convex_bounds_report`` and its run's ``diverged_at``, which the report does not carry."""
-    _positive("alpha", alpha)
-    _positive("epsilon", epsilon)
+    alpha, epsilon = as_real(alpha, "alpha"), as_real(epsilon, "epsilon")
     if not fn.convex:
         raise NotConvex(f"{fn.name} is not convex")
     x0 = as_point(x0, fn.dim)
@@ -301,21 +299,19 @@ def _convex_bounds(fn: CatalogFunction, x0, alpha: float, epsilon: float,
     c = _max_generator_norm(fn, traj.points)
     bound = c * c * alpha / 2.0
     tail = gaps[gaps.shape[0] // 2:]
-    min_to_budget = float(gaps[: budget + 1].min())
-    terminal = float(np.linalg.norm(traj.points[-1]))
     beta = fn.quad_growth
     dist_bound = None
     if beta is not None and alpha <= 1.0 / (2.0 * beta):
         dist_bound = c * float(np.sqrt(alpha)) / float(np.sqrt(2.0 * beta))
     return BoundReport(
         fn_id=fn.name,
-        alpha=float(alpha),
+        alpha=alpha,
         c=c,
         liminf_gap=float(tail.min()),
         bound_c2a2=bound,
         iters_budget=budget,
-        achieved_within_budget=bool(min_to_budget <= bound + epsilon),
-        terminal_distance=terminal,
+        achieved_within_budget=bool(gaps[: budget + 1].min() <= bound + epsilon),
+        terminal_distance=float(np.linalg.norm(traj.points[-1])),
         dist_bound=dist_bound,
         beta=beta,
     ), traj.diverged_at

@@ -268,6 +268,9 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
                        ("convex-bounds --function quad --x0 1e200 --alpha 0.1 --epsilon 0.1", "x0"),
                        ("compare --function quad --x0 1 --alpha 0.1 --horizon -1", "horizon"),
                        ("probe --function neg_norm --xstar 0,0 --epsilon 0.1 --max-iters 0", "max_iters"),
+                       # an explicit budget beyond a recorded run's cap, as the derived K is (above 2^63 first)
+                       ("probe --function quad --xstar 0 --epsilon 0.1 --max-iters 9223372036854775808", "max_iters"),
+                       ("probe --function quad --xstar 0 --epsilon 0.1 --max-iters 10000001", "max_iters"),
                        ("probe --function quad --xstar 0,0 --epsilon 0.1 --delta-grid=", "nonempty"),
                        ("probe --function quad --xstar 0,0 --epsilon 0.1 --delta-grid 0.05,-0.01", "positive"),
                        ("counterexample --epsilon 0.25 --alpha 0.3 --samples 5 --max-iters 0", "max_iters"),

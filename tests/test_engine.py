@@ -1,6 +1,10 @@
 import itertools
+import re
+import sys
 import tracemalloc
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -17,6 +21,7 @@ from nsdyn import (
     first_exit,
     get_function,
     hull_distance,
+    integrate_flow,
     interpolate,
     local_min_check,
     probe,
@@ -304,11 +309,12 @@ def test_bad_exit_ball_is_rejected_everywhere():
     # half a ball, either half None, is refused: never run as no ball, nor passed on to float(None)
     for center, radius in [([0.0], 0.0), ([0.0], -0.0), ([0.0], -0.1), ([0.0], np.nan), ([0.0], np.inf),
                            ([0.0], 10 ** 400), ([np.nan], 0.5), ([1e100], 0.5), (None, 0.25), ([0.0], None)]:
-        with pytest.raises(ValueError, match="radius"):
+        named = "needs both a center and a radius" if center is None or radius is None else "radius"
+        with pytest.raises(ValueError, match=named):
             run(QUAD1, [1.0], 0.1, 3, stop=(center, radius))
-        with pytest.raises(ValueError, match="radius"):
+        with pytest.raises(ValueError, match=named):
             run_batch(QUAD1, np.ones((2, 1)), 0.1, 3, center, radius)
-        with pytest.raises(ValueError, match="radius"):
+        with pytest.raises(ValueError, match=named):
             first_exit(traj, center, radius)
     # a ball may reach DIVERGENCE_LIMIT / 2 = 5e99 from the origin, and not one ulp beyond
     beyond = np.nextafter(5e99, np.inf)
@@ -447,6 +453,16 @@ def test_alpha_must_be_finite_and_positive():
             run(QUAD1, [1.0], alpha, 3)
         with pytest.raises(ValueError, match="alpha"):
             run_batch(QUAD1, np.ones((2, 1)), alpha, 3)
+    # the largest float is the largest alpha: one step from 1 diverges, and is recorded, not raised
+    assert run(QUAD1, [1.0], sys.float_info.max, 1).diverged_at == 1
+    # an int, numpy float or Fraction steps, and is stored, as its float, bit for bit; an exit radius too
+    starts = np.array([[1.0], [-0.5]])
+    for value in (Fraction(1, 10), np.float64(0.1), np.float32(0.5), 1):
+        ref = float(value)
+        got, want = run(QUAD1, [1.0], value, 3), run(QUAD1, [1.0], ref, 3)
+        assert type(got.alpha) is float and got.alpha == ref and got.points.tobytes() == want.points.tobytes()
+        got, want = run_batch(QUAD1, starts, value, 3, [0.0], value), run_batch(QUAD1, starts, ref, 3, [0.0], ref)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def test_random_extreme_needs_a_stream_only_at_kinks():
@@ -574,6 +590,9 @@ def test_sample_ball_contained_and_seeded():
     npt.assert_array_equal(a, b)
     assert np.all(np.linalg.norm(a - center, axis=1) <= 0.7)
     assert np.linalg.norm(a - center, axis=1).max() > 0.5
+    for radius in (Fraction(1, 10), np.float64(0.1), np.float32(0.5), 1):  # the bits of its float
+        assert sample_ball(center, radius, 5, make_rng(3)).tobytes() == \
+            sample_ball(center, float(radius), 5, make_rng(3)).tobytes()
 
 
 def test_derive_seed_is_stable_and_index_sensitive():
@@ -616,3 +635,37 @@ def test_every_integer_argument_passes_one_integer_rule():
         call(np.int64(3))
     policy = SelectionPolicy("fixed_index", np.int16(-3))  # an index of either sign, kept as a Python int
     assert type(policy.index) is int and policy.index == -3
+
+
+def test_every_real_argument_passes_one_real_rule():
+    # alpha, h, the horizon, a radius or epsilon is a real number but a bool, finite and > 0 as a float; anything
+    # else is refused on one line naming it (half an exit ball, a None radius, has its own line)
+    quad = get_function("quad", 1)
+    traj = run(quad, [1.0], 0.1, 3)
+    query = dict(fn_id="quad", x_star=np.zeros(1), n_samples=1, max_iters=1)
+    balls = [lambda v: run(quad, [1.0], 0.1, 3, stop=([0.0], v)),
+             lambda v: run_batch(quad, np.ones((2, 1)), 0.1, 3, [0.0], v),
+             lambda v: first_exit(traj, [0.0], v)]
+    calls = [("radius", ball) for ball in balls] + [
+             ("alpha", lambda v: run(quad, [1.0], v, 3)),
+             ("alpha", lambda v: run_batch(quad, np.ones((2, 1)), v, 3)),
+             ("radius", lambda v: sample_ball([0.0], v, 4, make_rng(0))),
+             ("radius", lambda v: estimate_lipschitz(quad, [0.0], v)),
+             ("radius", lambda v: local_min_check(quad, [0.0], v)),
+             ("h", lambda v: integrate_flow(quad, [1.0], 1.0, v)),
+             ("horizon", lambda v: integrate_flow(quad, [1.0], v, 0.125)),
+             ("epsilon", lambda v: escape_experiment(v, 0.3, 3, k_max=5)),
+             ("alpha", lambda v: escape_experiment(0.25, v, 3, k_max=5)),
+             ("epsilon", lambda v: probe(StabilityQuery(**query, epsilon=v))),
+             ("alpha", lambda v: convex_bounds_report(quad, [1.0], v, 0.1, n_steps=3)),
+             ("epsilon", lambda v: convex_bounds_report(quad, [1.0], 0.1, v, n_steps=3))]
+    for name, call in calls:
+        for value in ["0.1", None, True, np.True_, np.array(0.1), Decimal("0.1"), 10 ** 400, Fraction(1, 10 ** 400),
+                      0.0, -0.0, -0.1, np.nan, np.inf, -np.inf, np.float32(np.inf)]:
+            line = f"{name} must be finite and positive, got {value!r}"
+            if value is None and call in balls:
+                line = "exit ball needs both a center and a radius; got center [0.0], radius None"
+            with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+                call(value)
+        for value in (0.25, np.float64(0.25), np.float32(0.25), Fraction(1, 4)):
+            call(value)

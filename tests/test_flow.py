@@ -94,8 +94,9 @@ def test_exact_flow_quadratic_examples():
                         [0.3678794411714423, 0.0], rtol=1e-12)
     npt.assert_array_equal(exact_flow_quadratic([0.0, 0.0], 3.7), [0.0, 0.0])
     npt.assert_array_equal(exact_flow_quadratic([2.0], 0.0), [2.0])
-    with pytest.raises(ValueError, match="nonnegative"):
-        exact_flow_quadratic([2.0], -1e-300)
+    for t in (-1e-300, np.nan):  # NaN is no time: it would give a NaN point
+        with pytest.raises(ValueError, match="nonnegative"):
+            exact_flow_quadratic([2.0], t)
 
 
 def test_flow_matches_quadratic_oracle_within_h():

@@ -2,12 +2,14 @@
 
 Values are drawn mostly valid, mixed with edge values: zeros of both signs, the least subnormal, 1e-320, 1e300,
 1.7e308, NaN, infinities, empty or malformed lists and bad policies; in the library half also 10**400 reals, negative
-seeds, and ints (counts, seeds, dims, policy indices) given as 2.5, 3.0, True or np.float64(3.0).  Each library call
-is made twice, with Python ints and with numpy ints, and gives the same bits or refusal type both times.
+seeds, ints (counts, seeds, dims, policy indices) given as 2.5, 3.0, True or np.float64(3.0), and reals (alpha, h,
+the horizon, a radius, epsilon) given as "0.1", None, True, np.True_ or np.array(0.1).  Each library call is made
+twice, with Python ints and with numpy ints, and gives the same bits or refusal type both times.
 
-Budgets stay small in every draw: an explicit ``--max-iters``, ``--samples`` (or ``k_max``, ``samples``) has no upper
-cap, so one large draw would run for hours.  So probe and counterexample, the library's probe too, always get a small
-``--max-iters`` (probe's derived budget may reach 10^7 steps), and no point coordinate is 1e-320, which over
+Budgets stay small in every draw: ``--samples`` (or ``k_max``, ``samples``) and counterexample's ``--max-iters``,
+which records nothing, have no upper cap, so one large draw would run for hours.  So probe and counterexample, the
+library's probe too, always get a ``--max-iters``, a small one but for probe's edge 2^63, which the recorded-steps
+cap (10^7, as for probe's derived budget) refuses before any batch runs.  No point coordinate is 1e-320, which over
 alpha = epsilon = 5e-324 asks convex-bounds for ~8e6 steps.  Every other pair of pool values gives a ratio
 (horizon/h, the convex budget) below ~2100 or above the 10^7 cap.
 """
@@ -38,11 +40,13 @@ EDGE = {float: ["0", "-0", "5e-324", "1e-320", "1e300", "1.7e308", "nan", "inf",
         int: ["0", "-1", "1.5", "x", ""],
         str: ["nope", "fixed_index:x", "fixed_index", "random_extreme:1", ""]}
 EDGE_BY_NAME = {"steps": EDGE[int] + ["100000000000"], "seed": EDGE[int] + ["18446744073709551616"],
-                "function": ["nope", ""], "format": ["xml", ""]}
+                "function": ["nope", ""], "format": ["xml", ""],
+                ("probe", "max_iters"): EDGE[int] + ["9223372036854775808"]}  # counterexample's has no cap
 
 FLOATS = [0.1, 0.25, 0.05]
 EDGE_NUMBERS = [0.0, -0.0, 5e-324, 1e-320, 1e300, 1.7e308, math.nan, math.inf, -math.inf, -0.1, 1.0, 10 ** 400]
 NOT_INTS = [2.5, 3.0, True, np.float64(3.0)]
+NOT_REALS = ["0.1", None, True, np.True_, np.array(0.1)]
 COORDS = [1.0, 0.5, 0.0, -0.25, 0.1]
 EDGE_COORDS = [0.0, -0.0, 5e-324, 1e300, 1.7e308, math.nan, math.inf, -math.inf]  # no 1e-320: see above
 
@@ -62,7 +66,8 @@ def _argv(rng: random.Random) -> list[str]:
             elif name == "function":
                 value = rng.choice(EDGE_BY_NAME[name]) if edge else fn_id
             else:
-                value = rng.choice(EDGE_BY_NAME.get(name, EDGE[KINDS[name]]) if edge else VALID[name])
+                edges = EDGE_BY_NAME.get((command, name)) or EDGE_BY_NAME.get(name) or EDGE[KINDS[name]]
+                value = rng.choice(edges if edge else VALID[name])
             argv.append(f"--{name.replace('_', '-')}={value}")  # = keeps argparse from reading -inf as a flag
     return argv
 
@@ -87,11 +92,13 @@ def _library_call(rng: random.Random):
     """One library entry point on drawn values, as a function of ``as_int``, which spells each drawn int.
 
     Every value is drawn before the call, so the call can be made twice, with Python and with numpy ints.  An int
-    argument (count, seed, dim, policy index) is one time in ten not an int: 2.5, 3.0, True or np.float64(3.0).
-    Either half of an exit ball may be None.
+    argument (count, seed, dim, policy index) is one time in ten not an int: 2.5, 3.0, True or np.float64(3.0); a
+    real argument is one time in ten not a real number: "0.1", None, True, np.True_ or np.array(0.1).  Either half
+    of an exit ball may be None.
     """
     def number():
-        return rng.choice(FLOATS if rng.random() < 0.8 else EDGE_NUMBERS)
+        draw = rng.random()
+        return rng.choice(NOT_REALS if draw < 0.1 else FLOATS if draw < 0.8 else EDGE_NUMBERS)
 
     def integer(*valid):
         return rng.choice(NOT_INTS if rng.random() < 0.1 else valid)

@@ -152,7 +152,7 @@ def test_probe_certificate_monotone_under_subgrids():
             assert sub.status == "no_escape_observed"
 
 
-def test_probe_validates_query():
+def test_probe_validates_query(monkeypatch):
     with pytest.raises(InvalidQuery):
         probe(StabilityQuery("quad", np.zeros(2), 0.1, delta_grid=(0.2,), seed=1))
     with pytest.raises(InvalidQuery):
@@ -171,6 +171,25 @@ def test_probe_validates_query():
     for budget in (0, -5):  # an empty budget would certify even neg_norm's strict maximum
         with pytest.raises(InvalidQuery, match="max_iters"):
             probe(StabilityQuery("neg_norm", np.zeros(2), 0.1, max_iters=budget))
+    # an explicit budget passes the recorded-steps cap, as the derived K does, before any batch runs: 10^7 reaches
+    # the first batch (a stub that records its budget, so nothing runs), and one more step does not
+    budgets = []
+
+    class Reached(Exception):
+        pass
+
+    def first_batch(fn, x0s, alpha, n_steps, *rest):
+        budgets.append(n_steps)
+        raise Reached
+
+    with monkeypatch.context() as m:
+        m.setattr(stability, "run_batch", first_batch)
+        with pytest.raises(Reached):
+            probe(StabilityQuery("quad", np.zeros(2), 0.1, n_samples=1, max_iters=10 ** 7))
+        for budget in (10 ** 7 + 1, 2 ** 63, 10 ** 400):
+            with pytest.raises(ValueError, match="^max_iters must give between 0 and 10000000 recorded steps$"):
+                probe(StabilityQuery("quad", np.zeros(2), 0.1, n_samples=1, max_iters=budget))
+    assert budgets == [10 ** 7]
     for bad in (dict(epsilon=np.nan), dict(epsilon=np.inf), dict(x_star=np.array([np.nan, 0.0])),
                 dict(alpha_grid=(np.nan,)), dict(delta_grid=(0.05, np.nan))):
         with pytest.raises(InvalidQuery, match="finite"):

@@ -13,7 +13,7 @@ line per row and the count killed, and exits 1 if a row survives, if an old text
 or if pytest ends in any other way (a named test that does not exist ends with exit code 4 or 5).  A change
 that moves mutated code updates its row.
 
-Standard library only; nothing runs in parallel.  The whole table takes about half a minute on 2 CPUs.
+Standard library only; nothing runs in parallel.  The whole table takes about 75 seconds on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -75,13 +75,27 @@ MUTANTS = [
     ("engine.py", (('n_steps, seed = as_count(n_steps, "n_steps"), as_count(seed, "seed")',
                     'n_steps, seed = as_count(n_steps, "n_steps"), seed'),),
      (f"{E}::test_every_integer_argument_passes_one_integer_rule",)),
-    # a positive real up to inf, so an int beyond float range reaches float() (OverflowError)
-    ("engine.py", (("if not 0.0 < value <= sys.float_info.max:", "if not 0.0 < value < np.inf:"),),
+    # the one real rule: up to inf, so an int beyond float range reaches float() (OverflowError); the largest float
+    # refused; without its Real test (a string meets <, a TypeError) or its bool test (True is 1.0); a numpy float
+    # compared as itself (a float32 inf passes, as the largest float casts to its inf); the exact value > 0 for
+    # its float (a Fraction below the least subnormal passes as 0.0)
+    ("catalog.py", (("exact <= sys.float_info.max and", "exact < math.inf and"),),
      (f"{E}::test_alpha_must_be_finite_and_positive",)),
-    # the recorded-step cap refusing exactly MAX_RECORDED_STEPS, and an exit ball of radius 0 (or -0.0)
+    ("catalog.py", (("exact <= sys.float_info.max and", "exact < sys.float_info.max and"),),
+     (f"{E}::test_alpha_must_be_finite_and_positive",)),
+    ("catalog.py", (("isinstance(value, bool) or not isinstance(value, numbers.Real)", "isinstance(value, bool)"),),
+     (f"{E}::test_every_real_argument_passes_one_real_rule",)),
+    ("catalog.py", (("isinstance(value, bool) or not isinstance(value, numbers.Real)",
+                     "not isinstance(value, numbers.Real)"),),
+     (f"{E}::test_every_real_argument_passes_one_real_rule",)),
+    ("catalog.py", (("if isinstance(value, np.floating) else value", "if False else value"),),
+     (f"{E}::test_every_real_argument_passes_one_real_rule",)),
+    ("catalog.py", (("and float(exact) > 0.0)", "and exact > 0.0)"),),
+     (f"{E}::test_every_real_argument_passes_one_real_rule",)),
+    # the recorded-step cap refusing exactly MAX_RECORDED_STEPS, and an exit ball's radius unchecked (0 passes)
     ("engine.py", (("0 <= n_steps <= MAX_RECORDED_STEPS", "0 <= n_steps < MAX_RECORDED_STEPS"),),
      (f"{E}::test_run_zero_steps_records_initial_point",)),
-    ("engine.py", (("0.0 < radius <= sys.float_info.max and", "0.0 <= radius <= sys.float_info.max and"),),
+    ("engine.py", (('as_point(center, dim), as_real(radius, "radius")', "as_point(center, dim), float(radius)"),),
      (f"{E}::test_bad_exit_ball_is_rejected_everywhere",)),
     # random_extreme's draw: drawn bits in place of rng.integers(m) wherever m > 2
     ("engine.py", (("if m <= 2 ** 63 else", "if m <= 2 else"),),
@@ -98,7 +112,7 @@ MUTANTS = [
     # sample_ball's check: a NaN center, and a radius that is not finite and positive
     ("engine.py", (("if not np.isfinite(center).all():", "if False:"),),
      (f"{S}::test_ball_helpers_refuse_a_ball_they_cannot_sample",)),
-    ("engine.py", (('    _positive("radius", radius)\n', ""),),
+    ("engine.py", (('    radius = as_real(radius, "radius")\n', ""),),
      (f"{S}::test_ball_helpers_refuse_a_ball_they_cannot_sample",)),
     # half an exit ball: a lone radius dropped by run_batch, and either half let through to float(None)
     ("engine.py", (("_bounded if exit_center is None and exit_radius is None else",
@@ -107,7 +121,7 @@ MUTANTS = [
     ("engine.py", (("if center is None or radius is None:", "if False:"),),
      (f"{E}::test_bad_exit_ball_is_rejected_everywhere",)),
     # an exit ball allowed to reach only DIVERGENCE_LIMIT / 3 from the origin, and the recorded-step cap raised
-    ("engine.py", (("+ radius <= DIVERGENCE_LIMIT / 2", "+ radius <= DIVERGENCE_LIMIT / 3"),),
+    ("engine.py", (("+ r <= DIVERGENCE_LIMIT / 2", "+ r <= DIVERGENCE_LIMIT / 3"),),
      (f"{E}::test_bad_exit_ball_is_rejected_everywhere",)),
     ("engine.py", (("MAX_RECORDED_STEPS = 10 ** 7", "MAX_RECORDED_STEPS = 10 ** 8"),),
      (f"{E}::test_run_zero_steps_records_initial_point",)),
@@ -150,14 +164,19 @@ MUTANTS = [
     # the flow's step sizes, 0.1% long: a coordinate leaves its h-band around the closed-form flow
     ("flow.py", (("np.diff(ts).tolist()", "(np.diff(ts) * 1.001).tolist()"),),
      (f"{F}::test_flow_error_against_closed_form_nonsmooth_flows",)),
+    # the closed-form flow at a NaN time, which gives a NaN point where it must refuse
+    ("flow.py", (("if not t >= 0.0:", "if t < 0.0:"),), (f"{F}::test_exact_flow_quadratic_examples",)),
     # a CSV block boundary
     ("reporting.py", (("c[i:i + CSV_BLOCK]", "c[i:i + CSV_BLOCK - 1]"),),
      (f"{R}::test_csv_cells_print_as_fmt",)),
     # the probe's refusals before any run: its ball beyond the keep box, a Lipschitz estimate that is not
     # finite and positive
-    ("stability.py", (("    _inside(x_star, q.epsilon, fn.dim)", "    pass"),), (f"{CLI}::test_usage_errors_exit_2",)),
-    ("stability.py", (('    _positive("the Lipschitz estimate", lip, InvalidQuery)\n', ""),),
+    ("stability.py", (("    _inside(x_star, epsilon, fn.dim)", "    pass"),), (f"{CLI}::test_usage_errors_exit_2",)),
+    ("stability.py", (('    lip = as_real(lip, "the Lipschitz estimate", InvalidQuery)\n', ""),),
      (f"{CLI}::test_usage_errors_exit_2",)),
+    # probe's explicit budget without the recorded-steps cap (10^7 + 1 reaches a batch, 2^63 overflows int64)
+    ("stability.py", (('    _check_recorded(max_iters or 0, "max_iters")', "    pass"),),
+     (f"{S}::test_probe_validates_query",)),
     # the largest generator norm: through Python's max, which drops a NaN; the smallest; the stacked rows cut to
     # the first; a listed set's row 0 kept as a view, which holds the whole set.  Row -1 in place of row 0 is no
     # row: every generator at a point has the same squared norm, bit for bit, which a test holds
@@ -206,6 +225,9 @@ MUTANTS = [
     # the certificate is the first escape-free cell, not the last
     ("stability.py", (("d_idx, a_idx = np.argwhere(clear)[0]", "d_idx, a_idx = np.argwhere(clear)[-1]"),),
      (f"{S}::test_probe_quad_certificate",)),
+    # escape's epsilon refused at 1/2, which the interval (0, 1/2] holds
+    ("counterexample.py", (("if epsilon > 0.5:", "if epsilon >= 0.5:"),),
+     (f"{X}::test_escape_experiment_validates_epsilon",)),
     # an axis start that escaped (it starts outside the ball) counted as stuck
     ("counterexample.py", (("(on_s & ~escaped).sum()", "on_s.sum()"),),
      (f"{X}::test_escape_experiment_forced_axis_start",)),
