@@ -11,7 +11,6 @@ minimum.
 from .catalog import (
     CatalogFunction,
     get_function,
-    hull_distance,
     list_catalog,
     minimal_norm_element,
 )
@@ -37,7 +36,6 @@ from .flow import (
     DeviationReport,
     FlowSolution,
     energy_residual,
-    exact_flow_quadratic,
     integrate_flow,
     sup_deviation,
 )

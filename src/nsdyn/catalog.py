@@ -44,6 +44,7 @@ minimizer, where f is 0, so d(x, X) = ||x|| and f - inf f = f, which
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import sys
@@ -55,7 +56,6 @@ from .errors import DimensionMismatch, NonFiniteInput
 __all__ = [
     "CatalogFunction",
     "minimal_norm_element",
-    "hull_distance",
     "list_catalog",
     "get_function",
     "CATALOG_IDS",
@@ -81,13 +81,33 @@ def _sum_sq_at(x) -> float:
     return acc
 
 
-def as_point(x, dim: int | None = None) -> np.ndarray:
-    """Coerce to a 1-D float64 array, optionally checking the dimension."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-D point, got shape {v.shape}")
-    if dim is not None and v.shape[0] != dim:
-        raise DimensionMismatch(f"expected dim {dim}, got {v.shape[0]}")
+def _is_real(value) -> bool:  # a Python or numpy int or float, or a Fraction; a numpy bool is no numbers.Real
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(e, name: str) -> float:  # the float of an element numpy read as no int or float, a real within float64
+    with contextlib.suppress(OverflowError):  # float() of an int or Fraction such as 10**400
+        if _is_real(e):
+            return float(e)
+    raise ValueError(f"{name} must hold real numbers within float64 range, got {e!r}")
+
+
+def as_point(x, dim: int | None = None, name: str = "x", rows: str | None = None) -> np.ndarray:
+    """``x`` as a float64 point of shape (dim,), a real scalar one in R^1; or, given ``rows``, the name of a row count,
+    a batch of starts of shape (rows, dim).  dim None takes any length.  An int or float array passes by its dtype
+    kind (a float64 one comes back as it is), any other element by element (``_real``), once per call; NaN and inf
+    pass.  A ragged sequence or a wrong shape raises DimensionMismatch on one line that names ``name``."""
+    try:
+        v = np.asarray(x)
+    except ValueError:  # numpy's refusal of a ragged sequence
+        raise DimensionMismatch(f"{name} must not be ragged, got {x!r}") from None
+    if v.dtype.kind not in "iuf":
+        v = np.array([_real(e, name) for e in v.ravel().tolist()]).reshape(v.shape)
+    v = np.array(v, float, copy=None, ndmin=1)  # a float64 array as it is: no copy, no pass over its elements
+    if rows is not None and v.shape[1:] != (dim,):
+        raise DimensionMismatch(f"expected starts of shape ({rows}, {dim}), got {name} of shape {v.shape}")
+    if rows is None and (v.ndim != 1 or dim is not None and v.shape[0] != dim):
+        raise DimensionMismatch(f"expected a 1-D {name}{'' if dim is None else f' of dim {dim}'}, got shape {v.shape}")
     return v
 
 
@@ -101,8 +121,7 @@ def as_count(value, name: str, least: int | None = 0, error=ValueError) -> int:
 def as_real(value, name: str, error=ValueError) -> float:
     """``value``, a real (no bool, string or array) exactly <= the largest float, as a Python float, which is > 0."""
     exact = value.item() if isinstance(value, np.floating) else value  # a float32 compares the largest float as inf
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (exact <= sys.float_info.max and float(exact) > 0.0)):  # NaN fails; 10**400 never meets float()
+    if not _is_real(value) or not (exact <= sys.float_info.max and float(exact) > 0.0):  # NaN, 10**400 fail here
         raise error(f"{name} must be finite and positive, got {value!r}")
     return float(exact)
 
@@ -528,7 +547,3 @@ def _wolfe_min_norm(gens: np.ndarray, tol: float = MIN_NORM_TOL) -> np.ndarray:
             break
     return x
 
-
-def hull_distance(gens, v) -> float:
-    """Distance from ``v`` to the hull of the rows of ``gens``; 0 means hull membership."""
-    return float(np.linalg.norm(minimal_norm_element(np.asarray(gens, float) - np.asarray(v, float))))

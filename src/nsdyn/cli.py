@@ -271,7 +271,7 @@ def execute(cfg: RunConfig) -> int:
     if cfg.command == "probe":
         q = StabilityQuery(
             fn_id=cfg.function,
-            x_star=np.asarray(cfg.xstar, float),
+            x_star=cfg.xstar,
             epsilon=cfg.epsilon,
             delta_grid=None if cfg.delta_grid is None else tuple(cfg.delta_grid),
             alpha_grid=None if cfg.alpha_grid is None else tuple(cfg.alpha_grid),

@@ -108,16 +108,15 @@ def escape_experiment(epsilon: float, alpha: float, n_samples: int, k_max: int =
                       seed: int = 0, initial_points=None):
     """Count how many starts in B((1,0), epsilon) leave the ball within k_max steps.
 
-    Samples uniformly in the ball (the continuous sampler hits the axis set
-    with probability zero; an x2 == 0 start in the ball is a fixed point that
-    keeps -1 and counts as stuck; any start outside exits at 0 as escaped).
-    Each start is counted once: escaped + stuck + non-escaped off S = n_samples.
-    Non-escaping off-axis samples are not discarded: they are counted and
-    their indices are available in the per-sample table for inspection.
+    Samples uniformly in the ball, or starts from ``initial_points``, which pass ``as_point``'s batch form as
+    n_samples rows of R^2 (the continuous sampler hits the axis set with probability zero; an x2 == 0 start in the
+    ball is a fixed point that keeps -1 and counts as stuck; any start outside exits at 0 as escaped).  Each start
+    is counted once: escaped + stuck + non-escaped off S = n_samples.  Non-escaping off-axis samples are not
+    discarded: they are counted and their indices are available in the per-sample table for inspection.
 
-    Returns (EscapeStats, per_sample) where per_sample is a structured array
-    with columns (x1_0, x2_0, exit_index, on_S); exit_index is -1 for
-    samples that never left the ball.  Counts and the seed pass ``as_count``, epsilon (<= 1/2) and alpha ``as_real``.
+    Returns (EscapeStats, per_sample) where per_sample is a structured array with columns (x1_0, x2_0, exit_index,
+    on_S); exit_index is -1 for samples that never left the ball.  Counts and the seed pass ``as_count``, epsilon
+    (<= 1/2) and alpha ``as_real``.
     """
     epsilon = as_real(epsilon, "epsilon")
     if epsilon > 0.5:
@@ -127,11 +126,10 @@ def escape_experiment(epsilon: float, alpha: float, n_samples: int, k_max: int =
     fn = get_function("cross")
     center = np.array([1.0, 0.0])
     if initial_points is None:
-        rng = make_rng(derive_seed(seed, 0xE5C))
-        x0s = sample_ball(center, epsilon, n_samples, rng)
+        x0s = sample_ball(center, epsilon, n_samples, make_rng(derive_seed(seed, 0xE5C)))
     else:
-        x0s = np.atleast_2d(np.asarray(initial_points, dtype=float))
-        if x0s.shape != (n_samples, 2):
+        x0s = as_point(initial_points, 2, "initial_points", rows="n_samples")
+        if x0s.shape[0] != n_samples:
             raise ValueError("initial_points must have shape (n_samples, 2)")
     on_s = _on_axes(x0s)
     exit_index, _ = run_batch(fn, x0s, alpha, k_max, center, epsilon)

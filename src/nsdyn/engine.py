@@ -51,7 +51,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from .catalog import CatalogFunction, as_count, as_point, as_real
-from .errors import DimensionMismatch, NonFiniteInput, OutOfHorizon
+from .errors import NonFiniteInput, OutOfHorizon
 
 __all__ = [
     "DIVERGENCE_LIMIT",
@@ -115,11 +115,10 @@ def sample_ball(center, radius: float, n: int, rng: np.random.Generator) -> np.n
     Isotropic direction times radius * u^(1/dim), the standard volume-uniform
     construction; documented so seeded experiments stay reproducible.
     """
-    center = as_point(center)
+    center = as_point(center, name="center")
     if not np.isfinite(center).all():
         raise NonFiniteInput(f"ball center must be finite, got {center.tolist()}")
-    radius = as_real(radius, "radius")
-    n = as_count(n, "n")
+    radius, n = as_real(radius, "radius"), as_count(n, "n")
     dim = center.shape[0]
     direction = rng.standard_normal((n, dim))
     norms = np.sqrt((direction * direction).sum(axis=1))
@@ -172,7 +171,7 @@ def _inside(center, radius: float, dim: int):
     """
     if center is None or radius is None:
         raise ValueError(f"exit ball needs both a center and a radius; got center {center}, radius {radius}")
-    center, r = as_point(center, dim), as_real(radius, "radius")
+    center, r = as_point(center, dim, "center"), as_real(radius, "radius")
     if not np.abs(center).max() + r <= DIVERGENCE_LIMIT / 2:
         raise ValueError(f"exit ball needs a finite radius > 0 and a finite center, within "
                          f"{DIVERGENCE_LIMIT / 2:g} of the origin; got radius {radius}, center {center.tolist()}")
@@ -231,7 +230,7 @@ def _iterate(fn: CatalogFunction, at_kinks, pts: np.ndarray, a, n_steps: int, ke
     made per live-row count; one count of its mask tells whether rows stop, and
     the mask compacts the copy.
     """
-    last = np.array(pts, dtype=float)
+    last = np.array(pts)
     pts = np.array(last, order="F")
     exit_index = np.full(pts.shape[0], -1, dtype=np.int64)
     alive_ids = np.arange(pts.shape[0])
@@ -355,7 +354,7 @@ def run(fn: CatalogFunction, x0, alpha: float, n_steps: int,
     _check_recorded(n_steps, "steps")
     points = np.empty((n_steps + 1, fn.dim))
     subgrads = np.empty((n_steps, fn.dim))
-    points[0] = as_point(x0, fn.dim)
+    points[0] = as_point(x0, fn.dim, "x0")
     keep = _bounded if stop is None else _inside(stop[0], stop[1], fn.dim)
     exit_k = _record(_select_at(fn, policy, lambda row: seed), points, subgrads,
                      repeat(alpha, n_steps), keep)
@@ -376,20 +375,17 @@ def run_batch(fn: CatalogFunction, x0s: np.ndarray, alpha: float, n_steps: int,
               policy: SelectionPolicy = MINIMAL_NORM, seeds=None):
     """``run``'s step loop over many initial points at once.
 
-    ``x0s`` must be a 2-D (n, fn.dim) array, in either layout, n >= 0, or
-    DimensionMismatch is raised before any step.  Row i replayed through
-    ``run(..., policy, seed=seeds(i), stop=ball)`` gives the same iterates bit
-    for bit; ``seeds`` is called with a Python int at a row's first kink
-    only.  Returns (exit_index, last_points): exit_index[i] is the first k (0
-    for the start) at which ``run`` halts, with x_k outside the exit ball or,
-    without one (both halves None), diverged; else -1.  So a diverged row
-    retires at its divergence step.  Half a ball, an alpha (checked first, and stepped as its float) or radius that
-    fails ``as_real``, or an n_steps that is not an integer >= 0 (``as_count``), raises ValueError.
+    ``x0s``, in either layout, passes ``as_point``'s batch form: reals of shape (n, fn.dim), n >= 0, else a ValueError
+    subclass that names x0s is raised before any step.  Row i replayed through ``run(..., policy, seed=seeds(i),
+    stop=ball)`` gives the same iterates bit for bit; ``seeds`` is called with a Python int at a row's first kink
+    only.  Returns (exit_index, last_points): exit_index[i] is the first k (0 for the start) at which ``run`` halts,
+    with x_k outside the exit ball or, without one (both halves None), diverged; else -1.  So a diverged row retires
+    at its divergence step.  Half a ball, an alpha (checked first, and stepped as its float) or radius that fails
+    ``as_real``, or an n_steps that is not an integer >= 0 (``as_count``), raises ValueError.
     """
     alpha = as_real(alpha, "alpha")
     n_steps = as_count(n_steps, "n_steps")
-    if np.shape(x0s)[1:] != (fn.dim,):
-        raise DimensionMismatch(f"expected starts of shape (n, {fn.dim}), got shape {np.shape(x0s)}")
+    x0s = as_point(x0s, fn.dim, "x0s", rows="n")
     keep = _bounded if exit_center is None and exit_radius is None else _inside(exit_center, exit_radius, fn.dim)
     a = np.array(alpha)
     if policy.kind == "minimal_norm":

@@ -40,7 +40,6 @@ __all__ = [
     "integrate_flow",
     "flow_value",
     "energy_residual",
-    "exact_flow_quadratic",
     "sup_deviation",
 ]
 
@@ -82,7 +81,7 @@ def integrate_flow(fn: CatalogFunction, x0, horizon: float, h: float) -> FlowSol
     m = ts.shape[0]
     xs = np.empty((m, fn.dim))
     subs = np.empty((m, fn.dim))
-    xs[0] = as_point(x0, fn.dim)
+    xs[0] = as_point(x0, fn.dim, "x0")
     exit_k = _record(fn.min_norm_at, xs, subs, np.diff(ts).tolist(), _bounded)
     if exit_k is not None:
         raise NonFiniteState(f"flow diverged at t={ts[exit_k]}")
@@ -120,13 +119,6 @@ def energy_residual(sol: FlowSolution) -> float:
     s = sol.min_norm_subgrads
     q = float(np.trapezoid(np.vecdot(s, s), sol.ts))
     return abs(float(sol.f_values[-1] - sol.f_values[0]) + q)
-
-
-def exact_flow_quadratic(x0, t: float) -> np.ndarray:
-    """Closed-form flow of 0.5*||x||^2: exponential contraction exp(-t)*x0, for a time t >= 0; NaN is refused."""
-    if not t >= 0.0:
-        raise ValueError("t must be nonnegative")
-    return np.exp(-t) * as_point(x0)
 
 
 @dataclass(frozen=True)

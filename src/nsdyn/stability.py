@@ -69,7 +69,7 @@ def estimate_lipschitz(fn: CatalogFunction, center, radius: float, samples: int 
     Sample-max with a documented 1.1 safety factor; the center itself is
     always included in the sample, and ``samples`` is an integer >= 1 (``as_count``).
     """
-    center = as_point(center, fn.dim)
+    center = as_point(center, fn.dim, "center")
     pts = sample_ball(center, radius, as_count(samples, "samples", 1), make_rng(seed))
     return LIPSCHITZ_SAFETY * _max_generator_norm(fn, np.concatenate([center[None, :], pts], axis=0))
 
@@ -78,9 +78,10 @@ def estimate_lipschitz(fn: CatalogFunction, center, radius: float, samples: int 
 class StabilityQuery:
     """Probe configuration; grids default to geometric ladders when None.
 
-    delta_grid and alpha_grid must be decreasing; epsilon passes ``as_real`` and exceeds every delta; counts are
-    integers >= 1.  max_iters None selects the heuristic K = ceil(T/alpha) * 50 per step size, with T = epsilon /
-    (3 * L_estimate); K or max_iters is at most MAX_RECORDED_STEPS (10^7), which the witness replay records.
+    x_star and both grids pass ``as_point``, the grids as decreasing 1-D arrays; epsilon passes ``as_real`` and
+    exceeds every delta; counts are integers >= 1.  max_iters None selects the heuristic K = ceil(T/alpha) * 50 per
+    step size, with T = epsilon / (3 * L_estimate); K or max_iters is at most MAX_RECORDED_STEPS (10^7), which the
+    witness replay records.
     """
 
     fn_id: str
@@ -167,11 +168,11 @@ def probe(q: StabilityQuery) -> StabilityVerdict:
     field is NaN), raises InvalidQuery; an exit ball that ``run_batch`` would refuse, or a max_iters or
     heuristic K above MAX_RECORDED_STEPS (``_check_recorded``'s line), raises ValueError.
     """
-    fn = get_function(q.fn_id, dim=as_point(q.x_star).shape[0])
-    x_star = as_point(q.x_star, fn.dim)
+    x_star = as_point(q.x_star, name="x_star")
+    fn = get_function(q.fn_id, dim=x_star.shape[0])
     epsilon = as_real(q.epsilon, "epsilon", InvalidQuery)
-    deltas = epsilon * np.asarray(DELTA_FRACTIONS) if q.delta_grid is None else np.asarray(q.delta_grid, float)
-    alphas = np.asarray(q.alpha_grid, float) if q.alpha_grid is not None else None
+    deltas = as_point(epsilon * np.array(DELTA_FRACTIONS) if q.delta_grid is None else q.delta_grid, name="delta_grid")
+    alphas = None if q.alpha_grid is None else as_point(q.alpha_grid, name="alpha_grid")
     n, max_iters = _validate(q, epsilon, x_star, deltas, alphas)
     _inside(x_star, epsilon, fn.dim)
     lip = estimate_lipschitz(fn, x_star, epsilon, seed=derive_seed(q.seed, 0x11F))
@@ -228,7 +229,7 @@ def local_min_check(fn: CatalogFunction, x_star, radius: float, samples: int = 2
     counterexample point certifies that x* is not a local minimum at this
     sampling resolution.  ``samples`` is an integer >= 1 (``as_count``).
     """
-    x_star = as_point(x_star, fn.dim)
+    x_star = as_point(x_star, fn.dim, "x_star")
     f_center = fn.value(x_star)
     pts = sample_ball(x_star, radius, as_count(samples, "samples", 1), make_rng(seed))
     values = fn.value_many(pts)
@@ -284,7 +285,7 @@ def _convex_bounds(fn: CatalogFunction, x0, alpha: float, epsilon: float,
     alpha, epsilon = as_real(alpha, "alpha"), as_real(epsilon, "epsilon")
     if not fn.convex:
         raise NotConvex(f"{fn.name} is not convex")
-    x0 = as_point(x0, fn.dim)
+    x0 = as_point(x0, fn.dim, "x0")
     if not np.isfinite(x0).all():
         raise NonFiniteInput(f"x0 must be finite, got {x0.tolist()}")
     from fractions import Fraction  # not at module level: every other command would pay its ~1.2 ms and ~0.3 MB

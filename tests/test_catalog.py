@@ -7,10 +7,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from nsdyn import get_function, hull_distance, list_catalog, minimal_norm_element
+from nsdyn import get_function, list_catalog, minimal_norm_element
 from nsdyn.catalog import CATALOG_IDS, CatalogFunction, as_point
 from nsdyn.engine import make_rng, sample_ball
 from nsdyn.errors import DimensionMismatch, NonFiniteInput
+from reference import hull_distance, min_norm_by_subset_enumeration
 
 
 def test_evaluate_examples():
@@ -106,22 +107,6 @@ def test_minimal_norm_examples():
         hull_distance([], [])
 
 
-def _min_norm_by_subset_enumeration(gens):
-    # exhaustive oracle: the least-norm point among the affine min-norm points
-    # of the generator subsets whose affine weights are all >= 0
-    m = gens.shape[0]
-    feasible = []
-    for size in range(1, m + 1):
-        pts = gens[list(itertools.combinations(range(m), size))]  # one (size, dim) block per subset
-        lhs = np.ones((pts.shape[0], size + 1, size + 1))
-        lhs[:, :size, :size] = pts @ pts.transpose(0, 2, 1)
-        lhs[:, size, size] = 0.0
-        lam = np.linalg.pinv(lhs)[:, :size, size]  # least-squares weights of [[G, 1], [1, 0]] w = e_last
-        feasible.append(np.einsum("sj,sjd->sd", lam, pts)[lam.min(axis=1) >= 0.0])
-    cands = np.concatenate(feasible)
-    return cands[np.argmin(np.linalg.norm(cands, axis=1))]
-
-
 def test_minimal_norm_against_enumeration_oracle():
     rng = make_rng(314159)
     for trial in range(60):
@@ -131,7 +116,7 @@ def test_minimal_norm_against_enumeration_oracle():
         if trial % 3 == 0:
             gens = gens + 2.0  # push hull away from the origin
         got = minimal_norm_element(gens)
-        want = _min_norm_by_subset_enumeration(gens)
+        want = min_norm_by_subset_enumeration(gens)
         assert abs(np.linalg.norm(got) - np.linalg.norm(want)) < 1e-9
         assert hull_distance(gens, got) < 1e-9
 
@@ -147,7 +132,7 @@ def test_minimal_norm_matches_brute_force_on_random_polytopes():
     def check(m, dim, integer, shift, seed):
         rng = make_rng(seed)
         gens = (rng.integers(-2, 3, (m, dim)).astype(float) if integer else rng.standard_normal((m, dim))) + shift
-        want = _min_norm_by_subset_enumeration(gens)
+        want = min_norm_by_subset_enumeration(gens)
         assert np.abs(minimal_norm_element(gens) - want).max() <= 1e-9, gens.tolist()
 
     check()

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import re
 import sys
 import tracemalloc
@@ -16,11 +17,11 @@ from nsdyn import (
     SelectionPolicy,
     StabilityQuery,
     convex_bounds_report,
+    cross_update,
     escape_experiment,
     estimate_lipschitz,
     first_exit,
     get_function,
-    hull_distance,
     integrate_flow,
     interpolate,
     local_min_check,
@@ -32,6 +33,7 @@ from nsdyn import (
 from nsdyn.engine import (DIVERGENCE_LIMIT, MAX_RECORDED_STEPS, RECORD_BLOCK, Trajectory, _check_recorded, derive_seed,
                           make_rng)
 from nsdyn.errors import DimensionMismatch, OutOfHorizon
+from reference import hull_distance
 
 QUAD1 = get_function("quad", 1)
 CROSS = get_function("cross")
@@ -669,3 +671,56 @@ def test_every_real_argument_passes_one_real_rule():
                 call(value)
         for value in (0.25, np.float64(0.25), np.float32(0.25), Fraction(1, 4)):
             call(value)
+
+
+def _cells(verdict):
+    """A probe verdict's arrays and witness start, without the query, which holds the caller's own spelling."""
+    return (verdict.escape_counts, verdict.delta_grid, verdict.alpha_grid, verdict.iters_per_alpha,
+            verdict.lipschitz_estimate, verdict.witness and verdict.witness.x0)
+
+
+def test_every_point_argument_passes_one_point_rule():
+    # a point, a batch of starts or a probe grid holds reals but bools: a Python or numpy int or float, or a
+    # Fraction, gives the bits of its float64 spelling; None, a string, bytes, a bool, a complex number, a real
+    # beyond float64 or a ragged sequence is refused on one line naming the argument
+    quad, quad2 = get_function("quad", 1), get_function("quad", 2)
+    traj = run(quad, [1.0], 0.1, 3)
+    form = {"point": lambda v: [v], "ball": lambda v: [v], "pair": lambda v: [v, v], "grid": lambda v: (v,),
+            "batch": lambda v: [[v, v], [v, v]]}
+    calls = [("x", "point", quad.value),
+             ("x", "point", quad.generators),
+             ("x", "pair", lambda p: cross_update(p, 0.1)),
+             ("x0", "point", lambda p: run(quad, p, 0.1, 3).points),
+             ("x0", "point", lambda p: integrate_flow(quad, p, 0.5, 0.125).xs),
+             ("x0", "point", lambda p: convex_bounds_report(quad, p, 0.1, 0.1, n_steps=3)),
+             ("center", "ball", lambda p: run(quad, [1.0], 0.1, 3, stop=(p, 2.0)).points),
+             ("center", "ball", lambda p: first_exit(traj, p, 2.0)),
+             ("center", "point", lambda p: sample_ball(p, 0.1, 4, make_rng(0))),
+             ("center", "point", lambda p: estimate_lipschitz(quad, p, 0.1)),
+             ("x_star", "point", lambda p: local_min_check(quad, p, 0.1, samples=4)),
+             ("x_star", "point", lambda p: _cells(probe(StabilityQuery("quad", p, 0.1, n_samples=2, max_iters=5)))),
+             ("delta_grid", "grid", lambda g: _cells(probe(StabilityQuery("quad", np.zeros(1), 2.0, delta_grid=g,
+                                                                          n_samples=2, max_iters=5)))),
+             ("alpha_grid", "grid", lambda g: _cells(probe(StabilityQuery("quad", np.zeros(1), 0.1, alpha_grid=g,
+                                                                          n_samples=2, max_iters=5)))),
+             ("x0s", "batch", lambda b: run_batch(quad2, b, 0.1, 3)),
+             ("initial_points", "batch", lambda b: escape_experiment(0.25, 0.3, 2, k_max=5, initial_points=b))]
+    refused = [(None, None), ("0.5", "0.5"), (b"0.5", b"0.5"), (True, True), (np.True_, True), (1j, 1j),
+               (np.complex128(1j), 1j), (10 ** 400, 10 ** 400), (-10 ** 400, -10 ** 400),
+               (Fraction(10 ** 400), Fraction(10 ** 400))]
+    spellings = [(0.5, np.float64(0.5), np.float32(0.5), Fraction(1, 2)),
+                 (1.0, 1, np.int64(1), np.uint8(1), np.float32(1.0), Fraction(1))]
+    for name, kind, call in calls:
+        whole = name not in ("delta_grid", "alpha_grid", "initial_points")  # for which None is the default
+        for arg, shown in [(form[kind](bad), shown) for bad, shown in refused] + [(None, None)] * whole:
+            line = f"{name} must hold real numbers within float64 range, got {shown!r}"
+            if arg is None and kind == "ball":  # half an exit ball has its own line
+                line = "exit ball needs both a center and a radius; got center None, radius 2.0"
+            with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+                call(arg)  # a None point too: run made it [[nan]], diverged at 0
+        with pytest.raises(DimensionMismatch, match=f"^{name} must not be ragged, got "):
+            call([[0.5], [0.5, 0.5]])
+        for same in spellings:
+            want = pickle.dumps(call(form[kind](same[0])))
+            for v in same[1:]:
+                assert pickle.dumps(call(form[kind](v))) == want, (name, v)

@@ -6,7 +6,6 @@ from nsdyn import (
     FlowSolution,
     InterpolatedPath,
     energy_residual,
-    exact_flow_quadratic,
     get_function,
     integrate_flow,
     interpolate,
@@ -15,6 +14,7 @@ from nsdyn import (
 )
 from nsdyn.flow import flow_value
 from nsdyn.errors import HorizonMismatch, NonFiniteState, OutOfHorizon
+from reference import exact_flow_quadratic
 
 QUAD1 = get_function("quad", 1)
 ABS1 = get_function("abs_sum", 1)

@@ -2,8 +2,9 @@
 
 Values are drawn mostly valid, mixed with edge values: zeros of both signs, the least subnormal, 1e-320, 1e300,
 1.7e308, NaN, infinities, empty or malformed lists and bad policies; in the library half also 10**400 reals, negative
-seeds, ints (counts, seeds, dims, policy indices) given as 2.5, 3.0, True or np.float64(3.0), and reals (alpha, h,
-the horizon, a radius, epsilon) given as "0.1", None, True, np.True_ or np.array(0.1).  Each library call is made
+seeds, ints (counts, seeds, dims, policy indices) given as 2.5, 3.0, True or np.float64(3.0), reals (alpha, h, the
+horizon, a radius, epsilon) given as "0.1", None, True, np.True_ or np.array(0.1), and points, batches of starts and
+probe grids given as None, "0.5", [True], [np.True_], a ragged list, [1j] or [10**400].  Each library call is made
 twice, with Python ints and with numpy ints, and gives the same bits or refusal type both times.
 
 Budgets stay small in every draw: ``--samples`` (or ``k_max``, ``samples``) and counterexample's ``--max-iters``,
@@ -47,6 +48,7 @@ FLOATS = [0.1, 0.25, 0.05]
 EDGE_NUMBERS = [0.0, -0.0, 5e-324, 1e-320, 1e300, 1.7e308, math.nan, math.inf, -math.inf, -0.1, 1.0, 10 ** 400]
 NOT_INTS = [2.5, 3.0, True, np.float64(3.0)]
 NOT_REALS = ["0.1", None, True, np.True_, np.array(0.1)]
+NOT_POINTS = [None, "0.5", [True], [np.True_], [[0.5], [0.5, 0.5]], [1j], [10 ** 400]]
 COORDS = [1.0, 0.5, 0.0, -0.25, 0.1]
 EDGE_COORDS = [0.0, -0.0, 5e-324, 1e300, 1.7e308, math.nan, math.inf, -math.inf]  # no 1e-320: see above
 
@@ -82,10 +84,25 @@ def _outputs(code, out):
     return code, out, files
 
 
-def _point(rng: random.Random, dim: int) -> list:
-    if rng.random() < 0.8:
+def _point(rng: random.Random, dim: int):
+    """A point of R^dim: mostly valid, else of edge coordinates, of a wrong length, or one time in ten not a point."""
+    draw = rng.random()
+    if draw < 0.1:
+        return rng.choice(NOT_POINTS)
+    if draw < 0.8:
         return [rng.choice(COORDS) for _ in range(dim)]
     return [rng.choice(EDGE_COORDS) for _ in range(rng.choice((0, dim, dim, dim + 1)))]
+
+
+def _batch(rng: random.Random, dim: int, rows: int):
+    """``rows`` starts in R^dim, as a list of ``_point`` draws, or one time in ten not a batch of starts."""
+    return rng.choice(NOT_POINTS) if rng.random() < 0.1 else [_point(rng, dim) for _ in range(rows)]
+
+
+def _grid(rng: random.Random, valid):
+    """None (the default grid), a valid grid, or one time in ten not a grid."""
+    draw = rng.random()
+    return rng.choice(NOT_POINTS) if draw < 0.1 else None if draw < 0.5 else rng.choice(valid)
 
 
 def _library_call(rng: random.Random):
@@ -93,8 +110,9 @@ def _library_call(rng: random.Random):
 
     Every value is drawn before the call, so the call can be made twice, with Python and with numpy ints.  An int
     argument (count, seed, dim, policy index) is one time in ten not an int: 2.5, 3.0, True or np.float64(3.0); a
-    real argument is one time in ten not a real number: "0.1", None, True, np.True_ or np.array(0.1).  Either half
-    of an exit ball may be None.
+    real argument is one time in ten not a real number: "0.1", None, True, np.True_ or np.array(0.1); a point, a
+    batch of starts or a probe grid is one time in ten none of these (``NOT_POINTS``).  Either half of an exit ball
+    may be None.
     """
     def number():
         draw = rng.random()
@@ -112,7 +130,9 @@ def _library_call(rng: random.Random):
     ball = None
     if rng.random() < 0.5:
         ball = (None if rng.random() < 0.15 else _point(rng, dim), None if rng.random() < 0.15 else number())
-    starts = [_point(rng, dim) for _ in range(rng.choice((0, 1, 3)))]
+    starts = _batch(rng, dim, rng.choice((0, 1, 3)))
+    initial_points = None if rng.random() < 0.5 else _batch(rng, 2, rng.choice((1, 3)))
+    delta_grid, alpha_grid = _grid(rng, [(0.05, 0.01), (0.02,)]), _grid(rng, [(0.1, 0.05), (0.2,)])
     with_seeds = rng.random() < 0.5
     n_samples, k_max, n_steps = integer(1, 3, 0, -1), integer(1, 5, 20, 0), rng.choice((None, integer(0, 10, -1)))
     which = rng.randrange(9)
@@ -123,14 +143,15 @@ def _library_call(rng: random.Random):
 
         return [
             lambda: run(fn, x, alpha, as_int(steps), policy(), as_int(seed), stop=ball),
-            lambda: run_batch(fn, np.array(starts).reshape(-1, dim), alpha, as_int(steps), *(ball or (None, None)),
-                              policy(), as_int if with_seeds else None),
+            lambda: run_batch(fn, np.empty((0, dim)) if starts == [] else starts, alpha, as_int(steps),
+                              *(ball or (None, None)), policy(), as_int if with_seeds else None),
             lambda: integrate_flow(fn, x, a, b),
-            lambda: escape_experiment(a, alpha, as_int(n_samples), k_max=as_int(k_max), seed=as_int(seed)),
+            lambda: escape_experiment(a, alpha, as_int(n_samples), k_max=as_int(k_max), seed=as_int(seed),
+                                      initial_points=initial_points),
             lambda: estimate_lipschitz(fn, x, a, samples=as_int(count), seed=as_int(seed)),
             lambda: local_min_check(fn, x, a, samples=as_int(count), seed=as_int(seed)),
             lambda: convex_bounds_report(fn, x, alpha, a, n_steps=as_int(n_steps)),
-            lambda: probe(StabilityQuery(fn_id, np.array(x), a, n_samples=as_int(n_samples),
+            lambda: probe(StabilityQuery(fn_id, x, a, delta_grid, alpha_grid, n_samples=as_int(n_samples),
                                          max_iters=as_int(k_max), policy=policy(), seed=as_int(seed))),
             lambda: get_function(fn_id, as_int(dim_arg)),
         ][which]()

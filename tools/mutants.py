@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 E, C, S, F, R, CLI, X = ("tests/test_engine.py", "tests/test_catalog.py", "tests/test_stability.py",
                          "tests/test_flow.py", "tests/test_reporting.py", "tests/test_cli.py",
                          "tests/test_counterexample.py")
+PT = f"{E}::test_every_point_argument_passes_one_point_rule"
 
 # (file under src/nsdyn, ((exact old text, new text), ...), tests that must fail)
 MUTANTS = [
@@ -76,18 +77,41 @@ MUTANTS = [
                     'n_steps, seed = as_count(n_steps, "n_steps"), seed'),),
      (f"{E}::test_every_integer_argument_passes_one_integer_rule",)),
     # the one real rule: up to inf, so an int beyond float range reaches float() (OverflowError); the largest float
-    # refused; without its Real test (a string meets <, a TypeError) or its bool test (True is 1.0); a numpy float
-    # compared as itself (a float32 inf passes, as the largest float casts to its inf); the exact value > 0 for
-    # its float (a Fraction below the least subnormal passes as 0.0)
+    # refused; the shared predicate ``_is_real`` without its Real test (a string meets <, a TypeError) or its bool
+    # test (True is 1.0); a numpy float compared as itself (a float32 inf passes, as the largest float casts to its
+    # inf); the exact value > 0 for its float (a Fraction below the least subnormal passes as 0.0)
     ("catalog.py", (("exact <= sys.float_info.max and", "exact < math.inf and"),),
      (f"{E}::test_alpha_must_be_finite_and_positive",)),
     ("catalog.py", (("exact <= sys.float_info.max and", "exact < sys.float_info.max and"),),
      (f"{E}::test_alpha_must_be_finite_and_positive",)),
-    ("catalog.py", (("isinstance(value, bool) or not isinstance(value, numbers.Real)", "isinstance(value, bool)"),),
+    ("catalog.py", (("return isinstance(value, numbers.Real) and not isinstance(value, bool)",
+                     "return not isinstance(value, bool)"),),
      (f"{E}::test_every_real_argument_passes_one_real_rule",)),
-    ("catalog.py", (("isinstance(value, bool) or not isinstance(value, numbers.Real)",
-                     "not isinstance(value, numbers.Real)"),),
+    ("catalog.py", (("return isinstance(value, numbers.Real) and not isinstance(value, bool)",
+                     "return isinstance(value, numbers.Real)"),),
      (f"{E}::test_every_real_argument_passes_one_real_rule",)),
+    # the one point rule: without the element check (None meets float(), a TypeError; "0.5" runs as 0.5); the
+    # dtype-kind test admitting bools, strings or complex numbers (True runs as 1.0, "0.5" as 0.5, 1j as 0.0); a
+    # ragged sequence refused by numpy's own line; a point of another length, or a batch of another width, passed
+    ("catalog.py", (("        if _is_real(e):\n            return float(e)", "        return float(e)"),),
+     (PT,)),
+    ("catalog.py", (('if v.dtype.kind not in "iuf":', 'if v.dtype.kind not in "biuf":'),), (PT,)),
+    ("catalog.py", (('if v.dtype.kind not in "iuf":', 'if v.dtype.kind not in "iufU":'),), (PT,)),
+    ("catalog.py", (('if v.dtype.kind not in "iuf":', 'if v.dtype.kind not in "iufc":'),), (PT,)),
+    ("catalog.py", (('raise DimensionMismatch(f"{name} must not be ragged, got {x!r}") from None', "raise"),), (PT,)),
+    ("catalog.py", (("(v.ndim != 1 or dim is not None and v.shape[0] != dim)", "(v.ndim != 1)"),),
+     (f"{C}::test_evaluate_errors",)),
+    ("catalog.py", (("if rows is not None and v.shape[1:] != (dim,):", "if rows is not None and v.ndim != 2:"),),
+     (f"{E}::test_stop_rule_retires_exactly_the_masked_rows",)),
+    # a batch of starts or a probe grid that bypasses the rule: numpy's own coercion runs "0.5" or meets a TypeError
+    ("engine.py", (('x0s = as_point(x0s, fn.dim, "x0s", rows="n")', "x0s = np.asarray(x0s)"),), (PT,)),
+    ("counterexample.py", (('as_point(initial_points, 2, "initial_points", rows="n_samples")',
+                            "np.asarray(initial_points, float)"),), (PT,)),
+    ("stability.py", (('as_point(epsilon * np.array(DELTA_FRACTIONS) if q.delta_grid is None else q.delta_grid, '
+                       'name="delta_grid")',
+                       "np.asarray(epsilon * np.array(DELTA_FRACTIONS) if q.delta_grid is None else q.delta_grid)"),),
+     (PT,)),
+    ("stability.py", (('as_point(q.alpha_grid, name="alpha_grid")', "np.asarray(q.alpha_grid)"),), (PT,)),
     ("catalog.py", (("if isinstance(value, np.floating) else value", "if False else value"),),
      (f"{E}::test_every_real_argument_passes_one_real_rule",)),
     ("catalog.py", (("and float(exact) > 0.0)", "and exact > 0.0)"),),
@@ -95,7 +119,8 @@ MUTANTS = [
     # the recorded-step cap refusing exactly MAX_RECORDED_STEPS, and an exit ball's radius unchecked (0 passes)
     ("engine.py", (("0 <= n_steps <= MAX_RECORDED_STEPS", "0 <= n_steps < MAX_RECORDED_STEPS"),),
      (f"{E}::test_run_zero_steps_records_initial_point",)),
-    ("engine.py", (('as_point(center, dim), as_real(radius, "radius")', "as_point(center, dim), float(radius)"),),
+    ("engine.py", (('as_point(center, dim, "center"), as_real(radius, "radius")',
+                    'as_point(center, dim, "center"), float(radius)'),),
      (f"{E}::test_bad_exit_ball_is_rejected_everywhere",)),
     # random_extreme's draw: drawn bits in place of rng.integers(m) wherever m > 2
     ("engine.py", (("if m <= 2 ** 63 else", "if m <= 2 else"),),
@@ -106,13 +131,11 @@ MUTANTS = [
      (f"{E}::test_random_extreme_draws_the_documented_index",)),
     ("engine.py", (("if seeds is None:", "if False:"),),
      (f"{E}::test_random_extreme_needs_a_stream_only_at_kinks",)),
-    # run_batch's starts check without its width test: a batch of another width steps in its own dimension
-    ("engine.py", (("if np.shape(x0s)[1:] != (fn.dim,):", "if np.ndim(x0s) != 2:"),),
-     (f"{E}::test_stop_rule_retires_exactly_the_masked_rows",)),
     # sample_ball's check: a NaN center, and a radius that is not finite and positive
     ("engine.py", (("if not np.isfinite(center).all():", "if False:"),),
      (f"{S}::test_ball_helpers_refuse_a_ball_they_cannot_sample",)),
-    ("engine.py", (('    radius = as_real(radius, "radius")\n', ""),),
+    ("engine.py", (('radius, n = as_real(radius, "radius"), as_count(n, "n")',
+                    'radius, n = radius, as_count(n, "n")'),),
      (f"{S}::test_ball_helpers_refuse_a_ball_they_cannot_sample",)),
     # half an exit ball: a lone radius dropped by run_batch, and either half let through to float(None)
     ("engine.py", (("_bounded if exit_center is None and exit_radius is None else",
@@ -164,8 +187,6 @@ MUTANTS = [
     # the flow's step sizes, 0.1% long: a coordinate leaves its h-band around the closed-form flow
     ("flow.py", (("np.diff(ts).tolist()", "(np.diff(ts) * 1.001).tolist()"),),
      (f"{F}::test_flow_error_against_closed_form_nonsmooth_flows",)),
-    # the closed-form flow at a NaN time, which gives a NaN point where it must refuse
-    ("flow.py", (("if not t >= 0.0:", "if t < 0.0:"),), (f"{F}::test_exact_flow_quadratic_examples",)),
     # a CSV block boundary
     ("reporting.py", (("c[i:i + CSV_BLOCK]", "c[i:i + CSV_BLOCK - 1]"),),
      (f"{R}::test_csv_cells_print_as_fmt",)),
