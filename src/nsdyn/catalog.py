@@ -85,25 +85,40 @@ def _is_real(value) -> bool:  # a Python or numpy int or float, or a Fraction; a
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _real(e, name: str) -> float:  # the float of an element numpy read as no int or float, a real within float64
+def _shown(value) -> str:  # its repr, or past Python's 4300-digit limit on printing an int, the int's sign and bits
+    with contextlib.suppress(ValueError):
+        return repr(value)
+    if isinstance(value, int):
+        return f"a {'negative ' * (value < 0)}{value.bit_length()}-bit int"
+    return f"a {type(value).__name__} holding an int too long to print"
+
+
+def _real(e, name: str) -> float:  # the float of an element, a real within float64
     with contextlib.suppress(OverflowError):  # float() of an int or Fraction such as 10**400
         if _is_real(e):
             return float(e)
-    raise ValueError(f"{name} must hold real numbers within float64 range, got {e!r}")
+    raise ValueError(f"{name} must hold real numbers within float64 range, got {_shown(e)}")
 
 
-def as_point(x, dim: int | None = None, name: str = "x", rows: str | None = None) -> np.ndarray:
-    """``x`` as a float64 point of shape (dim,), a real scalar one in R^1; or, given ``rows``, the name of a row count,
-    a batch of starts of shape (rows, dim).  dim None takes any length.  An int or float array passes by its dtype
-    kind (a float64 one comes back as it is), any other element by element (``_real``), once per call; NaN and inf
-    pass.  A ragged sequence or a wrong shape raises DimensionMismatch on one line that names ``name``."""
+def _reals(x, name: str, ndmin: int = 0) -> np.ndarray:
+    """``x`` as a float64 array of its own shape, at least ``ndmin``-D.  An int or float array passes by its dtype
+    kind (a float64 one comes back as it is), any other array and any list or tuple element by element (``_real``),
+    once per call; NaN and inf pass.  A ragged sequence raises DimensionMismatch on one line that names ``name``."""
     try:
         v = np.asarray(x)
     except ValueError:  # numpy's refusal of a ragged sequence
-        raise DimensionMismatch(f"{name} must not be ragged, got {x!r}") from None
-    if v.dtype.kind not in "iuf":
-        v = np.array([_real(e, name) for e in v.ravel().tolist()]).reshape(v.shape)
-    v = np.array(v, float, copy=None, ndmin=1)  # a float64 array as it is: no copy, no pass over its elements
+        raise DimensionMismatch(f"{name} must not be ragged, got {_shown(x)}") from None
+    if v.dtype.kind not in "iuf" or isinstance(x, (list, tuple)):  # numpy reads [True, 0.5] as floats
+        elements = v if v.dtype.kind not in "iuf" else np.asarray(x, dtype=object)
+        v = np.array([_real(e, name) for e in elements.ravel().tolist()]).reshape(v.shape)
+    return np.array(v, float, copy=None, ndmin=ndmin)  # a float64 array as it is: no copy, no pass over its elements
+
+
+def as_point(x, dim: int | None = None, name: str = "x", rows: str | None = None) -> np.ndarray:
+    """``x``, its elements passing ``_reals``, as a float64 point of shape (dim,), a real scalar one in R^1, any length
+    for dim None; or, given ``rows``, the name of a row count, a batch of starts of shape (rows, dim).  A wrong shape
+    raises DimensionMismatch on one line that names ``name``."""
+    v = _reals(x, name, 1)
     if rows is not None and v.shape[1:] != (dim,):
         raise DimensionMismatch(f"expected starts of shape ({rows}, {dim}), got {name} of shape {v.shape}")
     if rows is None and (v.ndim != 1 or dim is not None and v.shape[0] != dim):
@@ -114,7 +129,7 @@ def as_point(x, dim: int | None = None, name: str = "x", rows: str | None = None
 def as_count(value, name: str, least: int | None = 0, error=ValueError) -> int:
     """``value``, a Python or numpy int (no bool or float, 3.0 too) >= ``least`` unless None, as a Python int."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (least is not None and value < least):
-        raise error(f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
+        raise error(f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {_shown(value)}")
     return int(value)
 
 
@@ -122,7 +137,7 @@ def as_real(value, name: str, error=ValueError) -> float:
     """``value``, a real (no bool, string or array) exactly <= the largest float, as a Python float, which is > 0."""
     exact = value.item() if isinstance(value, np.floating) else value  # a float32 compares the largest float as inf
     if not _is_real(value) or not (exact <= sys.float_info.max and float(exact) > 0.0):  # NaN, 10**400 fail here
-        raise error(f"{name} must be finite and positive, got {value!r}")
+        raise error(f"{name} must be finite and positive, got {_shown(value)}")
     return float(exact)
 
 

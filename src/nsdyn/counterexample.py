@@ -37,10 +37,7 @@ __all__ = [
     "doubling_check",
     "escape_experiment",
     "monotone_drift_check",
-    "DEFAULT_ALPHAS",
 ]
-
-DEFAULT_ALPHAS = (0.01, 0.05, 0.1, 0.3)
 
 
 def _on_axes(pts: np.ndarray) -> np.ndarray:

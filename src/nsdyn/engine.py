@@ -8,9 +8,9 @@ canonical.  One rule, ``_select_at``, picks on one point in Python floats:
 exceeds 1, the one ``fn.generator(x, j)`` it picks, never the set.  Recorded
 runs (``run``, the flow) step x_i - a * s_i per coordinate;
 batches (``run_batch``) step x - a * s in numpy on ``fn.min_norm_many``,
-with ``_select_at`` on a generator policy's ``at_kink`` rows.  Python floats
-and numpy round alike, and tests hold the two fields bit-identical, so all
-agree bit for bit; Wolfe's projector never steps.  One keep test, a pair
+where ``_iterate`` applies ``_select_at`` on a generator policy's ``at_kink``
+rows.  Python floats and numpy round alike, and tests hold the two fields
+bit-identical, so all agree bit for bit; Wolfe's projector never steps.  One keep test, a pair
 (center, bound) kept while ``_measure`` <= bound, decides when a row stops,
 from k = 0 on: ``_inside`` an exit ball, or ``_bounded`` without one; a NaN
 coordinate makes the measure NaN, which fails <=.  A ball whose center is
@@ -46,11 +46,11 @@ kink, with ``run``'s seed or ``run_batch``'s seeds, so the two replay bit for bi
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import count, islice, repeat
 
 import numpy as np
 
-from .catalog import CatalogFunction, as_count, as_point, as_real
+from .catalog import CatalogFunction, _reals, as_count, as_point, as_real
 from .errors import NonFiniteInput, OutOfHorizon
 
 __all__ = [
@@ -215,7 +215,7 @@ def _first_failing(keep, pts: np.ndarray) -> int | None:
     return None if kept.all() else int(np.argmin(kept))
 
 
-def _iterate(fn: CatalogFunction, at_kinks, pts: np.ndarray, a, n_steps: int, keep):
+def _iterate(fn: CatalogFunction, select_at, pts: np.ndarray, a, n_steps: int, keep):
     """The batch loop: n_steps updates x <- x - a * s(x) of every live row; the step size a is a 0-d array.
 
     keep = (center, bound) is the one stop rule, applied to the starts (k = 0)
@@ -224,11 +224,11 @@ def _iterate(fn: CatalogFunction, at_kinks, pts: np.ndarray, a, n_steps: int, ke
 
     ``pts`` is never written: the loop steps its own column-major copy in
     place, scaling each fresh ``fn.min_norm_many`` of the live rows by a and
-    subtracting it, which gives the same bits as x - a * s.  ``at_kinks``, unless
-    None, then gets the live rows, that field and their row numbers in ``pts``,
-    and overwrites the field on kink rows.  The keep test fills a ``_workspace``
-    made per live-row count; one count of its mask tells whether rows stop, and
-    the mask compacts the copy.
+    subtracting it, which gives the same bits as x - a * s.  ``select_at``
+    (``_select_at``), unless None, picks the field afresh on each ``fn.at_kink``
+    row, given the row as a list of Python floats and its row number in ``pts``.
+    The keep test fills a ``_workspace`` made per live-row count; one count of
+    its mask tells whether rows stop, and the mask compacts the copy.
     """
     last = np.array(pts)
     pts = np.array(last, order="F")
@@ -236,7 +236,7 @@ def _iterate(fn: CatalogFunction, at_kinks, pts: np.ndarray, a, n_steps: int, ke
     alive_ids = np.arange(pts.shape[0])
     ws = _workspace(*pts.shape, keep[0])
     field, bound, live = fn.min_norm_many, keep[1], pts.shape[0]
-    for k in range(n_steps + 1):
+    for k in count():
         kept = np.less_equal(_measure(keep, pts, ws), bound, ws[3])  # NaN fails
         if np.count_nonzero(kept) != live:
             gone = alive_ids[~kept]
@@ -249,8 +249,9 @@ def _iterate(fn: CatalogFunction, at_kinks, pts: np.ndarray, a, n_steps: int, ke
         if k == n_steps or live == 0:
             break
         s = field(pts)
-        if at_kinks is not None:
-            at_kinks(pts, s, alive_ids)
+        if select_at is not None:
+            for r in fn.at_kink(pts).nonzero()[0]:
+                s[r] = select_at(pts[r].tolist(), int(alive_ids[r]))
         s *= a
         pts -= s
     last[alive_ids] = pts
@@ -383,20 +384,11 @@ def run_batch(fn: CatalogFunction, x0s: np.ndarray, alpha: float, n_steps: int,
     at its divergence step.  Half a ball, an alpha (checked first, and stepped as its float) or radius that fails
     ``as_real``, or an n_steps that is not an integer >= 0 (``as_count``), raises ValueError.
     """
-    alpha = as_real(alpha, "alpha")
-    n_steps = as_count(n_steps, "n_steps")
+    alpha, n_steps = as_real(alpha, "alpha"), as_count(n_steps, "n_steps")
     x0s = as_point(x0s, fn.dim, "x0s", rows="n")
     keep = _bounded if exit_center is None and exit_radius is None else _inside(exit_center, exit_radius, fn.dim)
-    a = np.array(alpha)
-    if policy.kind == "minimal_norm":
-        return _iterate(fn, None, x0s, a, n_steps, keep)
-    select_at = _select_at(fn, policy, seeds)
-
-    def at_kinks(pts, s, ids):
-        for r in fn.at_kink(pts).nonzero()[0]:
-            s[r] = select_at(pts[r].tolist(), int(ids[r]))
-
-    return _iterate(fn, at_kinks, x0s, a, n_steps, keep)
+    select_at = None if policy.kind == "minimal_norm" else _select_at(fn, policy, seeds)
+    return _iterate(fn, select_at, x0s, np.array(alpha), n_steps, keep)
 
 
 @dataclass(frozen=True)
@@ -415,8 +407,8 @@ class InterpolatedPath:
 
 
 def _times(t, t_max: float) -> np.ndarray:
-    """``t`` as a float array, checked to lie in [0, t_max]; NaN fails the check."""
-    t = np.asarray(t, dtype=float)
+    """``t``, of any shape, by ``as_point``'s element rule (``_reals``), checked to lie in [0, t_max]; NaN fails."""
+    t = _reals(t, "t")
     bad = ~((t >= 0.0) & (t <= t_max))
     if bad.any():
         raise OutOfHorizon(f"t={t[bad][0]} outside [0, {t_max}]")

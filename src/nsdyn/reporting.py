@@ -10,9 +10,9 @@ inf or NaN is refused, not written.  A CSV keeps the truthful ``inf`` and
 
 A CSV is built from columns of equal length, and a column's dtype decides
 how every cell in it prints: integer and bool columns as integers (a bool
-as 0 or 1), every other column as ``fmt`` prints a float.  Rows are
-formatted CSV_BLOCK at a time, so the Python objects of one block's cells
-are alive at once, not those of the whole table.
+as 0 or 1), every other column as ``repr`` prints each Python float.  Rows
+are formatted CSV_BLOCK at a time, so the Python objects of one block's
+cells are alive at once, not those of the whole table.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .flow import FlowSolution
 from .stability import StabilityVerdict
 
 __all__ = [
-    "fmt",
     "trajectory_csv_text",
     "flow_csv_text",
     "per_sample_csv_text",
@@ -43,16 +42,10 @@ __all__ = [
 CSV_BLOCK = 1024  # rows formatted at a time
 
 
-def fmt(v) -> str:
-    """Shortest round-trip decimal for one real."""
-    return repr(float(v))
-
-
 def _csv(header: list[str], columns: list) -> str:
     cols = [c.astype(np.int64 if c.dtype.kind in "biu" else float, copy=False) for c in map(np.asarray, columns)]
     if len({len(c) for c in cols}) > 1:
         raise ValueError(f"CSV columns of unequal lengths {[len(c) for c in cols]}")
-    # repr of a Python float is fmt without its float() call
     blocks = ("\n".join(map(",".join, zip(*(map(repr, c[i:i + CSV_BLOCK].tolist()) for c in cols)))) + "\n"
               for i in range(0, len(cols[0]), CSV_BLOCK))
     return "".join([",".join(header) + "\n", *blocks])

@@ -11,11 +11,11 @@ from nsdyn import (
     run,
     run_batch,
 )
-from nsdyn.counterexample import DEFAULT_ALPHAS
 from nsdyn.engine import make_rng
 from nsdyn.errors import OnNullSet, PreconditionViolated
 
 CROSS = get_function("cross")
+ALPHAS = (0.01, 0.05, 0.1, 0.3)  # the step sizes of the C1 criterion
 
 
 def _by_hand(x1, x2, alpha):
@@ -48,7 +48,7 @@ def test_cross_update_agrees_with_engine_step():
         if x[0] * x[1] == 0.0:
             continue
         xs.append(x)
-        alphas.append(float(rng.choice(DEFAULT_ALPHAS)))
+        alphas.append(float(rng.choice(ALPHAS)))
     xs, alphas = np.array(xs), np.array(alphas)
     for alpha in np.unique(alphas).tolist():  # one engine step on every point drawn with this alpha
         pts = xs[alphas == alpha]
@@ -57,7 +57,7 @@ def test_cross_update_agrees_with_engine_step():
         npt.assert_array_equal(np.array([cross_update(x, alpha) for x in pts]), via_engine)
     # off the axis set, though x1 * x2 underflows to 0
     tiny = np.array([[1e-200, 1e-200], [0.5, 5e-324]])
-    for alpha in DEFAULT_ALPHAS:
+    for alpha in ALPHAS:
         exit_idx, via_engine = run_batch(CROSS, tiny, alpha, 1)
         assert (exit_idx == -1).all()
         npt.assert_array_equal(np.array([cross_update(x, alpha) for x in tiny]), via_engine)
@@ -90,7 +90,7 @@ def _doubling_instances():
     cases = [([1.0, 3.125e-4], 0.1), ([0.5, 1e-6], 0.1)]
     rng = make_rng(424242)
     for _ in range(2000):
-        alpha = float(rng.choice(DEFAULT_ALPHAS))
+        alpha = float(rng.choice(ALPHAS))
         x1 = float(rng.uniform(0.5, 1.5))
         x2 = float(rng.uniform(0.0, 1.0)) * alpha * alpha / 32.0
         if x2 == 0.0:

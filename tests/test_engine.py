@@ -33,11 +33,13 @@ from nsdyn import (
 from nsdyn.engine import (DIVERGENCE_LIMIT, MAX_RECORDED_STEPS, RECORD_BLOCK, Trajectory, _check_recorded, derive_seed,
                           make_rng)
 from nsdyn.errors import DimensionMismatch, OutOfHorizon
+from nsdyn.flow import flow_value
 from reference import hull_distance
 
 QUAD1 = get_function("quad", 1)
 CROSS = get_function("cross")
 ABS1 = get_function("abs_sum", 1)
+HUGE = 10 ** 5000  # an int too long for Python to print (4300 digits at most), 16610 bits
 
 
 def _one_step(fn, x, alpha, policy=MINIMAL_NORM, seed=0):
@@ -388,6 +390,11 @@ def test_batch_matches_scalar_bitwise():
 
 
 def test_run_batch_matches_run_under_every_policy():
+    # rows after a retired one pick at their kinks from the streams of their own row numbers in the batch
+    extreme, seeds = SelectionPolicy("random_extreme"), [derive_seed(11, i) for i in range(9)]
+    exit_idx, last = run_batch(ABS1, [[np.nan]] + [[0.0]] * 8, 0.25, 1, policy=extreme, seeds=seeds.__getitem__)
+    assert exit_idx.tolist() == [0] + [-1] * 8
+    assert [run(ABS1, [0.0], 0.25, 1, extreme, seeds[i]).points[-1, 0] for i in range(1, 9)] == last[1:, 0].tolist()
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     fns = [get_function(name, dim) for name, dim in (("abs_sum", 1), ("abs_sum", 3), ("vee_bowl", 2),
@@ -634,6 +641,10 @@ def test_every_integer_argument_passes_one_integer_rule():
         for value in [2.5, 3.0, True, np.float64(3.0), *below]:
             with pytest.raises(ValueError, match=f"^{name} must be an integer"):
                 call(value)
+        if least is not None:  # too long for Python to print, so shown by its sign and bits
+            line = f"{name} must be an integer >= {least}, got a negative 16610-bit int"
+            with pytest.raises(ValueError, match=f"^{line}$"):
+                call(-HUGE)
         call(np.int64(3))
     policy = SelectionPolicy("fixed_index", np.int16(-3))  # an index of either sign, kept as a Python int
     assert type(policy.index) is int and policy.index == -3
@@ -663,8 +674,8 @@ def test_every_real_argument_passes_one_real_rule():
              ("epsilon", lambda v: convex_bounds_report(quad, [1.0], 0.1, v, n_steps=3))]
     for name, call in calls:
         for value in ["0.1", None, True, np.True_, np.array(0.1), Decimal("0.1"), 10 ** 400, Fraction(1, 10 ** 400),
-                      0.0, -0.0, -0.1, np.nan, np.inf, -np.inf, np.float32(np.inf)]:
-            line = f"{name} must be finite and positive, got {value!r}"
+                      0.0, -0.0, -0.1, np.nan, np.inf, -np.inf, np.float32(np.inf), HUGE]:
+            line = f"{name} must be finite and positive, got {'a 16610-bit int' if value is HUGE else repr(value)}"
             if value is None and call in balls:
                 line = "exit ball needs both a center and a radius; got center [0.0], radius None"
             with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
@@ -680,13 +691,15 @@ def _cells(verdict):
 
 
 def test_every_point_argument_passes_one_point_rule():
-    # a point, a batch of starts or a probe grid holds reals but bools: a Python or numpy int or float, or a
-    # Fraction, gives the bits of its float64 spelling; None, a string, bytes, a bool, a complex number, a real
-    # beyond float64 or a ragged sequence is refused on one line naming the argument
+    # a point, a batch of starts, a probe grid or a time holds reals but bools: a Python or numpy int or float, or
+    # a Fraction, gives the bits of its float64 spelling; None, a string, bytes, a bool (alone or in a list beside
+    # numbers), a complex number, a real beyond float64 or a ragged sequence is refused on one line naming the
+    # argument, in a list or tuple and in an array alike; an int too long for Python to print shows its bits
     quad, quad2 = get_function("quad", 1), get_function("quad", 2)
     traj = run(quad, [1.0], 0.1, 3)
+    path, sol = InterpolatedPath(run(quad, [1.0], 0.1, 10), 1.0), integrate_flow(quad, [1.0], 1.0, 0.125)
     form = {"point": lambda v: [v], "ball": lambda v: [v], "pair": lambda v: [v, v], "grid": lambda v: (v,),
-            "batch": lambda v: [[v, v], [v, v]]}
+            "batch": lambda v: [[v, v], [v, v]], "time": lambda v: v}
     calls = [("x", "point", quad.value),
              ("x", "point", quad.generators),
              ("x", "pair", lambda p: cross_update(p, 0.1)),
@@ -704,16 +717,23 @@ def test_every_point_argument_passes_one_point_rule():
              ("alpha_grid", "grid", lambda g: _cells(probe(StabilityQuery("quad", np.zeros(1), 0.1, alpha_grid=g,
                                                                           n_samples=2, max_iters=5)))),
              ("x0s", "batch", lambda b: run_batch(quad2, b, 0.1, 3)),
-             ("initial_points", "batch", lambda b: escape_experiment(0.25, 0.3, 2, k_max=5, initial_points=b))]
-    refused = [(None, None), ("0.5", "0.5"), (b"0.5", b"0.5"), (True, True), (np.True_, True), (1j, 1j),
-               (np.complex128(1j), 1j), (10 ** 400, 10 ** 400), (-10 ** 400, -10 ** 400),
-               (Fraction(10 ** 400), Fraction(10 ** 400))]
+             ("initial_points", "batch", lambda b: escape_experiment(0.25, 0.3, 2, k_max=5, initial_points=b)),
+             ("t", "time", lambda t: interpolate(path, t)),
+             ("t", "time", lambda t: flow_value(sol, t))]
+    refused = [(None, "None"), ("0.5", "'0.5'"), (b"0.5", "b'0.5'"), (True, "True"), (np.True_, "True"),
+               (1j, "1j"), (np.complex128(1j), "1j"), (10 ** 400, repr(10 ** 400)), (-10 ** 400, repr(-10 ** 400)),
+               (Fraction(10 ** 400), repr(Fraction(10 ** 400))), (HUGE, "a 16610-bit int"),
+               (-HUGE, "a negative 16610-bit int"), (Fraction(HUGE), "a Fraction holding an int too long to print")]
+    mixed = [([True, 0.5], "True"), ([0.5, np.True_], "np.True_")]  # numpy alone reads either list as floats
     spellings = [(0.5, np.float64(0.5), np.float32(0.5), Fraction(1, 2)),
                  (1.0, 1, np.int64(1), np.uint8(1), np.float32(1.0), Fraction(1))]
     for name, kind, call in calls:
         whole = name not in ("delta_grid", "alpha_grid", "initial_points")  # for which None is the default
-        for arg, shown in [(form[kind](bad), shown) for bad, shown in refused] + [(None, None)] * whole:
-            line = f"{name} must hold real numbers within float64 range, got {shown!r}"
+        args = [(form[kind](bad), shown) for bad, shown in refused] + [(None, "None")] * whole
+        args += [(np.array(form[kind](bad)), shown) for bad, shown in refused]
+        args += [([m, m] if kind == "batch" else m, shown) for m, shown in mixed]
+        for arg, shown in args:
+            line = f"{name} must hold real numbers within float64 range, got {shown}"
             if arg is None and kind == "ball":  # half an exit ball has its own line
                 line = "exit ball needs both a center and a radius; got center None, radius 2.0"
             with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
@@ -724,3 +744,6 @@ def test_every_point_argument_passes_one_point_rule():
             want = pickle.dumps(call(form[kind](same[0])))
             for v in same[1:]:
                 assert pickle.dumps(call(form[kind](v))) == want, (name, v)
+    for curve, at in ((path, interpolate), (sol, flow_value)):  # a scalar time gives one point, not a row of one
+        assert at(curve, np.float32(0.5)).shape == (1,)
+        assert at(curve, [Fraction(1, 2)]).shape == (1, 1)

@@ -4,8 +4,9 @@ Values are drawn mostly valid, mixed with edge values: zeros of both signs, the 
 1.7e308, NaN, infinities, empty or malformed lists and bad policies; in the library half also 10**400 reals, negative
 seeds, ints (counts, seeds, dims, policy indices) given as 2.5, 3.0, True or np.float64(3.0), reals (alpha, h, the
 horizon, a radius, epsilon) given as "0.1", None, True, np.True_ or np.array(0.1), and points, batches of starts and
-probe grids given as None, "0.5", [True], [np.True_], a ragged list, [1j] or [10**400].  Each library call is made
-twice, with Python ints and with numpy ints, and gives the same bits or refusal type both times.
+probe grids given as None, "0.5", [True], [np.True_], [True, 0.5], [0.5, np.True_], a ragged list, [1j] or
+[10**400].  Each library call is made twice, with Python ints and with numpy ints, and gives the same bits or refusal
+type both times.
 
 Budgets stay small in every draw: ``--samples`` (or ``k_max``, ``samples``) and counterexample's ``--max-iters``,
 which records nothing, have no upper cap, so one large draw would run for hours.  So probe and counterexample, the
@@ -48,7 +49,7 @@ FLOATS = [0.1, 0.25, 0.05]
 EDGE_NUMBERS = [0.0, -0.0, 5e-324, 1e-320, 1e300, 1.7e308, math.nan, math.inf, -math.inf, -0.1, 1.0, 10 ** 400]
 NOT_INTS = [2.5, 3.0, True, np.float64(3.0)]
 NOT_REALS = ["0.1", None, True, np.True_, np.array(0.1)]
-NOT_POINTS = [None, "0.5", [True], [np.True_], [[0.5], [0.5, 0.5]], [1j], [10 ** 400]]
+NOT_POINTS = [None, "0.5", [True], [np.True_], [True, 0.5], [0.5, np.True_], [[0.5], [0.5, 0.5]], [1j], [10 ** 400]]
 COORDS = [1.0, 0.5, 0.0, -0.25, 0.1]
 EDGE_COORDS = [0.0, -0.0, 5e-324, 1e300, 1.7e308, math.nan, math.inf, -math.inf]  # no 1e-320: see above
 

@@ -16,7 +16,6 @@ from nsdyn import (
 from nsdyn.reporting import (
     CSV_BLOCK,
     _csv,
-    fmt,
     flow_csv_text,
     json_text,
     per_sample_csv_text,
@@ -27,13 +26,14 @@ from nsdyn.reporting import (
 from nsdyn.errors import NonFiniteState
 
 
-def test_fmt_is_shortest_roundtrip():
+def test_csv_float_cells_are_shortest_roundtrip():
     for v in (0.5, 0.1, 1 / 3, 0.32805000000000006, 1e-300, -0.0):
-        assert float(fmt(v)) == v
-        assert len(fmt(v).replace("-", "").replace(".", "").replace("e", "").lstrip("0")) <= 17
+        cell = _csv(["v"], [[v]]).split("\n")[1]
+        assert float(cell) == v
+        assert len(cell.replace("-", "").replace(".", "").replace("e", "").lstrip("0")) <= 17
 
 
-def test_csv_cells_print_as_fmt():
+def test_csv_cells_print_as_float_repr():
     # every row prints its cells one by one, on either side of each block boundary
     b = CSV_BLOCK
     for n in (0, 1, b - 1, b, b + 1, 2 * b + 1):
@@ -41,7 +41,7 @@ def test_csv_cells_print_as_fmt():
         flags = np.arange(n) % 3 == 0
         ks = np.arange(n) - 5
         lines = _csv(["v", "on", "k"], [col, flags, ks]).split("\n")
-        assert lines == ["v,on,k", *(f"{fmt(v)},{int(on)},{int(k)}" for v, on, k in zip(col, flags, ks)), ""], n
+        assert lines == ["v,on,k", *(f"{float(v)!r},{int(on)},{int(k)}" for v, on, k in zip(col, flags, ks)), ""], n
     # a short column is refused, not truncated or padded with blank lines
     with pytest.raises(ValueError, match=r"\[3, 2, 3\]"):
         _csv(["a", "b", "c"], [np.zeros(3), np.arange(2), np.ones(3, bool)])
@@ -115,7 +115,7 @@ def test_flow_csv_and_report_json(tmp_path):
     table = per_sample_csv_text(per_sample)
     assert table.splitlines()[0] == "sample,x1_0,x2_0,exit_index,on_S"
     assert len(table.splitlines()) == 21
-    # int and bool columns print as integers, float columns through fmt
+    # int and bool columns print as integers, float columns as the repr of each float
     per_sample[:2] = [(1.0, 0.0, -1, True), (0.5, -0.25, 7, False)]
     assert per_sample_csv_text(per_sample).splitlines()[1:3] == ["0,1.0,0.0,-1,1", "1,0.5,-0.25,7,0"]
 

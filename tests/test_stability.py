@@ -383,6 +383,15 @@ def test_convex_bounds_quad_distance_bound():
     assert rep.terminal_distance <= rep.dist_bound
     assert rep.terminal_distance == pytest.approx(0.0, abs=1e-30)
 
+    # a quad that declares beta = 2, which only the bound reads: c * sqrt(alpha) / sqrt(2 * 2), for alpha <= 1/4
+    class SteepQuad(catalog.Quad):
+        quad_growth = 2.0
+
+    rep = convex_bounds_report(SteepQuad(1), [1.0], 0.25, 0.1, n_steps=20)
+    assert rep.beta == 2.0
+    assert rep.dist_bound == rep.c * np.sqrt(0.25) / 2
+    assert convex_bounds_report(SteepQuad(1), [1.0], np.nextafter(0.25, 1.0), 0.1, n_steps=20).dist_bound is None
+
 
 def test_convex_bounds_default_run_tail_and_cap(monkeypatch):
     quad = get_function("quad", 1)
