@@ -12,8 +12,8 @@ Subcommands map one-to-one onto library operations:
 
 ``SUBCOMMANDS`` declares each command's flags once.  The parser is built
 from it, and ``nsdyn --config cfg.json`` (the JSON form of a ``RunConfig``)
-is held to the same table; both spellings produce identical bytes.  A
-command given beside ``--config`` is a usage error.
+is held to the same table and the library's own argument rules; both spellings
+produce identical bytes.  A command given beside ``--config`` is a usage error.
 
 Exit codes: 0 success, 2 usage error, argparse's own included, and 3
 numerical divergence, each error on one stderr line (a diverged flow
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -36,13 +35,13 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import reporting
-from .catalog import get_function
+from .catalog import as_count, as_point, as_real, get_function
 from .counterexample import escape_experiment
 from .engine import InterpolatedPath, SelectionPolicy, _check_recorded, run
 from .errors import NonFiniteState
 from .flow import integrate_flow, sup_deviation
 from .reporting import json_text, write_text
-from .stability import StabilityQuery, _convex_bounds, probe
+from .stability import StabilityQuery, convex_bounds_report, probe
 
 __all__ = ["RunConfig", "run_command", "main"]
 
@@ -112,12 +111,10 @@ SUBCOMMANDS = {
 TAKES = {command: {"command", "out", *required, *optional} for command, (_, required, optional) in SUBCOMMANDS.items()}
 HELP = {"h": "flow step, default alpha/100", "out": "output path (stdout when omitted)"}
 CHOICES = {"format": ("csv", "json")}
-# the least value of each bounded count, checked in the same field loop as the kinds
+# the least value of each count
 MINIMUM = {"steps": 0, "samples": 1, "max_iters": 1, "seed": 0}
-# each field's annotated kind (list is a vector), and each kind's flag parser and name in errors
+# each field's annotated kind, which parses its flag; list is a vector, which _parse_vector parses
 KINDS = {name: (get_args(hint) or (hint,))[0] for name, hint in get_type_hints(RunConfig).items()}
-PARSE = {list: (_parse_vector, "a list of finite numbers"), float: (float, "a finite number"),
-         int: (int, "an int"), str: (str, "a string")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,9 +134,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (help_text, required, optional) in SUBCOMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for name in required + optional + ("out",):
-            p.add_argument("--" + name.replace("_", "-"), type=PARSE[KINDS[name]][0], required=name in required,
-                           choices=CHOICES.get(name), help=None if name in required else HELP.get(name),
-                           default=argparse.SUPPRESS)
+            p.add_argument("--" + name.replace("_", "-"), required=name in required, choices=CHOICES.get(name),
+                           type=_parse_vector if KINDS[name] is list else KINDS[name],
+                           help=None if name in required else HELP.get(name), default=argparse.SUPPRESS)
     return parser
 
 
@@ -147,13 +144,20 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)})
 
 
-def _has_kind(value, kind) -> bool:
-    """Whether a set value is of its field's kind; numbers must be finite, and a bool is not one."""
-    if kind is list:
-        return isinstance(value, list) and all(_has_kind(v, float) for v in value)
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        return False
-    return not isinstance(value, float) or math.isfinite(value)
+def _vector(value, name: str) -> list:
+    if not isinstance(value, list) or not np.isfinite(point := as_point(value, name=name)).all():
+        raise ValueError(f"{name} must be a list of finite numbers, got {value!r}")
+    return point.tolist()
+
+
+def _string(value, name: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{name} must be a nonempty string, got {value!r}")
+    return value
+
+
+# each kind's rule, the library's for the same argument, returning the value it checked as that kind
+RULES = {float: as_real, int: lambda value, name: as_count(value, name, MINIMUM[name]), list: _vector, str: _string}
 
 
 def _policy(cfg: RunConfig) -> SelectionPolicy:
@@ -171,8 +175,8 @@ def _policy(cfg: RunConfig) -> SelectionPolicy:
 def _check_config(cfg: RunConfig):
     """Hold a config, from flags or --config alike, to its row of SUBCOMMANDS; errors name the field.
 
-    A field the command does not take keeps its default, so ``to_json`` output stays valid input.
-    A number in a float or vector field becomes the float its flag gives, so both spellings print alike.
+    A field the command does not take keeps its default, so ``to_json`` output stays valid input.  A set field keeps
+    what its kind's rule in ``RULES`` returns: a JSON int becomes the float its flag gives, so both spellings agree.
     """
     if cfg.command not in SUBCOMMANDS:
         raise ValueError(f"unknown command {cfg.command!r}")
@@ -185,16 +189,12 @@ def _check_config(cfg: RunConfig):
         elif value is None:
             if f.name in required:
                 raise ValueError(f"{cfg.command} requires {f.name}")
-        elif not _has_kind(value, KINDS[f.name]):
-            raise ValueError(f"{f.name} must be {PARSE[KINDS[f.name]][1]}, got {value!r}")
-        elif f.name in CHOICES and value not in CHOICES[f.name]:
-            raise ValueError(f"{f.name} must be one of {CHOICES[f.name]}, got {value!r}")
-        elif f.name in MINIMUM and value < MINIMUM[f.name]:
-            raise ValueError(f"{f.name} must be >= {MINIMUM[f.name]}, got {value!r}")
-        elif KINDS[f.name] in (float, list):
-            setattr(cfg, f.name, float(value) if KINDS[f.name] is float else [float(v) for v in value])
-        elif f.name == "policy":
-            _policy(cfg)  # parsed before any work
+        else:
+            setattr(cfg, f.name, RULES[KINDS[f.name]](value, f.name))
+            if f.name in CHOICES and value not in CHOICES[f.name]:
+                raise ValueError(f"{f.name} must be one of {CHOICES[f.name]}, got {value!r}")
+            if f.name == "policy":
+                _policy(cfg)  # parsed before any work
 
 
 def _set(**kwargs) -> dict:
@@ -254,7 +254,7 @@ def execute(cfg: RunConfig) -> int:
 
     if cfg.command == "compare":
         fn = get_function(cfg.function, dim=len(cfg.x0))
-        steps = np.ceil(np.float64(cfg.horizon) / cfg.alpha)  # inf at alpha 0, below 0 for a negative input
+        steps = np.ceil(np.float64(cfg.horizon) / cfg.alpha)  # inf where the ratio overflows
         _check_recorded(steps, "horizon/alpha")
         # the flow first: a flow that diverges stops the command before the discrete run is paid for
         sol = integrate_flow(fn, cfg.x0, cfg.horizon, cfg.h if cfg.h is not None else cfg.alpha / 100.0)
@@ -300,8 +300,8 @@ def execute(cfg: RunConfig) -> int:
 
     # convex-bounds, the last row of SUBCOMMANDS
     fn = get_function(cfg.function, dim=len(cfg.x0))
-    report, diverged_at = _convex_bounds(fn, cfg.x0, cfg.alpha, cfg.epsilon, n_steps=cfg.steps)
-    return _emit_json(report, cfg.out, diverged_at)
+    report = convex_bounds_report(fn, cfg.x0, cfg.alpha, cfg.epsilon, n_steps=cfg.steps)
+    return _emit_json(report, cfg.out, report.diverged_at)
 
 
 def run_command(argv: list[str]) -> int:

@@ -52,9 +52,9 @@ def cross_update(x, alpha: float) -> np.ndarray:
         x2' = x2 - 1.5 * alpha * |x1|^1.5 * |x2|^0.5 * sign(x2)
 
     Defined only off the axis set; raises OnNullSet when x1 == 0 or x2 == 0.
-    Agrees with the generic engine step on cross to machine precision.
+    Agrees with the generic engine step on cross to machine precision; alpha passes ``as_real``.
     """
-    x = as_point(x, 2)
+    x, alpha = as_point(x, 2), as_real(alpha, "alpha")
     x1, x2 = float(x[0]), float(x[1])
     if _on_axes(x):
         raise OnNullSet(f"({x1}, {x2}) lies on the axis set")
@@ -69,9 +69,9 @@ def doubling_check(x, alpha: float) -> bool:
 
     Precondition: x1 >= 1/2 and 0 < |x2| <= alpha^2 / 32.  In that regime
     the update overshoots zero so strongly that |x2'| >= 2 |x2| must hold;
-    the check is the plain float inequality with no tolerance.
+    the check is the plain float inequality with no tolerance; alpha passes ``as_real``.
     """
-    x = as_point(x, 2)
+    x, alpha = as_point(x, 2), as_real(alpha, "alpha")
     x1, x2 = float(x[0]), float(x[1])
     if not (x1 >= 0.5 and 0.0 < abs(x2) <= alpha * alpha / 32.0):
         raise PreconditionViolated(

@@ -395,11 +395,14 @@ def run_batch(fn: CatalogFunction, x0s: np.ndarray, alpha: float, n_steps: int,
 class InterpolatedPath:
     """Piecewise-linear curve through the iterates with nodes at t = alpha*k.
 
-    Defined on [0, min(horizon, alpha * n_steps)].
+    Defined on [0, min(horizon, alpha * n_steps)], the horizon an ``as_real`` float.
     """
 
     trajectory: Trajectory
     horizon: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "horizon", as_real(self.horizon, "horizon"))
 
     @property
     def t_max(self) -> float:

@@ -251,7 +251,8 @@ class BoundReport:
     beta) applies when a quadratic growth constant beta is registered.  A
     convex entry's minimizer set X is {0}, where f is 0 (the ``catalog``
     contract), so d(x0, X) is ||x0||, the gap is f itself and
-    terminal_distance is the last iterate's norm.
+    terminal_distance is the last iterate's norm.  diverged_at is the run's own
+    (``Trajectory``'s): c is measured along the run, so its bound holds either way.
     """
 
     fn_id: str
@@ -262,6 +263,7 @@ class BoundReport:
     iters_budget: int
     achieved_within_budget: bool
     terminal_distance: float
+    diverged_at: int | None
     dist_bound: float | None = None
     beta: float | None = None
 
@@ -273,15 +275,8 @@ def convex_bounds_report(fn: CatalogFunction, x0, alpha: float, epsilon: float,
     ``iters_budget`` is the floor of an exact rational, times the float 1 + 1e-12 so that an exact integer ratio
     survives the rounding of alpha and epsilon; a NaN or inf in x0 raises NonFiniteInput.  Without ``n_steps`` the
     run takes max(200, 2 * iters_budget) steps, at most MAX_RECORDED_STEPS; with it, any budget is reported.  Both
-    take alpha and epsilon as ``as_real`` floats.  The report does not say whether its run diverged.  ``c`` is
-    measured on the run, so a diverged library run still reports ``achieved_within_budget`` from its own ``c``.
+    take alpha and epsilon as ``as_real`` floats, and the report states its run's ``diverged_at``.
     """
-    return _convex_bounds(fn, x0, alpha, epsilon, n_steps)[0]
-
-
-def _convex_bounds(fn: CatalogFunction, x0, alpha: float, epsilon: float,
-                   n_steps: int | None = None) -> tuple[BoundReport, int | None]:
-    """``convex_bounds_report`` and its run's ``diverged_at``, which the report does not carry."""
     alpha, epsilon = as_real(alpha, "alpha"), as_real(epsilon, "epsilon")
     if not fn.convex:
         raise NotConvex(f"{fn.name} is not convex")
@@ -313,6 +308,7 @@ def _convex_bounds(fn: CatalogFunction, x0, alpha: float, epsilon: float,
         iters_budget=budget,
         achieved_within_budget=bool(gaps[: budget + 1].min() <= bound + epsilon),
         terminal_distance=float(np.linalg.norm(traj.points[-1])),
+        diverged_at=traj.diverged_at,
         dist_bound=dist_bound,
         beta=beta,
-    ), traj.diverged_at
+    )

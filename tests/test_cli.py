@@ -223,6 +223,12 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
         (None, simulate + ["--policy", "fixed_index:"], "policy 'fixed_index:' needs an integer index, got ''"),
         (None, simulate + ["--policy", "bogus"], "unknown policy kind 'bogus'"),
         (None, ["simulate", "--function", "quad", "--x0", "1", "--alpha", "inf", "--steps", "1"], "alpha"),
+        # an empty path is refused, not written into the working directory or skipped
+        (None, ["compare", "--function", "quad", "--x0", "1", "--alpha", "0.1", "--horizon", "1", "--out", ""],
+         "out must be a nonempty string, got ''"),
+        (None, ["counterexample", "--epsilon", "0.25", "--alpha", "0.3", "--samples", "5", "--per-sample-csv", ""],
+         "per_sample_csv must be a nonempty string, got ''"),
+        (None, simulate[:-1] + [""], "out must be a nonempty string, got ''"),
     ]
     probe = ["probe", "--function", "quad", "--out", "p.json"]
     for flags in (["--xstar", "0,0", "--epsilon", "nan"], ["--xstar", "nan,0", "--epsilon", "0.1"],
@@ -318,8 +324,9 @@ SAMPLE = {"function": "quad", "x0": [1.0], "xstar": [0.0], "alpha": 0.1, "steps"
           "format": "json", "per_sample_csv": "s.csv"}
 # the largest value below each bounded int field's minimum
 BELOW_MINIMUM = {"steps": -1, "samples": 0, "max_iters": 0, "seed": -1}
-WRONG = {float: [math.nan, math.inf, "1", True], int: [math.nan, math.inf, 1.5, "1", True],
-         list: [math.nan, 1.0, "1", True, [math.nan], [math.inf], ["1"], [True]], str: [1, True]}
+# 10**400, a 401-digit int, is beyond float64 range
+WRONG = {float: [math.nan, math.inf, "1", True, 10 ** 400, 0.0, -1.0], int: [math.nan, math.inf, 1.5, "1", True],
+         list: [math.nan, 1.0, "1", True, [math.nan], [math.inf], ["1"], [True], [10 ** 400]], str: [1, True, ""]}
 
 
 def test_every_command_holds_configs_to_its_row(tmp_path, capsys):
@@ -409,11 +416,13 @@ def test_divergence_exit_3(tmp_path, capsys, monkeypatch):
         assert bool(runs) == (argv[0] == "simulate"), argv
         assert capsys.readouterr().err.splitlines() == [line], argv
         assert any((tmp_path / str(i)).iterdir()) == written, argv
-    # the truncated trajectory is still written, and convex-bounds' report has the usual keys
+    # the truncated trajectory is still written, and convex-bounds' report has the usual keys, its diverged_at the
+    # iterate its stderr line names
     assert len((tmp_path / "0" / "out").read_text().splitlines()) == 335
     assert len(json.loads((tmp_path / "1" / "out").read_text())["points"]) == 334
     golden = json.loads((GOLDENS / "convex_bounds_abssum.json").read_text())
-    assert set(json.loads((tmp_path / "3" / "out").read_text())) == set(golden)
+    report = json.loads((tmp_path / "3" / "out").read_text())
+    assert set(report) == set(golden) and f"diverged at iterate {report['diverged_at']}" == rows[3][1]
     # no divergence, but c^2 * alpha / 2 overflows: the JSON is refused all the same; the line
     # ends in json's own exception text, so only the part this package writes is matched
     assert _run_in(tmp_path, ["convex-bounds", "--function", "quad", "--x0", "1e50", "--alpha", "1e300",

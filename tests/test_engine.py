@@ -18,6 +18,7 @@ from nsdyn import (
     StabilityQuery,
     convex_bounds_report,
     cross_update,
+    doubling_check,
     escape_experiment,
     estimate_lipschitz,
     first_exit,
@@ -651,8 +652,9 @@ def test_every_integer_argument_passes_one_integer_rule():
 
 
 def test_every_real_argument_passes_one_real_rule():
-    # alpha, h, the horizon, a radius or epsilon is a real number but a bool, finite and > 0 as a float; anything
-    # else is refused on one line naming it (half an exit ball, a None radius, has its own line)
+    # alpha, h, the horizon (of a flow or an interpolated path), a radius or epsilon is a real number but a bool,
+    # finite and > 0 as a float; anything else is refused on one line naming it (half an exit ball, a None radius,
+    # has its own line)
     quad = get_function("quad", 1)
     traj = run(quad, [1.0], 0.1, 3)
     query = dict(fn_id="quad", x_star=np.zeros(1), n_samples=1, max_iters=1)
@@ -671,7 +673,10 @@ def test_every_real_argument_passes_one_real_rule():
              ("alpha", lambda v: escape_experiment(0.25, v, 3, k_max=5)),
              ("epsilon", lambda v: probe(StabilityQuery(**query, epsilon=v))),
              ("alpha", lambda v: convex_bounds_report(quad, [1.0], v, 0.1, n_steps=3)),
-             ("epsilon", lambda v: convex_bounds_report(quad, [1.0], 0.1, v, n_steps=3))]
+             ("epsilon", lambda v: convex_bounds_report(quad, [1.0], 0.1, v, n_steps=3)),
+             ("alpha", lambda v: cross_update([1.0, 0.1], v)),
+             ("alpha", lambda v: doubling_check([1.0, 1e-6], v)),
+             ("horizon", lambda v: InterpolatedPath(traj, v))]
     for name, call in calls:
         for value in ["0.1", None, True, np.True_, np.array(0.1), Decimal("0.1"), 10 ** 400, Fraction(1, 10 ** 400),
                       0.0, -0.0, -0.1, np.nan, np.inf, -np.inf, np.float32(np.inf), HUGE]:

@@ -24,8 +24,9 @@ import warnings
 
 import numpy as np
 
-from nsdyn import (CatalogFunction, SelectionPolicy, StabilityQuery, convex_bounds_report, escape_experiment,
-                   estimate_lipschitz, get_function, integrate_flow, local_min_check, probe, run, run_batch)
+from nsdyn import (CatalogFunction, InterpolatedPath, SelectionPolicy, StabilityQuery, convex_bounds_report,
+                   cross_update, doubling_check, escape_experiment, estimate_lipschitz, get_function, integrate_flow,
+                   local_min_check, probe, run, run_batch, sup_deviation)
 from nsdyn.catalog import CATALOG_IDS
 from nsdyn.cli import KINDS, SUBCOMMANDS, _build_parser, _config_from_args, run_command
 from nsdyn.errors import NonFiniteState
@@ -136,7 +137,7 @@ def _library_call(rng: random.Random):
     delta_grid, alpha_grid = _grid(rng, [(0.05, 0.01), (0.02,)]), _grid(rng, [(0.1, 0.05), (0.2,)])
     with_seeds = rng.random() < 0.5
     n_samples, k_max, n_steps = integer(1, 3, 0, -1), integer(1, 5, 20, 0), rng.choice((None, integer(0, 10, -1)))
-    which = rng.randrange(9)
+    which = rng.randrange(12)
 
     def call(as_int):
         def policy():
@@ -155,6 +156,9 @@ def _library_call(rng: random.Random):
             lambda: probe(StabilityQuery(fn_id, x, a, delta_grid, alpha_grid, n_samples=as_int(n_samples),
                                          max_iters=as_int(k_max), policy=policy(), seed=as_int(seed))),
             lambda: get_function(fn_id, as_int(dim_arg)),
+            lambda: cross_update(x, alpha),
+            lambda: doubling_check(x, alpha),
+            lambda: sup_deviation(InterpolatedPath(run(fn, x, alpha, as_int(steps)), a), integrate_flow(fn, x, a, b)),
         ][which]()
 
     return call

@@ -339,9 +339,14 @@ def test_convex_bounds_abs_sum_from_one():
     assert rep.bound_c2a2 == pytest.approx(0.05)
     assert rep.liminf_gap <= rep.bound_c2a2 + 1e-12
     assert rep.achieved_within_budget
-    assert rep.dist_bound is None
+    assert rep.dist_bound is None and rep.diverged_at is None
     # alpha * epsilon is subnormal here, and the exact floor is 10^10
     assert convex_bounds_report(get_function("quad", 1), [1e-155], 1e-160, 1e-160, n_steps=10).iters_budget == 10 ** 10
+
+
+def test_convex_bounds_report_states_its_runs_divergence():
+    # quad at alpha = 3 doubles |x| each step, past the 1e100 divergence limit at iterate 333; the report says so
+    assert convex_bounds_report(get_function("quad", 1), [1.0], 3.0, 0.1, n_steps=400).diverged_at == 333
 
 
 def test_convex_bounds_budget_is_exact_for_every_finite_start():

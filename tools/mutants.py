@@ -289,6 +289,27 @@ MUTANTS = [
      (f"{CLI}::test_every_command_holds_configs_to_its_row",)),
     ("cli.py", (('"samples": 1, "max_iters": 1', '"samples": 1, "max_iters": 2'),),
      (f"{CLI}::test_every_command_holds_configs_to_its_row",)),
+    # a config's float field read by a plain float (an int beyond float64 is a traceback, "1" runs as 1.0), a vector
+    # field without its finiteness check, and an empty path accepted (compare writes into the working directory)
+    ("cli.py", (("RULES = {float: as_real,", "RULES = {float: lambda value, name: float(value),"),),
+     (f"{CLI}::test_every_command_holds_configs_to_its_row",)),
+    ("cli.py", (("not np.isfinite(point := as_point(value, name=name)).all()",
+                 "(point := as_point(value, name=name)) is None"),),
+     (f"{CLI}::test_every_command_holds_configs_to_its_row",)),
+    ("cli.py", (("if not isinstance(value, str) or not value:", "if not isinstance(value, str):"),),
+     (f"{CLI}::test_usage_errors_exit_2",)),
+    # a convex-bounds report that does not state its run's divergence (the CLI then exits 0 on a diverged run)
+    ("stability.py", (("diverged_at=traj.diverged_at,", "diverged_at=None,"),),
+     (f"{S}::test_convex_bounds_report_states_its_runs_divergence", f"{CLI}::test_divergence_exit_3")),
+    # cross_update's alpha, doubling_check's alpha and an interpolated path's horizon outside the real rule
+    ("counterexample.py", (('precision; alpha passes ``as_real``.\n    """\n    x, alpha = as_point(x, 2), '
+                            'as_real(alpha, "alpha")', 'precision.\n    """\n    x = as_point(x, 2)'),),
+     (f"{E}::test_every_real_argument_passes_one_real_rule",)),
+    ("counterexample.py", (('tolerance; alpha passes ``as_real``.\n    """\n    x, alpha = as_point(x, 2), '
+                            'as_real(alpha, "alpha")', 'tolerance.\n    """\n    x = as_point(x, 2)'),),
+     (f"{E}::test_every_real_argument_passes_one_real_rule",)),
+    ("engine.py", (('object.__setattr__(self, "horizon", as_real(self.horizon, "horizon"))', "pass"),),
+     (f"{E}::test_every_real_argument_passes_one_real_rule",)),
     # divergence exits 3, not 2
     ("cli.py", (('print(f"diverged: {exc}", file=sys.stderr)\n        return 3',
                  'print(f"diverged: {exc}", file=sys.stderr)\n        return 2'),),
