@@ -65,7 +65,8 @@ MIN_NORM_TOL = 1e-12
 MAX_GENERATORS = 2 ** 20  # the rows of abs_sum at 0 in R^20 take ~0.7 s and ~200 MB to list (numpy 2.4, x86-64)
 _DEFAULT_NAN = math.inf - math.inf  # the hardware's NaN for an invalid operation, as np.sin(inf) returns
 _TINY = 2.0 ** -1022  # the least normal float64
-_THREE_HALVES = np.array(1.5)  # a 0-d array, which numpy multiplies without converting a Python float each call
+_HUGE_RECIPROCAL = 1.0 / sys.float_info.max  # 1/t overflows to inf exactly where 0 < |t| <= this
+_THREE_HALVES = np.array(1.5)  # a 0-d array, which numpy takes without converting a Python float each call
 
 
 def _sign(v: float) -> float:
@@ -318,8 +319,13 @@ class Cross(CatalogFunction):
     fixed_dim = 2
 
     def value_many(self, pts):
-        a = np.abs(pts)
-        return np.float_power(a[:, 0], 1.5) * np.float_power(a[:, 1], 1.5)
+        f = np.float_power(np.abs(pts), _THREE_HALVES)  # |x_i|^1.5, libm's pow on each element in any layout
+        out = f[:, 0] * f[:, 1]
+        if f.size and not (f.min() >= _TINY and f.max() < np.inf):  # a factor left the normal range, or a NaN
+            off = ((f < _TINY) | (f == np.inf)).any(axis=1)
+            a = np.abs(pts[off])
+            out[off] = np.float_power(a[:, 0] * a[:, 1], _THREE_HALVES)  # within 1.25 ulps where f is normal
+        return out
 
     def min_norm_at(self, x):
         x1, x2 = x
@@ -358,9 +364,9 @@ class Wiggle(CatalogFunction):
 
     def value_many(self, pts):
         t = pts[:, 0]
-        out = np.zeros_like(t)
-        nz = t != 0.0
-        out[nz] = t[nz] * t[nz] * np.sin(1.0 / t[nz])
+        out = t * t  # f where t is 0 or 1/t overflows: t * t rounds to 0 there, as f does
+        finite = np.abs(t) > _HUGE_RECIPROCAL  # 1/t is finite (or 0, where t is inf)
+        out[finite] *= np.sin(1.0 / t[finite])
         return out
 
     def min_norm_at(self, x):
@@ -513,7 +519,7 @@ def minimal_norm_element(gens) -> np.ndarray:
     return _wolfe_min_norm(gens)
 
 
-def _wolfe_min_norm(gens: np.ndarray, tol: float = MIN_NORM_TOL) -> np.ndarray:
+def _wolfe_min_norm(gens: np.ndarray) -> np.ndarray:
     m = gens.shape[0]
     norms2 = np.einsum("ij,ij->i", gens, gens)
     corral = [int(np.argmin(norms2))]
@@ -523,7 +529,7 @@ def _wolfe_min_norm(gens: np.ndarray, tol: float = MIN_NORM_TOL) -> np.ndarray:
     for _ in range(10 * m * m):
         dots = gens @ x
         j = int(np.argmin(dots))
-        if dots[j] >= float(x @ x) - tol * scale:
+        if dots[j] >= float(x @ x) - MIN_NORM_TOL * scale:
             break
         if j in corral:
             break
@@ -533,12 +539,12 @@ def _wolfe_min_norm(gens: np.ndarray, tol: float = MIN_NORM_TOL) -> np.ndarray:
         while True:
             pts = gens[corral]
             v = _affine_min_norm(pts)
-            if np.all(v > tol):
+            if np.all(v > MIN_NORM_TOL):
                 weights = v
                 break
             # largest feasible move from weights toward v
             shrink = weights - v
-            mask = shrink > tol
+            mask = shrink > MIN_NORM_TOL
             if not np.any(mask):
                 weights = np.clip(v, 0.0, None)
                 s = weights.sum()
@@ -548,7 +554,7 @@ def _wolfe_min_norm(gens: np.ndarray, tol: float = MIN_NORM_TOL) -> np.ndarray:
             theta = np.min(weights[mask] / shrink[mask])
             theta = min(1.0, theta)
             weights = (1.0 - theta) * weights + theta * v
-            weights[weights < tol] = 0.0
+            weights[weights < MIN_NORM_TOL] = 0.0
             keep = weights > 0.0
             if keep.all():
                 weights = weights / weights.sum()
@@ -557,7 +563,7 @@ def _wolfe_min_norm(gens: np.ndarray, tol: float = MIN_NORM_TOL) -> np.ndarray:
             weights = weights[keep]
             weights = weights / weights.sum()
         x = weights @ gens[corral]
-        if float(x @ x) <= tol * tol:
+        if float(x @ x) <= MIN_NORM_TOL * MIN_NORM_TOL:
             x = np.zeros(gens.shape[1])
             break
     return x

@@ -48,7 +48,7 @@ __all__ = ["RunConfig", "run_command", "main"]
 
 @dataclass
 class RunConfig:
-    """One CLI invocation; round-trips unchanged through its JSON form."""
+    """One CLI invocation; round-trips unchanged through its JSON form, ``reporting.json_text(cfg)``."""
 
     command: str
     function: str | None = None
@@ -69,12 +69,9 @@ class RunConfig:
     format: str | None = None
     per_sample_csv: str | None = None
 
-    def to_json(self) -> str:
-        return json_text(self)
-
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_json_int)
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, not {type(data).__name__}")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
@@ -83,6 +80,24 @@ class RunConfig:
         if not isinstance(data.get("command"), str):
             raise ValueError("config needs a 'command' string")
         return cls(**data)
+
+
+@dataclass(frozen=True)
+class _LongInt:
+    """A JSON int of more digits than Python reads (``sys.get_int_max_str_digits``): no rule takes it, so the field
+    that holds one is refused on a line that names it."""
+
+    digits: int
+
+    def __repr__(self):
+        return f"an int of {self.digits} digits (Python reads at most {sys.get_int_max_str_digits()})"
+
+
+def _json_int(text: str):
+    try:
+        return int(text)
+    except ValueError:  # JSON hands over an int literal, so only Python's digit limit refuses it
+        return _LongInt(len(text.lstrip("-")))
 
 
 def _parse_vector(text: str) -> list:
@@ -175,7 +190,7 @@ def _policy(cfg: RunConfig) -> SelectionPolicy:
 def _check_config(cfg: RunConfig):
     """Hold a config, from flags or --config alike, to its row of SUBCOMMANDS; errors name the field.
 
-    A field the command does not take keeps its default, so ``to_json`` output stays valid input.  A set field keeps
+    A field the command does not take keeps its default, so ``json_text(cfg)`` stays valid input.  A set field keeps
     what its kind's rule in ``RULES`` returns: a JSON int becomes the float its flag gives, so both spellings agree.
     """
     if cfg.command not in SUBCOMMANDS:
@@ -322,7 +337,10 @@ def run_command(argv: list[str]) -> int:
             cfg = _config_from_args(args)
         env_seed = os.environ.get("NSDYN_SEED")
         if env_seed is not None:
-            seed = int(env_seed)  # parsed for every command, so a bad value always exits 2
+            try:  # parsed for every command, so a bad value always exits 2
+                seed = int(env_seed)
+            except ValueError:  # not an int, or more digits than Python reads
+                raise ValueError(f"NSDYN_SEED must be an integer, got {env_seed!r}") from None
             if "seed" in TAKES.get(cfg.command, ()):
                 cfg.seed = seed
         with np.errstate(all="ignore"):  # a diverged run reports on one line, not in warnings

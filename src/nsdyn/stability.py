@@ -43,6 +43,8 @@ DELTA_FRACTIONS = (0.5, 0.25, 0.125, 0.0625)
 ALPHA_FRACTIONS = (0.2, 0.1, 0.05, 0.01)
 REPETITION_FACTOR = 50
 LIPSCHITZ_SAFETY = 1.1
+LIPSCHITZ_SAMPLES = 256  # points of the ball besides its center
+LOCAL_MIN_SAMPLES = 2000
 F_COMPARE_TOL = 1e-12
 
 
@@ -62,15 +64,14 @@ def _max_generator_norm(fn: CatalogFunction, pts: np.ndarray) -> float:
     return float(np.sqrt(np.max((g * g).sum(axis=1))))
 
 
-def estimate_lipschitz(fn: CatalogFunction, center, radius: float, samples: int = 256,
-                       seed: int = 0) -> float:
+def estimate_lipschitz(fn: CatalogFunction, center, radius: float, *, seed: int = 0) -> float:
     """1.1 times the max sampled generator norm over B(center, radius).
 
-    Sample-max with a documented 1.1 safety factor; the center itself is
-    always included in the sample, and ``samples`` is an integer >= 1 (``as_count``).
+    Sample-max with a documented 1.1 safety factor (LIPSCHITZ_SAFETY) over the
+    center and LIPSCHITZ_SAMPLES points of the ball drawn from ``seed``.
     """
     center = as_point(center, fn.dim, "center")
-    pts = sample_ball(center, radius, as_count(samples, "samples", 1), make_rng(seed))
+    pts = sample_ball(center, radius, LIPSCHITZ_SAMPLES, make_rng(seed))
     return LIPSCHITZ_SAFETY * _max_generator_norm(fn, np.concatenate([center[None, :], pts], axis=0))
 
 
@@ -221,17 +222,15 @@ class LocalMinCheck:
     f_center: float
 
 
-def local_min_check(fn: CatalogFunction, x_star, radius: float, samples: int = 2000,
-                    seed: int = 0) -> LocalMinCheck:
+def local_min_check(fn: CatalogFunction, x_star, radius: float, *, seed: int = 0) -> LocalMinCheck:
     """Sample B(x*, radius) for a strictly lower value than f(x*).
 
-    The 1e-12 margin avoids float-equality traps at the center; a returned
-    counterexample point certifies that x* is not a local minimum at this
-    sampling resolution.  ``samples`` is an integer >= 1 (``as_count``).
+    LOCAL_MIN_SAMPLES points drawn from ``seed``; the 1e-12 margin avoids float-equality traps at the center,
+    and a returned counterexample point certifies that x* is not a local minimum at this sampling resolution.
     """
     x_star = as_point(x_star, fn.dim, "x_star")
     f_center = fn.value(x_star)
-    pts = sample_ball(x_star, radius, as_count(samples, "samples", 1), make_rng(seed))
+    pts = sample_ball(x_star, radius, LOCAL_MIN_SAMPLES, make_rng(seed))
     values = fn.value_many(pts)
     below = np.flatnonzero(values < f_center - F_COMPARE_TOL)
     if below.size:

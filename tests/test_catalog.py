@@ -426,6 +426,68 @@ def test_fields_are_accurate_against_50_digit_arithmetic():
                 assert abs(errs.mean()) <= 0.2, (name, label, errs.mean())
 
 
+def _exact_value(mp, name, x):
+    """f at the float point x in mpmath's working precision; ``wiggle`` at the rounded 1/t, as ``_exact_field`` takes
+    it, where that is finite."""
+    x = [mp.mpf(v) for v in x]
+    if name == "quad":
+        return sum(v * v for v in x) / 2
+    if name == "abs_sum":
+        return sum(abs(v) for v in x)
+    if name == "cross":
+        return (abs(x[0]) * abs(x[1])) ** 1.5
+    if name == "wiggle":
+        t = x[0]
+        inv = 1.0 / float(t) if t else 0.0
+        return t * t * mp.sin(mp.mpf(inv) if math.isfinite(inv) else 1 / t)
+    if name == "vee_bowl":
+        return abs(x[0]) + x[1] * x[1]
+    return -mp.sqrt(sum(v * v for v in x))  # neg_norm
+
+
+# a priori worst error of each value in ulps of |f| (|f| * 2^-52, at least the least subnormal), at most half of one
+# per rounding: quad two squares and a sum (the halving is exact but where it rounds a subnormal, which the floor
+# covers); abs_sum one sum; vee_bowl a square and a sum; cross each power within an ulp (libm's pow) and the
+# product, or where a factor leaves the normal range the product (amplified 1.5 times by the power) and the power;
+# wiggle a square, libm's sin within an ulp and the product; neg_norm in R^3 three squares and two sums (halved by
+# the square root) and the root.  Where neg_norm's squares leave the normal range its documented bound is absolute.
+VALUE_ULPS = {"quad": 1.5, "abs_sum": 0.5, "cross": 2.5, "wiggle": 2.0, "vee_bowl": 1.0, "neg_norm": 1.75}
+NEG_NORM_ABS = 1.5e-154
+
+
+def test_values_are_accurate_against_50_digit_arithmetic():
+    # the value twin of the field test: value_many, the one value formula, held to the real value on the special
+    # values within the keep test's 1e100, with -1e-210 (cross's |x1|^1.5 is subnormal there), and on sampled rows;
+    # value, its one-row case, gives each row's bits.  Among them are cross at (1e100, 1e-250), where a factor
+    # underflows though f is 1e-225, and wiggle at 5e-324, where 1/t overflows though f rounds to 0; cross also
+    # beyond the box, where a factor overflows though f need not
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    special = [0.0, -0.0, 5e-324, -2.5e-310, -1e-300, 1e-250, -1e-210, 1e-160, 1e-100, 0.7, -3.0, 1e50, 1e100]
+    rng = make_rng(17)
+    with mp.workdps(50), np.errstate(over="ignore", invalid="ignore"):  # cross's factors beyond the box overflow
+        for name, dim in (("quad", 2), ("abs_sum", 2), ("cross", 2), ("wiggle", 1), ("vee_bowl", 2),
+                          ("neg_norm", 3)):
+            fn = get_function(name, dim)
+            assert fn.value_many(np.empty((0, dim))).shape == (0,)
+            table = np.array(list(itertools.product(special, repeat=dim)))
+            if name == "cross":
+                table = np.concatenate([table, [[1e300, 1e-300], [1e300, -1e-200], [-1e250, 1e-210], [1e300, 0.0]]])
+            sampled = rng.choice([-1.0, 1.0], (300, dim)) * 10.0 ** rng.uniform(-5.0, 5.0, (300, dim))
+            for label, pts in (("special", table), ("sampled", sampled)):
+                errs = []
+                for x, got in zip(pts.tolist(), fn.value_many(pts).tolist()):
+                    assert repr(fn.value(x)) == repr(got), (name, x)
+                    want = _exact_value(mp, name, x)
+                    if name == "neg_norm" and want * want < 2.0 ** -1022:
+                        assert abs(got - want) < NEG_NORM_ABS, (x, got)
+                        continue
+                    err = (got - want) / max(abs(want) * 2.0 ** -52, mp.mpf(2.0 ** -1074))
+                    assert abs(err) <= VALUE_ULPS[name], (name, label, x, got, float(want))
+                    errs.append(float(err) * (1 if want >= 0 else -1))
+                assert abs(np.mean(errs)) <= 0.2, (name, label, np.mean(errs))
+
+
 def test_generator_norms_respect_analytic_lipschitz_constants():
     rng = make_rng(31)
     cases = [

@@ -150,7 +150,7 @@ def test_flags_and_config_produce_identical_bytes(tmp_path):
     for i, (flags, cfg) in enumerate(cases):
         assert run_command(flags.split() + ["--out", str(tmp_path / f"flags{i}")]) == 0
         cfg.out = str(tmp_path / f"cfg{i}")
-        (tmp_path / f"run{i}.json").write_text(cfg.to_json())
+        (tmp_path / f"run{i}.json").write_text(json_text(cfg))
         assert run_command(["--config", str(tmp_path / f"run{i}.json")]) == 0
         assert (tmp_path / f"flags{i}").read_bytes() == (tmp_path / f"cfg{i}").read_bytes(), flags
 
@@ -159,7 +159,7 @@ def test_runconfig_json_roundtrip():
     cfg = RunConfig(command="probe", function="quad", xstar=[0.0, 0.0], epsilon=0.1,
                     delta_grid=[0.05], alpha_grid=[0.2, 0.1], samples=9, seed=42,
                     policy="fixed_index:2", format="json")
-    assert RunConfig.from_json(cfg.to_json()) == cfg
+    assert RunConfig.from_json(json_text(cfg)) == cfg
 
 
 def test_env_seed_overrides_flag(tmp_path, monkeypatch):
@@ -205,10 +205,15 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     (tmp_path / "nocommand.json").write_text('{"function": "quad"}')
     (tmp_path / "array.json").write_text("[1, 2]")
     (tmp_path / "list.json").write_text('{"command": "list-functions"}')
+    (tmp_path / "long.json").write_text('{"command": "simulate", "function": "quad", "x0": [1], "alpha": 0.1, '
+                                        f'"steps": {"9" * 5000}}}')
     simulate = ["simulate", "--function", "quad", "--x0", "1", "--alpha", "0.1",
                 "--steps", "1", "--out", "x.csv"]
     rows = [  # (NSDYN_SEED, argv, text the one stderr line must name)
-        ("abc", ["list-functions"], "abc"),
+        ("abc", ["list-functions"], "NSDYN_SEED must be an integer, got 'abc'"),
+        # ints of more digits than Python reads (4300): the line names where each came from
+        ("9" * 5000, ["list-functions"], "NSDYN_SEED must be an integer, got '999"),
+        (None, ["--config", "long.json"], "steps must be an integer >= 0, got an int of 5000 digits"),
         (None, ["--config", "bad.json"], "error"),
         (None, ["--config", "extra.json"], "bogus_key"),
         (None, ["--config", "missing.json"], "missing.json"),

@@ -35,6 +35,7 @@ from nsdyn.engine import (DIVERGENCE_LIMIT, MAX_RECORDED_STEPS, RECORD_BLOCK, Tr
                           make_rng)
 from nsdyn.errors import DimensionMismatch, OutOfHorizon
 from nsdyn.flow import flow_value
+from nsdyn.stability import LIPSCHITZ_SAMPLES, LOCAL_MIN_SAMPLES
 from reference import hull_distance
 
 QUAD1 = get_function("quad", 1)
@@ -493,12 +494,13 @@ def test_random_extreme_draws_the_documented_index():
 
 
 class _CountingOracle:
-    """Delegates to a catalog function, recording the rows of each min_norm_many call and counting at_kink
-    and generators calls."""
+    """Delegates to a catalog function, recording the rows of each min_norm_many and value_many call and counting
+    at_kink and generators calls."""
 
     def __init__(self, fn):
         self.fn = fn
         self.rows = []
+        self.value_rows = []
         self.kink_calls = 0
         self.generators_calls = 0
 
@@ -508,6 +510,10 @@ class _CountingOracle:
     def min_norm_many(self, pts):
         self.rows.append(pts.shape[0])
         return self.fn.min_norm_many(pts)
+
+    def value_many(self, pts):
+        self.value_rows.append(pts.shape[0])
+        return self.fn.value_many(pts)
 
     def at_kink(self, pts):
         self.kink_calls += 1
@@ -529,6 +535,18 @@ def test_a_recorded_generator_policy_run_makes_no_batch_call():
         assert oracle.rows == [] and oracle.kink_calls == 0, policy
         run_batch(oracle, np.array([[0.5], [0.0]]), 0.25, 5, policy=policy, seeds=lambda i: i)
         assert oracle.kink_calls > 0 and oracle.generators_calls == 0, policy
+
+
+def test_ball_helpers_draw_their_fixed_samples():
+    # the Lipschitz estimate lists the generators at the center and at each of its 256 sampled points, one call a
+    # point; the local-min check compares 2000 sampled values in one call
+    assert (LIPSCHITZ_SAMPLES, LOCAL_MIN_SAMPLES) == (256, 2000)
+    for fn in (get_function("quad", 2), get_function("abs_sum", 3), CROSS):
+        oracle = _CountingOracle(fn)
+        estimate_lipschitz(oracle, np.zeros(fn.dim), 0.1, seed=3)
+        assert oracle.generators_calls == LIPSCHITZ_SAMPLES + 1 and oracle.value_rows == []
+        local_min_check(oracle, np.zeros(fn.dim), 0.1, seed=3)
+        assert oracle.value_rows == [LOCAL_MIN_SAMPLES] and oracle.generators_calls == LIPSCHITZ_SAMPLES + 1
 
 
 def test_batch_exit_indices_match_first_exit():
@@ -628,8 +646,6 @@ def test_every_integer_argument_passes_one_integer_rule():
              ("seed", 0, lambda v: derive_seed(v, 1)),
              ("seed index", 0, lambda v: derive_seed(1, v)),
              ("index", None, lambda v: SelectionPolicy("fixed_index", v)),
-             ("samples", 1, lambda v: estimate_lipschitz(quad, [0.0], 0.1, samples=v)),
-             ("samples", 1, lambda v: local_min_check(quad, [0.0], 0.1, samples=v)),
              ("n_samples", 1, lambda v: probe(StabilityQuery(**{**query, "n_samples": v}))),
              ("max_iters", 1, lambda v: probe(StabilityQuery(**{**query, "max_iters": v}))),
              ("seed", 0, lambda v: probe(StabilityQuery(**query, seed=v))),
@@ -715,7 +731,7 @@ def test_every_point_argument_passes_one_point_rule():
              ("center", "ball", lambda p: first_exit(traj, p, 2.0)),
              ("center", "point", lambda p: sample_ball(p, 0.1, 4, make_rng(0))),
              ("center", "point", lambda p: estimate_lipschitz(quad, p, 0.1)),
-             ("x_star", "point", lambda p: local_min_check(quad, p, 0.1, samples=4)),
+             ("x_star", "point", lambda p: local_min_check(quad, p, 0.1)),
              ("x_star", "point", lambda p: _cells(probe(StabilityQuery("quad", p, 0.1, n_samples=2, max_iters=5)))),
              ("delta_grid", "grid", lambda g: _cells(probe(StabilityQuery("quad", np.zeros(1), 2.0, delta_grid=g,
                                                                           n_samples=2, max_iters=5)))),

@@ -27,13 +27,13 @@ from nsdyn.stability import _max_generator_norm
 def test_estimate_lipschitz_abs_sum_is_sharp():
     # every off-axis generator in dim 2 has norm exactly sqrt(2)
     fn = get_function("abs_sum", 2)
-    L = estimate_lipschitz(fn, [0.0, 0.0], 0.5, samples=64, seed=3)
+    L = estimate_lipschitz(fn, [0.0, 0.0], 0.5, seed=3)
     assert L == pytest.approx(1.1 * np.sqrt(2), rel=1e-12)
 
 
 def test_estimate_lipschitz_quad_tracks_ball_radius():
     fn = get_function("quad", 2)
-    L = estimate_lipschitz(fn, [0.0, 0.0], 1.0, samples=512, seed=3)
+    L = estimate_lipschitz(fn, [0.0, 0.0], 1.0, seed=3)
     assert 1.0 <= L <= 1.1 + 1e-12
     # probe estimates over B(x*, epsilon) from the stream keyed (seed, 0x11F); here the samples set the estimate
     verdict = probe(StabilityQuery("quad", np.zeros(2), 0.1, n_samples=1, max_iters=1, seed=5))
@@ -42,7 +42,7 @@ def test_estimate_lipschitz_quad_tracks_ball_radius():
 
 def test_estimate_lipschitz_cross_below_analytic_sup():
     fn = get_function("cross")
-    L = estimate_lipschitz(fn, [1.0, 0.0], 0.5, samples=512, seed=3)
+    L = estimate_lipschitz(fn, [1.0, 0.0], 0.5, seed=3)
     sup = 1.5 * np.sqrt(1.5 * 0.5 ** 3 + 1.5 ** 3 * 0.5)
     assert L <= 1.1 * sup
     assert L >= 0.5 * sup  # the sample actually explores the ball
@@ -70,7 +70,7 @@ def test_max_generator_norm_keeps_its_bits_and_a_nan():
     # wiggle's field is NaN where 1/t overflows, as on this subnormal ball: the estimate is NaN, not 0.0,
     # and so is the largest norm when a finite one comes first
     fn = get_function("wiggle")
-    assert np.isnan(estimate_lipschitz(fn, [5e-324], 1e-320, samples=4))
+    assert np.isnan(estimate_lipschitz(fn, [5e-324], 1e-320))
     assert np.isnan(_max_generator_norm(fn, np.array([[0.5], [1e-320]])))
     assert np.isnan(_max_generator_norm(fn, np.array([[0.0], [1e-320]])))  # the listed set at the kink is reduced first
 
@@ -295,16 +295,16 @@ def test_probe_runs_one_batch_per_alpha(monkeypatch):
 
 
 def test_local_min_check_examples():
-    out = local_min_check(get_function("cross"), [1.0, 0.0], 0.2, samples=4000, seed=1)
+    out = local_min_check(get_function("cross"), [1.0, 0.0], 0.2, seed=1)
     assert out.status == "consistent_with_local_min"
     assert out.counterexample is None
 
-    out = local_min_check(get_function("neg_norm", 2), [0.0, 0.0], 0.1, samples=50, seed=1)
+    out = local_min_check(get_function("neg_norm", 2), [0.0, 0.0], 0.1, seed=1)
     assert out.status == "counterexample_point"
     fn = get_function("neg_norm", 2)
     assert fn.value(out.counterexample) < out.f_center - 1e-12
 
-    out = local_min_check(get_function("wiggle"), [0.0], 0.05, samples=500, seed=1)
+    out = local_min_check(get_function("wiggle"), [0.0], 0.05, seed=1)
     assert out.status == "counterexample_point"
     assert get_function("wiggle").value(out.counterexample) < -1e-12
 
@@ -321,14 +321,12 @@ def test_ball_helpers_refuse_a_ball_they_cannot_sample(helper):
             helper(get_function(fn_id, 2), center, radius)
     with pytest.raises(ValueError, match="center"):
         sample_ball([0.0, np.inf], 0.1, 4, make_rng(0))
-    with pytest.raises(ValueError, match="samples"):
-        helper(get_function("quad", 2), [0.0, 0.0], 0.1, samples=0)
-    # one sample is the least the helpers take
+    # a ball they can sample
     quad = get_function("quad", 2)
     if helper is local_min_check:
-        assert helper(quad, [0.0, 0.0], 0.1, samples=1).status == "consistent_with_local_min"
-    else:  # 1.1 times the largest of ||x|| over the center (0.5, 0) and one point within 0.1 of it
-        assert 0.55 <= helper(quad, [0.5, 0.0], 0.1, samples=1) <= 0.66
+        assert helper(quad, [0.0, 0.0], 0.1).status == "consistent_with_local_min"
+    else:  # 1.1 times the largest of ||x|| over the center (0.5, 0) and points within 0.1 of it
+        assert 0.55 <= helper(quad, [0.5, 0.0], 0.1) <= 0.66
 
 
 def test_convex_bounds_abs_sum_from_one():
@@ -443,6 +441,5 @@ def test_no_escape_points_pass_local_min_check():
         verdict = probe(StabilityQuery(name, x_star, 0.1, n_samples=20,
                                        max_iters=300, seed=13))
         assert verdict.status == "no_escape_observed"
-        check = local_min_check(get_function(name, 2), x_star, 0.05,
-                                samples=2000, seed=13)
+        check = local_min_check(get_function(name, 2), x_star, 0.05, seed=13)
         assert check.status == "consistent_with_local_min"
