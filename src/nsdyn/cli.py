@@ -82,22 +82,11 @@ class RunConfig:
         return cls(**data)
 
 
-@dataclass(frozen=True)
-class _LongInt:
-    """A JSON int of more digits than Python reads (``sys.get_int_max_str_digits``): no rule takes it, so the field
-    that holds one is refused on a line that names it."""
-
-    digits: int
-
-    def __repr__(self):
-        return f"an int of {self.digits} digits (Python reads at most {sys.get_int_max_str_digits()})"
-
-
 def _json_int(text: str):
     try:
         return int(text)
-    except ValueError:  # JSON hands over an int literal, so only Python's digit limit refuses it
-        return _LongInt(len(text.lstrip("-")))
+    except ValueError:  # more digits than Python reads (4300), so past float64's range: the field's rule refuses inf
+        return float(text)
 
 
 def _parse_vector(text: str) -> list:

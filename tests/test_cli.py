@@ -213,7 +213,7 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
         ("abc", ["list-functions"], "NSDYN_SEED must be an integer, got 'abc'"),
         # ints of more digits than Python reads (4300): the line names where each came from
         ("9" * 5000, ["list-functions"], "NSDYN_SEED must be an integer, got '999"),
-        (None, ["--config", "long.json"], "steps must be an integer >= 0, got an int of 5000 digits"),
+        (None, ["--config", "long.json"], "steps must be an integer >= 0, got inf"),
         (None, ["--config", "bad.json"], "error"),
         (None, ["--config", "extra.json"], "bogus_key"),
         (None, ["--config", "missing.json"], "missing.json"),

@@ -138,9 +138,8 @@ def _library_call(rng: random.Random):
     delta_grid, alpha_grid = _grid(rng, [(0.05, 0.01), (0.02,)]), _grid(rng, [(0.1, 0.05), (0.2,)])
     with_seeds = rng.random() < 0.5
     n_samples, k_max, n_steps = integer(1, 3, 0, -1), integer(1, 5, 20, 0), rng.choice((None, integer(0, 10, -1)))
-    which = rng.randrange(10)
 
-    def call(as_int):
+    def calls(as_int):
         def policy():
             return SelectionPolicy(kind, as_int(index))
 
@@ -160,9 +159,10 @@ def _library_call(rng: random.Random):
             lambda: cross_update(x, alpha),
             lambda: doubling_check(x, alpha),
             lambda: sup_deviation(InterpolatedPath(run(fn, x, alpha, as_int(steps)), a), integrate_flow(fn, x, a, b)),
-        ][which]()
+        ]
 
-    return call
+    which = rng.randrange(len(calls(int)))
+    return lambda as_int: calls(as_int)[which]()
 
 
 def _numpy_int(v):
