@@ -67,6 +67,7 @@ _DEFAULT_NAN = math.inf - math.inf  # the hardware's NaN for an invalid operatio
 _TINY = 2.0 ** -1022  # the least normal float64
 _HUGE_RECIPROCAL = 1.0 / sys.float_info.max  # 1/t overflows to inf exactly where 0 < |t| <= this
 _THREE_HALVES = np.array(1.5)  # a 0-d array, which numpy takes without converting a Python float each call
+_CROSS_CALM = (2.0 ** -681, 2.0 ** 341)  # |x_i| here: |x_i|^1.5 is normal, and a product of two is finite
 
 
 def _sign(v: float) -> float:
@@ -319,12 +320,16 @@ class Cross(CatalogFunction):
     fixed_dim = 2
 
     def value_many(self, pts):
-        f = np.float_power(np.abs(pts), _THREE_HALVES)  # |x_i|^1.5, libm's pow on each element in any layout
-        out = f[:, 0] * f[:, 1]
-        if f.size and not (f.min() >= _TINY and f.max() < np.inf):  # a factor left the normal range, or a NaN
-            off = ((f < _TINY) | (f == np.inf)).any(axis=1)
-            a = np.abs(pts[off])
-            out[off] = np.float_power(a[:, 0] * a[:, 1], _THREE_HALVES)  # within 1.25 ulps where f is normal
+        a = np.abs(pts)
+        if not a.size or (a.min() >= _CROSS_CALM[0] and a.max() <= _CROSS_CALM[1]):  # all the keep box off the axes
+            f = np.float_power(a, _THREE_HALVES)  # |x_i|^1.5, libm's pow on each element in any layout
+            return f[:, 0] * f[:, 1]
+        with np.errstate(over="ignore", invalid="ignore"):  # beyond the box a factor or a product overflows to inf
+            f = np.float_power(a, _THREE_HALVES)
+            out = f[:, 0] * f[:, 1]
+            off = ((f < _TINY) | (f == np.inf)).any(axis=1)  # a factor left the normal range; NaN takes neither
+            b = a[off]
+            out[off] = np.float_power(b[:, 0] * b[:, 1], _THREE_HALVES)  # within 1.25 ulps where f is normal
         return out
 
     def min_norm_at(self, x):

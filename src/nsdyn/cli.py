@@ -37,11 +37,11 @@ import numpy as np
 from . import reporting
 from .catalog import as_count, as_point, as_real, get_function
 from .counterexample import escape_experiment
-from .engine import InterpolatedPath, SelectionPolicy, _check_recorded, run
+from .engine import InterpolatedPath, SelectionPolicy, _check_recorded, _check_rows, run
 from .errors import NonFiniteState
 from .flow import integrate_flow, sup_deviation
 from .reporting import json_text, write_text
-from .stability import StabilityQuery, convex_bounds_report, probe
+from .stability import DELTA_FRACTIONS, StabilityQuery, convex_bounds_report, probe
 
 __all__ = ["RunConfig", "run_command", "main"]
 
@@ -199,6 +199,8 @@ def _check_config(cfg: RunConfig):
                 raise ValueError(f"{f.name} must be one of {CHOICES[f.name]}, got {value!r}")
             if f.name == "policy":
                 _policy(cfg)  # parsed before any work
+    if cfg.samples is not None:  # the escape experiment's batch, or probe's cells of one alpha, before any sampling
+        _check_rows(cfg.samples, "samples", len(cfg.delta_grid or DELTA_FRACTIONS) if cfg.command == "probe" else 1)
 
 
 def _set(**kwargs) -> dict:

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .catalog import as_count, as_point, as_real, get_function
-from .engine import derive_seed, make_rng, run_batch, sample_ball
+from .engine import _check_rows, derive_seed, make_rng, run_batch, sample_ball
 from .errors import OnNullSet, PreconditionViolated
 
 __all__ = [
@@ -101,33 +101,29 @@ class EscapeStats:
         return out
 
 
-def escape_experiment(epsilon: float, alpha: float, n_samples: int, k_max: int = 100_000,
-                      seed: int = 0, initial_points=None):
-    """Count how many starts in B((1,0), epsilon) leave the ball within k_max steps.
+def escape_experiment(epsilon: float, alpha: float, n_samples: int, k_max: int = 100_000, seed: int = 0):
+    """Count how many of n_samples starts drawn uniformly in B((1,0), epsilon) leave the ball within k_max steps.
 
-    Samples uniformly in the ball, or starts from ``initial_points``, which pass ``as_point``'s batch form as
-    n_samples rows of R^2 (the continuous sampler hits the axis set with probability zero; an x2 == 0 start in the
-    ball is a fixed point that keeps -1 and counts as stuck; any start outside exits at 0 as escaped).  Each start
-    is counted once: escaped + stuck + non-escaped off S = n_samples.  Non-escaping off-axis samples are not
-    discarded: they are counted and their indices are available in the per-sample table for inspection.
+    The sampler hits the axis set S with probability zero; an x2 == 0 start in the ball is a fixed point that keeps
+    -1 and counts as stuck, and a start outside exits at 0 as escaped.  Each start is counted once: escaped + stuck
+    + non-escaped off S = n_samples.  Non-escaping off-axis samples are not discarded: they are counted and their
+    indices are available in the per-sample table for inspection.  Starts of one's own run through
+    ``run_batch(get_function("cross"), starts, alpha, k_max, (1, 0), epsilon)``, which returns the exit indices
+    this experiment would give them.
 
     Returns (EscapeStats, per_sample) where per_sample is a structured array with columns (x1_0, x2_0, exit_index,
-    on_S); exit_index is -1 for samples that never left the ball.  Counts and the seed pass ``as_count``, epsilon
-    (<= 1/2) and alpha ``as_real``.
+    on_S); exit_index is -1 for samples that never left the ball.  Counts and the seed pass ``as_count``, n_samples
+    at most MAX_BATCH_ROWS, epsilon (<= 1/2) and alpha ``as_real``.
     """
     epsilon = as_real(epsilon, "epsilon")
     if epsilon > 0.5:
         raise ValueError("epsilon must lie in (0, 1/2]")
     alpha = as_real(alpha, "alpha")
     n_samples, k_max, seed = as_count(n_samples, "n_samples", 1), as_count(k_max, "k_max", 1), as_count(seed, "seed")
+    _check_rows(n_samples, "n_samples")
     fn = get_function("cross")
     center = np.array([1.0, 0.0])
-    if initial_points is None:
-        x0s = sample_ball(center, epsilon, n_samples, make_rng(derive_seed(seed, 0xE5C)))
-    else:
-        x0s = as_point(initial_points, 2, "initial_points", rows="n_samples")
-        if x0s.shape[0] != n_samples:
-            raise ValueError("initial_points must have shape (n_samples, 2)")
+    x0s = sample_ball(center, epsilon, n_samples, make_rng(derive_seed(seed, 0xE5C)))
     on_s = _on_axes(x0s)
     exit_index, _ = run_batch(fn, x0s, alpha, k_max, center, epsilon)
     escaped = exit_index >= 0

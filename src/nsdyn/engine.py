@@ -72,6 +72,7 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e100
 RECORD_BLOCK = 64  # a recorded run steps this many iterates into flat lists, then writes and tests them at once
 MAX_RECORDED_STEPS = 10 ** 7  # 16 bytes per coordinate per step
+MAX_BATCH_ROWS = 10 ** 6  # ~90 bytes per coordinate per row at a sampled batch's peak: ~180 MB in R^2
 
 _POLICY_KINDS = ("minimal_norm", "random_extreme", "fixed_index")
 
@@ -160,6 +161,13 @@ def _check_recorded(n_steps, source: str):
     """A recorded run keeps 0 to MAX_RECORDED_STEPS steps, checked before allocating; ``source`` set n_steps."""
     if not 0 <= n_steps <= MAX_RECORDED_STEPS:
         raise ValueError(f"{source} must give between 0 and {MAX_RECORDED_STEPS} recorded steps")
+
+
+def _check_rows(n: int, name: str, balls: int = 1):
+    """n starts from each of ``balls`` balls make one batch of at most MAX_BATCH_ROWS rows, checked before sampling."""
+    if n * balls > MAX_BATCH_ROWS:
+        each = "" if balls == 1 else f" over {balls} start balls"
+        raise ValueError(f"{name} must be at most {MAX_BATCH_ROWS // balls}{each}, got {n}")
 
 
 def _inside(center, radius: float, dim: int):

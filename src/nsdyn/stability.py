@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CatalogFunction, as_count, as_point, as_real, get_function
-from .engine import (MINIMAL_NORM, SelectionPolicy, Trajectory, _check_recorded, _inside, derive_seed,
-                     make_rng, run, run_batch, sample_ball)
+from .engine import (MINIMAL_NORM, SelectionPolicy, Trajectory, _check_recorded, _check_rows, _inside,
+                     derive_seed, make_rng, run, run_batch, sample_ball)
 from .errors import InvalidQuery, NonFiniteInput, NotConvex
 
 __all__ = [
@@ -80,9 +80,9 @@ class StabilityQuery:
     """Probe configuration; grids default to geometric ladders when None.
 
     x_star and both grids pass ``as_point``, the grids as decreasing 1-D arrays; epsilon passes ``as_real`` and
-    exceeds every delta; counts are integers >= 1.  max_iters None selects the heuristic K = ceil(T/alpha) * 50 per
-    step size, with T = epsilon / (3 * L_estimate); K or max_iters is at most MAX_RECORDED_STEPS (10^7), which the
-    witness replay records.
+    exceeds every delta; counts are integers >= 1, n_samples times the delta count at most MAX_BATCH_ROWS (10^6).
+    max_iters None selects the heuristic K = ceil(T/alpha) * 50 per step size, with T = epsilon / (3 * L_estimate);
+    K or max_iters is at most MAX_RECORDED_STEPS (10^7), which the witness replay records.
     """
 
     fn_id: str
@@ -142,6 +142,7 @@ def _validate(q: StabilityQuery, epsilon: float, x_star: np.ndarray, deltas: np.
     if not all(np.isfinite(v).all() for v in [x_star] + grids):
         raise InvalidQuery("x_star and the grids must be finite")
     n = as_count(q.n_samples, "n_samples", 1, InvalidQuery)
+    _check_rows(n, "n_samples", deltas.size)  # the cells of one alpha make one batch
     max_iters = None if q.max_iters is None else as_count(q.max_iters, "max_iters", 1, InvalidQuery)
     _check_recorded(max_iters or 0, "max_iters")  # the witness replay records max_iters steps; None derives K
     if any(g.size == 0 for g in grids):
@@ -166,8 +167,9 @@ def probe(q: StabilityQuery) -> StabilityVerdict:
     alpha <= alpha_bar; the witness is the smallest (delta index, alpha
     index, sample index), so the verdict does not depend on execution order.
     Before any run, a bad count, or an epsilon or Lipschitz estimate that fails ``as_real`` (NaN where the
-    field is NaN), raises InvalidQuery; an exit ball that ``run_batch`` would refuse, or a max_iters or
-    heuristic K above MAX_RECORDED_STEPS (``_check_recorded``'s line), raises ValueError.
+    field is NaN), raises InvalidQuery; an exit ball that ``run_batch`` would refuse, a max_iters or heuristic K
+    above MAX_RECORDED_STEPS (``_check_recorded``'s line), or N times the delta count above MAX_BATCH_ROWS
+    (``_check_rows``' line), raises ValueError.
     """
     x_star = as_point(q.x_star, name="x_star")
     fn = get_function(q.fn_id, dim=x_star.shape[0])

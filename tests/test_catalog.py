@@ -99,6 +99,8 @@ def test_minimal_norm_examples():
     npt.assert_array_equal(minimal_norm_element(g), g[0])
     npt.assert_allclose(minimal_norm_element(np.array([[1.0, 0.0], [0.0, 1.0]])),
                         [0.5, 0.5], rtol=1e-12)
+    # a segment of length 0 is its one point, exactly
+    assert minimal_norm_element([[1.0, 0.0], [1.0, 0.0]]).tolist() == [1.0, 0.0]
     # any input with no entries, [] too, which atleast_2d would make one generator of dimension 0
     for empty in (np.empty((0, 2)), [], [[]], np.empty(0), np.empty((0, 0))):
         with pytest.raises(ValueError, match="empty generator set"):
@@ -455,17 +457,18 @@ VALUE_ULPS = {"quad": 1.5, "abs_sum": 0.5, "cross": 2.5, "wiggle": 2.0, "vee_bow
 NEG_NORM_ABS = 1.5e-154
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_values_are_accurate_against_50_digit_arithmetic():
     # the value twin of the field test: value_many, the one value formula, held to the real value on the special
     # values within the keep test's 1e100, with -1e-210 (cross's |x1|^1.5 is subnormal there), and on sampled rows;
     # value, its one-row case, gives each row's bits.  Among them are cross at (1e100, 1e-250), where a factor
     # underflows though f is 1e-225, and wiggle at 5e-324, where 1/t overflows though f rounds to 0; cross also
-    # beyond the box, where a factor overflows though f need not
+    # beyond the box, where a factor overflows though f need not, without a warning
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
     special = [0.0, -0.0, 5e-324, -2.5e-310, -1e-300, 1e-250, -1e-210, 1e-160, 1e-100, 0.7, -3.0, 1e50, 1e100]
     rng = make_rng(17)
-    with mp.workdps(50), np.errstate(over="ignore", invalid="ignore"):  # cross's factors beyond the box overflow
+    with mp.workdps(50):
         for name, dim in (("quad", 2), ("abs_sum", 2), ("cross", 2), ("wiggle", 1), ("vee_bowl", 2),
                           ("neg_norm", 3)):
             fn = get_function(name, dim)
@@ -486,6 +489,9 @@ def test_values_are_accurate_against_50_digit_arithmetic():
                     assert abs(err) <= VALUE_ULPS[name], (name, label, x, got, float(want))
                     errs.append(float(err) * (1 if want >= 0 else -1))
                 assert abs(np.mean(errs)) <= 0.2, (name, label, np.mean(errs))
+    # a product of cross's factors beyond float64 is inf, also without a warning: two normal factors, two infinite
+    for row in ([2.0 ** 341.5] * 2, [1e300] * 2):
+        assert get_function("cross").value_many(np.array([row])).tolist() == [np.inf]
 
 
 def test_generator_norms_respect_analytic_lipschitz_constants():

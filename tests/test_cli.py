@@ -254,6 +254,8 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
             ({"command": "simulate", "function": "quad", "x0": [1], "alpha": 0.1, "steps": 3,
               "format": "xml"}, "format"),
             ({"command": "simulate", "function": "quad", "x0": [1], "alpha": 0.1, "steps": 10 ** 23}, "steps"),
+            ({"command": "counterexample", "epsilon": 0.25, "alpha": 0.3, "samples": 10 ** 13},
+             "error: samples must be at most 1000000, got 10000000000000"),
             # an index only after fixed_index, and in the policy string itself, not in a key of its own
             ({"command": "simulate", "function": "quad", "x0": [1], "alpha": 0.1, "steps": 3,
               "policy": "random_extreme:1"}, "policy"),
@@ -290,6 +292,20 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
                        ("convex-bounds --function quad --x0 1 --alpha 0.1 --epsilon 0.1 --steps -3", "steps"),
                        ("probe --function neg_norm --xstar 0,0 --epsilon 0.1 --samples 0", "samples"),
                        ("counterexample --epsilon 0.25 --alpha 0.3 --samples 0", "samples"),
+                       # a batch of more rows than MAX_BATCH_ROWS, refused before any sampling on a line naming the
+                       # flag, not the library's n_samples: the escape experiment's samples, or probe's times its
+                       # delta count
+                       ("counterexample --epsilon 0.25 --alpha 0.3 --samples 9999999999999 --max-iters 5",
+                        "error: samples must be at most 1000000, got 9999999999999"),
+                       ("counterexample --epsilon 0.25 --alpha 0.3 --samples 1000001 --max-iters 5",
+                        "error: samples must be at most 1000000, got 1000001"),
+                       ("probe --function quad --xstar 0 --epsilon 0.1 --max-iters 5 "
+                        "--samples 99999999999999999999999",
+                        "error: samples must be at most 250000 over 4 start balls, got 99999999999999999999999"),
+                       ("probe --function quad --xstar 0 --epsilon 0.1 --max-iters 5 --samples 250001",
+                        "error: samples must be at most 250000 over 4 start balls, got 250001"),
+                       ("probe --function quad --xstar 0 --epsilon 0.1 --max-iters 5 --delta-grid 0.05,0.02 "
+                        "--samples 500001", "error: samples must be at most 500000 over 2 start balls, got 500001"),
                        ("compare --function quad --x0 1 --alpha 0 --horizon 1", "alpha"),
                        # more steps than a recorded run may keep, refused before allocating
                        ("simulate --function quad --x0 1 --alpha 0.1 --steps 100000000000", "steps"),

@@ -11,7 +11,8 @@ from nsdyn import (
     run,
     run_batch,
 )
-from nsdyn.engine import make_rng
+from nsdyn import counterexample
+from nsdyn.engine import MAX_BATCH_ROWS, make_rng
 from nsdyn.errors import OnNullSet, PreconditionViolated
 
 CROSS = get_function("cross")
@@ -115,22 +116,36 @@ def test_escape_experiment_counts_all_offS_escapes():
     assert np.all(per_sample["exit_index"] >= 1)
 
 
-def test_escape_experiment_forced_axis_start():
+def test_escape_experiment_forced_axis_start(monkeypatch):
     # (epsilon, alpha, k_max, starts, exit indices, on_S, (escaped, stuck, non-escaped off S)); every start is
     # counted once.  An axis start inside the ball is a fixed point and counts as stuck; one outside exits at 0,
     # as an off-axis one does, and counts as escaped only.  (0.5, 5e-324) is off S, though x1 * x2 underflows.
+    # The uniform sampler never draws these starts, so the test substitutes the sampler the experiment calls.
     cases = [
         (0.25, 0.1, 100, [[1.0, 0.0]], [-1], [True], (0, 1, 0)),
         (0.25, 0.1, 100, [[1.0, 0.0], [1.5, 0.0], [1.5, 0.1]], [-1, 0, 0], [True, True, False], (2, 1, 0)),
         (0.5, 0.3, 5, [[0.5, 5e-324], [1.0, 0.0]], [-1, -1], [False, True], (0, 1, 1)),
     ]
     for epsilon, alpha, k_max, starts, exits, on_s, counts in cases:
-        stats, per_sample = escape_experiment(epsilon, alpha, len(starts), k_max=k_max, seed=7,
-                                              initial_points=starts)
+        def forced(center, radius, n, rng):
+            assert (center.tolist(), radius, n) == ([1.0, 0.0], epsilon, len(starts))
+            return np.array(starts)
+
+        monkeypatch.setattr(counterexample, "sample_ball", forced)
+        stats, per_sample = escape_experiment(epsilon, alpha, len(starts), k_max=k_max, seed=7)
         assert per_sample["exit_index"].tolist() == exits
         assert per_sample["on_S"].tolist() == on_s
         assert (stats.escaped_count, stats.stuck_on_S_count, stats.non_escaped_offS_count) == counts
         assert sum(counts) == stats.n_samples
+
+
+def test_chosen_starts_run_through_run_batch():
+    # the experiment's exit indices are run_batch's on its sampled starts, so starts of one's own go there
+    stats, per_sample = escape_experiment(0.25, 0.3, 40, k_max=90, seed=7)
+    starts = np.column_stack([per_sample["x1_0"], per_sample["x2_0"]])
+    exit_index, _ = run_batch(CROSS, starts, 0.3, 90, (1, 0), 0.25)
+    assert exit_index.tolist() == per_sample["exit_index"].tolist()
+    assert 0 < stats.escaped_count < 40  # both kinds of row: 90 steps fall short of the slowest exits
 
 
 def test_escape_experiment_regression_baseline():
@@ -147,11 +162,23 @@ def test_escape_experiment_validates_epsilon():
         escape_experiment(0.0, 0.1, 10)
     assert escape_experiment(0.5, 0.1, 2, k_max=5)[0].epsilon == 0.5  # the interval is closed at 1/2
     # and the counts and the starts
-    for kwargs, named in ((dict(n_samples=0), "n_samples"), (dict(k_max=0), "k_max"),
-                          (dict(initial_points=[[1.0, 0.1]] * 3), "n_samples"),
-                          (dict(initial_points=[1.0, 0.1, 0.2, 0.3]), "n_samples")):
+    for kwargs, named in ((dict(n_samples=0), "n_samples"), (dict(k_max=0), "k_max")):
         with pytest.raises(ValueError, match=named):
             escape_experiment(**{"epsilon": 0.25, "alpha": 0.1, "n_samples": 2, **kwargs})
+
+
+def test_escape_experiment_caps_its_batch_before_sampling(monkeypatch):
+    # n_samples above MAX_BATCH_ROWS is refused on one line naming it, before the sampler allocates a row;
+    # MAX_BATCH_ROWS itself reaches the sampler
+    def sampler(center, radius, n, rng):
+        raise LookupError(n)
+
+    monkeypatch.setattr(counterexample, "sample_ball", sampler)
+    for n in (MAX_BATCH_ROWS + 1, 10 ** 13, 10 ** 23):
+        with pytest.raises(ValueError, match=f"^n_samples must be at most {MAX_BATCH_ROWS}, got {n}$"):
+            escape_experiment(0.25, 0.3, n, k_max=5)
+    with pytest.raises(LookupError, match=f"^{MAX_BATCH_ROWS}$"):
+        escape_experiment(0.25, 0.3, MAX_BATCH_ROWS, k_max=5)
 
 
 def test_monotone_drift_along_escape():

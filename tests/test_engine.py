@@ -738,7 +738,6 @@ def test_every_point_argument_passes_one_point_rule():
              ("alpha_grid", "grid", lambda g: _cells(probe(StabilityQuery("quad", np.zeros(1), 0.1, alpha_grid=g,
                                                                           n_samples=2, max_iters=5)))),
              ("x0s", "batch", lambda b: run_batch(quad2, b, 0.1, 3)),
-             ("initial_points", "batch", lambda b: escape_experiment(0.25, 0.3, 2, k_max=5, initial_points=b)),
              ("t", "time", lambda t: interpolate(path, t)),
              ("t", "time", lambda t: flow_value(sol, t))]
     refused = [(None, "None"), ("0.5", "'0.5'"), (b"0.5", "b'0.5'"), (True, "True"), (np.True_, "True"),
@@ -749,7 +748,7 @@ def test_every_point_argument_passes_one_point_rule():
     spellings = [(0.5, np.float64(0.5), np.float32(0.5), Fraction(1, 2)),
                  (1.0, 1, np.int64(1), np.uint8(1), np.float32(1.0), Fraction(1))]
     for name, kind, call in calls:
-        whole = name not in ("delta_grid", "alpha_grid", "initial_points")  # for which None is the default
+        whole = name not in ("delta_grid", "alpha_grid")  # for which None is the default
         args = [(form[kind](bad), shown) for bad, shown in refused] + [(None, "None")] * whole
         args += [(np.array(form[kind](bad)), shown) for bad, shown in refused]
         args += [([m, m] if kind == "batch" else m, shown) for m, shown in mixed]

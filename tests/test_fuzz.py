@@ -8,12 +8,13 @@ probe grids given as None, "0.5", [True], [np.True_], [True, 0.5], [0.5, np.True
 [10**400].  Each library call is made twice, with Python ints and with numpy ints, and gives the same bits or refusal
 type both times.
 
-Budgets stay small in every draw: ``--samples`` (or ``n_samples``, ``k_max``) and counterexample's ``--max-iters``,
-which records nothing, have no upper cap, so one large draw would run for hours.  So probe and counterexample, the
-library's probe too, always get a ``--max-iters``, a small one but for probe's edge 2^63, which the recorded-steps
-cap (10^7, as for probe's derived budget) refuses before any batch runs.  No point coordinate is 1e-320, which over
-alpha = epsilon = 5e-324 asks convex-bounds for ~8e6 steps.  Every other pair of pool values gives a ratio
-(horizon/h, the convex budget) below ~2100 or above the 10^7 cap.
+Budgets stay small in every draw. ``--samples`` (``n_samples``) is capped at a batch of 10^6 rows, so its edge draws
+10^13 (and, in the CLI, 10^23) are refused before any sampling, but a draw near the cap would run for minutes;
+``k_max`` and counterexample's ``--max-iters``, which records nothing, have no upper cap, so one large draw would
+run for hours. So probe and counterexample, the library's probe too, always get a ``--max-iters``, a small one but
+for probe's edge 2^63, which the recorded-steps cap (10^7, as for probe's derived budget) refuses before any batch
+runs. No point coordinate is 1e-320, which over alpha = epsilon = 5e-324 asks convex-bounds for ~8e6 steps. Every
+other pair of pool values gives a ratio (horizon/h, the convex budget) below ~2100 or above the 10^7 cap.
 """
 
 import dataclasses
@@ -44,6 +45,7 @@ EDGE = {float: ["0", "-0", "5e-324", "1e-320", "1e300", "1.7e308", "nan", "inf",
         int: ["0", "-1", "1.5", "x", ""],
         str: ["nope", "fixed_index:x", "fixed_index", "random_extreme:1", ""]}
 EDGE_BY_NAME = {"steps": EDGE[int] + ["100000000000"], "seed": EDGE[int] + ["18446744073709551616"],
+                "samples": EDGE[int] + ["10000000000000", "99999999999999999999999"],  # over the batch cap
                 "function": ["nope", ""], "format": ["xml", ""],
                 ("probe", "max_iters"): EDGE[int] + ["9223372036854775808"]}  # counterexample's has no cap
 
@@ -115,7 +117,7 @@ def _library_call(rng: random.Random):
     argument (count, seed, dim, policy index) is one time in ten not an int: 2.5, 3.0, True or np.float64(3.0); a
     real argument is one time in ten not a real number: "0.1", None, True, np.True_ or np.array(0.1); a point, a
     batch of starts or a probe grid is one time in ten none of these (``NOT_POINTS``).  Either half of an exit ball
-    may be None.
+    may be None.  ``n_samples`` may be 10^13, over the batch cap.
     """
     def number():
         draw = rng.random()
@@ -134,10 +136,10 @@ def _library_call(rng: random.Random):
     if rng.random() < 0.5:
         ball = (None if rng.random() < 0.15 else _point(rng, dim), None if rng.random() < 0.15 else number())
     starts = _batch(rng, dim, rng.choice((0, 1, 3)))
-    initial_points = None if rng.random() < 0.5 else _batch(rng, 2, rng.choice((1, 3)))
     delta_grid, alpha_grid = _grid(rng, [(0.05, 0.01), (0.02,)]), _grid(rng, [(0.1, 0.05), (0.2,)])
     with_seeds = rng.random() < 0.5
-    n_samples, k_max, n_steps = integer(1, 3, 0, -1), integer(1, 5, 20, 0), rng.choice((None, integer(0, 10, -1)))
+    n_samples, k_max = integer(1, 3, 0, -1, 10 ** 13), integer(1, 5, 20, 0)
+    n_steps = rng.choice((None, integer(0, 10, -1)))
 
     def calls(as_int):
         def policy():
@@ -148,8 +150,7 @@ def _library_call(rng: random.Random):
             lambda: run_batch(fn, np.empty((0, dim)) if starts == [] else starts, alpha, as_int(steps),
                               *(ball or (None, None)), policy(), as_int if with_seeds else None),
             lambda: integrate_flow(fn, x, a, b),
-            lambda: escape_experiment(a, alpha, as_int(n_samples), k_max=as_int(k_max), seed=as_int(seed),
-                                      initial_points=initial_points),
+            lambda: escape_experiment(a, alpha, as_int(n_samples), k_max=as_int(k_max), seed=as_int(seed)),
             lambda: estimate_lipschitz(fn, x, a, seed=as_int(seed)),
             lambda: local_min_check(fn, x, a, seed=as_int(seed)),
             lambda: convex_bounds_report(fn, x, alpha, a, n_steps=as_int(n_steps)),

@@ -18,7 +18,7 @@ from nsdyn import (
     sample_ball,
     stability,
 )
-from nsdyn.engine import derive_seed, make_rng
+from nsdyn.engine import MAX_BATCH_ROWS, derive_seed, make_rng
 from nsdyn.errors import InvalidQuery, NonFiniteInput, NotConvex
 from nsdyn.reporting import json_text, verdict_json_dict
 from nsdyn.stability import _max_generator_norm
@@ -190,6 +190,21 @@ def test_probe_validates_query(monkeypatch):
             with pytest.raises(ValueError, match="^max_iters must give between 0 and 10000000 recorded steps$"):
                 probe(StabilityQuery("quad", np.zeros(2), 0.1, n_samples=1, max_iters=budget))
     assert budgets == [10 ** 7]
+    # the cells of one alpha make one batch of at most MAX_BATCH_ROWS rows, N times the delta count, refused on
+    # one line naming n_samples before the first draw (a stub sampler that stops the probe once it is reached)
+    def first_draw(center, radius, n, rng):
+        raise Reached
+
+    with monkeypatch.context() as m:
+        m.setattr(stability, "sample_ball", first_draw)
+        four = "250000 over 4 start balls"
+        for n, grid, line in ((250_001, None, four), (10 ** 13, None, four),
+                              (MAX_BATCH_ROWS + 1, (0.05,), str(MAX_BATCH_ROWS))):
+            with pytest.raises(ValueError, match=f"^n_samples must be at most {line}, got {n}$"):
+                probe(StabilityQuery("quad", np.zeros(2), 0.1, delta_grid=grid, n_samples=n, max_iters=5))
+        for n, grid in ((250_000, None), (MAX_BATCH_ROWS, (0.05,))):
+            with pytest.raises(Reached):
+                probe(StabilityQuery("quad", np.zeros(2), 0.1, delta_grid=grid, n_samples=n, max_iters=5))
     for bad in (dict(epsilon=np.nan), dict(epsilon=np.inf), dict(x_star=np.array([np.nan, 0.0])),
                 dict(alpha_grid=(np.nan,)), dict(delta_grid=(0.05, np.nan))):
         with pytest.raises(InvalidQuery, match="finite"):

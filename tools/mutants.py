@@ -121,8 +121,6 @@ MUTANTS = [
      (f"{E}::test_stop_rule_retires_exactly_the_masked_rows",)),
     # a batch of starts or a probe grid that bypasses the rule: numpy's own coercion runs "0.5" or meets a TypeError
     ("engine.py", (('x0s = as_point(x0s, fn.dim, "x0s", rows="n")', "x0s = np.asarray(x0s)"),), (PT,)),
-    ("counterexample.py", (('as_point(initial_points, 2, "initial_points", rows="n_samples")',
-                            "np.asarray(initial_points, float)"),), (PT,)),
     ("stability.py", (('as_point(epsilon * np.array(DELTA_FRACTIONS) if q.delta_grid is None else q.delta_grid, '
                        'name="delta_grid")',
                        "np.asarray(epsilon * np.array(DELTA_FRACTIONS) if q.delta_grid is None else q.delta_grid)"),),
@@ -203,15 +201,16 @@ MUTANTS = [
      (f"{C}::test_fields_keep_the_bits_of_the_one_point_formula_in_any_layout",)),
     ("catalog.py", (("return (pts == 0.0).all(axis=1)", "return (pts == 0.0).any(axis=1)"),),
      (f"{C}::test_at_kink_marks_exactly_the_points_with_several_generators",)),
-    # the value repairs: cross without the power of the product where a factor leaves the normal range, or without
-    # its overflow half, in the mask or in the gate (one row at a time, as value asks); wiggle's sine of an
-    # overflowed 1/t
-    ("catalog.py", (("if f.size and not (f.min() >= _TINY and f.max() < np.inf):", "if False:"),),
+    # the value repairs: cross without the power of the product where a factor leaves the normal range, without
+    # the mask's overflow half, or with the gate's top bound gone or a binade wide (a product overflows with a
+    # warning on the plain path); wiggle's sine of an overflowed 1/t
+    ("catalog.py", (("if not a.size or (a.min() >= _CROSS_CALM[0] and a.max() <= _CROSS_CALM[1]):", "if True:"),),
      (f"{C}::test_values_are_accurate_against_50_digit_arithmetic",)),
     ("catalog.py", (("off = ((f < _TINY) | (f == np.inf)).any(axis=1)", "off = (f < _TINY).any(axis=1)"),),
      (f"{C}::test_values_are_accurate_against_50_digit_arithmetic",)),
-    ("catalog.py", (("f.min() >= _TINY and f.max() < np.inf", "f.min() >= _TINY"),),
+    ("catalog.py", ((" and a.max() <= _CROSS_CALM[1])", ")"),),
      (f"{C}::test_values_are_accurate_against_50_digit_arithmetic",)),
+    ("catalog.py", (("2.0 ** 341)", "2.0 ** 342)"),), (f"{C}::test_values_are_accurate_against_50_digit_arithmetic",)),
     ("catalog.py", (("finite = np.abs(t) > _HUGE_RECIPROCAL", "finite = t != 0.0"),),
      (f"{C}::test_values_are_accurate_against_50_digit_arithmetic",)),
     # the flow's step sizes, 0.1% long: a coordinate leaves its h-band around the closed-form flow
@@ -279,6 +278,19 @@ MUTANTS = [
     # the certificate is the first escape-free cell, not the last
     ("stability.py", (("d_idx, a_idx = np.argwhere(clear)[0]", "d_idx, a_idx = np.argwhere(clear)[-1]"),),
      (f"{S}::test_probe_quad_certificate",)),
+    # the batch cap refusing exactly MAX_BATCH_ROWS, and the cap unchecked by escape, probe or the CLI
+    ("engine.py", (("if n * balls > MAX_BATCH_ROWS:", "if n * balls >= MAX_BATCH_ROWS:"),),
+     (f"{X}::test_escape_experiment_caps_its_batch_before_sampling",)),
+    ("counterexample.py", (('    _check_rows(n_samples, "n_samples")\n', ""),),
+     (f"{X}::test_escape_experiment_caps_its_batch_before_sampling",)),
+    ("stability.py", (('_check_rows(n, "n_samples", deltas.size)', "pass"),), (f"{S}::test_probe_validates_query",)),
+    ("cli.py", (("if cfg.samples is not None:  # the escape experiment's batch, or probe's cells of one alpha, "
+                 "before any sampling", "if False:"),),
+     (f"{CLI}::test_usage_errors_exit_2",)),
+    # cross's values beyond the box computed with numpy's overflow and invalid warnings on
+    ("catalog.py", (('with np.errstate(over="ignore", invalid="ignore"):  # beyond the box a factor or a product '
+                     'overflows to inf', "if True:"),),
+     (f"{C}::test_values_are_accurate_against_50_digit_arithmetic",)),
     # escape's epsilon refused at 1/2, which the interval (0, 1/2] holds
     ("counterexample.py", (("if epsilon > 0.5:", "if epsilon >= 0.5:"),),
      (f"{X}::test_escape_experiment_validates_epsilon",)),
