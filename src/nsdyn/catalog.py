@@ -9,7 +9,7 @@ function is differentiable, the extreme limiting gradients at kinks).  The
 bit rule: with active kinked coordinates A there are ``generator_count`` =
 2^|A|, and ``generator(x, j)`` is the ``min_norm_at`` row with active
 coordinate t set to +1 where bit |A|-1-t of j is set, else -1 (``neg_norm``
-at 0: 2*dim, +e_i then -e_i); ``generators`` lists up to MAX_GENERATORS.  The
+at 0: 2*dim, +e_i then -e_i); ``generators`` lists as many as ``check_budget`` admits.  The
 closed-form minimal-norm field drives all dynamics, written twice in one
 association order: ``min_norm_at`` on one point in Python floats, which
 recorded runs step on, and ``min_norm_many`` on a batch of rows, which
@@ -62,7 +62,11 @@ __all__ = [
 ]
 
 MIN_NORM_TOL = 1e-12
-MAX_GENERATORS = 2 ** 20  # the rows of abs_sum at 0 in R^20 take ~0.7 s and ~200 MB to list (numpy 2.4, x86-64)
+BUDGET = 32 * 10 ** 7  # bytes each allocation a caller sizes may take, checked before it by ``check_budget``
+# bytes a coordinate costs: a recorded step's point and subgradient (so 10^7 steps in R^2); a listed generator; a
+# sampled batch row (~90 at its peak in R^2, with room); a start probe keeps for its witness (8) with its 8-byte exit
+# index (at most 8 more); ``per`` is one of these times the rows of one counted unit
+RECORD_BYTES, LISTED_BYTES, BATCH_BYTES, KEPT_BYTES = 16, 8, 160, 16
 _DEFAULT_NAN = math.inf - math.inf  # the hardware's NaN for an invalid operation, as np.sin(inf) returns
 _TINY = 2.0 ** -1022  # the least normal float64
 _HUGE_RECIPROCAL = 1.0 / sys.float_info.max  # 1/t overflows to inf exactly where 0 < |t| <= this
@@ -143,6 +147,12 @@ def as_real(value, name: str, error=ValueError) -> float:
     return float(exact)
 
 
+def check_budget(count, name: str, dim: int, per: int, over: str = ""):
+    """The one memory rule: ``count`` units (NaN fails) of ``dim`` coordinates at ``per`` bytes each fit BUDGET."""
+    if not count * dim * per <= BUDGET:
+        raise ValueError(f"{name} must be at most {BUDGET // (dim * per)}{over} in R^{dim}, got {_shown(count)}")
+
+
 def sum_sq(pts: np.ndarray) -> np.ndarray:
     """Squared norm of each row, adding the squared columns left to right.
 
@@ -211,13 +221,12 @@ class CatalogFunction:
         """The exact Clarke subdifferential at ``x``: its (m, dim) generator rows, row j ``generator(x, j)``.
 
         A kink is active where its defining quantity is <= ``active_tol`` in magnitude (0: exact at ``x``; inf: all
-        kinked coordinates).  A NaN or negative tolerance, or over MAX_GENERATORS rows, raise ValueError."""
+        kinked coordinates).  A NaN or negative tolerance, or rows that ``check_budget`` refuses, raise ValueError."""
         if not active_tol >= 0:
             raise ValueError(f"active_tol must be nonnegative, got {active_tol!r}")
         x = as_point(x, self.dim).tolist()
         m = self.generator_count(x, active_tol)
-        if m > MAX_GENERATORS:
-            raise ValueError(f"the subdifferential here has {m} generators; at most {MAX_GENERATORS} can be listed")
+        check_budget(m, "the generator count", self.dim, LISTED_BYTES)
         return np.array([self.min_norm_at(x)]) if m == 1 else self._listing(x, m, active_tol)
 
     def _listing(self, x, m: int, active_tol: float) -> np.ndarray:

@@ -35,13 +35,13 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import reporting
-from .catalog import as_count, as_point, as_real, get_function
+from .catalog import BATCH_BYTES, RECORD_BYTES, as_count, as_point, as_real, check_budget, get_function
 from .counterexample import escape_experiment
-from .engine import InterpolatedPath, SelectionPolicy, _check_recorded, _check_rows, run
+from .engine import InterpolatedPath, SelectionPolicy, run
 from .errors import NonFiniteState
 from .flow import integrate_flow, sup_deviation
 from .reporting import json_text, write_text
-from .stability import DELTA_FRACTIONS, StabilityQuery, convex_bounds_report, probe
+from .stability import ALPHA_FRACTIONS, DELTA_FRACTIONS, StabilityQuery, check_samples, convex_bounds_report, probe
 
 __all__ = ["RunConfig", "run_command", "main"]
 
@@ -199,8 +199,11 @@ def _check_config(cfg: RunConfig):
                 raise ValueError(f"{f.name} must be one of {CHOICES[f.name]}, got {value!r}")
             if f.name == "policy":
                 _policy(cfg)  # parsed before any work
-    if cfg.samples is not None:  # the escape experiment's batch, or probe's cells of one alpha, before any sampling
-        _check_rows(cfg.samples, "samples", len(cfg.delta_grid or DELTA_FRACTIONS) if cfg.command == "probe" else 1)
+    if cfg.command == "probe" and cfg.samples is not None:  # before any sampling, as the library's n_samples
+        check_samples(cfg.samples, "samples", len(cfg.xstar), len(cfg.delta_grid or DELTA_FRACTIONS),
+                      len(cfg.alpha_grid or ALPHA_FRACTIONS))
+    elif cfg.samples is not None:  # the escape experiment's batch
+        check_budget(cfg.samples, "samples", 2, BATCH_BYTES)
 
 
 def _set(**kwargs) -> dict:
@@ -260,8 +263,8 @@ def execute(cfg: RunConfig) -> int:
 
     if cfg.command == "compare":
         fn = get_function(cfg.function, dim=len(cfg.x0))
-        steps = np.ceil(np.float64(cfg.horizon) / cfg.alpha)  # inf where the ratio overflows
-        _check_recorded(steps, "horizon/alpha")
+        steps = float(np.ceil(np.float64(cfg.horizon) / cfg.alpha))  # inf where the ratio overflows
+        check_budget(steps, "horizon/alpha", fn.dim, RECORD_BYTES)
         # the flow first: a flow that diverges stops the command before the discrete run is paid for
         sol = integrate_flow(fn, cfg.x0, cfg.horizon, cfg.h if cfg.h is not None else cfg.alpha / 100.0)
         traj = run(fn, cfg.x0, cfg.alpha, int(steps), _policy(cfg), seed=cfg.seed)

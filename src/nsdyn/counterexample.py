@@ -27,8 +27,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .catalog import as_count, as_point, as_real, get_function
-from .engine import _check_rows, derive_seed, make_rng, run_batch, sample_ball
+from .catalog import BATCH_BYTES, as_count, as_point, as_real, check_budget, get_function
+from .engine import derive_seed, make_rng, run_batch, sample_ball
 from .errors import OnNullSet, PreconditionViolated
 
 __all__ = [
@@ -113,14 +113,14 @@ def escape_experiment(epsilon: float, alpha: float, n_samples: int, k_max: int =
 
     Returns (EscapeStats, per_sample) where per_sample is a structured array with columns (x1_0, x2_0, exit_index,
     on_S); exit_index is -1 for samples that never left the ball.  Counts and the seed pass ``as_count``, n_samples
-    at most MAX_BATCH_ROWS, epsilon (<= 1/2) and alpha ``as_real``.
+    ``check_budget`` as a sampled batch in R^2, epsilon (<= 1/2) and alpha ``as_real``.
     """
     epsilon = as_real(epsilon, "epsilon")
     if epsilon > 0.5:
         raise ValueError("epsilon must lie in (0, 1/2]")
     alpha = as_real(alpha, "alpha")
     n_samples, k_max, seed = as_count(n_samples, "n_samples", 1), as_count(k_max, "k_max", 1), as_count(seed, "seed")
-    _check_rows(n_samples, "n_samples")
+    check_budget(n_samples, "n_samples", 2, BATCH_BYTES)
     fn = get_function("cross")
     center = np.array([1.0, 0.0])
     x0s = sample_ball(center, epsilon, n_samples, make_rng(derive_seed(seed, 0xE5C)))

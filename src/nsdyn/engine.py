@@ -50,7 +50,7 @@ from itertools import count, islice, repeat
 
 import numpy as np
 
-from .catalog import CatalogFunction, _reals, as_count, as_point, as_real
+from .catalog import RECORD_BYTES, CatalogFunction, _reals, as_count, as_point, as_real, check_budget
 from .errors import NonFiniteInput, OutOfHorizon
 
 __all__ = [
@@ -71,8 +71,6 @@ __all__ = [
 # any coordinate beyond this magnitude marks the trajectory as diverged
 DIVERGENCE_LIMIT = 1e100
 RECORD_BLOCK = 64  # a recorded run steps this many iterates into flat lists, then writes and tests them at once
-MAX_RECORDED_STEPS = 10 ** 7  # 16 bytes per coordinate per step
-MAX_BATCH_ROWS = 10 ** 6  # ~90 bytes per coordinate per row at a sampled batch's peak: ~180 MB in R^2
 
 _POLICY_KINDS = ("minimal_norm", "random_extreme", "fixed_index")
 
@@ -155,19 +153,6 @@ def _select_at(fn: CatalogFunction, policy: SelectionPolicy, seeds=None):
         return fn.generator(x, j % m)
 
     return select_at
-
-
-def _check_recorded(n_steps, source: str):
-    """A recorded run keeps 0 to MAX_RECORDED_STEPS steps, checked before allocating; ``source`` set n_steps."""
-    if not 0 <= n_steps <= MAX_RECORDED_STEPS:
-        raise ValueError(f"{source} must give between 0 and {MAX_RECORDED_STEPS} recorded steps")
-
-
-def _check_rows(n: int, name: str, balls: int = 1):
-    """n starts from each of ``balls`` balls make one batch of at most MAX_BATCH_ROWS rows, checked before sampling."""
-    if n * balls > MAX_BATCH_ROWS:
-        each = "" if balls == 1 else f" over {balls} start balls"
-        raise ValueError(f"{name} must be at most {MAX_BATCH_ROWS // balls}{each}, got {n}")
 
 
 def _inside(center, radius: float, dim: int):
@@ -354,13 +339,13 @@ def run(fn: CatalogFunction, x0, alpha: float, n_steps: int,
     ball or diverged (any |coordinate| > 1e100 or non-finite) is recorded and
     iteration halts there.  Divergence is recorded in diverged_at, never
     raised.  alpha is stepped and stored as the float ``as_real`` returns.  n_steps, an integer (``as_count``), runs
-    from 0, the initial point alone, to MAX_RECORDED_STEPS; ``seed`` is checked before any kink.
+    from 0, the initial point alone, to what ``check_budget`` admits of records; ``seed`` is checked before any kink.
     A run that uses every step returns the arrays it recorded into; one that
     stops early returns copies of their prefixes.
     """
     alpha = as_real(alpha, "alpha")
     n_steps, seed = as_count(n_steps, "n_steps"), as_count(seed, "seed")
-    _check_recorded(n_steps, "steps")
+    check_budget(n_steps, "steps", fn.dim, RECORD_BYTES)
     points = np.empty((n_steps + 1, fn.dim))
     subgrads = np.empty((n_steps, fn.dim))
     points[0] = as_point(x0, fn.dim, "x0")

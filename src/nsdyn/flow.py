@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import CatalogFunction, as_point, as_real
-from .engine import InterpolatedPath, _blend, _bounded, _check_recorded, _record, _times, interpolate
+from .catalog import RECORD_BYTES, CatalogFunction, as_point, as_real, check_budget
+from .engine import InterpolatedPath, _blend, _bounded, _record, _times, interpolate
 from .errors import HorizonMismatch, NonFiniteState
 
 __all__ = [
@@ -69,11 +69,11 @@ class FlowSolution:
 
 
 def integrate_flow(fn: CatalogFunction, x0, horizon: float, h: float) -> FlowSolution:
-    """Integrate x0 over [0, horizon] with step h, both ``as_real`` floats, in at most MAX_RECORDED_STEPS steps."""
+    """Integrate x0 over [0, horizon] with step h, both ``as_real`` floats, in the steps ``check_budget`` admits."""
     h, horizon = as_real(h, "h"), as_real(horizon, "horizon")
     if h > horizon:
         raise ValueError(f"need h <= horizon, got h={h}, horizon={horizon}")
-    _check_recorded(horizon / h, "horizon/h")
+    check_budget(horizon / h, "horizon/h", fn.dim, RECORD_BYTES)
     n_full = int(np.floor(horizon / h + 1e-12))
     ts = h * np.arange(n_full + 1)
     if horizon - ts[-1] > 1e-12 * max(1.0, horizon):

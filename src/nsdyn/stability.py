@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import CatalogFunction, as_count, as_point, as_real, get_function
-from .engine import (MINIMAL_NORM, SelectionPolicy, Trajectory, _check_recorded, _check_rows, _inside,
-                     derive_seed, make_rng, run, run_batch, sample_ball)
+from .catalog import (BATCH_BYTES, KEPT_BYTES, RECORD_BYTES, CatalogFunction, as_count, as_point, as_real,
+                      check_budget, get_function)
+from .engine import (MINIMAL_NORM, SelectionPolicy, Trajectory, _inside, derive_seed, make_rng, run, run_batch,
+                     sample_ball)
 from .errors import InvalidQuery, NonFiniteInput, NotConvex
 
 __all__ = [
@@ -56,11 +57,7 @@ def _max_generator_norm(fn: CatalogFunction, pts: np.ndarray) -> float:
     stacked rows reduce in one call, each with the bits of its own C-ordered sum.  ``np.max`` keeps a NaN that
     Python's ``max`` drops; one sqrt of the largest square is the largest sqrt, as sqrt is monotone and rounds right.
     """
-    rows = []
-    for p in pts:
-        g = fn.generators(p, 0.0)
-        rows.append(g if g.shape[0] == 1 else g[:1].copy())
-    g = np.concatenate(rows)
+    g = np.concatenate([s if s.shape[0] == 1 else s[:1].copy() for s in map(fn.generators, pts)])
     return float(np.sqrt(np.max((g * g).sum(axis=1))))
 
 
@@ -80,9 +77,8 @@ class StabilityQuery:
     """Probe configuration; grids default to geometric ladders when None.
 
     x_star and both grids pass ``as_point``, the grids as decreasing 1-D arrays; epsilon passes ``as_real`` and
-    exceeds every delta; counts are integers >= 1, n_samples times the delta count at most MAX_BATCH_ROWS (10^6).
-    max_iters None selects the heuristic K = ceil(T/alpha) * 50 per step size, with T = epsilon / (3 * L_estimate);
-    K or max_iters is at most MAX_RECORDED_STEPS (10^7), which the witness replay records.
+    exceeds every delta; counts are integers >= 1, n_samples passing ``check_samples``.  max_iters None selects the
+    heuristic K = ceil(T/alpha) * 50 per step size, T = epsilon / (3 * L_estimate); either passes ``check_budget``.
     """
 
     fn_id: str
@@ -136,15 +132,22 @@ def _value_key(x: float) -> int:
     return int(np.float64(x).view(np.uint64))
 
 
+def check_samples(n, name: str, dim: int, balls: int, alphas: int):
+    """``check_budget`` before probe draws: one alpha's batch, n starts per ball, and every alpha's starts, kept."""
+    over = f" over {balls} start ball{'s' * (balls > 1)}"
+    check_budget(n, name, dim, BATCH_BYTES * balls, over)
+    check_budget(n, name, dim, KEPT_BYTES * balls * alphas, f"{over} and {alphas} step sizes")
+
+
 def _validate(q: StabilityQuery, epsilon: float, x_star: np.ndarray, deltas: np.ndarray, alphas: np.ndarray | None):
     """Checks the query, its epsilon already checked, before any sampling (alphas None: the default grid)."""
     grids = [deltas] if alphas is None else [deltas, alphas]
     if not all(np.isfinite(v).all() for v in [x_star] + grids):
         raise InvalidQuery("x_star and the grids must be finite")
     n = as_count(q.n_samples, "n_samples", 1, InvalidQuery)
-    _check_rows(n, "n_samples", deltas.size)  # the cells of one alpha make one batch
+    check_samples(n, "n_samples", x_star.size, deltas.size, len(ALPHA_FRACTIONS) if alphas is None else alphas.size)
     max_iters = None if q.max_iters is None else as_count(q.max_iters, "max_iters", 1, InvalidQuery)
-    _check_recorded(max_iters or 0, "max_iters")  # the witness replay records max_iters steps; None derives K
+    check_budget(max_iters or 0, "max_iters", x_star.size, RECORD_BYTES)  # the witness replay; None derives K
     if any(g.size == 0 for g in grids):
         raise InvalidQuery("grids must be nonempty")
     if any(np.any(g <= 0) for g in grids):
@@ -167,9 +170,8 @@ def probe(q: StabilityQuery) -> StabilityVerdict:
     alpha <= alpha_bar; the witness is the smallest (delta index, alpha
     index, sample index), so the verdict does not depend on execution order.
     Before any run, a bad count, or an epsilon or Lipschitz estimate that fails ``as_real`` (NaN where the
-    field is NaN), raises InvalidQuery; an exit ball that ``run_batch`` would refuse, a max_iters or heuristic K
-    above MAX_RECORDED_STEPS (``_check_recorded``'s line), or N times the delta count above MAX_BATCH_ROWS
-    (``_check_rows``' line), raises ValueError.
+    field is NaN), raises InvalidQuery; an exit ball that ``run_batch`` would refuse, or a max_iters, heuristic K
+    or N that ``check_budget`` refuses (N through ``check_samples``), raises ValueError on the rule's line.
     """
     x_star = as_point(q.x_star, name="x_star")
     fn = get_function(q.fn_id, dim=x_star.shape[0])
@@ -187,7 +189,7 @@ def probe(q: StabilityQuery) -> StabilityVerdict:
         iters = np.full(alphas.size, max_iters, dtype=np.int64)
     else:
         iters = np.ceil(epsilon / (3.0 * lip) / alphas) * REPETITION_FACTOR  # a float, exact up to 2^53
-        _check_recorded(iters.max(), "--epsilon/--alpha-grid")  # the witness replay records this many steps
+        check_budget(float(iters.max()), "K from --epsilon/--alpha-grid", fn.dim, RECORD_BYTES)  # as max_iters
         iters = iters.astype(np.int64)
 
     exits = np.empty((deltas.size, alphas.size, n), dtype=np.int64)  # exit index per sample, or -1
@@ -275,8 +277,9 @@ def convex_bounds_report(fn: CatalogFunction, x0, alpha: float, epsilon: float,
 
     ``iters_budget`` is the floor of an exact rational, times the float 1 + 1e-12 so that an exact integer ratio
     survives the rounding of alpha and epsilon; a NaN or inf in x0 raises NonFiniteInput.  Without ``n_steps`` the
-    run takes max(200, 2 * iters_budget) steps, at most MAX_RECORDED_STEPS; with it, any budget is reported.  Both
-    take alpha and epsilon as ``as_real`` floats, and the report states its run's ``diverged_at``.
+    run takes max(200, 2 * iters_budget) steps; with it, any budget is reported.  The run's record and each point's
+    generator set pass ``check_budget`` before either is allocated.  Both take alpha and epsilon as ``as_real``
+    floats, and the report states its run's ``diverged_at``.
     """
     alpha, epsilon = as_real(alpha, "alpha"), as_real(epsilon, "epsilon")
     if not fn.convex:
@@ -289,7 +292,7 @@ def convex_bounds_report(fn: CatalogFunction, x0, alpha: float, epsilon: float,
     budget = math.floor(sum(Fraction(v) ** 2 for v in x0.tolist()) / (Fraction(alpha) * Fraction(epsilon))
                         * Fraction(1.0 + 1e-12))
     if n_steps is None:
-        _check_recorded(2 * budget, "x0/alpha/epsilon")
+        check_budget(2 * budget, "steps from x0/alpha/epsilon", fn.dim, RECORD_BYTES)
         n_steps = max(200, 2 * budget)
     traj = run(fn, x0, alpha, n_steps, MINIMAL_NORM)
     gaps = fn.value_many(traj.points)

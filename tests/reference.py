@@ -1,14 +1,52 @@
 """Reference oracles that only the tests use: hull distance, the closed-form quadratic flow, and brute-force min-norm.
 
-Each is a slow or narrow but plainly correct computation that the package's own code is held to.
+Each is a slow or narrow but plainly correct computation that the package's own code is held to.  Beside them,
+``refuse_large_requests`` stubs the allocators, so a test shows what an unchecked call would allocate without
+allocating it.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from nsdyn import minimal_norm_element
 from nsdyn.catalog import as_point
+
+
+LARGE = 2 ** 24  # elements: 128 MB of float64, far above what any test call allocates
+
+
+class Allocated(Exception):
+    """A stubbed allocator was asked for more than LARGE elements."""
+
+
+def _ask(size, what: str):
+    if size > LARGE:
+        raise Allocated(f"{what} asked for {size} elements")
+
+
+def refuse_large_requests(monkeypatch, *modules):
+    """Make ``np.empty``, ``np.repeat`` and the ``sample_ball`` of each module in ``modules`` raise Allocated on a
+    request of more than LARGE elements, before anything is allocated; smaller requests go through."""
+    empty, repeat = np.empty, np.repeat
+
+    def stub_empty(shape, *args, **kwargs):
+        _ask(math.prod(shape) if isinstance(shape, (tuple, list)) else shape, "np.empty")
+        return empty(shape, *args, **kwargs)
+
+    def stub_repeat(a, repeats, *args, **kwargs):
+        _ask(np.size(a) * (repeats if isinstance(repeats, int) else int(np.max(repeats))), "np.repeat")
+        return repeat(a, repeats, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", stub_empty)
+    monkeypatch.setattr(np, "repeat", stub_repeat)
+    for module in modules:
+        def stub_sample_ball(center, radius, n, rng, sample_ball=module.sample_ball):
+            _ask(n * np.size(center), "sample_ball")
+            return sample_ball(center, radius, n, rng)
+
+        monkeypatch.setattr(module, "sample_ball", stub_sample_ball)
 
 
 def hull_distance(gens, v) -> float:

@@ -11,7 +11,7 @@ from nsdyn import get_function, list_catalog, minimal_norm_element
 from nsdyn.catalog import CATALOG_IDS, CatalogFunction, as_point
 from nsdyn.engine import make_rng, sample_ball
 from nsdyn.errors import DimensionMismatch, NonFiniteInput
-from reference import hull_distance, min_norm_by_subset_enumeration
+from reference import Allocated, hull_distance, min_norm_by_subset_enumeration, refuse_large_requests
 
 
 def test_evaluate_examples():
@@ -549,9 +549,17 @@ def test_list_catalog_descriptors():
         assert set(d) == {"id", "dim", "semialgebraic", "convex"}
 
 
-def test_subdifferential_set_validates_dim():
+def test_subdifferential_set_validates_dim(monkeypatch):
     with pytest.raises(DimensionMismatch):
         get_function("cross").generators([1.0], 0.0)
-    # and lists at most MAX_GENERATORS rows, refusing more before it builds any
-    with pytest.raises(ValueError, match=f"{2 ** 40} generators"):
-        get_function("abs_sum", 41).generators([0.0] * 40 + [1.0])
+    # and lists what the memory budget admits at 8 bytes a coordinate, refusing more before it builds any: abs_sum's
+    # 2^|A| rows at the origin of R^20, and 128 in R^312500, its bound there, reach the listing, which a stub refuses
+    # unmade; 256 there, 2^21 in R^21, 2^20 in R^1000 and 2^40 in R^41 are refused on one line
+    refuse_large_requests(monkeypatch)
+    for dim, active in ((20, 20), (312_500, 7)):
+        with pytest.raises(Allocated):
+            get_function("abs_sum", dim).generators([0.0] * active + [1.0] * (dim - active))
+    for dim, active, bound in ((312_500, 8, 128), (21, 21, 1904761), (1000, 20, 40000), (41, 40, 975609)):
+        with pytest.raises(ValueError, match=rf"^the generator count must be at most {bound} in R\^{dim}, "
+                                             rf"got {2 ** active}$"):
+            get_function("abs_sum", dim).generators([0.0] * active + [1.0] * (dim - active))

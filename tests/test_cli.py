@@ -2,16 +2,20 @@ import json
 import math
 import os
 import re
+import runpy
 import shlex
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nsdyn import cli, engine
+from nsdyn import cli, counterexample, engine, stability
 from nsdyn.cli import (KINDS, MINIMUM, SUBCOMMANDS, TAKES, RunConfig, _build_parser, _check_config, _config_from_args,
                        run_command)
 from nsdyn.reporting import json_text
+from reference import refuse_large_requests
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -177,6 +181,20 @@ def test_env_seed_overrides_flag(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "o.json").read_text())["seed"] == 1
 
 
+def test_console_entry_point_exits_with_the_code_of_run_command(capsys, monkeypatch):
+    # nsdyn's console script, cli.main, and python -m nsdyn.cli, on an R^100 simulate whose record the budget refuses
+    monkeypatch.setattr(sys, "argv", ["nsdyn", "simulate", "--function", "quad", "--x0", ",".join(["1"] * 100),
+                                      "--alpha", "0.1", "--steps", "10000000"])
+    refuse_large_requests(monkeypatch)
+    for entry in (cli.main, lambda: runpy.run_module("nsdyn.cli", run_name="__main__")):
+        with warnings.catch_warnings():  # runpy's note that nsdyn.cli is imported already
+            warnings.filterwarnings("ignore", "'nsdyn.cli' found in sys.modules", RuntimeWarning)
+            with pytest.raises(SystemExit) as exc:
+                entry()
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == ["error: steps must be at most 200000 in R^100, got 10000000"]
+
+
 def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     # argparse's own errors, and no command at all, are one line too
     for argv, named in ((["simulate", "--function", "quad"], "--x0"), (["no-such-command"], "no-such-command"),
@@ -255,7 +273,7 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
               "format": "xml"}, "format"),
             ({"command": "simulate", "function": "quad", "x0": [1], "alpha": 0.1, "steps": 10 ** 23}, "steps"),
             ({"command": "counterexample", "epsilon": 0.25, "alpha": 0.3, "samples": 10 ** 13},
-             "error: samples must be at most 1000000, got 10000000000000"),
+             "error: samples must be at most 1000000 in R^2, got 10000000000000"),
             # an index only after fixed_index, and in the policy string itself, not in a key of its own
             ({"command": "simulate", "function": "quad", "x0": [1], "alpha": 0.1, "steps": 3,
               "policy": "random_extreme:1"}, "policy"),
@@ -268,6 +286,10 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     (tmp_path / "nan.json").write_text('{"command": "simulate", "function": "quad", "x0": [NaN], '
                                        '"alpha": 0.1, "steps": 1, "out": "x.csv"}')
     rows.append((None, ["--config", "nan.json"], "x0"))
+    ones, zeros = ",".join(["1"] * 100), ",".join(["0"] * 100)
+    kinks, many = ",".join(["0"] * 20 + ["1"] * 980), ",".join(repr(0.1 * 0.99 ** i) for i in range(1000))
+    # no row allocates what it asks for: the allocators refuse large requests unmade, should a check be missing
+    refuse_large_requests(monkeypatch, stability, counterexample)
     for cmd, named in [("flow --function quad --x0 1 --horizon inf --h 0.1", "horizon"),
                        ("compare --function quad --x0 1 --alpha 0.1 --horizon inf", "horizon"),
                        ("compare --function quad --x0 1 --alpha -0.1 --horizon 1", "alpha"),
@@ -283,7 +305,8 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
                        ("probe --function neg_norm --xstar 0,0 --epsilon 0.1 --max-iters 0", "max_iters"),
                        # an explicit budget beyond a recorded run's cap, as the derived K is (above 2^63 first)
                        ("probe --function quad --xstar 0 --epsilon 0.1 --max-iters 9223372036854775808", "max_iters"),
-                       ("probe --function quad --xstar 0 --epsilon 0.1 --max-iters 10000001", "max_iters"),
+                       ("probe --function quad --xstar 0 --epsilon 0.1 --max-iters 20000001",
+                        "error: max_iters must be at most 20000000 in R^1, got 20000001"),
                        ("probe --function quad --xstar 0,0 --epsilon 0.1 --delta-grid=", "nonempty"),
                        ("probe --function quad --xstar 0,0 --epsilon 0.1 --delta-grid 0.05,-0.01", "positive"),
                        ("counterexample --epsilon 0.25 --alpha 0.3 --samples 5 --max-iters 0", "max_iters"),
@@ -292,20 +315,21 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
                        ("convex-bounds --function quad --x0 1 --alpha 0.1 --epsilon 0.1 --steps -3", "steps"),
                        ("probe --function neg_norm --xstar 0,0 --epsilon 0.1 --samples 0", "samples"),
                        ("counterexample --epsilon 0.25 --alpha 0.3 --samples 0", "samples"),
-                       # a batch of more rows than MAX_BATCH_ROWS, refused before any sampling on a line naming the
-                       # flag, not the library's n_samples: the escape experiment's samples, or probe's times its
-                       # delta count
+                       # a batch of more coordinates than the memory budget admits, refused before any sampling on a
+                       # line naming the flag, not the library's n_samples: the escape experiment's samples in R^2, or
+                       # probe's times its delta count, here in R^1
                        ("counterexample --epsilon 0.25 --alpha 0.3 --samples 9999999999999 --max-iters 5",
-                        "error: samples must be at most 1000000, got 9999999999999"),
+                        "error: samples must be at most 1000000 in R^2, got 9999999999999"),
                        ("counterexample --epsilon 0.25 --alpha 0.3 --samples 1000001 --max-iters 5",
-                        "error: samples must be at most 1000000, got 1000001"),
+                        "error: samples must be at most 1000000 in R^2, got 1000001"),
                        ("probe --function quad --xstar 0 --epsilon 0.1 --max-iters 5 "
                         "--samples 99999999999999999999999",
-                        "error: samples must be at most 250000 over 4 start balls, got 99999999999999999999999"),
-                       ("probe --function quad --xstar 0 --epsilon 0.1 --max-iters 5 --samples 250001",
-                        "error: samples must be at most 250000 over 4 start balls, got 250001"),
+                        "error: samples must be at most 500000 over 4 start balls in R^1, got 99999999999999999999999"),
+                       ("probe --function quad --xstar 0 --epsilon 0.1 --max-iters 5 --samples 500001",
+                        "error: samples must be at most 500000 over 4 start balls in R^1, got 500001"),
                        ("probe --function quad --xstar 0 --epsilon 0.1 --max-iters 5 --delta-grid 0.05,0.02 "
-                        "--samples 500001", "error: samples must be at most 500000 over 2 start balls, got 500001"),
+                        "--samples 1000001",
+                        "error: samples must be at most 1000000 over 2 start balls in R^1, got 1000001"),
                        ("compare --function quad --x0 1 --alpha 0 --horizon 1", "alpha"),
                        # more steps than a recorded run may keep, refused before allocating
                        ("simulate --function quad --x0 1 --alpha 0.1 --steps 100000000000", "steps"),
@@ -327,7 +351,26 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
                        ("probe --function wiggle --xstar 5e-324 --epsilon 1e-320", "Lipschitz estimate"),
                        # the Lipschitz estimate lists the generators at the center: too many to list
                        ("probe --function abs_sum --xstar " + ",".join(["0"] * 40) + " --epsilon 0.1",
-                        f"{2 ** 40} generators")]:
+                        f"error: the generator count must be at most 1000000 in R^40, got {2 ** 40}"),
+                       # each allocation a caller sizes, counted in coordinates: a record, a listed generator set, a
+                       # sampled batch and the starts probe keeps, each far beyond the budget in a high dimension
+                       (f"simulate --function quad --x0 {ones} --alpha 0.1 --steps 10000000",
+                        "error: steps must be at most 200000 in R^100, got 10000000"),
+                       (f"flow --function quad --x0 {ones} --horizon 1000 --h 0.0001",
+                        "error: horizon/h must be at most 200000 in R^100, got 10000000.0"),
+                       (f"compare --function quad --x0 {ones} --alpha 0.0001 --horizon 1000 --h 0.0001",
+                        "error: horizon/alpha must be at most 200000 in R^100, got 10000000.0"),
+                       (f"convex-bounds --function quad --x0 {ones} --alpha 0.001 --epsilon 0.02",
+                        "error: steps from x0/alpha/epsilon must be at most 200000 in R^100, got 10000000"),
+                       (f"convex-bounds --function abs_sum --x0 {kinks} --alpha 0.1 --epsilon 0.1 --steps 5",
+                        "error: the generator count must be at most 40000 in R^1000, got 1048576"),
+                       (f"probe --function abs_sum --xstar {kinks} --epsilon 0.1",
+                        "error: the generator count must be at most 40000 in R^1000, got 1048576"),
+                       (f"probe --function quad --xstar 0,0 --epsilon 0.1 --samples 250000 --max-iters 1 "
+                        f"--alpha-grid {many}", "error: samples must be at most 2500 over 4 start balls and 1000 "
+                        "step sizes in R^2, got 250000"),
+                       (f"probe --function quad --xstar {zeros} --epsilon 0.1 --samples 250000 --max-iters 1",
+                        "error: samples must be at most 5000 over 4 start balls in R^100, got 250000")]:
         rows.append((None, cmd.split() + ["--out", "o"], named))
     for env_seed, argv, named in rows:
         with monkeypatch.context() as m:

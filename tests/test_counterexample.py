@@ -12,7 +12,7 @@ from nsdyn import (
     run_batch,
 )
 from nsdyn import counterexample
-from nsdyn.engine import MAX_BATCH_ROWS, make_rng
+from nsdyn.engine import make_rng
 from nsdyn.errors import OnNullSet, PreconditionViolated
 
 CROSS = get_function("cross")
@@ -168,17 +168,17 @@ def test_escape_experiment_validates_epsilon():
 
 
 def test_escape_experiment_caps_its_batch_before_sampling(monkeypatch):
-    # n_samples above MAX_BATCH_ROWS is refused on one line naming it, before the sampler allocates a row;
-    # MAX_BATCH_ROWS itself reaches the sampler
+    # a batch of more rows than the memory budget admits in R^2 (10^6 at 160 bytes a coordinate) is refused on one
+    # line naming n_samples, before the sampler allocates a row; the bound itself reaches the sampler
     def sampler(center, radius, n, rng):
         raise LookupError(n)
 
     monkeypatch.setattr(counterexample, "sample_ball", sampler)
-    for n in (MAX_BATCH_ROWS + 1, 10 ** 13, 10 ** 23):
-        with pytest.raises(ValueError, match=f"^n_samples must be at most {MAX_BATCH_ROWS}, got {n}$"):
+    for n in (10 ** 6 + 1, 10 ** 13, 10 ** 23):
+        with pytest.raises(ValueError, match=rf"^n_samples must be at most 1000000 in R\^2, got {n}$"):
             escape_experiment(0.25, 0.3, n, k_max=5)
-    with pytest.raises(LookupError, match=f"^{MAX_BATCH_ROWS}$"):
-        escape_experiment(0.25, 0.3, MAX_BATCH_ROWS, k_max=5)
+    with pytest.raises(LookupError, match="^1000000$"):
+        escape_experiment(0.25, 0.3, 10 ** 6, k_max=5)
 
 
 def test_monotone_drift_along_escape():

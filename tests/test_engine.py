@@ -1,4 +1,5 @@
 import itertools
+import math
 import pickle
 import re
 import sys
@@ -31,12 +32,12 @@ from nsdyn import (
     run_batch,
     sample_ball,
 )
-from nsdyn.engine import (DIVERGENCE_LIMIT, MAX_RECORDED_STEPS, RECORD_BLOCK, Trajectory, _check_recorded, derive_seed,
-                          make_rng)
+from nsdyn.catalog import BATCH_BYTES, KEPT_BYTES, LISTED_BYTES, RECORD_BYTES, check_budget
+from nsdyn.engine import DIVERGENCE_LIMIT, RECORD_BLOCK, Trajectory, derive_seed, make_rng
 from nsdyn.errors import DimensionMismatch, OutOfHorizon
 from nsdyn.flow import flow_value
 from nsdyn.stability import LIPSCHITZ_SAMPLES, LOCAL_MIN_SAMPLES
-from reference import hull_distance
+from reference import Allocated, hull_distance, refuse_large_requests
 
 QUAD1 = get_function("quad", 1)
 CROSS = get_function("cross")
@@ -93,11 +94,7 @@ def test_run_zero_steps_records_initial_point():
     traj = run(QUAD1, [1.0], 0.1, 0)
     assert traj.points.shape == (1, 1)
     assert traj.chosen_subgradients.shape == (0, 1)
-    assert MAX_RECORDED_STEPS == 10 ** 7
-    _check_recorded(MAX_RECORDED_STEPS, "steps")  # the one cap of every recorded budget, probe's K too
-    with pytest.raises(ValueError, match="--epsilon/--alpha-grid must give between 0 and 10000000 recorded steps"):
-        _check_recorded(MAX_RECORDED_STEPS + 1, "--epsilon/--alpha-grid")
-    for n_steps in (-1, 10 ** 7 + 1):  # refused before anything is allocated, here a start outside the ball
+    for n_steps in (-1, 2 * 10 ** 7 + 1):  # refused before anything is allocated, here a start outside the ball
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="steps"):
@@ -108,6 +105,43 @@ def test_run_zero_steps_records_initial_point():
         assert peak < 1 << 20, peak
     with pytest.raises(ValueError, match="n_steps"):  # the batch loop would run no test, not even at k = 0
         run_batch(QUAD1, np.array([[5.0]]), 0.1, -1, [0.0], 1.0)
+
+
+def test_one_memory_budget_counts_coordinates():
+    # each kind's bound, in coordinates at its bytes: admitted exactly, as an int or a float, and one more refused on
+    # one line that names the argument and the dimension; R^1 keeps twice the steps of R^2
+    for per, dim, bound in ((RECORD_BYTES, 2, 10 ** 7), (RECORD_BYTES, 1, 2 * 10 ** 7), (RECORD_BYTES, 100, 200_000),
+                            (LISTED_BYTES, 20, 2 * 10 ** 6), (BATCH_BYTES, 2, 10 ** 6), (KEPT_BYTES, 2, 10 ** 7)):
+        check_budget(bound, "n", dim, per)
+        check_budget(float(bound), "n", dim, per)
+        with pytest.raises(ValueError, match=rf"^n must be at most {bound} in R\^{dim}, got {bound + 1}$"):
+            check_budget(bound + 1, "n", dim, per)
+    # a unit of several rows, which ``over`` names
+    check_budget(250_000, "samples", 2, 4 * BATCH_BYTES, " over 4 start balls")
+    with pytest.raises(ValueError, match=r"^samples must be at most 250000 over 4 start balls in R\^2, got 250001$"):
+        check_budget(250_001, "samples", 2, 4 * BATCH_BYTES, " over 4 start balls")
+    # a ratio just above the bound, inf, NaN and an int too long to print
+    for count, shown in ((10 ** 7 + 0.5, "10000000.5"), (math.inf, "inf"), (math.nan, "nan"),
+                         (10 ** 5000, f"a {(10 ** 5000).bit_length()}-bit int")):
+        with pytest.raises(ValueError, match=rf"^horizon/h must be at most 10000000 in R\^2, got {shown}$"):
+            check_budget(count, "horizon/h", 2, RECORD_BYTES)
+
+
+def test_run_and_the_flow_check_their_record_before_allocating(monkeypatch):
+    # the bound itself reaches the allocation, which the stub refuses unmade, and one more step is refused first
+    refuse_large_requests(monkeypatch)
+    quad100 = get_function("quad", 100)
+    for fn, bound in ((QUAD1, 2 * 10 ** 7), (CROSS, 10 ** 7), (quad100, 200_000)):
+        x0 = [1.0] * fn.dim
+        with pytest.raises(Allocated):
+            run(fn, x0, 0.1, bound)
+        with pytest.raises(ValueError, match=rf"^steps must be at most {bound} in R\^{fn.dim}, got {bound + 1}$"):
+            run(fn, x0, 0.1, bound + 1)
+    # the flow's horizon/h, in R^100, where its node times are small beside its record
+    with pytest.raises(Allocated):
+        integrate_flow(quad100, [1.0] * 100, 200_000.0, 1.0)
+    with pytest.raises(ValueError, match=r"^horizon/h must be at most 200000 in R\^100, got 200001.0$"):
+        integrate_flow(quad100, [1.0] * 100, 200_001.0, 1.0)
 
 
 def test_recursion_identity_is_exact():

@@ -8,23 +8,28 @@ probe grids given as None, "0.5", [True], [np.True_], [True, 0.5], [0.5, np.True
 [10**400].  Each library call is made twice, with Python ints and with numpy ints, and gives the same bits or refusal
 type both times.
 
-Budgets stay small in every draw. ``--samples`` (``n_samples``) is capped at a batch of 10^6 rows, so its edge draws
-10^13 (and, in the CLI, 10^23) are refused before any sampling, but a draw near the cap would run for minutes;
-``k_max`` and counterexample's ``--max-iters``, which records nothing, have no upper cap, so one large draw would
-run for hours. So probe and counterexample, the library's probe too, always get a ``--max-iters``, a small one but
-for probe's edge 2^63, which the recorded-steps cap (10^7, as for probe's derived budget) refuses before any batch
-runs. No point coordinate is 1e-320, which over alpha = epsilon = 5e-324 asks convex-bounds for ~8e6 steps. Every
-other pair of pool values gives a ratio (horizon/h, the convex budget) below ~2100 or above the 10^7 cap.
+Budgets stay small in every draw but the long ones. About one draw in ten of each half is a ``LONG`` line or call:
+every value valid but one budget beyond what the memory budget admits (``catalog.check_budget``), often at a point
+of R^100, so it must end on the budget's one refusal line, before anything is allocated; each half reaches that
+line. A budget near the memory budget's bound would run for minutes, and ``k_max`` and counterexample's
+``--max-iters``, which records nothing, have no upper bound, so one large draw would run for hours. So probe and
+counterexample, the library's probe too, always get a ``--max-iters``, a small one but in a long line. No point
+coordinate is 1e-320, which over alpha = epsilon = 5e-324 asks convex-bounds for ~8e6 steps. Every other pair of
+pool values gives a ratio (horizon/h, the convex budget) below 10^4 or above 10^8, which the memory budget refuses
+in every dimension (it admits 2 * 10^7 recorded steps in R^1).
 """
 
+import collections
 import dataclasses
 import math
 import os
 import random
+import re
 import warnings
 
 import numpy as np
 
+from nsdyn import counterexample, stability
 from nsdyn import (CatalogFunction, InterpolatedPath, SelectionPolicy, StabilityQuery, convex_bounds_report,
                    cross_update, doubling_check, escape_experiment, estimate_lipschitz, get_function, integrate_flow,
                    local_min_check, probe, run, run_batch, sup_deviation)
@@ -32,6 +37,7 @@ from nsdyn.catalog import CATALOG_IDS
 from nsdyn.cli import KINDS, SUBCOMMANDS, _build_parser, _config_from_args, run_command
 from nsdyn.errors import NonFiniteState
 from nsdyn.reporting import json_text
+from reference import refuse_large_requests
 
 CONVEX = ("quad", "abs_sum", "vee_bowl")
 VECTORS = {1: ["1", "0.5", "0", "-0.25"], 2: ["1,0.1", "0.5,-0.25", "1,0", "0,0"], 3: ["0.3,0,-0.2", "1,1,1", "0,0,0"]}
@@ -44,10 +50,25 @@ EDGE = {float: ["0", "-0", "5e-324", "1e-320", "1e300", "1.7e308", "nan", "inf",
         list: ["", ",", "nan", "inf,0", "5e-324,0", "1e300,0", "1.7e308", "-0,-0", "a,b", "1,,2", "0,0,0,0"],
         int: ["0", "-1", "1.5", "x", ""],
         str: ["nope", "fixed_index:x", "fixed_index", "random_extreme:1", ""]}
-EDGE_BY_NAME = {"steps": EDGE[int] + ["100000000000"], "seed": EDGE[int] + ["18446744073709551616"],
-                "samples": EDGE[int] + ["10000000000000", "99999999999999999999999"],  # over the batch cap
-                "function": ["nope", ""], "format": ["xml", ""],
-                ("probe", "max_iters"): EDGE[int] + ["9223372036854775808"]}  # counterexample's has no cap
+EDGE_BY_NAME = {"seed": EDGE[int] + ["18446744073709551616"], "function": ["nope", ""], "format": ["xml", ""]}
+ONES, ZEROS = ",".join(["1"] * 100), ",".join(["0"] * 100)
+KINKS = ",".join(["0"] * 20 + ["1"] * 80)  # abs_sum lists 2^20 generators here, 800 MB in R^100
+MANY = ",".join(repr(0.1 * 0.99 ** i) for i in range(1000))
+# per command, the values of a long line, each valid; None leaves a flag out, as convex-bounds' --steps, which would
+# bound the run, while a short run from KINKS lists the generators at its start
+LONG = {"simulate": [{"function": "quad", "x0": ONES, "steps": "10000000"}, {"steps": "100000000000"}],
+        "flow": [{"function": "quad", "x0": ONES, "horizon": "1000", "h": "0.0001"}],
+        "compare": [{"function": "quad", "x0": ONES, "alpha": "0.0001", "horizon": "1000"}],
+        "convex-bounds": [{"function": "quad", "x0": ONES, "alpha": "0.001", "epsilon": "0.02", "steps": None},
+                          {"function": "abs_sum", "x0": KINKS, "steps": "5"}],
+        "probe": [{"function": "quad", "xstar": ZEROS, "samples": "250000"}, {"function": "abs_sum", "xstar": KINKS},
+                  {"xstar": "0,0", "function": "quad", "samples": "250000", "alpha_grid": MANY, "delta_grid": None},
+                  {"samples": "10000000000000"}, {"samples": "99999999999999999999999"},
+                  {"max_iters": "9223372036854775808"}],
+        "counterexample": [{"samples": "10000000000000"}, {"samples": "99999999999999999999999"}]}
+# a call's refusal: its type, and whether its line is the memory budget's one refusal line
+Refusal = collections.namedtuple("Refusal", "type budget_line")
+BUDGET_LINE = re.compile(r"^.+ must be at most \d+( over \d+ start balls?( and \d+ step sizes)?)? in R\^\d+, got .+$")
 
 FLOATS = [0.1, 0.25, 0.05]
 EDGE_NUMBERS = [0.0, -0.0, 5e-324, 1e-320, 1e300, 1.7e308, math.nan, math.inf, -math.inf, -0.1, 1.0, 10 ** 400]
@@ -58,25 +79,30 @@ COORDS = [1.0, 0.5, 0.0, -0.25, 0.1]
 EDGE_COORDS = [0.0, -0.0, 5e-324, 1e300, 1.7e308, math.nan, math.inf, -math.inf]  # no 1e-320: see above
 
 
-def _argv(rng: random.Random) -> list[str]:
-    """One command line: every flag of a drawn command, each value valid or, one time in ten, an edge value."""
+def _argv(rng: random.Random) -> tuple[list[str], bool]:
+    """One command line: every flag of a drawn command, each value valid or, one time in ten, an edge value; or, one
+    time in ten, a long line (``LONG``), with every required flag; and whether it is long."""
     command = rng.choice(list(SUBCOMMANDS))
     _, required, optional = SUBCOMMANDS[command]
-    fn_id = rng.choice(CONVEX if command == "convex-bounds" and rng.random() < 0.9 else CATALOG_IDS)
+    long = rng.choice(LONG[command]) if command in LONG and rng.random() < 0.1 else {}
+    fn_id = long.get("function") or rng.choice(CONVEX if command == "convex-bounds" and rng.random() < 0.9
+                                               else CATALOG_IDS)
     dim = get_function(fn_id).fixed_dim or rng.choice((1, 2, 3))
     argv = [command]
     for name in required + optional:
-        if name == "max_iters" or (name in required and rng.random() < 0.97) or rng.random() < 0.5:
-            edge = rng.random() < 0.1
+        if name in long:
+            argv += [] if long[name] is None else [f"--{name.replace('_', '-')}={long[name]}"]
+        elif name == "max_iters" or (name in required and (long or rng.random() < 0.97)) or rng.random() < 0.5:
+            edge = not long and rng.random() < 0.1
             if name in ("x0", "xstar"):
                 value = rng.choice(EDGE[list] if edge else VECTORS[dim])
             elif name == "function":
                 value = rng.choice(EDGE_BY_NAME[name]) if edge else fn_id
             else:
-                edges = EDGE_BY_NAME.get((command, name)) or EDGE_BY_NAME.get(name) or EDGE[KINDS[name]]
+                edges = EDGE_BY_NAME.get(name) or EDGE[KINDS[name]]
                 value = rng.choice(edges if edge else VALID[name])
             argv.append(f"--{name.replace('_', '-')}={value}")  # = keeps argparse from reading -inf as a flag
-    return argv
+    return argv, bool(long)
 
 
 def _outputs(code, out):
@@ -117,8 +143,11 @@ def _library_call(rng: random.Random):
     argument (count, seed, dim, policy index) is one time in ten not an int: 2.5, 3.0, True or np.float64(3.0); a
     real argument is one time in ten not a real number: "0.1", None, True, np.True_ or np.array(0.1); a point, a
     batch of starts or a probe grid is one time in ten none of these (``NOT_POINTS``).  Either half of an exit ball
-    may be None.  ``n_samples`` may be 10^13, over the batch cap.
+    may be None.  One call in ten is a long call (``LONG_CALLS``).  Returns the call and whether it is long.
     """
+    if rng.random() < 0.1:
+        return rng.choice(LONG_CALLS), True
+
     def number():
         draw = rng.random()
         return rng.choice(NOT_REALS if draw < 0.1 else FLOATS if draw < 0.8 else EDGE_NUMBERS)
@@ -138,7 +167,7 @@ def _library_call(rng: random.Random):
     starts = _batch(rng, dim, rng.choice((0, 1, 3)))
     delta_grid, alpha_grid = _grid(rng, [(0.05, 0.01), (0.02,)]), _grid(rng, [(0.1, 0.05), (0.2,)])
     with_seeds = rng.random() < 0.5
-    n_samples, k_max = integer(1, 3, 0, -1, 10 ** 13), integer(1, 5, 20, 0)
+    n_samples, k_max = integer(1, 3, 0, -1), integer(1, 5, 20, 0)
     n_steps = rng.choice((None, integer(0, 10, -1)))
 
     def calls(as_int):
@@ -163,7 +192,26 @@ def _library_call(rng: random.Random):
         ]
 
     which = rng.randrange(len(calls(int)))
-    return lambda as_int: calls(as_int)[which]()
+    return (lambda as_int: calls(as_int)[which]()), False
+
+
+def _points(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
+# library calls with every value valid but one budget, as ``LONG``'s lines, each a function of ``as_int``
+LONG_CALLS = [
+    lambda as_int: run(get_function("quad", 100), _points(ONES), 0.1, as_int(10 ** 7)),
+    lambda as_int: integrate_flow(get_function("quad", 100), _points(ONES), 1000.0, 0.0001),
+    lambda as_int: convex_bounds_report(get_function("quad", 100), _points(ONES), 0.001, 0.02),
+    lambda as_int: convex_bounds_report(get_function("abs_sum", 100), _points(KINKS), 0.1, 0.1, n_steps=as_int(5)),
+    lambda as_int: probe(StabilityQuery("quad", _points(ZEROS), 0.1, n_samples=as_int(250_000), max_iters=as_int(1))),
+    lambda as_int: probe(StabilityQuery("quad", [0.0, 0.0], 0.1, alpha_grid=tuple(_points(MANY)),
+                                        n_samples=as_int(250_000), max_iters=as_int(1))),
+    lambda as_int: probe(StabilityQuery("abs_sum", _points(KINKS), 0.1, max_iters=as_int(5))),
+    lambda as_int: probe(StabilityQuery("quad", [0.0], 0.1, max_iters=as_int(2 ** 63 - 1))),
+    lambda as_int: escape_experiment(0.25, 0.1, as_int(10 ** 13), k_max=as_int(5)),
+]
 
 
 def _numpy_int(v):
@@ -190,21 +238,22 @@ def _bits(obj):
 
 
 def _outcome(call, as_int):
-    """``_bits`` of the call's result, or the type of the refusal it raised."""
+    """``_bits`` of the call's result, or the type of the refusal it raised and whether it is the budget's line."""
     try:
         with np.errstate(all="ignore"):  # the contract is what a call raises; overflow warnings are not part
             return _bits(call(as_int))
     except (ValueError, NonFiniteState) as exc:  # ValueError covers every refusal type in nsdyn.errors
-        return type(exc)
+        return Refusal(type(exc), bool(BUDGET_LINE.match(str(exc))))
 
 
 def test_fuzz_table_every_entry_point(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("NSDYN_SEED", raising=False)
+    refuse_large_requests(monkeypatch, stability, counterexample)  # a missing check fails, unallocated
     rng = random.Random(2027)
-    codes = []
+    codes, budget_lines = [], 0
     for i in range(300):
-        argv = _argv(rng)
+        argv, long = _argv(rng)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = run_command(argv)
@@ -213,8 +262,10 @@ def test_fuzz_table_every_entry_point(tmp_path, monkeypatch, capsys):
         assert code in (0, 2, 3), (argv, code, err)
         if code:
             assert len(err.splitlines()) == 1, (argv, err)
+            budget_lines += bool(BUDGET_LINE.match(err.removeprefix("error: ")))
         else:
             assert err == "" and not caught, (argv, err, [str(w.message) for w in caught])
+        assert not long or (code == 2 and BUDGET_LINE.match(err.removeprefix("error: "))), (argv, err)
         first = _outputs(code, out)
         if code == 0 and i % 4 == 0:  # the same config through --config gives the same bytes
             cfg = _config_from_args(_build_parser().parse_args(argv))
@@ -222,12 +273,15 @@ def test_fuzz_table_every_entry_point(tmp_path, monkeypatch, capsys):
             code = run_command(["--config", "cfg.json"])
             os.remove("cfg.json")
             assert _outputs(code, capsys.readouterr().out) == first, argv
-    assert codes.count(0) > 20 and codes.count(2) > 20, codes  # the draws reach both success and refusal
+    # the draws reach success, refusal and the budget's refusal
+    assert codes.count(0) > 20 and codes.count(2) > 20 and budget_lines > 0, (codes, budget_lines)
 
-    raised = 0
+    raised = budget_lines = 0
     for _ in range(400):
-        call = _library_call(rng)
+        call, long = _library_call(rng)
         outcome = _outcome(call, lambda v: v)
-        raised += isinstance(outcome, type)
+        raised += isinstance(outcome, Refusal)
+        budget_lines += isinstance(outcome, Refusal) and outcome.budget_line
+        assert not long or outcome == Refusal(ValueError, True), outcome
         assert _outcome(call, _numpy_int) == outcome  # numpy ints give the bits of Python ints
-    assert 0 < raised < 400
+    assert 0 < raised < 400 and budget_lines > 0, (raised, budget_lines)

@@ -18,7 +18,7 @@ from nsdyn import (
     sample_ball,
     stability,
 )
-from nsdyn.engine import MAX_BATCH_ROWS, derive_seed, make_rng
+from nsdyn.engine import derive_seed, make_rng
 from nsdyn.errors import InvalidQuery, NonFiniteInput, NotConvex
 from nsdyn.reporting import json_text, verdict_json_dict
 from nsdyn.stability import _max_generator_norm
@@ -171,8 +171,9 @@ def test_probe_validates_query(monkeypatch):
     for budget in (0, -5):  # an empty budget would certify even neg_norm's strict maximum
         with pytest.raises(InvalidQuery, match="max_iters"):
             probe(StabilityQuery("neg_norm", np.zeros(2), 0.1, max_iters=budget))
-    # an explicit budget passes the recorded-steps cap, as the derived K does, before any batch runs: 10^7 reaches
-    # the first batch (a stub that records its budget, so nothing runs), and one more step does not
+    # an explicit budget passes the memory budget as a record of its steps, which the witness replay makes, as the
+    # derived K does, before any batch runs: the bound reaches the first batch (a stub that records its budget, so
+    # nothing runs), and one more step does not; R^1 keeps twice the steps of R^2
     budgets = []
 
     class Reached(Exception):
@@ -184,27 +185,40 @@ def test_probe_validates_query(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(stability, "run_batch", first_batch)
+        for dim, bound in ((2, 10 ** 7), (1, 2 * 10 ** 7), (100, 200_000)):
+            with pytest.raises(Reached):
+                probe(StabilityQuery("quad", np.zeros(dim), 0.1, n_samples=1, max_iters=bound))
+            for budget in (bound + 1, 2 ** 63, 10 ** 400):
+                with pytest.raises(ValueError, match=rf"^max_iters must be at most {bound} in R\^{dim}, got {budget}$"):
+                    probe(StabilityQuery("quad", np.zeros(dim), 0.1, n_samples=1, max_iters=budget))
+        # a derived K of ~1.5 * 10^6 steps, within R^2's bound but not R^100's
+        with pytest.raises(ValueError, match=r"^K from --epsilon/--alpha-grid must be at most 200000 in R\^100, got "
+                                             r"\d+\.0$"):
+            probe(StabilityQuery("quad", np.zeros(100), 0.1, alpha_grid=(1e-5,), n_samples=1))
         with pytest.raises(Reached):
-            probe(StabilityQuery("quad", np.zeros(2), 0.1, n_samples=1, max_iters=10 ** 7))
-        for budget in (10 ** 7 + 1, 2 ** 63, 10 ** 400):
-            with pytest.raises(ValueError, match="^max_iters must give between 0 and 10000000 recorded steps$"):
-                probe(StabilityQuery("quad", np.zeros(2), 0.1, n_samples=1, max_iters=budget))
-    assert budgets == [10 ** 7]
-    # the cells of one alpha make one batch of at most MAX_BATCH_ROWS rows, N times the delta count, refused on
-    # one line naming n_samples before the first draw (a stub sampler that stops the probe once it is reached)
+            probe(StabilityQuery("quad", np.zeros(2), 0.1, alpha_grid=(1e-5,), n_samples=1))
+    assert budgets[:3] == [10 ** 7, 2 * 10 ** 7, 200_000] and 200_000 < budgets[3] <= 10 ** 7, budgets
+    # N starts from each delta's ball make one alpha's batch, at most 10^6 rows in R^2, and the starts of every alpha
+    # are kept for the witness, with their exit indices; both are refused on one line naming n_samples before the
+    # first draw (a stub sampler that stops the probe once it is reached), and the bound itself is reached
     def first_draw(center, radius, n, rng):
         raise Reached
 
+    many = tuple(0.1 * 0.99 ** i for i in range(1000))
     with monkeypatch.context() as m:
         m.setattr(stability, "sample_ball", first_draw)
-        four = "250000 over 4 start balls"
-        for n, grid, line in ((250_001, None, four), (10 ** 13, None, four),
-                              (MAX_BATCH_ROWS + 1, (0.05,), str(MAX_BATCH_ROWS))):
-            with pytest.raises(ValueError, match=f"^n_samples must be at most {line}, got {n}$"):
-                probe(StabilityQuery("quad", np.zeros(2), 0.1, delta_grid=grid, n_samples=n, max_iters=5))
-        for n, grid in ((250_000, None), (MAX_BATCH_ROWS, (0.05,))):
+        # (dim, grids, bound, what the bound's unit spans, a far larger n that this bound refuses first)
+        for dim, grids, bound, over, far in ((2, {}, 250_000, "over 4 start balls", 10 ** 13),
+                                             (2, dict(delta_grid=(0.05,)), 10 ** 6, "over 1 start ball", 10 ** 13),
+                                             (100, {}, 5000, "over 4 start balls", 10 ** 13),
+                                             (2, dict(alpha_grid=many), 2500,
+                                              "over 4 start balls and 1000 step sizes", 250_000)):
             with pytest.raises(Reached):
-                probe(StabilityQuery("quad", np.zeros(2), 0.1, delta_grid=grid, n_samples=n, max_iters=5))
+                probe(StabilityQuery("quad", np.zeros(dim), 0.1, n_samples=bound, max_iters=5, **grids))
+            for n in (bound + 1, far):
+                with pytest.raises(ValueError, match=rf"^n_samples must be at most {bound} {over} in R\^{dim}, "
+                                                     rf"got {n}$"):
+                    probe(StabilityQuery("quad", np.zeros(dim), 0.1, n_samples=n, max_iters=5, **grids))
     for bad in (dict(epsilon=np.nan), dict(epsilon=np.inf), dict(x_star=np.array([np.nan, 0.0])),
                 dict(alpha_grid=(np.nan,)), dict(delta_grid=(0.05, np.nan))):
         with pytest.raises(InvalidQuery, match="finite"):
@@ -420,7 +434,8 @@ def test_convex_bounds_default_run_tail_and_cap(monkeypatch):
     assert convex_bounds_report(quad, [1.0], 3.0, 0.1).terminal_distance == 2.0 ** 200
     # the liminf estimate is the tail half: of 21 iterates from k = 10, where f = 0.5 * 4^10 (a third: 0.5 * 4^7)
     assert convex_bounds_report(quad, [1.0], 3.0, 0.1, n_steps=20).liminf_gap == 0.5 * 1024.0 ** 2
-    # the 10^7 cap reads 2 * budget, the steps the run records; the run is stubbed, so nothing is stepped
+    # the memory budget reads 2 * budget, the steps the run records, 10^7 in R^2; the run is stubbed, so nothing is
+    # stepped
     asked = []
 
     def stop(fn, x0, alpha, n_steps, policy):
@@ -428,11 +443,16 @@ def test_convex_bounds_default_run_tail_and_cap(monkeypatch):
         raise StopIteration
 
     monkeypatch.setattr(stability, "run", stop)
-    with pytest.raises(StopIteration):  # budget 4 * 10^6
-        convex_bounds_report(quad, [2000.0], 1.0, 1.0)
-    with pytest.raises(ValueError, match="x0/alpha/epsilon"):  # budget 2000^2 + 1000^2 + 1 = 5 * 10^6 + 1
-        convex_bounds_report(get_function("quad", 3), [2000.0, 1000.0, 1.0], 1.0, 1.0)
-    assert asked == [8 * 10 ** 6]
+    quad2 = get_function("quad", 2)
+    with pytest.raises(StopIteration):  # budget 2000^2 + 1000^2 = 5 * 10^6
+        convex_bounds_report(quad2, [2000.0, 1000.0], 1.0, 1.0)
+    # budget 5 * 10^6 + 1; and in R^100, where 10^7 steps would take 16 GB and 200,000 fit, 5 * 10^6
+    for x0, alpha, epsilon, bound, got in (([2000.0, 1000.0005], 1.0, 1.0, 10 ** 7, 10 ** 7 + 2),
+                                           ([1.0] * 100, 0.001, 0.02, 200_000, 10 ** 7)):
+        with pytest.raises(ValueError, match=rf"^steps from x0/alpha/epsilon must be at most {bound} in "
+                                             rf"R\^{len(x0)}, got {got}$"):
+            convex_bounds_report(get_function("quad", len(x0)), x0, alpha, epsilon)
+    assert asked == [10 ** 7]
 
 
 def test_convex_bounds_rejects_nonconvex():

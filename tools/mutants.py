@@ -32,6 +32,10 @@ E, C, S, F, R, CLI, X = ("tests/test_engine.py", "tests/test_catalog.py", "tests
                          "tests/test_flow.py", "tests/test_reporting.py", "tests/test_cli.py",
                          "tests/test_counterexample.py")
 PT = f"{E}::test_every_point_argument_passes_one_point_rule"
+BUDGET = f"{E}::test_one_memory_budget_counts_coordinates"
+RECORDS = f"{E}::test_run_and_the_flow_check_their_record_before_allocating"
+LISTING, PROBE = f"{C}::test_subdifferential_set_validates_dim", f"{S}::test_probe_validates_query"
+ESCAPE_BATCH = f"{X}::test_escape_experiment_caps_its_batch_before_sampling"
 
 # (file under src/nsdyn, ((exact old text, new text), ...), tests that must fail)
 MUTANTS = [
@@ -130,9 +134,30 @@ MUTANTS = [
      (f"{E}::test_every_real_argument_passes_one_real_rule",)),
     ("catalog.py", (("and float(exact) > 0.0)", "and exact > 0.0)"),),
      (f"{E}::test_every_real_argument_passes_one_real_rule",)),
-    # the recorded-step cap refusing exactly MAX_RECORDED_STEPS, and an exit ball's radius unchecked (0 passes)
-    ("engine.py", (("0 <= n_steps <= MAX_RECORDED_STEPS", "0 <= n_steps < MAX_RECORDED_STEPS"),),
-     (f"{E}::test_run_zero_steps_records_initial_point",)),
+    # the memory budget's one rule: its bound off by one, its dimension factor dropped, each kind's bytes set to 1
+    ("catalog.py", (("if not count * dim * per <= BUDGET:", "if not count * dim * per < BUDGET:"),), (BUDGET,)),
+    ("catalog.py", (("if not count * dim * per <= BUDGET:", "if not count * per <= BUDGET:"),), (BUDGET,)),
+    ("catalog.py", (("KEPT_BYTES = 16, 8, 160, 16", "KEPT_BYTES = 1, 8, 160, 16"),), (RECORDS,)),
+    ("catalog.py", (("KEPT_BYTES = 16, 8, 160, 16", "KEPT_BYTES = 16, 1, 160, 16"),), (LISTING,)),
+    ("catalog.py", (("KEPT_BYTES = 16, 8, 160, 16", "KEPT_BYTES = 16, 8, 1, 16"),), (ESCAPE_BATCH,)),
+    ("catalog.py", (("KEPT_BYTES = 16, 8, 160, 16", "KEPT_BYTES = 16, 8, 160, 1"),), (PROBE,)),
+    # each call site's check removed: run's, the flow's, the listing's, escape's batch, probe's batch and kept starts,
+    # and the CLI's pre-checks, compare's horizon/alpha and --samples for probe and counterexample
+    ("engine.py", (('    check_budget(n_steps, "steps", fn.dim, RECORD_BYTES)\n', ""),), (RECORDS,)),
+    ("flow.py", (('    check_budget(horizon / h, "horizon/h", fn.dim, RECORD_BYTES)\n', ""),), (RECORDS,)),
+    ("catalog.py", (('        check_budget(m, "the generator count", self.dim, LISTED_BYTES)\n', ""),), (LISTING,)),
+    ("counterexample.py", (('    check_budget(n_samples, "n_samples", 2, BATCH_BYTES)\n', ""),), (ESCAPE_BATCH,)),
+    ("stability.py", (("    check_budget(n, name, dim, BATCH_BYTES * balls, over)\n", ""),), (PROBE,)),
+    ("stability.py", (('    check_budget(n, name, dim, KEPT_BYTES * balls * alphas, f"{over} and {alphas} step '
+                       'sizes")\n', ""),), (PROBE,)),
+    ("stability.py", (('    check_samples(n, "n_samples", x_star.size,', '    (n, "n_samples", x_star.size,'),),
+     (PROBE,)),
+    ("cli.py", (('        check_budget(steps, "horizon/alpha", fn.dim, RECORD_BYTES)\n', ""),),
+     (f"{CLI}::test_usage_errors_exit_2",)),
+    ("cli.py", (('if cfg.command == "probe" and cfg.samples is not None:', 'if False:'),),
+     (f"{CLI}::test_usage_errors_exit_2",)),
+    ("cli.py", (("elif cfg.samples is not None:", "elif False:"),), (f"{CLI}::test_usage_errors_exit_2",)),
+    # an exit ball's radius unchecked (0 passes)
     ("engine.py", (('as_point(center, dim, "center"), as_real(radius, "radius")',
                     'as_point(center, dim, "center"), float(radius)'),),
      (f"{E}::test_bad_exit_ball_is_rejected_everywhere",)),
@@ -160,11 +185,10 @@ MUTANTS = [
      (f"{E}::test_bad_exit_ball_is_rejected_everywhere",)),
     ("engine.py", (("if center is None or radius is None:", "if False:"),),
      (f"{E}::test_bad_exit_ball_is_rejected_everywhere",)),
-    # an exit ball allowed to reach only DIVERGENCE_LIMIT / 3 from the origin, and the recorded-step cap raised
+    # an exit ball allowed to reach only DIVERGENCE_LIMIT / 3 from the origin, and the memory budget raised
     ("engine.py", (("+ r <= DIVERGENCE_LIMIT / 2", "+ r <= DIVERGENCE_LIMIT / 3"),),
      (f"{E}::test_bad_exit_ball_is_rejected_everywhere",)),
-    ("engine.py", (("MAX_RECORDED_STEPS = 10 ** 7", "MAX_RECORDED_STEPS = 10 ** 8"),),
-     (f"{E}::test_run_zero_steps_records_initial_point",)),
+    ("catalog.py", (("BUDGET = 32 * 10 ** 7", "BUDGET = 33 * 10 ** 7"),), (BUDGET, RECORDS)),
     # a constant in its last digits, in both kernels alike
     ("catalog.py", (("return 1.5 * r1 * a2 * r2 * _sign(x1), 1.5 * a1", "return 1.5000000000000002 * r1 * a2 * r2 "
                      "* _sign(x1), 1.5000000000000002 * a1"),
@@ -224,9 +248,9 @@ MUTANTS = [
     ("stability.py", (("    _inside(x_star, epsilon, fn.dim)", "    pass"),), (f"{CLI}::test_usage_errors_exit_2",)),
     ("stability.py", (('    lip = as_real(lip, "the Lipschitz estimate", InvalidQuery)\n', ""),),
      (f"{CLI}::test_usage_errors_exit_2",)),
-    # probe's explicit budget without the recorded-steps cap (10^7 + 1 reaches a batch, 2^63 overflows int64)
-    ("stability.py", (('    _check_recorded(max_iters or 0, "max_iters")', "    pass"),),
-     (f"{S}::test_probe_validates_query",)),
+    # probe's explicit budget without its record's check (10^7 + 1 reaches a batch, 2^63 overflows int64)
+    ("stability.py", (('    check_budget(max_iters or 0, "max_iters", x_star.size, RECORD_BYTES)', "    pass"),),
+     (PROBE,)),
     # the largest generator norm: through Python's max, which drops a NaN; the smallest; the stacked rows cut to
     # the first; a listed set's row 0 kept as a view, which holds the whole set.  Row -1 in place of row 0 is no
     # row: every generator at a point has the same squared norm, bit for bit, which a test holds
@@ -234,23 +258,27 @@ MUTANTS = [
      (f"{S}::test_max_generator_norm_keeps_its_bits_and_a_nan",)),
     ("stability.py", (("np.sqrt(np.max((g * g)", "np.sqrt(np.min((g * g)"),),
      (f"{S}::test_max_generator_norm_keeps_its_bits_and_a_nan",)),
-    ("stability.py", (("g = np.concatenate(rows)", "g = rows[0]"),),
+    ("stability.py", (("for s in map(fn.generators, pts)]", "for s in map(fn.generators, pts[:1])]"),),
      (f"{S}::test_max_generator_norm_keeps_its_bits_and_a_nan",)),
-    ("stability.py", (("g[:1].copy()", "g[:1]"),), (f"{S}::test_convex_bounds_holds_one_listed_set_at_a_time",)),
+    ("stability.py", (("s[:1].copy()", "s[:1]"),), (f"{S}::test_convex_bounds_holds_one_listed_set_at_a_time",)),
     # probe's derived budget unchecked (int() of inf, or above 2^63), and its Lipschitz estimate on another stream
-    ("stability.py", (('_check_recorded(iters.max(), "--epsilon/--alpha-grid")', "None"),),
-     (f"{CLI}::test_usage_errors_exit_2",)),
+    ("stability.py", (('check_budget(float(iters.max()), "K from --epsilon/--alpha-grid", fn.dim, RECORD_BYTES)',
+                       "None"),),
+     (f"{CLI}::test_usage_errors_exit_2", PROBE)),
     ("stability.py", (("derive_seed(q.seed, 0x11F)", "derive_seed(q.seed, 0x120)"),),
      (f"{S}::test_estimate_lipschitz_quad_tracks_ball_radius",)),
-    # the convex report's own arithmetic: the default run 200 -> 201 steps, or 3 * budget steps; the cap read on
-    # 3 * budget; the liminf over the tail third.  Two mutants need no row: gaps[: budget + 2], and < for <= in
-    # achieved_within_budget, give the same verdict, as the convex bound already puts the prefix minimum within
-    # c^2 alpha / 2 + epsilon / 2
+    # the convex report's own arithmetic: the default run 200 -> 201 steps, or 3 * budget steps; the budget read on
+    # 3 * budget, or not at all; the liminf over the tail third.  Two mutants need no row: gaps[: budget + 2], and <
+    # for <= in achieved_within_budget, give the same verdict, as the convex bound already puts the prefix minimum
+    # within c^2 alpha / 2 + epsilon / 2
     ("stability.py", (("n_steps = max(200, 2 * budget)", "n_steps = max(201, 2 * budget)"),),
      (f"{S}::test_convex_bounds_default_run_tail_and_cap",)),
     ("stability.py", (("n_steps = max(200, 2 * budget)", "n_steps = max(200, 3 * budget)"),),
      (f"{S}::test_convex_bounds_default_run_tail_and_cap",)),
-    ("stability.py", (("_check_recorded(2 * budget,", "_check_recorded(3 * budget,"),),
+    ("stability.py", (("check_budget(2 * budget,", "check_budget(3 * budget,"),),
+     (f"{S}::test_convex_bounds_default_run_tail_and_cap",)),
+    ("stability.py", (('        check_budget(2 * budget, "steps from x0/alpha/epsilon", fn.dim, RECORD_BYTES)\n',
+                       ""),),
      (f"{S}::test_convex_bounds_default_run_tail_and_cap",)),
     ("stability.py", (("gaps[gaps.shape[0] // 2:]", "gaps[gaps.shape[0] // 3:]"),),
      (f"{S}::test_convex_bounds_default_run_tail_and_cap",)),
@@ -278,15 +306,9 @@ MUTANTS = [
     # the certificate is the first escape-free cell, not the last
     ("stability.py", (("d_idx, a_idx = np.argwhere(clear)[0]", "d_idx, a_idx = np.argwhere(clear)[-1]"),),
      (f"{S}::test_probe_quad_certificate",)),
-    # the batch cap refusing exactly MAX_BATCH_ROWS, and the cap unchecked by escape, probe or the CLI
-    ("engine.py", (("if n * balls > MAX_BATCH_ROWS:", "if n * balls >= MAX_BATCH_ROWS:"),),
-     (f"{X}::test_escape_experiment_caps_its_batch_before_sampling",)),
-    ("counterexample.py", (('    _check_rows(n_samples, "n_samples")\n', ""),),
-     (f"{X}::test_escape_experiment_caps_its_batch_before_sampling",)),
-    ("stability.py", (('_check_rows(n, "n_samples", deltas.size)', "pass"),), (f"{S}::test_probe_validates_query",)),
-    ("cli.py", (("if cfg.samples is not None:  # the escape experiment's batch, or probe's cells of one alpha, "
-                 "before any sampling", "if False:"),),
-     (f"{CLI}::test_usage_errors_exit_2",)),
+    # probe's batch without its delta count, and its kept starts without their step sizes
+    ("stability.py", (("BATCH_BYTES * balls, over)", "BATCH_BYTES, over)"),), (PROBE,)),
+    ("stability.py", (("KEPT_BYTES * balls * alphas,", "KEPT_BYTES * balls,"),), (PROBE,)),
     # cross's values beyond the box computed with numpy's overflow and invalid warnings on
     ("catalog.py", (('with np.errstate(over="ignore", invalid="ignore"):  # beyond the box a factor or a product '
                      'overflows to inf', "if True:"),),

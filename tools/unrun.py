@@ -44,9 +44,6 @@ ALLOWED = {
     ("catalog.py", "weights = weights / s"): "the same fallback",
     ("catalog.py", "weights = weights / weights.sum()"):
         "Wolfe's minor cycle when every weight stays positive after the move",
-    ("cli.py", "sys.exit(run_command(sys.argv[1:]))"):
-        "the console entry point; the tests call run_command, which it wraps",
-    ("cli.py", "main()"): "the __main__ guard, run only as python -m nsdyn.cli",
 }
 
 
